@@ -11,14 +11,13 @@ The package splits into:
 
 from .analytics import (
     AccessDelay,
-    CellMetrics,
     ClassMetrics,
     any_collision_probability,
     cell_collision_density,
     cell_collision_probability,
-    cell_metrics,
     full_dedication_rates,
     full_sharing_rate,
+    layout_metrics,
     mean_access_delay,
     partial_dedication_rates,
     simple_collision_rate,
@@ -37,6 +36,7 @@ from .allocator import (
 from .model import (
     AllocationPlan,
     DeviceClass,
+    LayoutMismatch,
     QosKind,
     QosTarget,
     Scenario,
@@ -45,6 +45,7 @@ from .model import (
     Strategy,
     derive_ra_density,
     load_scenario,
+    pool_layout,
     save_scenario,
     scenario_fingerprint,
     scenario_from_dict,
@@ -60,7 +61,6 @@ from .simulator import (
     SweepPoint,
     SweepResult,
     run,
-    run_delay,
     sweep_dedication,
 )
 
@@ -72,10 +72,10 @@ __all__ = [
     "AllocationOutcome",
     "AllocationPlan",
     "ArrivalMode",
-    "CellMetrics",
     "ClassMetrics",
     "ClassStats",
     "DeviceClass",
+    "LayoutMismatch",
     "OverloadError",
     "QosKind",
     "QosTarget",
@@ -92,20 +92,20 @@ __all__ = [
     "brute_force_optimal",
     "cell_collision_density",
     "cell_collision_probability",
-    "cell_metrics",
     "derive_ra_density",
     "full_dedication_rates",
     "full_sharing_rate",
     "largest_remainder",
+    "layout_metrics",
     "load_scenario",
     "mean_access_delay",
     "partial_dedication_rates",
+    "pool_layout",
     "proportional_allocation",
     "reserve_and_divide",
     "reserve_for_collision_rate",
     "reserve_for_delay",
     "run",
-    "run_delay",
     "save_scenario",
     "scenario_fingerprint",
     "scenario_from_dict",

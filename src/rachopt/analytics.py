@@ -34,12 +34,6 @@ class ClassMetrics:
 
 
 @dataclass(frozen=True)
-class CellMetrics:
-    total_collision_density: float
-    collision_probability: float
-
-
-@dataclass(frozen=True)
 class AccessDelay:
     """Mean access delay; ``inclusive`` counts the final (successful) slot
     interval as one backoff period, ``exclusive`` counts retry waits only,
@@ -89,24 +83,51 @@ def full_dedication_rates(
     }
 
 
-def partial_dedication_rates(
-    scenario: Scenario, topology: SharingTopology
-) -> dict[int, float]:
-    """Per-class collision rate when RAOs may be shared by class subsets.
+def layout_metrics(
+    scenario: Scenario, layout: SharingTopology
+) -> dict[int, ClassMetrics]:
+    """Per-class predictions for any pool layout, so for every strategy.
 
     A class-i request lands on a uniformly chosen RAO from its usable set;
     the load on one RAO is the sum of gamma_j / #usable_j over the classes
-    sharing it, and the class rate averages the per-RAO rates over its set.
+    sharing it. The class's collision and success probabilities average the
+    per-RAO ``1 - exp(-load)`` and ``exp(-load)`` over its set, and its mean
+    inclusive delay is backoff / success, infinite once success underflows.
+    The load is constant between range ends, so the work grows with the
+    number of ranges, not of RAOs. Pass a validated layout (``pool_layout``).
     """
-    topology.validate_for(scenario)
-    load = np.zeros(scenario.total_raos)
-    index: dict[int, np.ndarray] = {}
+    edges = np.unique(
+        [end for cls in scenario.classes for first, last in layout.ranges[cls.id]
+         for end in (first, last + 1)]
+    )
+    starts, widths = edges[:-1], np.diff(edges)
+    load = np.zeros(starts.size)
+    covered = {}
     for cls in scenario.classes:
-        slots = np.sort(np.fromiter(topology.usable_sets[cls.id], dtype=np.int64))
-        index[cls.id] = slots
-        load[slots] += cls.ra_density / len(slots)
-    per_slot = -np.expm1(-load)
-    return {cid: float(per_slot[slots].mean()) for cid, slots in index.items()}
+        firsts, lasts = np.array(layout.ranges[cls.id]).T
+        k = np.searchsorted(firsts, starts, side="right") - 1
+        covered[cls.id] = (k >= 0) & (starts <= lasts[k])
+        load[covered[cls.id]] += cls.ra_density / layout.size(cls.id)
+    collide, succeed = -np.expm1(-load), np.exp(-load)
+    metrics = {}
+    for cls in scenario.classes:
+        mask, size = covered[cls.id], layout.size(cls.id)
+        p = float(widths[mask] @ collide[mask]) / size
+        success = float(widths[mask] @ succeed[mask]) / size
+        metrics[cls.id] = ClassMetrics(
+            collision_rate=p,
+            success_rate=success,
+            collision_density=cls.ra_density * p,
+            mean_delay=cls.backoff / success if success else math.inf,
+        )
+    return metrics
+
+
+def partial_dedication_rates(
+    scenario: Scenario, topology: SharingTopology
+) -> dict[int, float]:
+    """Per-class collision rates of ``layout_metrics``."""
+    return {cid: m.collision_rate for cid, m in layout_metrics(scenario, topology).items()}
 
 
 def cell_collision_density(scenario: Scenario, plan: AllocationPlan) -> float:
@@ -138,13 +159,6 @@ def cell_collision_probability(scenario: Scenario, plan: AllocationPlan) -> floa
             simple_collision_rate(cls.ra_density, plan.get(cls.id)),
         )
         for cls in scenario.classes
-    )
-
-
-def cell_metrics(scenario: Scenario, plan: AllocationPlan) -> CellMetrics:
-    return CellMetrics(
-        total_collision_density=cell_collision_density(scenario, plan),
-        collision_probability=cell_collision_probability(scenario, plan),
     )
 
 

@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import secrets
 import sys
 from typing import Any, Iterable, Sequence
@@ -29,6 +30,7 @@ from .model import (
     SharingTopology,
     Strategy,
     load_scenario,
+    pool_layout,
     scenario_fingerprint,
 )
 
@@ -169,11 +171,10 @@ def _parse_plan(spec: str, scenario: Scenario) -> AllocationPlan:
             plan = AllocationPlan.from_counts(scenario, [int(e) for e in entries])
     except ValueError:
         raise ScenarioError([f"--plan: could not parse {spec!r}"]) from None
-    plan.validate_for(scenario)
     return plan
 
 
-def _parse_topology(spec: str, scenario: Scenario) -> SharingTopology:
+def _parse_topology(spec: str) -> SharingTopology:
     ranges: dict[int, list[tuple[int, int]]] = {}
     try:
         for entry in spec.split(";"):
@@ -188,9 +189,7 @@ def _parse_topology(spec: str, scenario: Scenario) -> SharingTopology:
             ranges[int(cid_text)] = spans
     except ValueError:
         raise ScenarioError([f"--topology: could not parse {spec!r}"]) from None
-    topology = SharingTopology.from_ranges(ranges)
-    topology.validate_for(scenario)
-    return topology
+    return SharingTopology.from_ranges(ranges)
 
 
 def _resolve_allocation(
@@ -207,7 +206,7 @@ def _resolve_allocation(
             raise ScenarioError(["--plan is only valid for full dedication"])
         if not getattr(args, "topology", None):
             raise ScenarioError(["partial dedication requires --topology"])
-        return _parse_topology(args.topology, scenario)
+        return _parse_topology(args.topology)
     if getattr(args, "plan", None) or getattr(args, "topology", None):
         raise ScenarioError(["full sharing takes neither --plan nor --topology"])
     return None
@@ -237,7 +236,7 @@ def _report(scenario: Scenario, command: str, parameters: dict, results: dict) -
 
 def _print_report(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
         return
     print(f"scenario fingerprint: {report['fingerprint']}")
     params = ", ".join(f"{k}={v}" for k, v in report["parameters"].items() if v is not None)
@@ -287,68 +286,39 @@ def _sim_stats_dict(stats: simulator.SimStats) -> dict:
     }
 
 
-def _analytic_rates(
-    scenario: Scenario, allocation: AllocationPlan | SharingTopology | None
-) -> dict[int, float]:
-    """Per-class per-attempt collision rates under the scenario's strategy."""
-    if scenario.strategy == Strategy.FULL_DEDICATION:
-        assert isinstance(allocation, AllocationPlan)
-        return {
-            cls.id: analytics.simple_collision_rate(cls.ra_density, allocation.get(cls.id))
-            for cls in scenario.classes
-        }
-    if scenario.strategy == Strategy.PARTIAL_DEDICATION:
-        assert isinstance(allocation, SharingTopology)
-        return analytics.partial_dedication_rates(scenario, allocation)
-    rate = analytics.full_sharing_rate(scenario)
-    return {cls.id: rate for cls in scenario.classes}
-
-
-def _pool_sizes(
-    scenario: Scenario, allocation: AllocationPlan | SharingTopology | None
-) -> dict[int, int]:
-    if isinstance(allocation, AllocationPlan):
-        return {cls.id: allocation.get(cls.id) for cls in scenario.classes}
-    if isinstance(allocation, SharingTopology):
-        return {cls.id: allocation.size(cls.id) for cls in scenario.classes}
-    return {cls.id: scenario.total_raos for cls in scenario.classes}
-
-
 # --- commands -----------------------------------------------------------------
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     allocation = _resolve_allocation(args, scenario)
-    rates = _analytic_rates(scenario, allocation)
-    sizes = _pool_sizes(scenario, allocation)
+    layout = pool_layout(scenario, allocation)
+    metrics = analytics.layout_metrics(scenario, layout)
     per_class = {}
     for cls in scenario.classes:
-        p = rates[cls.id]
-        # delay follows the per-attempt rate whatever the strategy
-        inclusive = cls.backoff / (1.0 - p)
+        m = metrics[cls.id]
+        saturated = not math.isfinite(m.mean_delay)
         per_class[str(cls.id)] = {
-            "raos": sizes[cls.id],
+            "raos": layout.size(cls.id),
             "ra_density_hz": cls.ra_density,
-            "collision_rate": p,
-            "collision_density_hz": cls.ra_density * p,
-            "mean_delay_incl_s": inclusive,
-            "mean_delay_excl_s": inclusive - cls.backoff,
+            "collision_rate": m.collision_rate,
+            "collision_density_hz": m.collision_density,
+            "mean_delay_incl_s": None if saturated else m.mean_delay,
+            "mean_delay_excl_s": None if saturated else m.mean_delay - cls.backoff,
+            "saturated": saturated,
         }
-    total_density = sum(per_class[str(c.id)]["collision_density_hz"] for c in scenario.classes)
     results = {
         "strategy": scenario.strategy.value,
         "per_class": per_class,
         "cell": {
-            "total_collision_density_hz": total_density,
+            "total_collision_density_hz": sum(m.collision_density for m in metrics.values()),
             "collision_probability": analytics.any_collision_probability(
-                (cls.ra_density, rates[cls.id]) for cls in scenario.classes
+                (cls.ra_density, metrics[cls.id].collision_rate) for cls in scenario.classes
             ),
         },
     }
     parameters = {"plan": getattr(args, "plan", None), "topology": getattr(args, "topology", None)}
-    if scenario.strategy == Strategy.FULL_DEDICATION and not args.plan:
-        assert isinstance(allocation, AllocationPlan)
+    if isinstance(allocation, AllocationPlan) and not args.plan:
         parameters["plan"] = "proportional:" + ",".join(
             str(allocation.get(c.id)) for c in scenario.classes
         )
@@ -381,7 +351,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             str(cid): {
                 "collision_rate": m.collision_rate,
                 "collision_density_hz": m.collision_density,
-                "mean_delay_s": m.mean_delay,
+                "mean_delay_s": m.mean_delay if math.isfinite(m.mean_delay) else None,
+                "saturated": not math.isfinite(m.mean_delay),
             }
             for cid, m in diagnostics.items()
         },
@@ -403,9 +374,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         measure_delay=args.measure_delay,
         max_attempts=args.max_attempts,
     )
+    layout = pool_layout(scenario, allocation)
     stats = simulator.run(scenario, allocation, config)
-    rates = _analytic_rates(scenario, allocation)
-    sizes = _pool_sizes(scenario, allocation)
+    rates = analytics.partial_dedication_rates(scenario, layout)
     parameters = {
         "iterations": config.iterations,
         "seed": config.seed,
@@ -423,7 +394,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     report = _report(scenario, "simulate", parameters, results)
     if args.csv:
-        _write_simulate_csv(args.csv, scenario, stats, rates, sizes)
+        _write_simulate_csv(args.csv, scenario, stats, rates, layout)
         report["csv"] = args.csv
     _print_report(report, args.json)
     return EXIT_OK
@@ -509,7 +480,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             allocation = outcome.plan
             plan_note = {str(c.id): allocation.get(c.id) for c in variant.classes}
         stats = simulator.run(variant, allocation, config)
-        rates = _analytic_rates(variant, allocation)
+        rates = analytics.partial_dedication_rates(variant, pool_layout(variant, allocation))
         columns[name] = {
             "plan": plan_note,
             "per_class": {
@@ -599,7 +570,7 @@ def _write_simulate_csv(
     scenario: Scenario,
     stats: simulator.SimStats,
     rates: dict[int, float],
-    sizes: dict[int, int],
+    layout: SharingTopology,
 ) -> None:
     rows = []
     for cls in scenario.classes:
@@ -607,7 +578,7 @@ def _write_simulate_csv(
         rows.append(
             (
                 cls.id,
-                sizes[cls.id],
+                layout.size(cls.id),
                 cls.ra_density,
                 rates[cls.id],
                 s.collision_rate,

@@ -15,9 +15,9 @@ import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
 from typing import Any, Mapping, Sequence
 
+import numpy as np
 import yaml
 
 #: Relative tolerance used when a class states ra_density alongside
@@ -172,55 +172,41 @@ class AllocationPlan:
 
 @dataclass(frozen=True)
 class SharingTopology:
-    """Per-class usable RAO index sets for partial dedication.
+    """Usable RAOs per class: the one pool layout behind every strategy.
 
-    ``usable_sets[i]`` is the set of RAO indices class ``i`` may pick from
-    (dedicated plus shared). The per-RAO sharer sets are derived from it.
+    ``ranges[i]`` lists the inclusive (first, last) RAO index ranges class
+    ``i`` may pick from, sorted, with overlapping and adjacent ranges merged.
+    Full sharing gives every class the whole pool (``fully_shared``), full
+    dedication gives each class its own contiguous block (``from_plan``),
+    and partial dedication lets ranges of different classes overlap. Build
+    one with ``from_ranges``, ``fully_shared`` or ``from_plan``; no slot
+    array exists until ``slots`` is called.
     """
 
-    usable_sets: Mapping[int, frozenset[int]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "usable_sets",
-            {cid: frozenset(slots) for cid, slots in self.usable_sets.items()},
-        )
-
-    @cached_property
-    def sharer_sets(self) -> dict[int, frozenset[int]]:
-        """RAO index -> ids of every class allowed to use that RAO."""
-        sharers: dict[int, set[int]] = {}
-        for cid, slots in self.usable_sets.items():
-            for slot in slots:
-                sharers.setdefault(slot, set()).add(cid)
-        return {slot: frozenset(ids) for slot, ids in sharers.items()}
+    ranges: Mapping[int, tuple[tuple[int, int], ...]]
 
     def size(self, class_id: int) -> int:
-        return len(self.usable_sets[class_id])
+        return sum(last - first + 1 for first, last in self.ranges[class_id])
+
+    def slots(self, class_id: int) -> np.ndarray:
+        """The class's usable RAO indices, ascending."""
+        return np.concatenate(
+            [np.arange(first, last + 1, dtype=np.int64) for first, last in self.ranges[class_id]]
+        )
 
     def validate_for(self, scenario: Scenario) -> None:
         issues = []
         for cls in scenario.classes:
-            slots = self.usable_sets.get(cls.id)
-            if not slots:
+            spans = self.ranges.get(cls.id)
+            if not spans:
                 issues.append(f"class {cls.id}: usable RAO set is empty or missing")
-                continue
-            if min(slots) < 0 or max(slots) >= scenario.total_raos:
+            elif spans[0][0] < 0 or spans[-1][1] >= scenario.total_raos:
                 issues.append(
                     f"class {cls.id}: RAO indices outside [0, {scenario.total_raos})"
                 )
-        extra = set(self.usable_sets) - set(scenario.class_ids)
+        extra = set(self.ranges) - set(scenario.class_ids)
         if extra:
             issues.append(f"topology covers unknown class ids {sorted(extra)}")
-        # cross-check: rebuilding usable sets from the sharer sets must agree
-        rebuilt: dict[int, set[int]] = {cid: set() for cid in self.usable_sets}
-        for slot, ids in self.sharer_sets.items():
-            for cid in ids:
-                rebuilt[cid].add(slot)
-        for cid, slots in self.usable_sets.items():
-            if rebuilt[cid] != set(slots):
-                issues.append(f"class {cid}: sharer sets inconsistent with usable sets")
         if issues:
             raise ScenarioError(issues)
 
@@ -228,33 +214,64 @@ class SharingTopology:
     def from_ranges(
         cls, ranges: Mapping[int, Sequence[tuple[int, int]]]
     ) -> "SharingTopology":
-        """Build from per-class lists of inclusive (first, last) index ranges."""
-        usable = {}
+        """Build from per-class lists of inclusive (first, last) index ranges,
+        in any order and possibly overlapping."""
+        merged = {}
         for cid, spans in ranges.items():
-            slots: set[int] = set()
-            for first, last in spans:
+            out: list[tuple[int, int]] = []
+            for first, last in sorted(spans):
                 if last < first:
                     raise ScenarioError([f"class {cid}: empty RAO range {first}-{last}"])
-                slots.update(range(first, last + 1))
-            usable[cid] = frozenset(slots)
-        return cls(usable)
+                if out and first <= out[-1][1] + 1:
+                    out[-1] = (out[-1][0], max(out[-1][1], last))
+                else:
+                    out.append((first, last))
+            merged[cid] = tuple(out)
+        return cls(merged)
 
     @classmethod
     def fully_shared(cls, scenario: Scenario) -> "SharingTopology":
-        slots = frozenset(range(scenario.total_raos))
-        return cls({cid: slots for cid in scenario.class_ids})
+        whole = ((0, scenario.total_raos - 1),)
+        return cls({cid: whole for cid in scenario.class_ids})
 
     @classmethod
     def from_plan(cls, scenario: Scenario, plan: AllocationPlan) -> "SharingTopology":
         """Disjoint topology equivalent to a full-dedication plan
         (contiguous ranges in validated class order)."""
-        usable = {}
+        ranges = {}
         offset = 0
         for cls_ in scenario.classes:
             count = plan.get(cls_.id)
-            usable[cls_.id] = frozenset(range(offset, offset + count))
+            ranges[cls_.id] = ((offset, offset + count - 1),)
             offset += count
-        return cls(usable)
+        return cls(ranges)
+
+
+class LayoutMismatch(ScenarioError):
+    """The allocation handed over does not fit the scenario's strategy."""
+
+
+def pool_layout(
+    scenario: Scenario, allocation: AllocationPlan | SharingTopology | None
+) -> SharingTopology:
+    """Validate the allocation and resolve it to the scenario's pool layout.
+
+    Full sharing takes no allocation, full dedication an AllocationPlan, and
+    partial dedication a SharingTopology, which is used as given.
+    """
+    if scenario.strategy == Strategy.FULL_SHARING:
+        if allocation is not None:
+            raise LayoutMismatch(["full sharing takes no plan or topology"])
+        return SharingTopology.fully_shared(scenario)
+    if scenario.strategy == Strategy.FULL_DEDICATION:
+        if not isinstance(allocation, AllocationPlan):
+            raise LayoutMismatch(["full dedication requires an AllocationPlan"])
+        allocation.validate_for(scenario)
+        return SharingTopology.from_plan(scenario, allocation)
+    if not isinstance(allocation, SharingTopology):
+        raise LayoutMismatch(["partial dedication requires a SharingTopology"])
+    allocation.validate_for(scenario)
+    return allocation
 
 
 def derive_ra_density(population: int, per_device_rate: float, group_size: int = 1) -> float:
@@ -303,10 +320,10 @@ def _resolve_class(cls: DeviceClass, issues: list[str]) -> DeviceClass:
     if density is None:
         issues.append(f"{label}: ra_density missing (give it or population/per_device_rate)")
         return cls
-    if not density > 0:
-        issues.append(f"{label}: ra_density must be > 0")
-    if not cls.backoff > 0:
-        issues.append(f"{label}: backoff must be > 0")
+    if not 0 < density < math.inf:
+        issues.append(f"{label}: ra_density must be finite and > 0")
+    if not 0 < cls.backoff < math.inf:
+        issues.append(f"{label}: backoff must be finite and > 0")
     _check_qos(cls, issues)
     return replace(cls, ra_density=density)
 

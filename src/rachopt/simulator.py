@@ -23,14 +23,22 @@ rates rather than converge to that model.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from . import analytics
-from .model import AllocationPlan, DeviceClass, Scenario, SharingTopology, Strategy
+from .model import (
+    AllocationPlan,
+    DeviceClass,
+    LayoutMismatch,
+    Scenario,
+    SharingTopology,
+    Strategy,
+    pool_layout,
+)
 
 
 class SimulationError(RuntimeError):
@@ -59,6 +67,8 @@ class SimConfig:
     max_attempts: int = 25
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise SimulationError(f"seed must be >= 0, got {self.seed}")
         if self.iterations < 1:
             raise SimulationError(f"iterations must be >= 1, got {self.iterations}")
         if not isinstance(self.horizon, int) or self.horizon < 1:
@@ -133,19 +143,20 @@ class _Pool:
     """Resolved per-class sampling context for one run."""
 
     cls: DeviceClass
-    size: int
-    offset: int = 0
-    slots: np.ndarray | None = None  # explicit slot ids for partial topologies
-    coordinators: int = 0
-    attempt_prob: float = 0.0
+    slots: np.ndarray  # usable RAO ids, ascending
+
+    @property
+    def size(self) -> int:
+        return self.slots.size
+
+    def local(self, u: np.ndarray) -> np.ndarray:
+        """Positions in the pool for uniform draws ``u`` in [0, 1)."""
+        # floor(u * size) stays below size for every u < 1 while size < 2**53;
+        # the clamp guards that boundary
+        return np.minimum((u * self.size).astype(np.int64), self.size - 1)
 
     def pick(self, u: np.ndarray) -> np.ndarray:
-        # floor(u * size), clamped: the maximal double in [0, 1) can round
-        # the product up to size itself for power-of-two pool sizes
-        local = np.minimum((u * self.size).astype(np.int64), self.size - 1)
-        if self.slots is not None:
-            return self.slots[local]
-        return self.offset + local
+        return self.slots[self.local(u)]
 
 
 def _stream(seed: int, iteration: int, class_id: int) -> np.random.Generator:
@@ -167,43 +178,12 @@ def _build_pools(
     allocation: AllocationPlan | SharingTopology | None,
     config: SimConfig,
 ) -> list[_Pool]:
-    strategy = scenario.strategy
-    if strategy == Strategy.FULL_DEDICATION:
-        if not isinstance(allocation, AllocationPlan):
-            raise SimulationError("full dedication requires an AllocationPlan")
-        allocation.validate_for(scenario)
-        pools = []
-        offset = 0
-        for cls in scenario.classes:
-            count = allocation.get(cls.id)
-            pools.append(_Pool(cls=cls, size=count, offset=offset))
-            offset += count
-    elif strategy == Strategy.FULL_SHARING:
-        if allocation is not None:
-            raise SimulationError("full sharing takes no plan or topology")
-        pools = [
-            _Pool(cls=cls, size=scenario.total_raos, offset=0)
-            for cls in scenario.classes
-        ]
-    else:
-        if not isinstance(allocation, SharingTopology):
-            raise SimulationError("partial dedication requires a SharingTopology")
-        allocation.validate_for(scenario)
-        pools = [
-            _Pool(
-                cls=cls,
-                size=allocation.size(cls.id),
-                slots=np.sort(
-                    np.fromiter(allocation.usable_sets[cls.id], dtype=np.int64)
-                ),
-            )
-            for cls in scenario.classes
-        ]
-
+    try:
+        layout = pool_layout(scenario, allocation)
+    except LayoutMismatch as exc:
+        raise SimulationError(str(exc)) from None
     if config.arrival_mode == ArrivalMode.PER_DEVICE_BERNOULLI:
-        resolved = []
-        for pool in pools:
-            cls = pool.cls
+        for cls in scenario.classes:
             if cls.coordinators is None:
                 raise SimulationError(
                     f"class {cls.id}: per-device mode needs population and "
@@ -214,19 +194,13 @@ def _build_pools(
                     f"class {cls.id}: per-device attempt probability "
                     f"{cls.per_device_rate}/s exceeds 1"
                 )
-            resolved.append(
-                replace(
-                    pool, coordinators=cls.coordinators, attempt_prob=cls.per_device_rate
-                )
-            )
-        pools = resolved
-    return pools
+    return [_Pool(cls=cls, slots=layout.slots(cls.id)) for cls in scenario.classes]
 
 
 def _draw_counts(rng: np.random.Generator, pool: _Pool, seconds: int, mode: ArrivalMode) -> np.ndarray:
     if mode == ArrivalMode.POISSON_AGGREGATE:
         return rng.poisson(pool.cls.ra_density, size=seconds)
-    return rng.binomial(pool.coordinators, pool.attempt_prob, size=seconds)
+    return rng.binomial(pool.cls.coordinators, pool.cls.per_device_rate, size=seconds)
 
 
 def run(
@@ -347,15 +321,15 @@ def _measure_delays(
     n_ext = math.ceil(config.max_attempts * backoff) + 1
     ext_counts = _draw_counts(rng, pool, n_ext, config.arrival_mode)
     ext_u = rng.random(int(ext_counts.sum()))
-    ext_local = np.minimum((ext_u * pool.size).astype(np.int64), pool.size - 1)
+    ext_local = pool.local(ext_u)
     ext_secs = np.repeat(np.arange(n_ext), ext_counts)
     ext_occ = np.bincount(
         ext_secs * pool.size + ext_local, minlength=n_ext * pool.size
     ).reshape(n_ext, pool.size)
-    pool_occ = np.concatenate([occ2d[:, pool.offset : pool.offset + pool.size], ext_occ])
+    pool_occ = np.concatenate([occ2d[:, pool.slots], ext_occ])
 
     first_second = slots_global // total_slots
-    first_local = slots_global % total_slots - pool.offset
+    first_local = np.searchsorted(pool.slots, slots_global % total_slots)
     collided = occ2d.reshape(-1)[slots_global] >= 2
 
     successes = int((~collided).sum())
@@ -368,7 +342,7 @@ def _measure_delays(
             break
         sec = np.floor(t0 + (attempt - 1) * backoff).astype(np.int64)
         u = rng.random(s0.size)
-        j = np.minimum((u * pool.size).astype(np.int64), pool.size - 1)
+        j = pool.local(u)
         others = pool_occ[sec, j] - ((sec == s0) & (j == j0))
         ok = others < 1
         n_ok = int(ok.sum())
@@ -376,13 +350,6 @@ def _measure_delays(
         delay_sum += n_ok * attempt * backoff
         s0, j0, t0 = s0[~ok], j0[~ok], t0[~ok]
     return float(delay_sum), successes, int(s0.size)
-
-
-def run_delay(scenario: Scenario, plan: AllocationPlan, config: SimConfig) -> SimStats:
-    """Collision plus access-delay measurement under full dedication."""
-    if not config.measure_delay:
-        raise SimulationError("run_delay requires config.measure_delay")
-    return run(scenario, plan, config)
 
 
 def sweep_dedication(

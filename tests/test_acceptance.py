@@ -44,7 +44,7 @@ from rachopt.model import (
     Strategy,
     validate_scenario,
 )
-from rachopt.simulator import SimConfig, run, run_delay, sweep_dedication
+from rachopt.simulator import SimConfig, run, sweep_dedication
 
 from conftest import RATE_QOS, make_scenario
 
@@ -319,7 +319,7 @@ class TestCriterion7:
             )
             p = simple_collision_rate(50.0, raos)
             expected = 1.0 / (1.0 - p)
-            stats = run_delay(
+            stats = run(
                 scenario,
                 AllocationPlan({1: raos}),
                 SimConfig(iterations=500, seed=701, measure_delay=True, max_attempts=40),

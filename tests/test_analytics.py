@@ -11,11 +11,12 @@ from rachopt.analytics import (
     class_metrics,
     full_dedication_rates,
     full_sharing_rate,
+    layout_metrics,
     mean_access_delay,
     partial_dedication_rates,
     simple_collision_rate,
 )
-from rachopt.model import AllocationPlan, SharingTopology, Strategy
+from rachopt.model import AllocationPlan, SharingTopology, Strategy, pool_layout
 
 from conftest import make_scenario
 
@@ -157,7 +158,11 @@ class TestPartialDedication:
         sizes = {cid: topo.size(cid) for cid in gammas}
         per_class_terms = {1: [], 2: []}
         for slot in range(10800):
-            sharers = [cid for cid in gammas if slot in topo.usable_sets[cid]]
+            sharers = [
+                cid
+                for cid in gammas
+                if any(first <= slot <= last for first, last in topo.ranges[cid])
+            ]
             if not sharers:
                 continue
             load = math.fsum(gammas[cid] / sizes[cid] for cid in sharers)
@@ -173,9 +178,9 @@ class TestPartialDedication:
 
     def test_empty_usable_set_rejected(self):
         scenario = make_scenario((1, 2), strategy=Strategy.PARTIAL_DEDICATION)
-        topo = SharingTopology({1: frozenset(range(10800)), 2: frozenset()})
+        topo = SharingTopology.from_ranges({1: [(0, 10799)], 2: []})
         with pytest.raises(Exception, match="empty"):
-            partial_dedication_rates(scenario, topo)
+            pool_layout(scenario, topo)
 
     @given(sizes=st.lists(st.integers(5, 400), min_size=1, max_size=4))
     @settings(max_examples=30)
@@ -198,6 +203,56 @@ class TestPartialDedication:
         for cls in scenario.classes:
             expected = simple_collision_rate(cls.ra_density, plan.get(cls.id))
             assert rates[cls.id] == pytest.approx(expected, abs=1e-12)
+
+
+class TestLayoutMetrics:
+    """The general layout path against the scalar forms of the two extremes."""
+
+    @given(
+        gammas=st.lists(st.floats(1e-3, 5000.0), min_size=1, max_size=5),
+        sizes=st.lists(st.integers(1, 20000), min_size=5, max_size=5),
+    )
+    @settings(max_examples=200)
+    @example(gammas=[2000.0, 2000.0], sizes=[1, 1, 1, 1, 1])
+    def test_extremes_match_scalar_forms(self, gammas, sizes):
+        from rachopt.model import DeviceClass, Scenario, validate_scenario
+
+        sizes = sizes[: len(gammas)]
+        classes = tuple(DeviceClass(id=i, ra_density=g) for i, g in enumerate(gammas))
+
+        def scenario(strategy):
+            return validate_scenario(
+                Scenario(classes=classes, total_raos=sum(sizes), strategy=strategy)
+            )
+
+        dedicated = scenario(Strategy.FULL_DEDICATION)
+        plan = AllocationPlan(dict(zip(dedicated.class_ids, sizes)))
+        metrics = layout_metrics(dedicated, pool_layout(dedicated, plan))
+        for cls in dedicated.classes:
+            raos = plan.get(cls.id)
+            m = metrics[cls.id]
+            assert m.collision_rate == pytest.approx(
+                simple_collision_rate(cls.ra_density, raos), rel=1e-12
+            )
+            delay = mean_access_delay(cls.ra_density, raos, cls.backoff).inclusive
+            if cls.ra_density / raos <= 700:  # exp(-x) is still a normal double
+                assert m.mean_delay == pytest.approx(delay, rel=1e-12)
+            elif cls.ra_density / raos > 710:
+                assert m.mean_delay == delay == math.inf
+
+        shared = scenario(Strategy.FULL_SHARING)
+        expected = full_sharing_rate(shared)
+        for m in layout_metrics(shared, pool_layout(shared, None)).values():
+            assert m.collision_rate == pytest.approx(expected, rel=1e-12)
+
+    def test_success_complements_collision_on_overlaps(self):
+        scenario = make_scenario((1, 2, 3), strategy=Strategy.PARTIAL_DEDICATION)
+        topo = SharingTopology.from_ranges(
+            {1: [(0, 3599)], 2: [(1800, 7199)], 3: [(3600, 10799), (0, 99)]}
+        )
+        for m in layout_metrics(scenario, pool_layout(scenario, topo)).values():
+            assert m.collision_rate + m.success_rate == pytest.approx(1.0, abs=1e-15)
+            assert m.mean_delay == pytest.approx(1.0 / m.success_rate, rel=1e-15)
 
 
 class TestCellMetrics:

@@ -1,5 +1,7 @@
 import csv
 import json
+import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,24 @@ def run_json(capsys, argv):
     code = main(argv + ["--json"])
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def strict_json(text):
+    """Parse JSON, rejecting the NaN/Infinity constants strict JSON lacks."""
+
+    def reject(constant):
+        raise ValueError(f"not valid JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def write_cell(tmp_path, strategy, total_raos, densities):
+    path = tmp_path / f"{strategy}_{total_raos}.yaml"
+    classes = [{"id": i + 1, "ra_density": g} for i, g in enumerate(densities)]
+    path.write_text(
+        yaml.safe_dump({"total_raos": total_raos, "strategy": strategy, "classes": classes})
+    )
+    return str(path)
 
 
 class TestAnalyze:
@@ -76,6 +96,49 @@ class TestAnalyze:
         assert report["results"]["per_class"]["1"]["collision_rate"] == pytest.approx(
             0.015294873819897137, rel=1e-10
         )
+
+
+    def test_out_of_range_topology_rejected_before_slots_are_built(self, capsys, tmp_path):
+        path = write_cell(tmp_path, "partial_dedication", 10800, [50.0, 100.0])
+        tracemalloc.start()
+        try:
+            code = main(["analyze", path, "--topology", "1:0-2000000;2:0-10799"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_VALIDATION
+        assert "outside [0, 10800)" in capsys.readouterr().err
+        assert peak < 10 * 2**20
+
+    def test_delays_follow_the_closed_form(self, capsys):
+        code, report = run_json(capsys, ["analyze", DC12])
+        assert code == EXIT_OK
+        dc1 = report["results"]["per_class"]["1"]
+        assert dc1["saturated"] is False
+        assert dc1["mean_delay_incl_s"] == pytest.approx(math.exp(50 / 3600), rel=1e-12)
+        assert dc1["mean_delay_excl_s"] == pytest.approx(math.expm1(50 / 3600), rel=1e-12)
+
+
+class TestSaturatedCells:
+    def test_analyze_reports_null_delays(self, capsys, tmp_path):
+        path = write_cell(tmp_path, "full_sharing", 1, [50.0, 2000.0])
+        assert main(["analyze", path, "--json"]) == EXIT_OK
+        report = strict_json(capsys.readouterr().out)
+        for cls in report["results"]["per_class"].values():
+            assert cls["collision_rate"] == 1.0
+            assert cls["saturated"] is True
+            assert cls["mean_delay_incl_s"] is None
+            assert cls["mean_delay_excl_s"] is None
+        assert main(["analyze", path]) == EXIT_OK
+        assert "saturated: True" in capsys.readouterr().out
+
+    def test_optimize_reports_null_delays(self, capsys, tmp_path):
+        path = write_cell(tmp_path, "full_dedication", 2, [2000.0, 2000.0])
+        assert main(["optimize", path, "--json"]) == EXIT_OK
+        report = strict_json(capsys.readouterr().out)
+        for predicted in report["results"]["predicted"].values():
+            assert predicted["saturated"] is True
+            assert predicted["mean_delay_s"] is None
 
 
 class TestOptimize:
@@ -158,6 +221,10 @@ class TestSimulate:
         delay = float(rows[0]["delay_s"])
         assert delay == report["results"]["simulated"]["per_class"]["1"]["mean_delay"]
         assert delay > 1.0
+
+    def test_negative_seed_exits_with_simulation_error(self, capsys):
+        assert main(["simulate", DC12, "--seed", "-1", "--iterations", "1"]) == EXIT_SIMULATION
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_device_mode_needs_population(self, capsys, tmp_path):
         path = tmp_path / "nopop.yaml"

@@ -1,0 +1,253 @@
+"""Exact SimStats for fixed seeds, one case per pool layout and run mode.
+
+The expected values were recorded from the simulator and are compared with
+``==``, so any change to the random-number layout, the slot picks or the
+statistics shows up here. A change that is meant to alter simulator output
+must say so and re-record these values.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from rachopt.model import AllocationPlan, SharingTopology, Strategy
+from rachopt.simulator import ArrivalMode, SimConfig, _build_pools, run
+
+from conftest import make_scenario
+
+
+def _full_sharing():
+    scenario = make_scenario((1, 4), strategy=Strategy.FULL_SHARING)
+    return run(scenario, None, SimConfig(iterations=20, seed=11, horizon=2))
+
+
+def _full_dedication():
+    scenario = make_scenario((1, 2))
+    plan = AllocationPlan({1: 3600, 2: 7200})
+    return run(scenario, plan, SimConfig(iterations=20, seed=12))
+
+
+def _partial_overlapping():
+    # class 1 lists overlapping ranges; class 3 lists a range inside another
+    scenario = make_scenario((1, 2, 3), strategy=Strategy.PARTIAL_DEDICATION)
+    topology = SharingTopology.from_ranges(
+        {
+            1: [(0, 10), (5, 15), (100, 3599)],
+            2: [(1800, 7199)],
+            3: [(7000, 7300), (3600, 10799)],
+        }
+    )
+    return run(scenario, topology, SimConfig(iterations=20, seed=13))
+
+
+def _measure_delay():
+    scenario = make_scenario((1, 2), total_raos=300)
+    plan = AllocationPlan({1: 100, 2: 200})
+    config = SimConfig(iterations=10, seed=14, measure_delay=True, max_attempts=6)
+    return run(scenario, plan, config)
+
+
+def _bernoulli():
+    scenario = make_scenario((1, 2))
+    plan = AllocationPlan({1: 3600, 2: 7200})
+    config = SimConfig(
+        iterations=20, seed=15, arrival_mode=ArrivalMode.PER_DEVICE_BERNOULLI
+    )
+    return run(scenario, plan, config)
+
+
+def _bernoulli_partial():
+    scenario = make_scenario((1, 2), strategy=Strategy.PARTIAL_DEDICATION)
+    topology = SharingTopology.from_ranges({1: [(0, 5399)], 2: [(2700, 10799)]})
+    config = SimConfig(
+        iterations=20, seed=16, arrival_mode=ArrivalMode.PER_DEVICE_BERNOULLI
+    )
+    return run(scenario, topology, config)
+
+
+CASES = {
+    "full_sharing": _full_sharing,
+    "full_dedication": _full_dedication,
+    "partial_overlapping": _partial_overlapping,
+    "measure_delay": _measure_delay,
+    "bernoulli": _bernoulli,
+    "bernoulli_partial": _bernoulli_partial,
+}
+
+# recorded with the seeds above; compared exactly
+GOLDEN = {'bernoulli': {'event_density': 0.9,
+               'event_density_stderr': 0.2164303704731799,
+               'horizon': 1,
+               'iterations': 20,
+               'per_class': {1: {'attempts': 1014,
+                                 'censored': 0,
+                                 'collided': 6,
+                                 'collision_density': 0.3,
+                                 'collision_rate': 0.005917159763313609,
+                                 'delay_stderr': None,
+                                 'density_stderr': 0.16383560438182507,
+                                 'mean_delay': None,
+                                 'rate_stderr': 0.002940680980406755},
+                             2: {'attempts': 2047,
+                                 'censored': 0,
+                                 'collided': 30,
+                                 'collision_density': 1.5,
+                                 'collision_rate': 0.014655593551538837,
+                                 'delay_stderr': None,
+                                 'density_stderr': 0.4559547530644957,
+                                 'mean_delay': None,
+                                 'rate_stderr': 0.004224842090140392}},
+               'seed': 15,
+               'total_density': 1.8,
+               'total_density_stderr': 0.4328607409463598},
+ 'bernoulli_partial': {'event_density': 1.1,
+                       'event_density_stderr': 0.2704771612111494,
+                       'horizon': 1,
+                       'iterations': 20,
+                       'per_class': {1: {'attempts': 1004,
+                                         'censored': 0,
+                                         'collided': 18,
+                                         'collision_density': 0.9,
+                                         'collision_rate': 0.017928286852589643,
+                                         'delay_stderr': None,
+                                         'density_stderr': 0.2704771612111494,
+                                         'mean_delay': None,
+                                         'rate_stderr': 0.005084940404835481},
+                                     2: {'attempts': 2079,
+                                         'censored': 0,
+                                         'collided': 26,
+                                         'collision_density': 1.3,
+                                         'collision_rate': 0.012506012506012507,
+                                         'delay_stderr': None,
+                                         'density_stderr': 0.31705885224903224,
+                                         'mean_delay': None,
+                                         'rate_stderr': 0.002921155163302499}},
+                       'seed': 16,
+                       'total_density': 2.2,
+                       'total_density_stderr': 0.5409543224222988},
+ 'full_dedication': {'event_density': 1.2,
+                     'event_density_stderr': 0.23619795444544078,
+                     'horizon': 1,
+                     'iterations': 20,
+                     'per_class': {1: {'attempts': 1007,
+                                       'censored': 0,
+                                       'collided': 12,
+                                       'collision_density': 0.6,
+                                       'collision_rate': 0.011916583912611719,
+                                       'delay_stderr': None,
+                                       'density_stderr': 0.2102629932151387,
+                                       'mean_delay': None,
+                                       'rate_stderr': 0.0041411212281373},
+                                   2: {'attempts': 1957,
+                                       'censored': 0,
+                                       'collided': 36,
+                                       'collision_density': 1.8,
+                                       'collision_rate': 0.018395503321410323,
+                                       'delay_stderr': None,
+                                       'density_stderr': 0.4790341159150633,
+                                       'mean_delay': None,
+                                       'rate_stderr': 0.005034599718102105}},
+                     'seed': 12,
+                     'total_density': 2.4,
+                     'total_density_stderr': 0.47239590889088157},
+ 'full_sharing': {'event_density': 47.425,
+                  'event_density_stderr': 1.545909287867755,
+                  'horizon': 2,
+                  'iterations': 20,
+                  'per_class': {1: {'attempts': 2016,
+                                    'censored': 0,
+                                    'collided': 176,
+                                    'collision_density': 4.4,
+                                    'collision_rate': 0.0873015873015873,
+                                    'delay_stderr': None,
+                                    'density_stderr': 0.2869989913791189,
+                                    'mean_delay': None,
+                                    'rate_stderr': 0.005739379401019799},
+                                4: {'attempts': 39847,
+                                    'censored': 0,
+                                    'collided': 3687,
+                                    'collision_density': 92.175,
+                                    'collision_rate': 0.09252892313097598,
+                                    'delay_stderr': None,
+                                    'density_stderr': 3.1404146139273426,
+                                    'mean_delay': None,
+                                    'rate_stderr': 0.0029924028343145327}},
+                  'seed': 11,
+                  'total_density': 96.575,
+                  'total_density_stderr': 3.1473202887535927},
+ 'measure_delay': {'event_density': 29.6,
+                   'event_density_stderr': 1.4772346537440226,
+                   'horizon': 1,
+                   'iterations': 10,
+                   'per_class': {1: {'attempts': 494,
+                                     'censored': 3,
+                                     'collided': 195,
+                                     'collision_density': 19.5,
+                                     'collision_rate': 0.39473684210526316,
+                                     'delay_stderr': 0.04541830683450524,
+                                     'density_stderr': 1.8272626764887658,
+                                     'mean_delay': 1.6619144602851323,
+                                     'rate_stderr': 0.025152116957010185},
+                                 2: {'attempts': 1043,
+                                     'censored': 6,
+                                     'collided': 449,
+                                     'collision_density': 44.9,
+                                     'collision_rate': 0.4304889741131352,
+                                     'delay_stderr': 0.03611055106070049,
+                                     'density_stderr': 3.737051719678971,
+                                     'mean_delay': 1.6682738669238186,
+                                     'rate_stderr': 0.02421517760984036}},
+                   'seed': 14,
+                   'total_density': 64.4,
+                   'total_density_stderr': 3.584534682338684},
+ 'partial_overlapping': {'event_density': 23.95,
+                         'event_density_stderr': 1.064931428481863,
+                         'horizon': 1,
+                         'iterations': 20,
+                         'per_class': {1: {'attempts': 1005,
+                                           'censored': 0,
+                                           'collided': 27,
+                                           'collision_density': 1.35,
+                                           'collision_rate': 0.026865671641791045,
+                                           'delay_stderr': None,
+                                           'density_stderr': 0.3423986596137069,
+                                           'mean_delay': None,
+                                           'rate_stderr': 0.006130964596374768},
+                                       2: {'attempts': 2064,
+                                           'censored': 0,
+                                           'collided': 161,
+                                           'collision_density': 8.05,
+                                           'collision_rate': 0.07800387596899225,
+                                           'delay_stderr': None,
+                                           'density_stderr': 0.5959291727607975,
+                                           'mean_delay': None,
+                                           'rate_stderr': 0.006025401861440218},
+                                       3: {'attempts': 9922,
+                                           'censored': 0,
+                                           'collided': 785,
+                                           'collision_density': 39.25,
+                                           'collision_rate': 0.07911711348518444,
+                                           'delay_stderr': None,
+                                           'density_stderr': 1.6715498638594126,
+                                           'mean_delay': None,
+                                           'rate_stderr': 0.003117872047886314}},
+                         'seed': 13,
+                         'total_density': 48.65,
+                         'total_density_stderr': 2.1042250730125653}}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_simstats_match_recording(name):
+    assert dataclasses.asdict(CASES[name]()) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("size", [1, 2, 4096, 8192, 10800])
+def test_largest_uniform_draw_picks_last_slot(size):
+    # rng.random() stays below 1; its largest value must map to the pool's
+    # last slot, never one past it
+    scenario = make_scenario((1, 2), total_raos=size + 1)
+    plan = AllocationPlan({1: 1, 2: size})
+    pool = _build_pools(scenario, plan, SimConfig(iterations=1, seed=0))[1]
+    u = np.array([0.0, np.nextafter(1.0, 0.0)])
+    assert pool.pick(u).tolist() == [1, size]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 import yaml
@@ -80,6 +81,16 @@ class TestValidateScenario:
             strategy=Strategy.FULL_SHARING,
         )
         with pytest.raises(ScenarioError, match="class 7.*ra_density"):
+            validate_scenario(bad)
+
+    @pytest.mark.parametrize("field", ["ra_density", "backoff"])
+    def test_infinite_values_rejected(self, field):
+        bad = Scenario(
+            classes=(DeviceClass(id=3, **{"ra_density": 1.0, field: math.inf}),),
+            total_raos=100,
+            strategy=Strategy.FULL_SHARING,
+        )
+        with pytest.raises(ScenarioError, match=f"class 3: {field} must be finite"):
             validate_scenario(bad)
 
     def test_insufficient_raos_for_dedication(self):
@@ -219,11 +230,13 @@ class TestAllocationPlan:
 
 
 class TestSharingTopology:
-    def test_sharer_sets_derived_both_ways(self):
-        topo = SharingTopology.from_ranges({1: [(0, 3)], 2: [(2, 5)]})
-        assert topo.sharer_sets[0] == frozenset({1})
-        assert topo.sharer_sets[2] == frozenset({1, 2})
-        assert topo.sharer_sets[5] == frozenset({2})
+    def test_ranges_sorted_and_merged_per_class(self):
+        topo = SharingTopology.from_ranges(
+            {1: [(5, 15), (0, 10), (20, 22), (16, 17)], 2: [(2, 5), (8, 9)]}
+        )
+        assert topo.ranges == {1: ((0, 17), (20, 22)), 2: ((2, 5), (8, 9))}
+        assert topo.size(1) == 21
+        assert topo.slots(2).tolist() == [2, 3, 4, 5, 8, 9]
 
     def test_validation_catches_out_of_range(self):
         scenario = make_scenario((1, 2), strategy=Strategy.PARTIAL_DEDICATION)
@@ -233,7 +246,7 @@ class TestSharingTopology:
 
     def test_validation_catches_empty_set(self):
         scenario = make_scenario((1, 2), strategy=Strategy.PARTIAL_DEDICATION)
-        topo = SharingTopology({1: frozenset(range(100)), 2: frozenset()})
+        topo = SharingTopology.from_ranges({1: [(0, 99)], 2: []})
         with pytest.raises(ScenarioError, match="empty"):
             topo.validate_for(scenario)
 

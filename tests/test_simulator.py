@@ -20,7 +20,6 @@ from rachopt.simulator import (
     SimConfig,
     SimulationError,
     run,
-    run_delay,
     sweep_dedication,
 )
 
@@ -205,7 +204,7 @@ class TestIsolation:
 class TestDelayMeasurement:
     def test_no_retries_means_one_backoff(self):
         scenario = single_class_scenario(gamma=5.0, total=100000, backoff=2.0)
-        stats = run_delay(
+        stats = run(
             scenario,
             AllocationPlan({1: 100000}),
             SimConfig(iterations=100, seed=2, measure_delay=True),
@@ -216,7 +215,7 @@ class TestDelayMeasurement:
 
     def test_matches_geometric_retry_model(self):
         scenario = single_class_scenario(gamma=50.0, total=225)
-        stats = run_delay(
+        stats = run(
             scenario,
             AllocationPlan({1: 225}),
             SimConfig(iterations=300, seed=15, measure_delay=True),
@@ -229,7 +228,7 @@ class TestDelayMeasurement:
 
     def test_exclusive_delay_is_inclusive_minus_backoff(self):
         scenario = single_class_scenario(gamma=50.0, total=225, backoff=1.5)
-        stats = run_delay(
+        stats = run(
             scenario,
             AllocationPlan({1: 225}),
             SimConfig(iterations=200, seed=19, measure_delay=True),
@@ -240,7 +239,7 @@ class TestDelayMeasurement:
 
     def test_attempt_cap_censors_stuck_requests(self):
         scenario = single_class_scenario(gamma=50.0, total=50)
-        stats = run_delay(
+        stats = run(
             scenario,
             AllocationPlan({1: 50}),
             SimConfig(iterations=50, seed=23, measure_delay=True, max_attempts=1),
@@ -253,7 +252,7 @@ class TestDelayMeasurement:
 
     def test_delay_tracking_in_device_mode(self):
         scenario = single_class_scenario(population=3000, rate=1 / 60, total=225)
-        stats = run_delay(
+        stats = run(
             scenario,
             AllocationPlan({1: 225}),
             SimConfig(
@@ -271,7 +270,7 @@ class TestDelayMeasurement:
 
     def test_fractional_backoff_supported(self):
         scenario = single_class_scenario(gamma=50.0, total=225, backoff=0.25)
-        stats = run_delay(
+        stats = run(
             scenario,
             AllocationPlan({1: 225}),
             SimConfig(iterations=300, seed=29, measure_delay=True),
@@ -285,11 +284,6 @@ class TestDelayMeasurement:
         scenario = make_scenario((1, 2), strategy=Strategy.FULL_SHARING)
         with pytest.raises(SimulationError, match="full dedication"):
             run(scenario, None, SimConfig(iterations=1, seed=0, measure_delay=True))
-
-    def test_run_delay_requires_flag(self):
-        scenario = make_scenario((1, 2))
-        with pytest.raises(SimulationError, match="measure_delay"):
-            run_delay(scenario, AllocationPlan({1: 3600, 2: 7200}), SimConfig(iterations=1, seed=0))
 
 
 class TestInputChecking:
@@ -328,6 +322,11 @@ class TestInputChecking:
     def test_config_invariants(self, kwargs):
         with pytest.raises(SimulationError):
             SimConfig(seed=0, **kwargs).validate()
+
+    def test_negative_seed_rejected(self):
+        # numpy's SeedSequence would raise a bare ValueError much later
+        with pytest.raises(SimulationError, match="seed must be >= 0"):
+            SimConfig(seed=-1).validate()
 
 
 class TestSweep:
