@@ -14,12 +14,8 @@ from .analytics import (
     ClassMetrics,
     any_collision_probability,
     cell_collision_density,
-    cell_collision_probability,
-    full_dedication_rates,
-    full_sharing_rate,
     layout_metrics,
     mean_access_delay,
-    partial_dedication_rates,
     simple_collision_rate,
 )
 from .allocator import (
@@ -91,15 +87,11 @@ __all__ = [
     "any_collision_probability",
     "brute_force_optimal",
     "cell_collision_density",
-    "cell_collision_probability",
     "derive_ra_density",
-    "full_dedication_rates",
-    "full_sharing_rate",
     "largest_remainder",
     "layout_metrics",
     "load_scenario",
     "mean_access_delay",
-    "partial_dedication_rates",
     "pool_layout",
     "proportional_allocation",
     "reserve_and_divide",

@@ -25,7 +25,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .analytics import ClassMetrics, full_dedication_rates
 from .model import AllocationPlan, DeviceClass, QosKind, Scenario
 
 
@@ -53,7 +52,6 @@ class AllocationOutcome:
     plan: AllocationPlan
     reserved: dict[int, int]
     residual: int
-    diagnostics: dict[int, ClassMetrics]
 
 
 def largest_remainder(weights: Sequence[float], total: int, minimum: int = 1) -> list[int]:
@@ -191,12 +189,8 @@ def reserve_and_divide(scenario: Scenario) -> AllocationOutcome:
             )
         counts = largest_remainder([cls.ra_density for cls in normals], residual)
         shares = dict(zip((cls.id for cls in normals), counts))
-    plan = AllocationPlan({**reserved, **shares})
     return AllocationOutcome(
-        plan=plan,
-        reserved=reserved,
-        residual=residual,
-        diagnostics=full_dedication_rates(scenario, plan),
+        plan=AllocationPlan({**reserved, **shares}), reserved=reserved, residual=residual
     )
 
 

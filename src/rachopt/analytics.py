@@ -2,8 +2,11 @@
 
 All formulas share one kernel: with requests arriving at ``gamma`` Hz over a
 pool of ``raos`` slots per second, the per-attempt collision probability is
-``p = 1 - exp(-gamma/raos)``. The cell-wide quantities assume collision
-events of distinct requests are independent, which makes the expected
+``p = 1 - exp(-gamma/raos)``. ``layout_metrics`` applies it to any pool
+layout and is the one source of predictions in the CLI and the simulator;
+the single-pool scalar functions are references that tests and scripts
+check it against. The cell-wide quantities assume collision events of
+distinct requests are independent, which makes the expected
 colliding-request density exact and the any-collision probability an
 approximation. ``expm1``/``log1p`` forms are used throughout so small
 ``gamma/raos`` ratios do not lose precision to cancellation.
@@ -25,7 +28,7 @@ from .model import AllocationPlan, Scenario, SharingTopology
 
 @dataclass(frozen=True)
 class ClassMetrics:
-    """Per-class closed-form predictions under full dedication."""
+    """Per-class closed-form predictions of ``layout_metrics``."""
 
     collision_rate: float
     success_rate: float
@@ -44,43 +47,15 @@ class AccessDelay:
 
 
 def simple_collision_rate(ra_density: float, raos: float) -> float:
-    """Per-attempt collision probability ``1 - exp(-ra_density/raos)``."""
+    """Per-attempt collision probability ``1 - exp(-ra_density/raos)``.
+
+    Single-pool reference for ``layout_metrics``; no command reads it.
+    """
     if raos <= 0:
         raise ValueError(f"raos must be > 0, got {raos}")
     if ra_density <= 0:
         raise ValueError(f"ra_density must be > 0, got {ra_density}")
     return -math.expm1(-ra_density / raos)
-
-
-def full_sharing_rate(scenario: Scenario) -> float:
-    """Collision rate when every class draws from the whole pool.
-
-    Identical for all classes and equal to the unclassified single-pool
-    rate on the summed density.
-    """
-    return simple_collision_rate(scenario.total_density, scenario.total_raos)
-
-
-def class_metrics(ra_density: float, raos: float, backoff: float) -> ClassMetrics:
-    p = simple_collision_rate(ra_density, raos)
-    delay = mean_access_delay(ra_density, raos, backoff)
-    return ClassMetrics(
-        collision_rate=p,
-        success_rate=1.0 - p,
-        collision_density=ra_density * p,
-        mean_delay=delay.inclusive,
-    )
-
-
-def full_dedication_rates(
-    scenario: Scenario, plan: AllocationPlan
-) -> dict[int, ClassMetrics]:
-    """Per-class metrics with disjoint dedicated pools; classes are fully
-    decoupled, so each entry depends only on its own density and share."""
-    return {
-        cls.id: class_metrics(cls.ra_density, plan.get(cls.id), cls.backoff)
-        for cls in scenario.classes
-    }
 
 
 def layout_metrics(
@@ -123,15 +98,13 @@ def layout_metrics(
     return metrics
 
 
-def partial_dedication_rates(
-    scenario: Scenario, topology: SharingTopology
-) -> dict[int, float]:
-    """Per-class collision rates of ``layout_metrics``."""
-    return {cid: m.collision_rate for cid, m in layout_metrics(scenario, topology).items()}
-
-
 def cell_collision_density(scenario: Scenario, plan: AllocationPlan) -> float:
-    """Expected colliding requests per second over the whole cell (Hz)."""
+    """Expected colliding requests per second over the whole cell (Hz)
+    under a full-dedication plan.
+
+    Reference for the cell density of ``layout_metrics``, and the density
+    objective of the allocator's tests and scripts; no command reads it.
+    """
     return math.fsum(
         cls.ra_density * simple_collision_rate(cls.ra_density, plan.get(cls.id))
         for cls in scenario.classes
@@ -150,24 +123,13 @@ def any_collision_probability(density_rate_pairs: Iterable[tuple[float, float]])
     return -math.expm1(math.fsum(log_terms))
 
 
-def cell_collision_probability(scenario: Scenario, plan: AllocationPlan) -> float:
-    """Probability that at least one collision occurs in the cell per second,
-    assuming collisions of distinct requests are independent."""
-    return any_collision_probability(
-        (
-            cls.ra_density,
-            simple_collision_rate(cls.ra_density, plan.get(cls.id)),
-        )
-        for cls in scenario.classes
-    )
-
-
 def mean_access_delay(ra_density: float, raos: float, backoff: float) -> AccessDelay:
     """Mean access delay of a class with its own pool of ``raos`` slots.
 
     Attempts collide independently with probability p, retries wait one
     backoff period, so the inclusive delay is backoff/(1 - p), equivalently
-    backoff * exp(ra_density/raos).
+    backoff * exp(ra_density/raos). Reference for the delays of
+    ``layout_metrics``; no command reads it.
     """
     if backoff <= 0:
         raise ValueError(f"backoff must be > 0, got {backoff}")

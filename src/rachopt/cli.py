@@ -286,6 +286,15 @@ def _sim_stats_dict(stats: simulator.SimStats) -> dict:
     }
 
 
+def _cell_block(scenario: Scenario, metrics: dict[int, analytics.ClassMetrics]) -> dict:
+    return {
+        "total_collision_density_hz": sum(m.collision_density for m in metrics.values()),
+        "collision_probability": analytics.any_collision_probability(
+            (cls.ra_density, metrics[cls.id].collision_rate) for cls in scenario.classes
+        ),
+    }
+
+
 # --- commands -----------------------------------------------------------------
 
 
@@ -310,12 +319,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     results = {
         "strategy": scenario.strategy.value,
         "per_class": per_class,
-        "cell": {
-            "total_collision_density_hz": sum(m.collision_density for m in metrics.values()),
-            "collision_probability": analytics.any_collision_probability(
-                (cls.ra_density, metrics[cls.id].collision_rate) for cls in scenario.classes
-            ),
-        },
+        "cell": _cell_block(scenario, metrics),
     }
     parameters = {"plan": getattr(args, "plan", None), "topology": getattr(args, "topology", None)}
     if isinstance(allocation, AllocationPlan) and not args.plan:
@@ -335,13 +339,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         plan = allocator.proportional_allocation(scenario)
         reserved: dict[int, int] = {}
         residual = None
-        diagnostics = analytics.full_dedication_rates(scenario, plan)
     else:
         outcome = allocator.reserve_and_divide(scenario)
-        plan = outcome.plan
-        reserved = outcome.reserved
-        residual = outcome.residual
-        diagnostics = outcome.diagnostics
+        plan, reserved, residual = outcome.plan, outcome.reserved, outcome.residual
+    # the plan is valid by construction and predicted as dedicated pools,
+    # whatever strategy the scenario file names
+    metrics = analytics.layout_metrics(scenario, SharingTopology.from_plan(scenario, plan))
     results = {
         "method": method,
         "plan": {str(cls.id): plan.get(cls.id) for cls in scenario.classes},
@@ -354,12 +357,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                 "mean_delay_s": m.mean_delay if math.isfinite(m.mean_delay) else None,
                 "saturated": not math.isfinite(m.mean_delay),
             }
-            for cid, m in diagnostics.items()
+            for cid, m in metrics.items()
         },
-        "cell": {
-            "total_collision_density_hz": analytics.cell_collision_density(scenario, plan),
-            "collision_probability": analytics.cell_collision_probability(scenario, plan),
-        },
+        "cell": _cell_block(scenario, metrics),
     }
     _print_report(_report(scenario, "optimize", {"method": method}, results), args.json)
     return EXIT_OK
@@ -376,7 +376,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     layout = pool_layout(scenario, allocation)
     stats = simulator.run(scenario, allocation, config)
-    rates = analytics.partial_dedication_rates(scenario, layout)
+    metrics = analytics.layout_metrics(scenario, layout)
     parameters = {
         "iterations": config.iterations,
         "seed": config.seed,
@@ -388,13 +388,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     results = {
         "analytic": {
-            str(cid): {"collision_rate": rate} for cid, rate in rates.items()
+            str(cid): {"collision_rate": m.collision_rate} for cid, m in metrics.items()
         },
         "simulated": _sim_stats_dict(stats),
     }
     report = _report(scenario, "simulate", parameters, results)
     if args.csv:
-        _write_simulate_csv(args.csv, scenario, stats, rates, layout)
+        _write_simulate_csv(args.csv, scenario, stats, metrics, layout)
         report["csv"] = args.csv
     _print_report(report, args.json)
     return EXIT_OK
@@ -480,12 +480,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
             allocation = outcome.plan
             plan_note = {str(c.id): allocation.get(c.id) for c in variant.classes}
         stats = simulator.run(variant, allocation, config)
-        rates = analytics.partial_dedication_rates(variant, pool_layout(variant, allocation))
+        metrics = analytics.layout_metrics(variant, pool_layout(variant, allocation))
         columns[name] = {
             "plan": plan_note,
             "per_class": {
                 str(cid): {
-                    "collision_rate_analytic": rates[cid],
+                    "collision_rate_analytic": metrics[cid].collision_rate,
                     "collision_rate_empirical": s.collision_rate,
                     "rate_stderr": s.rate_stderr,
                     "collision_density_hz": s.collision_density,
@@ -546,11 +546,14 @@ def _csv_cell(value: Any) -> str:
 
 
 def _write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_csv_cell(v) for v in row])
+    except OSError as exc:
+        raise ScenarioError([f"--csv {path}: {exc.strerror or exc}"]) from exc
 
 
 SIMULATE_CSV_HEADER = (
@@ -569,7 +572,7 @@ def _write_simulate_csv(
     path: str,
     scenario: Scenario,
     stats: simulator.SimStats,
-    rates: dict[int, float],
+    metrics: dict[int, analytics.ClassMetrics],
     layout: SharingTopology,
 ) -> None:
     rows = []
@@ -580,7 +583,7 @@ def _write_simulate_csv(
                 cls.id,
                 layout.size(cls.id),
                 cls.ra_density,
-                rates[cls.id],
+                metrics[cls.id].collision_rate,
                 s.collision_rate,
                 s.collision_density,
                 s.density_stderr,
@@ -594,9 +597,7 @@ def _write_simulate_csv(
             "cell",
             scenario.total_raos,
             scenario.total_density,
-            analytics.any_collision_probability(
-                (cls.ra_density, rates[cls.id]) for cls in scenario.classes
-            ),
+            _cell_block(scenario, metrics)["collision_probability"],
             pooled_collided / pooled_attempts if pooled_attempts else 0.0,
             stats.total_density,
             stats.total_density_stderr,

@@ -345,6 +345,8 @@ def _check_qos(cls: DeviceClass, issues: list[str]) -> None:
             issues.append(f"{label}: qos kind is {qos.kind.value} but max_collision_rate is set")
         if qos.max_mean_delay is None:
             issues.append(f"{label}: qos max_mean_delay missing")
+        elif not math.isfinite(qos.max_mean_delay):
+            issues.append(f"{label}: qos max_mean_delay must be finite")
         elif not qos.max_mean_delay > cls.backoff:
             issues.append(
                 f"{label}: qos max_mean_delay must exceed the backoff "

@@ -150,10 +150,9 @@ class _Pool:
         return self.slots.size
 
     def local(self, u: np.ndarray) -> np.ndarray:
-        """Positions in the pool for uniform draws ``u`` in [0, 1)."""
-        # floor(u * size) stays below size for every u < 1 while size < 2**53;
-        # the clamp guards that boundary
-        return np.minimum((u * self.size).astype(np.int64), self.size - 1)
+        """Positions in the pool for uniform draws ``u`` in [0, 1); for pool
+        sizes below 2**53, ``u * size`` rounds below ``size``."""
+        return (u * self.size).astype(np.int64)
 
     def pick(self, u: np.ndarray) -> np.ndarray:
         return self.slots[self.local(u)]
@@ -382,11 +381,8 @@ def sweep_dedication(
             )
         plan = AllocationPlan({swept.id: value, other.id: total - value})
         stats = run(scenario, plan, config)
-        analytic = {
-            cls.id: cls.ra_density
-            * analytics.simple_collision_rate(cls.ra_density, plan.get(cls.id))
-            for cls in scenario.classes
-        }
+        metrics = analytics.layout_metrics(scenario, pool_layout(scenario, plan))
+        analytic = {cid: m.collision_density for cid, m in metrics.items()}
         points.append(
             SweepPoint(
                 l_value=value,

@@ -30,10 +30,9 @@ from rachopt.allocator import (
     reserve_for_collision_rate,
 )
 from rachopt.analytics import (
+    any_collision_probability,
     cell_collision_density,
-    cell_collision_probability,
-    full_sharing_rate,
-    partial_dedication_rates,
+    layout_metrics,
     simple_collision_rate,
 )
 from rachopt.model import (
@@ -42,6 +41,7 @@ from rachopt.model import (
     Scenario,
     SharingTopology,
     Strategy,
+    pool_layout,
     validate_scenario,
 )
 from rachopt.simulator import SimConfig, run, sweep_dedication
@@ -187,8 +187,10 @@ class TestCriterion3:
                     f"dedicated (50,{g2:.0f}): |{stats.total_density:.3f} - {analytic:.3f}| > {bound:.3f}"
                 )
             shared = two_class(50.0, g2, strategy=Strategy.FULL_SHARING)
-            rate = full_sharing_rate(shared)
-            analytic_shared = shared.total_density * rate
+            analytic_shared = sum(
+                m.collision_density
+                for m in layout_metrics(shared, pool_layout(shared, None)).values()
+            )
             stats_shared = run(shared, None, config)
             bound = max(3 * stats_shared.total_density_stderr, 0.05 * analytic_shared)
             if abs(stats_shared.total_density - analytic_shared) > bound:
@@ -252,7 +254,8 @@ class TestCriterion5:
         t0 = time.perf_counter()
         scenario = make_scenario((1, 2, 3), special_ids=(1,), qos_for={1: RATE_QOS})
         outcome = reserve_and_divide(scenario)
-        analytic_p1 = outcome.diagnostics[1].collision_rate
+        layout = pool_layout(scenario, outcome.plan)
+        analytic_p1 = layout_metrics(scenario, layout)[1].collision_rate
         stats = run(scenario, outcome.plan, SimConfig(iterations=10000, seed=501))
         s1 = stats.per_class[1]
         elapsed = time.perf_counter() - t0
@@ -360,9 +363,9 @@ class TestCriterion8:
                     strategy=Strategy.FULL_SHARING,
                 )
             )
-            if full_sharing_rate(scenario) != simple_collision_rate(
-                scenario.total_density, total
-            ):
+            want = simple_collision_rate(scenario.total_density, total)
+            metrics = layout_metrics(scenario, pool_layout(scenario, None))
+            if any(abs(m.collision_rate - want) > 1e-12 * want for m in metrics.values()):
                 failures.append("sharing rate != single-pool rate on summed density")
                 break
 
@@ -381,19 +384,15 @@ class TestCriterion8:
                 )
             )
             plan = AllocationPlan(dict(zip(scenario.class_ids, (int(s) for s in sizes))))
-            disjoint = partial_dedication_rates(
-                scenario, SharingTopology.from_plan(scenario, plan)
-            )
+            disjoint = layout_metrics(scenario, SharingTopology.from_plan(scenario, plan))
             for cls in scenario.classes:
                 want = simple_collision_rate(cls.ra_density, plan.get(cls.id))
-                if abs(disjoint[cls.id] - want) > 1e-12:
+                if abs(disjoint[cls.id].collision_rate - want) > 1e-12:
                     failures.append("disjoint topology != dedicated pools")
-            shared = partial_dedication_rates(
-                scenario, SharingTopology.fully_shared(scenario)
-            )
+            shared = layout_metrics(scenario, SharingTopology.fully_shared(scenario))
             want = simple_collision_rate(scenario.total_density, scenario.total_raos)
-            for value in shared.values():
-                if abs(value - want) > 1e-12:
+            for m in shared.values():
+                if abs(m.collision_rate - want) > 1e-12:
                     failures.append("fully shared topology != sharing rate")
 
         # the product and exponential forms of the cell collision probability
@@ -411,7 +410,10 @@ class TestCriterion8:
                 )
             )
             plan = AllocationPlan(dict(zip(scenario.class_ids, (int(s) for s in shares))))
-            via_product = cell_collision_probability(scenario, plan)
+            metrics = layout_metrics(scenario, pool_layout(scenario, plan))
+            via_product = any_collision_probability(
+                (cls.ra_density, metrics[cls.id].collision_rate) for cls in scenario.classes
+            )
             via_exponent = -math.expm1(
                 -math.fsum(g * g / l for g, l in zip(gammas, shares))
             )

@@ -17,13 +17,14 @@ from rachopt.allocator import (
     reserve_for_collision_rate,
     reserve_for_delay,
 )
-from rachopt.analytics import cell_collision_density, simple_collision_rate
+from rachopt.analytics import cell_collision_density, layout_metrics, simple_collision_rate
 from rachopt.model import (
     DeviceClass,
     QosKind,
     QosTarget,
     Scenario,
     Strategy,
+    pool_layout,
     validate_scenario,
 )
 
@@ -189,11 +190,12 @@ class TestReserveAndDivide:
         assert outcome.residual == 8325
         assert outcome.plan.raos == {1: 2475, 2: 1388, 3: 6937}
         assert outcome.plan.total == 10800
-        assert outcome.diagnostics[1].collision_rate <= 0.02
-        assert outcome.diagnostics[2].collision_rate == pytest.approx(
+        predicted = layout_metrics(scenario, pool_layout(scenario, outcome.plan))
+        assert predicted[1].collision_rate <= 0.02
+        assert predicted[2].collision_rate == pytest.approx(
             0.06951200952334086, rel=1e-12
         )
-        assert outcome.diagnostics[3].collision_rate == pytest.approx(
+        assert predicted[3].collision_rate == pytest.approx(
             0.06954100058373053, rel=1e-12
         )
 

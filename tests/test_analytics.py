@@ -7,21 +7,41 @@ from hypothesis import strategies as st
 from rachopt.analytics import (
     any_collision_probability,
     cell_collision_density,
-    cell_collision_probability,
-    class_metrics,
-    full_dedication_rates,
-    full_sharing_rate,
     layout_metrics,
     mean_access_delay,
-    partial_dedication_rates,
     simple_collision_rate,
 )
-from rachopt.model import AllocationPlan, SharingTopology, Strategy, pool_layout
+from rachopt.model import (
+    AllocationPlan,
+    ScenarioError,
+    SharingTopology,
+    Strategy,
+    pool_layout,
+)
 
 from conftest import make_scenario
 
 densities = st.floats(1e-3, 1e5)
 pools = st.floats(1.0, 1e7)
+
+
+def metrics_of(scenario, allocation=None):
+    return layout_metrics(scenario, pool_layout(scenario, allocation))
+
+
+def rates_of(scenario, allocation=None):
+    return {cid: m.collision_rate for cid, m in metrics_of(scenario, allocation).items()}
+
+
+def single_pool_rate(scenario):
+    """Full-sharing reference: one pool carrying the summed density."""
+    return simple_collision_rate(scenario.total_density, scenario.total_raos)
+
+
+def cell_probability(scenario, metrics):
+    return any_collision_probability(
+        (cls.ra_density, metrics[cls.id].collision_rate) for cls in scenario.classes
+    )
 
 
 class TestSimpleCollisionRate:
@@ -68,25 +88,26 @@ class TestSimpleCollisionRate:
 class TestFullSharing:
     def test_equals_single_pool_rate_exactly(self):
         scenario = make_scenario((1, 2), strategy=Strategy.FULL_SHARING)
-        assert full_sharing_rate(scenario) == simple_collision_rate(
-            scenario.total_density, scenario.total_raos
-        )
+        for rate in rates_of(scenario).values():
+            assert rate == simple_collision_rate(scenario.total_density, scenario.total_raos)
 
     def test_reference_pairs(self):
         s12 = make_scenario((1, 2), strategy=Strategy.FULL_SHARING)
-        assert full_sharing_rate(s12) == pytest.approx(0.013792883256083781, rel=1e-14)
+        for rate in rates_of(s12).values():
+            assert rate == pytest.approx(0.013792883256083781, rel=1e-14)
         s14 = make_scenario((1, 4), strategy=Strategy.FULL_SHARING)
-        assert full_sharing_rate(s14) == pytest.approx(0.09264565057207096, rel=1e-14)
+        for rate in rates_of(s14).values():
+            assert rate == pytest.approx(0.09264565057207096, rel=1e-14)
 
     def test_single_class_matches_simple_rate(self):
         scenario = make_scenario((3,), strategy=Strategy.FULL_SHARING)
-        assert full_sharing_rate(scenario) == simple_collision_rate(500.0, 10800)
+        assert rates_of(scenario)[3] == simple_collision_rate(500.0, 10800)
 
 
 class TestFullDedication:
     def test_reference_rates(self):
         scenario = make_scenario((1, 2))
-        metrics = full_dedication_rates(scenario, AllocationPlan({1: 3600, 2: 7200}))
+        metrics = metrics_of(scenario, AllocationPlan({1: 3600, 2: 7200}))
         assert metrics[1].collision_rate == pytest.approx(0.013792883256083781, rel=1e-14)
         assert metrics[1].collision_density == pytest.approx(
             50 * 0.013792883256083781, rel=1e-13
@@ -104,8 +125,8 @@ class TestFullDedication:
 
     def test_missing_class_in_plan(self):
         scenario = make_scenario((1, 2))
-        with pytest.raises(KeyError, match="class 2"):
-            full_dedication_rates(scenario, AllocationPlan({1: 10800}))
+        with pytest.raises(ScenarioError, match="class 2: missing from allocation plan"):
+            metrics_of(scenario, AllocationPlan({1: 10800}))
 
     @given(gamma_other=st.floats(1.0, 1e5))
     @settings(max_examples=30)
@@ -125,8 +146,8 @@ class TestFullDedication:
                 )
             )
 
-        reference = full_dedication_rates(with_other(123.0), plan)[1]
-        perturbed = full_dedication_rates(with_other(gamma_other), plan)[1]
+        reference = metrics_of(with_other(123.0), plan)[1]
+        perturbed = metrics_of(with_other(gamma_other), plan)[1]
         assert perturbed == reference
 
 
@@ -135,15 +156,15 @@ class TestPartialDedication:
         scenario = make_scenario((1, 2), strategy=Strategy.PARTIAL_DEDICATION)
         plan = AllocationPlan({1: 3600, 2: 7200})
         topo = SharingTopology.from_plan(scenario, plan)
-        rates = partial_dedication_rates(scenario, topo)
+        rates = rates_of(scenario, topo)
         assert rates[1] == pytest.approx(simple_collision_rate(50, 3600), abs=1e-12)
         assert rates[2] == pytest.approx(simple_collision_rate(100, 7200), abs=1e-12)
 
     def test_fully_shared_sets_reduce_to_sharing(self):
         scenario = make_scenario((1, 2), strategy=Strategy.PARTIAL_DEDICATION)
         topo = SharingTopology.fully_shared(scenario)
-        rates = partial_dedication_rates(scenario, topo)
-        expected = full_sharing_rate(scenario)
+        rates = rates_of(scenario, topo)
+        expected = single_pool_rate(scenario)
         assert rates[1] == pytest.approx(expected, abs=1e-12)
         assert rates[2] == pytest.approx(expected, abs=1e-12)
 
@@ -151,7 +172,7 @@ class TestPartialDedication:
         # class 1 may use [0, 5400), class 2 may use [2700, 10800)
         scenario = make_scenario((1, 2), strategy=Strategy.PARTIAL_DEDICATION)
         topo = SharingTopology.from_ranges({1: [(0, 5399)], 2: [(2700, 10799)]})
-        rates = partial_dedication_rates(scenario, topo)
+        rates = rates_of(scenario, topo)
 
         # independent scalar evaluation: walk every RAO, accumulate its load
         gammas = {1: 50.0, 2: 100.0}
@@ -199,7 +220,7 @@ class TestPartialDedication:
         )
         plan = AllocationPlan(dict(zip(scenario.class_ids, sizes)))
         topo = SharingTopology.from_plan(scenario, plan)
-        rates = partial_dedication_rates(scenario, topo)
+        rates = rates_of(scenario, topo)
         for cls in scenario.classes:
             expected = simple_collision_rate(cls.ra_density, plan.get(cls.id))
             assert rates[cls.id] == pytest.approx(expected, abs=1e-12)
@@ -231,6 +252,7 @@ class TestLayoutMetrics:
         for cls in dedicated.classes:
             raos = plan.get(cls.id)
             m = metrics[cls.id]
+            assert m.collision_density == cls.ra_density * m.collision_rate
             assert m.collision_rate == pytest.approx(
                 simple_collision_rate(cls.ra_density, raos), rel=1e-12
             )
@@ -241,7 +263,7 @@ class TestLayoutMetrics:
                 assert m.mean_delay == delay == math.inf
 
         shared = scenario(Strategy.FULL_SHARING)
-        expected = full_sharing_rate(shared)
+        expected = single_pool_rate(shared)
         for m in layout_metrics(shared, pool_layout(shared, None)).values():
             assert m.collision_rate == pytest.approx(expected, rel=1e-12)
 
@@ -257,14 +279,15 @@ class TestLayoutMetrics:
 
 class TestCellMetrics:
     def test_density_reference_values(self):
-        s12 = make_scenario((1, 2))
-        assert cell_collision_density(s12, AllocationPlan({1: 3600, 2: 7200})) == pytest.approx(
-            2.068932488412567, rel=1e-13
-        )
-        s14 = make_scenario((1, 4))
-        assert cell_collision_density(s14, AllocationPlan({1: 514, 4: 10286})) == pytest.approx(
-            97.27793446128173, rel=1e-13
-        )
+        for ids, shares, expected in (
+            ((1, 2), {1: 3600, 2: 7200}, 2.068932488412567),
+            ((1, 4), {1: 514, 4: 10286}, 97.27793446128173),
+        ):
+            scenario, plan = make_scenario(ids), AllocationPlan(shares)
+            reference = cell_collision_density(scenario, plan)
+            layout_sum = sum(m.collision_density for m in metrics_of(scenario, plan).values())
+            assert reference == pytest.approx(expected, rel=1e-13)
+            assert layout_sum == pytest.approx(expected, rel=1e-13)
 
     def test_density_vanishes_for_huge_pool(self):
         from rachopt.model import DeviceClass, Scenario, validate_scenario
@@ -277,12 +300,12 @@ class TestCellMetrics:
             )
         )
         assert cell_collision_density(scenario, AllocationPlan({1: 10**9})) < 1e-8
+        assert metrics_of(scenario, AllocationPlan({1: 10**9}))[1].collision_density < 1e-8
 
     def test_probability_reference_value(self):
         s12 = make_scenario((1, 2))
-        assert cell_collision_probability(
-            s12, AllocationPlan({1: 3600, 2: 7200})
-        ) == pytest.approx(0.875485528555877, rel=1e-13)
+        metrics = metrics_of(s12, AllocationPlan({1: 3600, 2: 7200}))
+        assert cell_probability(s12, metrics) == pytest.approx(0.875485528555877, rel=1e-13)
 
     def test_single_request_probability_equals_rate(self):
         from rachopt.model import DeviceClass, Scenario, validate_scenario
@@ -294,16 +317,15 @@ class TestCellMetrics:
                 strategy=Strategy.FULL_DEDICATION,
             )
         )
-        plan = AllocationPlan({1: 100})
-        assert cell_collision_probability(scenario, plan) == pytest.approx(
+        metrics = metrics_of(scenario, AllocationPlan({1: 100}))
+        assert cell_probability(scenario, metrics) == pytest.approx(
             simple_collision_rate(1.0, 100), rel=1e-12
         )
 
     def test_probability_vanishes_with_rates(self):
-        s12 = make_scenario((1, 2))
-        assert cell_collision_probability(
-            s12, AllocationPlan({1: 10**10, 2: 10**10})
-        ) < 1e-5
+        s12 = make_scenario((1, 2), total_raos=2 * 10**10)
+        metrics = metrics_of(s12, AllocationPlan({1: 10**10, 2: 10**10}))
+        assert cell_probability(s12, metrics) < 1e-5
 
     @given(
         gammas=st.lists(st.floats(1.0, 2000.0), min_size=1, max_size=5),
@@ -322,7 +344,7 @@ class TestCellMetrics:
             )
         )
         plan = AllocationPlan(dict(zip(scenario.class_ids, shares)))
-        via_product = cell_collision_probability(scenario, plan)
+        via_product = cell_probability(scenario, metrics_of(scenario, plan))
         via_exponent = -math.expm1(
             -math.fsum(g * g / l for g, l in zip(gammas, shares))
         )
@@ -367,11 +389,5 @@ class TestAccessDelay:
 
 
 class TestClassMetrics:
-    @given(gamma=densities, raos=pools, backoff=st.floats(1e-3, 1e3))
-    def test_rates_sum_to_one_exactly(self, gamma, raos, backoff):
-        m = class_metrics(gamma, raos, backoff)
-        assert m.collision_rate + m.success_rate == 1.0
-        assert m.collision_density == gamma * m.collision_rate
-
     def test_any_collision_probability_empty_is_zero(self):
         assert any_collision_probability([]) == 0.0

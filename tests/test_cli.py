@@ -158,6 +158,15 @@ class TestOptimize:
         assert results["plan"] == {"1": 2475, "2": 1388, "3": 6937}
         assert results["predicted"]["1"]["collision_rate"] <= 0.02
 
+    def test_infinite_delay_bound_rejected_as_not_finite(self, capsys, tmp_path):
+        data = yaml.safe_load(Path(QOS123).read_text())
+        data["classes"][0]["qos"] = {"kind": "max_mean_delay", "max_mean_delay": math.inf}
+        path = tmp_path / "inf_delay.yaml"
+        path.write_text(yaml.safe_dump(data))
+        for command in ("optimize", "analyze"):
+            assert main([command, str(path)]) == EXIT_VALIDATION
+            assert "qos max_mean_delay must be finite" in capsys.readouterr().err
+
     def test_overload_exit_code(self, capsys, tmp_path):
         data = yaml.safe_load(Path(QOS123).read_text())
         data["classes"][0]["qos"]["max_collision_rate"] = 1e-9
@@ -165,6 +174,22 @@ class TestOptimize:
         path.write_text(yaml.safe_dump(data))
         assert main(["optimize", str(path)]) == EXIT_OVERLOAD
         assert "overload" in capsys.readouterr().err
+
+
+class TestUnwritableCsv:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", DC12, "--iterations", "2", "--seed", "1"],
+            ["sweep", DC12, "--values", "3600", "--iterations", "2", "--seed", "1"],
+        ],
+    )
+    def test_exits_with_validation_error_naming_the_path(self, capsys, tmp_path, argv):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(argv + ["--csv", str(out)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert f"error: --csv {out}: " in captured.err
+        assert captured.out == ""
 
 
 class TestSimulate:

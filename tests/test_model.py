@@ -190,6 +190,12 @@ class TestQosValidation:
         with pytest.raises(ScenarioError, match="max_mean_delay"):
             validate_scenario(self._with_qos(qos, backoff=1.0))
 
+    @pytest.mark.parametrize("bound", [math.inf, math.nan])
+    def test_delay_bound_must_be_finite(self, bound):
+        qos = QosTarget(kind=QosKind.MAX_MEAN_DELAY, max_mean_delay=bound)
+        with pytest.raises(ScenarioError, match="class 1: qos max_mean_delay must be finite"):
+            validate_scenario(self._with_qos(qos))
+
     def test_bound_must_match_kind(self):
         qos = QosTarget(
             kind=QosKind.MAX_COLLISION_RATE, max_collision_rate=0.02, max_mean_delay=3.0

@@ -2,17 +2,14 @@ import math
 
 import pytest
 
-from rachopt.analytics import (
-    full_sharing_rate,
-    partial_dedication_rates,
-    simple_collision_rate,
-)
+from rachopt.analytics import layout_metrics, simple_collision_rate
 from rachopt.model import (
     AllocationPlan,
     DeviceClass,
     Scenario,
     SharingTopology,
     Strategy,
+    pool_layout,
     validate_scenario,
 )
 from rachopt.simulator import (
@@ -108,7 +105,7 @@ class TestAgreementWithClosedForms:
     def test_sharing_rate_matches_model(self):
         scenario = make_scenario((1, 4), strategy=Strategy.FULL_SHARING)
         stats = run(scenario, None, SimConfig(iterations=300, seed=7))
-        expected = full_sharing_rate(scenario)
+        expected = simple_collision_rate(scenario.total_density, scenario.total_raos)
         for cls in scenario.classes:
             s = stats.per_class[cls.id]
             assert abs(s.collision_rate - expected) <= max(3 * s.rate_stderr, 0.002)
@@ -117,10 +114,10 @@ class TestAgreementWithClosedForms:
         scenario = make_scenario((1, 2), strategy=Strategy.PARTIAL_DEDICATION)
         topo = SharingTopology.from_ranges({1: [(0, 5399)], 2: [(2700, 10799)]})
         stats = run(scenario, topo, SimConfig(iterations=400, seed=21))
-        expected = partial_dedication_rates(scenario, topo)
+        expected = layout_metrics(scenario, pool_layout(scenario, topo))
         for cls in scenario.classes:
             s = stats.per_class[cls.id]
-            assert abs(s.collision_rate - expected[cls.id]) <= max(
+            assert abs(s.collision_rate - expected[cls.id].collision_rate) <= max(
                 3 * s.rate_stderr, 0.003
             )
 
