@@ -307,13 +307,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for cls in scenario.classes:
         m = metrics[cls.id]
         saturated = not math.isfinite(m.mean_delay)
+        # backoff * p / (1 - p) equals inclusive - backoff but does not
+        # cancel at light load, where p is tiny
+        excl = None if saturated else cls.backoff * m.collision_rate / m.success_rate
         per_class[str(cls.id)] = {
             "raos": layout.size(cls.id),
             "ra_density_hz": cls.ra_density,
             "collision_rate": m.collision_rate,
             "collision_density_hz": m.collision_density,
             "mean_delay_incl_s": None if saturated else m.mean_delay,
-            "mean_delay_excl_s": None if saturated else m.mean_delay - cls.backoff,
+            "mean_delay_excl_s": excl,
             "saturated": saturated,
         }
     results = {
@@ -375,6 +378,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         max_attempts=args.max_attempts,
     )
     layout = pool_layout(scenario, allocation)
+    if args.csv:
+        _check_csv_writable(args.csv)
     stats = simulator.run(scenario, allocation, config)
     metrics = analytics.layout_metrics(scenario, layout)
     parameters = {
@@ -419,6 +424,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ScenarioError(["--step must be >= 1"])
         values = list(range(lo, hi + 1, args.step))
     config = _sim_config(args)
+    if args.csv:
+        _check_csv_writable(args.csv)
     result = simulator.sweep_dedication(scenario, args.class_index, values, config)
     parameters = {
         "class_index": args.class_index,
@@ -545,6 +552,20 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
+def _csv_error(path: str, exc: OSError) -> ScenarioError:
+    return ScenarioError([f"--csv {path}: {exc.strerror or exc}"])
+
+
+def _check_csv_writable(path: str) -> None:
+    """Fail before a simulation, not after it, on a path that cannot be
+    written. Append mode creates a missing file but keeps an existing one's
+    rows until the report replaces them."""
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise _csv_error(path, exc) from exc
+
+
 def _write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -553,7 +574,7 @@ def _write_rows(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]])
             for row in rows:
                 writer.writerow([_csv_cell(v) for v in row])
     except OSError as exc:
-        raise ScenarioError([f"--csv {path}: {exc.strerror or exc}"]) from exc
+        raise _csv_error(path, exc) from exc
 
 
 SIMULATE_CSV_HEADER = (

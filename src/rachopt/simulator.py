@@ -7,6 +7,12 @@ from the class's usable pool, and every request sharing a slot with another
 one counts as collided. Collision statistics are therefore measured on fresh
 requests only, matching the closed-form model.
 
+Collisions are found by sorting the requests' slot keys (second times
+``total_raos`` plus RAO), where requests sharing a slot become neighbours, so
+time and memory grow with the number of requests and never with
+``horizon * total_raos``. Before drawing, ``run`` refuses an iteration whose
+expected size exceeds ``MAX_ITEMS_PER_ITERATION``.
+
 Randomness for (iteration, class) comes from its own child stream of the
 master seed, so results are bitwise reproducible no matter how iterations
 are scheduled, and sweeps over allocation plans reuse identical arrival
@@ -17,7 +23,9 @@ success or the attempt cap. Retries probe the slot occupancy produced by
 fresh arrivals but do not add to it: the closed-form delay model assumes
 every attempt faces the same fresh-traffic collision probability, and a
 simulator that fed retries back into the load would be unstable at high
-rates rather than converge to that model.
+rates rather than converge to that model. Retries read a dense per-pool
+table of (second, RAO) counts over the horizon and the background seconds
+drawn past it, ``(horizon + ceil(max_attempts * backoff) + 1) * L_i`` cells.
 """
 
 from __future__ import annotations
@@ -39,6 +47,16 @@ from .model import (
     Strategy,
     pool_layout,
 )
+
+
+# Largest per-iteration working set that run() accepts, in array items,
+# checked before any draw: the per-second counts plus the expected fresh
+# requests, and with delays the pools' (second, RAO) tables plus their
+# background requests. tracemalloc put run()'s peak at about 40 bytes per
+# fresh request (slot keys, their sort order, the sorted copy and flags)
+# and 8 bytes per delay-table slot, so a run within the limit stays below
+# about 2 GB instead of failing inside numpy or swapping.
+MAX_ITEMS_PER_ITERATION = 50_000_000
 
 
 class SimulationError(RuntimeError):
@@ -196,6 +214,35 @@ def _build_pools(
     return [_Pool(cls=cls, slots=layout.slots(cls.id)) for cls in scenario.classes]
 
 
+def _background_seconds(cls: DeviceClass, config: SimConfig) -> int:
+    """Seconds past the horizon that a class's final allowed retry can reach."""
+    return math.ceil(config.max_attempts * cls.backoff) + 1
+
+
+def _check_budget(pools: list[_Pool], config: SimConfig) -> None:
+    horizon = config.horizon
+    fresh = horizon * (len(pools) + sum(pool.cls.ra_density for pool in pools))
+    if fresh > MAX_ITEMS_PER_ITERATION:
+        raise SimulationError(
+            f"horizon {horizon} s needs about {fresh:.3g} requests and per-second "
+            f"counts per iteration, over the simulator's limit of "
+            f"{MAX_ITEMS_PER_ITERATION}; lower the horizon"
+        )
+    if not config.measure_delay:
+        return
+    for pool in pools:
+        ext = _background_seconds(pool.cls, config)
+        table = (horizon + ext) * pool.size + ext * pool.cls.ra_density
+        if table > MAX_ITEMS_PER_ITERATION:
+            raise SimulationError(
+                f"class {pool.cls.id}: delay measurement over the horizon of {horizon} s "
+                f"plus {ext} s reachable with backoff {pool.cls.backoff} s and "
+                f"{config.max_attempts} attempts needs about {table:.3g} slots and "
+                f"background requests per iteration, over the simulator's limit of "
+                f"{MAX_ITEMS_PER_ITERATION}; lower the horizon, the backoff or max_attempts"
+            )
+
+
 def _draw_counts(rng: np.random.Generator, pool: _Pool, seconds: int, mode: ArrivalMode) -> np.ndarray:
     if mode == ArrivalMode.POISSON_AGGREGATE:
         return rng.poisson(pool.cls.ra_density, size=seconds)
@@ -212,12 +259,15 @@ def run(
     Pass an AllocationPlan under full dedication, a SharingTopology under
     partial dedication, and nothing under full sharing. With
     ``config.measure_delay`` set (full dedication only) per-class mean
-    inclusive access delays are tracked as well.
+    inclusive access delays are tracked as well. Raises SimulationError
+    before any draw when one iteration would exceed
+    ``MAX_ITEMS_PER_ITERATION``.
     """
     config.validate()
     if config.measure_delay and scenario.strategy != Strategy.FULL_DEDICATION:
         raise SimulationError("delay measurement requires the full dedication strategy")
     pools = _build_pools(scenario, allocation, config)
+    _check_budget(pools, config)
 
     n_classes = len(pools)
     iters, horizon = config.iterations, config.horizon
@@ -232,28 +282,19 @@ def run(
     seconds_index = np.arange(horizon)
     for it in range(iters):
         rngs = [_stream(config.seed, it, pool.cls.id) for pool in pools]
-        slots_by_class = []
+        keys_by_class = []
         for pool, rng in zip(pools, rngs):
             counts = _draw_counts(rng, pool, horizon, config.arrival_mode)
             u = rng.random(int(counts.sum()))
-            local = pool.pick(u)
-            secs = np.repeat(seconds_index, counts)
-            slots_by_class.append(secs * total_slots + local)
-        occupancy = np.bincount(
-            np.concatenate(slots_by_class) if slots_by_class else np.array([], dtype=np.int64),
-            minlength=horizon * total_slots,
-        )
-        events[it] = np.count_nonzero(occupancy >= 2)
-        for pos, slots in enumerate(slots_by_class):
-            attempts[pos, it] = slots.size
-            collided[pos, it] = int((occupancy[slots] >= 2).sum())
-
-        if config.measure_delay:
-            occ2d = occupancy.reshape(horizon, total_slots)
-            for pos, (pool, rng) in enumerate(zip(pools, rngs)):
-                d_sum, d_n, d_cens = _measure_delays(
-                    pool, rng, slots_by_class[pos], occ2d, total_slots, config
-                )
+            keys_by_class.append(np.repeat(seconds_index, counts) * total_slots + pool.pick(u))
+        flags_by_class, events[it] = _collisions(keys_by_class)
+        for pos, (pool, rng, keys, flags) in enumerate(
+            zip(pools, rngs, keys_by_class, flags_by_class)
+        ):
+            attempts[pos, it] = keys.size
+            collided[pos, it] = np.count_nonzero(flags)
+            if config.measure_delay:
+                d_sum, d_n, d_cens = _measure_delays(pool, rng, keys, flags, total_slots, config)
                 delay_sums[pos, it] = d_sum
                 delay_counts[pos, it] = d_n
                 censored[pos, it] = d_cens
@@ -298,11 +339,36 @@ def run(
     )
 
 
+def _collisions(keys_by_class: list[np.ndarray]) -> tuple[list[np.ndarray], int]:
+    """Flag, per class, the requests whose slot key another request of any
+    class shares, and count the slots holding two or more requests.
+
+    Sorting puts equal keys next to each other, so the work grows with the
+    number of requests, not with the number of slots they pick from. A slot
+    holding k >= 2 requests sets k sorted flags and k - 1 neighbour matches,
+    so the two counts differ by one per such slot.
+    """
+    keys = np.concatenate(keys_by_class)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    same = ordered[1:] == ordered[:-1]
+    hit = np.zeros(keys.size, dtype=bool)
+    hit[1:] = same
+    hit[:-1] |= same
+    flags = np.zeros(keys.size, dtype=bool)
+    flags[order[hit]] = True
+    flags_by_class, start = [], 0
+    for class_keys in keys_by_class:
+        flags_by_class.append(flags[start : start + class_keys.size])
+        start += class_keys.size
+    return flags_by_class, np.count_nonzero(hit) - np.count_nonzero(same)
+
+
 def _measure_delays(
     pool: _Pool,
     rng: np.random.Generator,
     slots_global: np.ndarray,
-    occ2d: np.ndarray,
+    collided: np.ndarray,
     total_slots: int,
     config: SimConfig,
 ) -> tuple[float, int, int]:
@@ -315,21 +381,22 @@ def _measure_delays(
     its own occupancy contribution.
     """
     backoff = pool.cls.backoff
-    horizon = occ2d.shape[0]
-    # background seconds reachable by the final allowed attempt
-    n_ext = math.ceil(config.max_attempts * backoff) + 1
+    horizon = config.horizon
+    n_ext = _background_seconds(pool.cls, config)
     ext_counts = _draw_counts(rng, pool, n_ext, config.arrival_mode)
     ext_u = rng.random(int(ext_counts.sum()))
-    ext_local = pool.local(ext_u)
-    ext_secs = np.repeat(np.arange(n_ext), ext_counts)
-    ext_occ = np.bincount(
-        ext_secs * pool.size + ext_local, minlength=n_ext * pool.size
-    ).reshape(n_ext, pool.size)
-    pool_occ = np.concatenate([occ2d[:, pool.slots], ext_occ])
+    ext_secs = np.repeat(np.arange(horizon, horizon + n_ext), ext_counts)
 
     first_second = slots_global // total_slots
     first_local = np.searchsorted(pool.slots, slots_global % total_slots)
-    collided = occ2d.reshape(-1)[slots_global] >= 2
+    # full dedication: the pool holds only this class's fresh requests, so
+    # they and the background fill its (second, pool position) table
+    pool_occ = np.bincount(
+        np.concatenate(
+            [first_second * pool.size + first_local, ext_secs * pool.size + pool.local(ext_u)]
+        ),
+        minlength=(horizon + n_ext) * pool.size,
+    ).reshape(horizon + n_ext, pool.size)
 
     successes = int((~collided).sum())
     delay_sum = successes * backoff  # attempt 1 counts one backoff period

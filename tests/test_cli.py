@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from rachopt import simulator
 from rachopt.cli import (
     EXIT_OK,
     EXIT_OVERLOAD,
@@ -118,6 +119,17 @@ class TestAnalyze:
         assert dc1["mean_delay_incl_s"] == pytest.approx(math.exp(50 / 3600), rel=1e-12)
         assert dc1["mean_delay_excl_s"] == pytest.approx(math.expm1(50 / 3600), rel=1e-12)
 
+    def test_exclusive_delay_keeps_precision_at_light_load(self, capsys, tmp_path):
+        # inclusive - backoff would lose 6e-9 relative here; abs=0 because
+        # approx otherwise accepts any error below 1e-12
+        path = write_cell(tmp_path, "full_dedication", 10800, [1e-4])
+        code, report = run_json(capsys, ["analyze", path])
+        assert code == EXIT_OK
+        dc1 = report["results"]["per_class"]["1"]
+        assert dc1["mean_delay_excl_s"] == pytest.approx(
+            math.expm1(1e-4 / 10800), rel=1e-12, abs=0
+        )
+
 
 class TestSaturatedCells:
     def test_analyze_reports_null_delays(self, capsys, tmp_path):
@@ -184,7 +196,14 @@ class TestUnwritableCsv:
             ["sweep", DC12, "--values", "3600", "--iterations", "2", "--seed", "1"],
         ],
     )
-    def test_exits_with_validation_error_naming_the_path(self, capsys, tmp_path, argv):
+    def test_exits_with_validation_error_naming_the_path(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("simulated before checking the --csv path")
+
+        # sweep_dedication calls run through the module, so this covers both
+        monkeypatch.setattr(simulator, "run", not_reached)
         out = tmp_path / "missing" / "x.csv"
         assert main(argv + ["--csv", str(out)]) == EXIT_VALIDATION
         captured = capsys.readouterr()
@@ -250,6 +269,48 @@ class TestSimulate:
     def test_negative_seed_exits_with_simulation_error(self, capsys):
         assert main(["simulate", DC12, "--seed", "-1", "--iterations", "1"]) == EXIT_SIMULATION
         assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_horizon_over_memory_limit_exits_before_drawing(self, capsys):
+        argv = ["simulate", DC12, "--iterations", "1", "--seed", "1", "--horizon", str(10**12)]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_SIMULATION
+        assert "lower the horizon" in capsys.readouterr().err
+        assert peak < 10 * 2**20
+
+    def test_failed_run_keeps_existing_csv_rows(self, capsys, tmp_path):
+        # the path is checked before the run without truncating the file
+        out = tmp_path / "old.csv"
+        out.write_text("earlier,rows\n")
+        argv = ["simulate", DC12, "--iterations", "1", "--seed", "1", "--horizon", str(10**12)]
+        assert main(argv + ["--csv", str(out)]) == EXIT_SIMULATION
+        assert out.read_text() == "earlier,rows\n"
+
+    def test_backoff_over_memory_limit_exits_before_drawing(self, capsys, tmp_path):
+        path = tmp_path / "slow_backoff.yaml"
+        path.write_text(
+            yaml.safe_dump(
+                {
+                    "total_raos": 100,
+                    "strategy": "full_dedication",
+                    "classes": [{"id": 1, "ra_density": 5.0, "backoff": 1e12}],
+                }
+            )
+        )
+        argv = ["simulate", str(path), "--iterations", "1", "--seed", "1", "--measure-delay"]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_SIMULATION
+        assert "backoff 1000000000000.0 s" in capsys.readouterr().err
+        assert peak < 10 * 2**20
 
     def test_device_mode_needs_population(self, capsys, tmp_path):
         path = tmp_path / "nopop.yaml"

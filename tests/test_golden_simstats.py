@@ -11,7 +11,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from rachopt.model import AllocationPlan, SharingTopology, Strategy
+from rachopt.model import (
+    AllocationPlan,
+    DeviceClass,
+    Scenario,
+    SharingTopology,
+    Strategy,
+    validate_scenario,
+)
 from rachopt.simulator import ArrivalMode, SimConfig, _build_pools, run
 
 from conftest import make_scenario
@@ -66,6 +73,33 @@ def _bernoulli_partial():
     return run(scenario, topology, config)
 
 
+def _full_dedication_long_horizon():
+    scenario = make_scenario((1, 2))
+    plan = AllocationPlan({1: 3600, 2: 7200})
+    return run(scenario, plan, SimConfig(iterations=3, seed=17, horizon=200))
+
+
+def _partial_sparse_seconds():
+    # light loads on a small cell, so many seconds draw no request at all;
+    # class 1's overlapping ranges merge into RAOs 0-4, of which 3-4 are
+    # shared with class 2
+    classes = (DeviceClass(id=1, ra_density=0.5), DeviceClass(id=2, ra_density=2.0))
+    scenario = validate_scenario(
+        Scenario(classes=classes, total_raos=8, strategy=Strategy.PARTIAL_DEDICATION)
+    )
+    topology = SharingTopology.from_ranges({1: [(0, 2), (1, 4)], 2: [(3, 7)]})
+    return run(scenario, topology, SimConfig(iterations=10, seed=18, horizon=40))
+
+
+def _measure_delay_long_horizon():
+    scenario = make_scenario((1, 2), total_raos=300)
+    plan = AllocationPlan({1: 100, 2: 200})
+    config = SimConfig(
+        iterations=4, seed=19, horizon=5, measure_delay=True, max_attempts=6
+    )
+    return run(scenario, plan, config)
+
+
 CASES = {
     "full_sharing": _full_sharing,
     "full_dedication": _full_dedication,
@@ -73,6 +107,9 @@ CASES = {
     "measure_delay": _measure_delay,
     "bernoulli": _bernoulli,
     "bernoulli_partial": _bernoulli_partial,
+    "full_dedication_long_horizon": _full_dedication_long_horizon,
+    "partial_sparse_seconds": _partial_sparse_seconds,
+    "measure_delay_long_horizon": _measure_delay_long_horizon,
 }
 
 # recorded with the seeds above; compared exactly
@@ -234,7 +271,82 @@ GOLDEN = {'bernoulli': {'event_density': 0.9,
                                            'rate_stderr': 0.003117872047886314}},
                          'seed': 13,
                          'total_density': 48.65,
-                         'total_density_stderr': 2.1042250730125653}}
+                         'total_density_stderr': 2.1042250730125653},
+ 'full_dedication_long_horizon': {'event_density': 1.0283333333333333,
+                                  'event_density_stderr': 0.019649710204252654,
+                                  'horizon': 200,
+                                  'iterations': 3,
+                                  'per_class': {1: {'attempts': 30196,
+                                                    'censored': 0,
+                                                    'collided': 432,
+                                                    'collision_density': 0.7200000000000001,
+                                                    'collision_rate': 0.014306530666313419,
+                                                    'delay_stderr': None,
+                                                    'density_stderr': 0.03214550253664318,
+                                                    'mean_delay': None,
+                                                    'rate_stderr': 0.0006177335566138037},
+                                                2: {'attempts': 59912,
+                                                    'censored': 0,
+                                                    'collided': 803,
+                                                    'collision_density': 1.3383333333333336,
+                                                    'collision_rate': 0.013402991053545199,
+                                                    'delay_stderr': None,
+                                                    'density_stderr': 0.031135902820448976,
+                                                    'mean_delay': None,
+                                                    'rate_stderr': 0.00026282535536566415}},
+                                  'seed': 17,
+                                  'total_density': 2.0583333333333336,
+                                  'total_density_stderr': 0.037675515184857664},
+ 'partial_sparse_seconds': {'event_density': 0.36,
+                            'event_density_stderr': 0.03749073959733998,
+                            'horizon': 40,
+                            'iterations': 10,
+                            'per_class': {1: {'attempts': 202,
+                                              'censored': 0,
+                                              'collided': 36,
+                                              'collision_density': 0.09,
+                                              'collision_rate': 0.1782178217821782,
+                                              'delay_stderr': None,
+                                              'density_stderr': 0.020480342879074177,
+                                              'mean_delay': None,
+                                              'rate_stderr': 0.03439826597433615},
+                                          2: {'attempts': 783,
+                                              'censored': 0,
+                                              'collided': 270,
+                                              'collision_density': 0.6749999999999999,
+                                              'collision_rate': 0.3448275862068966,
+                                              'delay_stderr': None,
+                                              'density_stderr': 0.0758287544405155,
+                                              'mean_delay': None,
+                                              'rate_stderr': 0.029062601613718823}},
+                            'seed': 18,
+                            'total_density': 0.7649999999999999,
+                            'total_density_stderr': 0.07557189365836423},
+ 'measure_delay_long_horizon': {'event_density': 24.4,
+                                'event_density_stderr': 1.5556349186104044,
+                                'horizon': 5,
+                                'iterations': 4,
+                                'per_class': {1: {'attempts': 998,
+                                                  'censored': 2,
+                                                  'collided': 358,
+                                                  'collision_density': 17.9,
+                                                  'collision_rate': 0.3587174348697395,
+                                                  'delay_stderr': 0.047961123842879594,
+                                                  'density_stderr': 1.4011899704655804,
+                                                  'mean_delay': 1.6104417670682731,
+                                                  'rate_stderr': 0.014224620749887507},
+                                              2: {'attempts': 1923,
+                                                  'censored': 9,
+                                                  'collided': 713,
+                                                  'collision_density': 35.650000000000006,
+                                                  'collision_rate': 0.3707748309932397,
+                                                  'delay_stderr': 0.015216175116010883,
+                                                  'density_stderr': 2.041853732926692,
+                                                  'mean_delay': 1.5694879832810866,
+                                                  'rate_stderr': 0.01372538706750273}},
+                                'seed': 19,
+                                'total_density': 53.550000000000004,
+                                'total_density_stderr': 3.3569579483018064}}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

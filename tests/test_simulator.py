@@ -1,6 +1,10 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rachopt.analytics import layout_metrics, simple_collision_rate
 from rachopt.model import (
@@ -16,6 +20,7 @@ from rachopt.simulator import (
     ArrivalMode,
     SimConfig,
     SimulationError,
+    _collisions,
     run,
     sweep_dedication,
 )
@@ -65,6 +70,51 @@ class TestDegenerateLoads:
         stats = run(scenario, AllocationPlan({1: 100, 2: 200}), SimConfig(iterations=20, seed=3))
         assert stats.per_class[1].collided <= stats.per_class[1].attempts
         assert stats.total_density >= 2.0 * stats.event_density - 1e-12
+
+
+def dense_collisions(keys_by_class):
+    """Reference for the sorted kernel: per-class collided flags and the
+    number of slots holding two or more requests, read from one dense
+    occupancy count over every slot up to the largest key."""
+    occupancy = np.bincount(np.concatenate(keys_by_class))
+    flags = [occupancy[keys] >= 2 for keys in keys_by_class]
+    return flags, int(np.count_nonzero(occupancy >= 2))
+
+
+class_keys = st.lists(st.integers(0, 60), max_size=40).map(
+    lambda keys: np.array(keys, dtype=np.int64)
+)
+
+
+class TestCollisionKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(class_keys, min_size=1, max_size=4))
+    @example([np.array([], dtype=np.int64)])  # an iteration with no request
+    @example([np.array([], dtype=np.int64), np.array([], dtype=np.int64)])
+    @example([np.array([7], dtype=np.int64), np.array([], dtype=np.int64)])  # one request
+    @example([np.array([3, 3, 3], dtype=np.int64), np.array([3], dtype=np.int64)])  # one slot
+    def test_matches_dense_occupancy(self, keys_by_class):
+        flags, events = _collisions(keys_by_class)
+        dense_flags, dense_events = dense_collisions(keys_by_class)
+        assert [f.tolist() for f in flags] == [f.tolist() for f in dense_flags]
+        assert [np.count_nonzero(f) for f in flags] == [np.count_nonzero(f) for f in dense_flags]
+        assert events == dense_events
+
+
+class TestMemory:
+    def test_peak_grows_with_requests_not_slots(self):
+        # 1 Hz on 10 800 RAOs over 2 000 s: about 2 000 requests in 21.6 M
+        # slots, which a dense int64 count would hold in 173 MB
+        scenario = single_class_scenario(gamma=1.0, total=10800)
+        config = SimConfig(iterations=2, seed=5, horizon=2000)
+        tracemalloc.start()
+        try:
+            stats = run(scenario, AllocationPlan({1: 10800}), config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.per_class[1].attempts > 3000
+        assert peak < 2 * 2**20
 
 
 class TestDeterminism:
