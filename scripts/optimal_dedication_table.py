@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Estimated vs enumerated optimal dedication for the three reference pairs.
+"""Estimated vs exact optimal dedication for the three reference pairs.
 
 For each two-class cell (50 Hz vs 100/500/1000 Hz, 10800 RAOs/s) this prints
-the proportional-rule share for class 1, the brute-force integer optimum,
-and seeded Monte-Carlo collision densities at the estimated optimum and
-under full sharing.
+the proportional-rule share for class 1, the exact integer optimum from
+``brute_force_optimal``, and seeded Monte-Carlo collision densities at the
+estimated optimum and under full sharing.
 """
 
 import argparse
@@ -43,7 +43,7 @@ def main() -> int:
     for g1, g2 in PAIRS:
         scenario = pair_scenario(g1, g2, args.total_raos)
         estimated = proportional_allocation(scenario)
-        enumerated = brute_force_optimal(scenario)
+        exact = brute_force_optimal(scenario)
         simulated = run(scenario, estimated, config)
         shared = dataclasses.replace(scenario, strategy=Strategy.FULL_SHARING)
         simulated_shared = run(shared, None, config)
@@ -52,7 +52,7 @@ def main() -> int:
                 "gamma_1": g1,
                 "gamma_2": g2,
                 "L1_estimated": estimated.get(1),
-                "L1_enumerated": enumerated.get(1),
+                "L1_exact": exact.get(1),
                 "analytic_density_hz": cell_collision_density(scenario, estimated),
                 "simulated_density_hz": simulated.total_density,
                 "simulated_stderr": simulated.total_density_stderr,

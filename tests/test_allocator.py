@@ -1,4 +1,7 @@
+import heapq
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -39,6 +42,63 @@ def two_class_scenario(g1, g2, total=10800):
             strategy=Strategy.FULL_DEDICATION,
         )
     )
+
+
+def dedicated(gammas, total):
+    return validate_scenario(
+        Scenario(
+            classes=tuple(DeviceClass(id=i, ra_density=g) for i, g in enumerate(gammas)),
+            total_raos=total,
+            strategy=Strategy.FULL_DEDICATION,
+        )
+    )
+
+
+def shares_of(plan):
+    return list(plan.raos.values())
+
+
+def class_cost(gamma, raos, objective):
+    if objective == "density":
+        return gamma * -np.expm1(-gamma / raos)
+    return gamma * gamma / raos
+
+
+def plan_cost(gammas, shares, objective):
+    return math.fsum(float(class_cost(g, l, objective)) for g, l in zip(gammas, shares))
+
+
+def scan_optimum(gammas, total, objective):
+    """Reference oracle: score every plan with at least one RAO per class,
+    in lexicographic order, and take the first within 1e-12 of the best.
+    With two classes it is the plain vectorised 2-class scan."""
+    n = len(gammas)
+    cuts = list(itertools.combinations(range(1, total), n - 1))
+    plans = np.diff(np.array(cuts).reshape(len(cuts), n - 1), prepend=0, append=total, axis=1)
+    values = np.zeros(len(plans))
+    for gamma, raos in zip(gammas, plans.T):
+        values += class_cost(gamma, raos, objective)
+    first = np.flatnonzero(values <= values.min() * (1 + 1e-12))[0]
+    return [int(v) for v in plans[first]]
+
+
+def greedy_marginal(gammas, total, objective):
+    """Fox's marginal allocation: from a start where every cost is convex
+    (L > gamma / 2 for the density), hand each further RAO to the class
+    whose cost falls most. Exact while the optimum lies in that region."""
+    shares = [int(g // 2) + 1 if objective == "density" else 1 for g in gammas]
+
+    def gain(i):
+        raos = shares[i]
+        return class_cost(gammas[i], raos + 1, objective) - class_cost(gammas[i], raos, objective)
+
+    heap = [(gain(i), i) for i in range(len(gammas))]
+    heapq.heapify(heap)
+    for _ in range(total - sum(shares)):
+        _, i = heapq.heappop(heap)
+        shares[i] += 1
+        heapq.heappush(heap, (gain(i), i))
+    return shares
 
 
 class TestLargestRemainder:
@@ -179,7 +239,7 @@ class TestDelayReservation:
         assume(max_delay > backoff)
         via_delay = minimum_raos_for_delay(gamma, backoff, max_delay)
         via_rate = minimum_raos_for_rate(gamma, 1.0 - backoff / max_delay)
-        assert via_delay == pytest.approx(via_rate, rel=1e-12)
+        assert via_delay == pytest.approx(via_rate, rel=1e-12, abs=0)
 
 
 class TestReserveAndDivide:
@@ -193,10 +253,10 @@ class TestReserveAndDivide:
         predicted = layout_metrics(scenario, pool_layout(scenario, outcome.plan))
         assert predicted[1].collision_rate <= 0.02
         assert predicted[2].collision_rate == pytest.approx(
-            0.06951200952334086, rel=1e-12
+            0.06951200952334086, rel=1e-12, abs=0
         )
         assert predicted[3].collision_rate == pytest.approx(
-            0.06954100058373053, rel=1e-12
+            0.06954100058373053, rel=1e-12, abs=0
         )
 
     def test_no_specials_reduces_to_proportional(self):
@@ -313,15 +373,68 @@ class TestBruteForce:
         assert brute_force_optimal(scenario).raos == {0: 10, 1: 20, 2: 30}
 
     def test_refuses_oversized_enumeration(self):
-        scenario = validate_scenario(
-            Scenario(
-                classes=tuple(DeviceClass(id=i, ra_density=5.0) for i in range(3)),
-                total_raos=10000,
-                strategy=Strategy.FULL_DEDICATION,
-            )
-        )
+        # 3 classes on 10**5 RAOs would need 5e9 cost sums; the refusal is
+        # decided from the sizes before any table is built
+        scenario = dedicated([5.0] * 3, 100_000)
+        start = time.perf_counter()
         with pytest.raises(AllocationError, match="refused"):
             brute_force_optimal(scenario)
+        assert time.perf_counter() - start < 0.05
+
+    def test_solves_three_classes_at_paper_budget(self):
+        # C(10799, 2) ~ 58 M plans, past any enumeration
+        start = time.perf_counter()
+        plan = brute_force_optimal(dedicated([5.0] * 3, 10800))
+        assert time.perf_counter() - start < 1.0
+        assert shares_of(plan) == [3600] * 3
+
+    @pytest.mark.parametrize(
+        "gammas,total,objective,expected",
+        [
+            # [1, 9, 1] and [1, 1, 9] tie to one ulp, by summation order
+            ([22.057323053831862] * 3, 11, "density", [1, 1, 9]),
+            ([24.106737285628803] * 4, 19, "probability", [4, 5, 5, 5]),
+        ],
+    )
+    def test_permuted_ties_go_to_smallest_shares(self, gammas, total, objective, expected):
+        plan = brute_force_optimal(dedicated(gammas, total), objective=objective)
+        assert shares_of(plan) == expected
+
+    @given(
+        gammas=st.lists(st.floats(0.1, 100.0), min_size=1, max_size=4),
+        spare=st.integers(0, 36),
+        equal=st.booleans(),
+        objective=st.sampled_from(["density", "probability"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_composition_scan(self, gammas, spare, equal, objective):
+        if equal:
+            gammas = [gammas[0]] * len(gammas)
+        total = len(gammas) + spare
+        plan = brute_force_optimal(dedicated(gammas, total), objective=objective)
+        assert shares_of(plan) == scan_optimum(gammas, total, objective)
+
+    @pytest.mark.parametrize("objective", ["density", "probability"])
+    def test_matches_two_class_scan_on_criterion2_budgets(self, objective):
+        rng = np.random.default_rng(20240817)
+        for total in [*rng.integers(100, 20001, size=15), 20000]:
+            gammas = [float(g) for g in rng.uniform(1.0, 2000.0, size=2)]
+            plan = brute_force_optimal(dedicated(gammas, int(total)), objective=objective)
+            assert shares_of(plan) == scan_optimum(gammas, int(total), objective)
+
+    @pytest.mark.parametrize("objective", ["density", "probability"])
+    def test_matches_greedy_marginal_in_convex_regime(self, objective):
+        # densities of at most 2000 Hz each keep 3 classes on 10800 RAOs
+        # below 1 request per RAO, where the optimum gives every class
+        # L_i > gamma_i / 2 and greedy marginal allocation is exact
+        rng = np.random.default_rng(1966)
+        for _ in range(3):
+            gammas = [float(g) for g in rng.uniform(1.0, 2000.0, size=3)]
+            exact = shares_of(brute_force_optimal(dedicated(gammas, 10800), objective))
+            greedy = greedy_marginal(gammas, 10800, objective)
+            assert plan_cost(gammas, exact, objective) == pytest.approx(
+                plan_cost(gammas, greedy, objective), rel=1e-12, abs=0
+            )
 
     def test_unknown_objective_rejected(self):
         with pytest.raises(AllocationError, match="objective"):

@@ -48,10 +48,10 @@ class TestSimpleCollisionRate:
     def test_reference_values(self):
         # frozen from direct double-precision evaluation of 1 - exp(-g/L)
         assert simple_collision_rate(50, 3600) == pytest.approx(
-            0.013792883256083781, rel=1e-14
+            0.013792883256083781, rel=1e-14, abs=0
         )
         assert simple_collision_rate(10800, 10800) == pytest.approx(
-            0.6321205588285577, rel=1e-14
+            0.6321205588285577, rel=1e-14, abs=0
         )
 
     def test_vanishing_load_limit(self):
@@ -94,10 +94,10 @@ class TestFullSharing:
     def test_reference_pairs(self):
         s12 = make_scenario((1, 2), strategy=Strategy.FULL_SHARING)
         for rate in rates_of(s12).values():
-            assert rate == pytest.approx(0.013792883256083781, rel=1e-14)
+            assert rate == pytest.approx(0.013792883256083781, rel=1e-14, abs=0)
         s14 = make_scenario((1, 4), strategy=Strategy.FULL_SHARING)
         for rate in rates_of(s14).values():
-            assert rate == pytest.approx(0.09264565057207096, rel=1e-14)
+            assert rate == pytest.approx(0.09264565057207096, rel=1e-14, abs=0)
 
     def test_single_class_matches_simple_rate(self):
         scenario = make_scenario((3,), strategy=Strategy.FULL_SHARING)
@@ -108,15 +108,15 @@ class TestFullDedication:
     def test_reference_rates(self):
         scenario = make_scenario((1, 2))
         metrics = metrics_of(scenario, AllocationPlan({1: 3600, 2: 7200}))
-        assert metrics[1].collision_rate == pytest.approx(0.013792883256083781, rel=1e-14)
+        assert metrics[1].collision_rate == pytest.approx(0.013792883256083781, rel=1e-14, abs=0)
         assert metrics[1].collision_density == pytest.approx(
-            50 * 0.013792883256083781, rel=1e-13
+            50 * 0.013792883256083781, rel=1e-13, abs=0
         )
 
     def test_reservation_operating_point(self):
         # ties the 2% QoS reservation example to its predicted rate
         assert simple_collision_rate(50, 2475) == pytest.approx(
-            0.019999326626579397, rel=1e-14
+            0.019999326626579397, rel=1e-14, abs=0
         )
         assert simple_collision_rate(50, 2475) <= 0.02
 
@@ -194,8 +194,8 @@ class TestPartialDedication:
             assert rates[cid] == pytest.approx(oracle, abs=1e-12)
 
         # frozen values from the oracle above
-        assert rates[1] == pytest.approx(0.015294873819897137, rel=1e-12)
-        assert rates[2] == pytest.approx(0.01530426361688709, rel=1e-12)
+        assert rates[1] == pytest.approx(0.015294873819897137, rel=1e-12, abs=0)
+        assert rates[2] == pytest.approx(0.01530426361688709, rel=1e-12, abs=0)
 
     def test_empty_usable_set_rejected(self):
         scenario = make_scenario((1, 2), strategy=Strategy.PARTIAL_DEDICATION)
@@ -254,18 +254,18 @@ class TestLayoutMetrics:
             m = metrics[cls.id]
             assert m.collision_density == cls.ra_density * m.collision_rate
             assert m.collision_rate == pytest.approx(
-                simple_collision_rate(cls.ra_density, raos), rel=1e-12
+                simple_collision_rate(cls.ra_density, raos), rel=1e-12, abs=0
             )
             delay = mean_access_delay(cls.ra_density, raos, cls.backoff).inclusive
             if cls.ra_density / raos <= 700:  # exp(-x) is still a normal double
-                assert m.mean_delay == pytest.approx(delay, rel=1e-12)
+                assert m.mean_delay == pytest.approx(delay, rel=1e-12, abs=0)
             elif cls.ra_density / raos > 710:
                 assert m.mean_delay == delay == math.inf
 
         shared = scenario(Strategy.FULL_SHARING)
         expected = single_pool_rate(shared)
         for m in layout_metrics(shared, pool_layout(shared, None)).values():
-            assert m.collision_rate == pytest.approx(expected, rel=1e-12)
+            assert m.collision_rate == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_success_complements_collision_on_overlaps(self):
         scenario = make_scenario((1, 2, 3), strategy=Strategy.PARTIAL_DEDICATION)
@@ -274,7 +274,7 @@ class TestLayoutMetrics:
         )
         for m in layout_metrics(scenario, pool_layout(scenario, topo)).values():
             assert m.collision_rate + m.success_rate == pytest.approx(1.0, abs=1e-15)
-            assert m.mean_delay == pytest.approx(1.0 / m.success_rate, rel=1e-15)
+            assert m.mean_delay == pytest.approx(1.0 / m.success_rate, rel=1e-15, abs=0)
 
 
 class TestCellMetrics:
@@ -286,8 +286,8 @@ class TestCellMetrics:
             scenario, plan = make_scenario(ids), AllocationPlan(shares)
             reference = cell_collision_density(scenario, plan)
             layout_sum = sum(m.collision_density for m in metrics_of(scenario, plan).values())
-            assert reference == pytest.approx(expected, rel=1e-13)
-            assert layout_sum == pytest.approx(expected, rel=1e-13)
+            assert reference == pytest.approx(expected, rel=1e-13, abs=0)
+            assert layout_sum == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_density_vanishes_for_huge_pool(self):
         from rachopt.model import DeviceClass, Scenario, validate_scenario
@@ -305,7 +305,7 @@ class TestCellMetrics:
     def test_probability_reference_value(self):
         s12 = make_scenario((1, 2))
         metrics = metrics_of(s12, AllocationPlan({1: 3600, 2: 7200}))
-        assert cell_probability(s12, metrics) == pytest.approx(0.875485528555877, rel=1e-13)
+        assert cell_probability(s12, metrics) == pytest.approx(0.875485528555877, rel=1e-13, abs=0)
 
     def test_single_request_probability_equals_rate(self):
         from rachopt.model import DeviceClass, Scenario, validate_scenario
@@ -319,7 +319,7 @@ class TestCellMetrics:
         )
         metrics = metrics_of(scenario, AllocationPlan({1: 100}))
         assert cell_probability(scenario, metrics) == pytest.approx(
-            simple_collision_rate(1.0, 100), rel=1e-12
+            simple_collision_rate(1.0, 100), rel=1e-12, abs=0
         )
 
     def test_probability_vanishes_with_rates(self):
@@ -354,11 +354,11 @@ class TestCellMetrics:
 class TestAccessDelay:
     def test_reference_value(self):
         delay = mean_access_delay(50, 3600, 1.0)
-        assert delay.inclusive == pytest.approx(1.0139857875915788, rel=1e-14)
+        assert delay.inclusive == pytest.approx(1.0139857875915788, rel=1e-14, abs=0)
 
     def test_no_retry_limit(self):
         delay = mean_access_delay(1e-6, 1e9, 2.5)
-        assert delay.inclusive == pytest.approx(2.5, rel=1e-12)
+        assert delay.inclusive == pytest.approx(2.5, rel=1e-12, abs=0)
         assert delay.exclusive == pytest.approx(0.0, abs=1e-12)
 
     @given(
@@ -369,7 +369,7 @@ class TestAccessDelay:
     def test_difference_is_exactly_one_backoff(self, gamma, raos, backoff):
         assume(gamma / raos < 5.0)
         delay = mean_access_delay(gamma, raos, backoff)
-        assert delay.inclusive - delay.exclusive == pytest.approx(backoff, rel=1e-12)
+        assert delay.inclusive - delay.exclusive == pytest.approx(backoff, rel=1e-12, abs=0)
 
     @given(gamma=densities, raos=pools, backoff=st.floats(1e-3, 1e3))
     @example(gamma=11.0, raos=1.0, backoff=1.0)
@@ -380,7 +380,7 @@ class TestAccessDelay:
         # exceeds 1e-12 relative
         assume(gamma / raos < 30.0)
         delay = mean_access_delay(gamma, raos, backoff)
-        assert delay.inclusive == pytest.approx(backoff * math.exp(gamma / raos), rel=1e-12)
+        assert delay.inclusive == pytest.approx(backoff * math.exp(gamma / raos), rel=1e-12, abs=0)
 
     def test_rejects_degenerate_inputs(self):
         for args in [(0, 10, 1), (10, 0, 1), (10, 10, 0)]:

@@ -53,9 +53,9 @@ class TestAnalyze:
         assert code == EXIT_OK
         cell = report["results"]["cell"]
         assert cell["total_collision_density_hz"] == pytest.approx(
-            2.068932488412567, rel=1e-12
+            2.068932488412567, rel=1e-12, abs=0
         )
-        assert cell["collision_probability"] == pytest.approx(0.875485528555877, rel=1e-12)
+        assert cell["collision_probability"] == pytest.approx(0.875485528555877, rel=1e-12, abs=0)
 
     def test_positional_and_keyed_plans_agree(self, capsys):
         _, positional = run_json(capsys, ["analyze", DC12, "--plan", "3600,7200"])
@@ -79,7 +79,7 @@ class TestAnalyze:
             cid: cls["collision_rate"]
             for cid, cls in report["results"]["per_class"].items()
         }
-        assert rates["1"] == rates["2"] == pytest.approx(0.013792883256083781, rel=1e-12)
+        assert rates["1"] == rates["2"] == pytest.approx(0.013792883256083781, rel=1e-12, abs=0)
 
     def test_topology_on_dedication_scenario_rejected(self, capsys):
         assert main(["analyze", DC12, "--topology", "1:0-5399"]) == EXIT_VALIDATION
@@ -116,8 +116,8 @@ class TestAnalyze:
         assert code == EXIT_OK
         dc1 = report["results"]["per_class"]["1"]
         assert dc1["saturated"] is False
-        assert dc1["mean_delay_incl_s"] == pytest.approx(math.exp(50 / 3600), rel=1e-12)
-        assert dc1["mean_delay_excl_s"] == pytest.approx(math.expm1(50 / 3600), rel=1e-12)
+        assert dc1["mean_delay_incl_s"] == pytest.approx(math.exp(50 / 3600), rel=1e-12, abs=0)
+        assert dc1["mean_delay_excl_s"] == pytest.approx(math.expm1(50 / 3600), rel=1e-12, abs=0)
 
     def test_exclusive_delay_keeps_precision_at_light_load(self, capsys, tmp_path):
         # inclusive - backoff would lose 6e-9 relative here; abs=0 because
@@ -365,7 +365,7 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert [r["l_swept"] for r in rows] == ["3000", "3600", "4200"]
         assert float(rows[1]["analytic_total_hz"]) == pytest.approx(
-            2.068932488412567, rel=1e-12
+            2.068932488412567, rel=1e-12, abs=0
         )
 
     def test_range_mode(self, capsys):

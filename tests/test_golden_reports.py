@@ -3,9 +3,9 @@
 Every number of ``analyze --json`` and ``optimize --json`` (both methods) on
 each ``scenarios/*.yaml``, the ``collision_rate_analytic`` column of
 ``compare --json`` and the sweep's ``analytic_total_hz`` were recorded from
-the CLI and are compared at ``rel=1e-12``; strings, booleans, nulls and the
-report structure must match exactly. A refactor of the analytics may move
-these numbers by rounding only.
+the CLI and are compared at ``rel=1e-12, abs=0``; strings, booleans, nulls
+and the report structure must match exactly. A refactor of the analytics may
+move these numbers by rounding only.
 """
 
 import json
@@ -92,7 +92,7 @@ def assert_matches(actual, expected, where="report"):
             assert_matches(actual[i], value, f"{where}[{i}]")
     elif isinstance(expected, float):
         assert isinstance(actual, float), where
-        assert actual == pytest.approx(expected, rel=1e-12), where
+        assert actual == pytest.approx(expected, rel=1e-12, abs=0), where
     else:
         assert type(actual) is type(expected) and actual == expected, where
 
