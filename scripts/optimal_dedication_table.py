@@ -9,7 +9,6 @@ estimated optimum and under full sharing.
 
 import argparse
 import csv
-import dataclasses
 import sys
 
 from rachopt.allocator import brute_force_optimal, proportional_allocation
@@ -45,8 +44,7 @@ def main() -> int:
         estimated = proportional_allocation(scenario)
         exact = brute_force_optimal(scenario)
         simulated = run(scenario, estimated, config)
-        shared = dataclasses.replace(scenario, strategy=Strategy.FULL_SHARING)
-        simulated_shared = run(shared, None, config)
+        simulated_shared = run(scenario, None, config)
         rows.append(
             {
                 "gamma_1": g1,

@@ -32,7 +32,6 @@ from .allocator import (
 from .model import (
     AllocationPlan,
     DeviceClass,
-    LayoutMismatch,
     QosKind,
     QosTarget,
     Scenario,
@@ -71,7 +70,6 @@ __all__ = [
     "ClassMetrics",
     "ClassStats",
     "DeviceClass",
-    "LayoutMismatch",
     "OverloadError",
     "QosKind",
     "QosTarget",

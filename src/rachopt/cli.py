@@ -103,8 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep RAO dedication between two classes")
     _add_common(p)
     _add_sim_options(p)
-    p.add_argument("--class-index", type=int, default=0,
-                   help="position (0 or 1) of the swept class in validated order")
+    p.add_argument("--class-index", type=int, choices=(0, 1), default=0,
+                   help="position of the swept class in validated order")
     p.add_argument("--range", dest="sweep_range", metavar="LO:HI",
                    help="inclusive swept-RAO bounds, e.g. 600:10200")
     p.add_argument("--step", type=int, default=600)
@@ -345,9 +345,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     else:
         outcome = allocator.reserve_and_divide(scenario)
         plan, reserved, residual = outcome.plan, outcome.reserved, outcome.residual
-    # the plan is valid by construction and predicted as dedicated pools,
-    # whatever strategy the scenario file names
-    metrics = analytics.layout_metrics(scenario, SharingTopology.from_plan(scenario, plan))
+    metrics = analytics.layout_metrics(scenario, pool_layout(scenario, plan))
     results = {
         "method": method,
         "plan": {str(cls.id): plan.get(cls.id) for cls in scenario.classes},
@@ -423,6 +421,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.step < 1:
             raise ScenarioError(["--step must be >= 1"])
         values = list(range(lo, hi + 1, args.step))
+    if not values:
+        source = f"--values {args.values!r}" if args.values else f"--range {args.sweep_range!r}"
+        raise ScenarioError([f"{source}: the list of swept values is empty"])
     config = _sim_config(args)
     if args.csv:
         _check_csv_writable(args.csv)
@@ -459,37 +460,38 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMPARE_CHOICES = ("full_sharing", "full_dedication", "reserve_and_divide")
+# each compared strategy is an allocation of the unmodified scenario
+_COMPARE_ALLOCATIONS = {
+    "full_sharing": lambda scenario: None,
+    "full_dedication": allocator.proportional_allocation,
+    "reserve_and_divide": lambda scenario: allocator.reserve_and_divide(scenario).plan,
+}
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     names = [name.strip() for name in args.strategies.split(",") if name.strip()]
-    unknown = [name for name in names if name not in _COMPARE_CHOICES]
+    unknown = [name for name in names if name not in _COMPARE_ALLOCATIONS]
     if unknown or not names:
         raise ScenarioError(
-            [f"--strategies: choose from {', '.join(_COMPARE_CHOICES)} (got {args.strategies!r})"]
+            [
+                f"--strategies: choose from {', '.join(_COMPARE_ALLOCATIONS)} "
+                f"(got {args.strategies!r})"
+            ]
         )
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ScenarioError([f"--strategies: {', '.join(repeated)} given more than once"])
     config = _sim_config(args)
     columns: dict[str, dict] = {}
     for name in names:
-        if name == "full_sharing":
-            variant = dataclasses.replace(scenario, strategy=Strategy.FULL_SHARING)
-            allocation: AllocationPlan | None = None
-            plan_note = None
-        elif name == "full_dedication":
-            variant = dataclasses.replace(scenario, strategy=Strategy.FULL_DEDICATION)
-            allocation = allocator.proportional_allocation(variant)
-            plan_note = {str(c.id): allocation.get(c.id) for c in variant.classes}
-        else:
-            variant = dataclasses.replace(scenario, strategy=Strategy.FULL_DEDICATION)
-            outcome = allocator.reserve_and_divide(variant)
-            allocation = outcome.plan
-            plan_note = {str(c.id): allocation.get(c.id) for c in variant.classes}
-        stats = simulator.run(variant, allocation, config)
-        metrics = analytics.layout_metrics(variant, pool_layout(variant, allocation))
+        allocation = _COMPARE_ALLOCATIONS[name](scenario)
+        stats = simulator.run(scenario, allocation, config)
+        metrics = analytics.layout_metrics(scenario, pool_layout(scenario, allocation))
         columns[name] = {
-            "plan": plan_note,
+            "plan": None
+            if allocation is None
+            else {str(c.id): allocation.get(c.id) for c in scenario.classes},
             "per_class": {
                 str(cid): {
                     "collision_rate_analytic": metrics[cid].collision_rate,

@@ -91,6 +91,8 @@ class DeviceClass:
 class Scenario:
     """Device classes plus the RAO budget and allocation strategy.
 
+    The strategy names the scenario file's default allocation; the layout a
+    run or report uses comes from the allocation handed to ``pool_layout``.
     After validation, special classes precede normal ones; ``source_order``
     records the class ids in the order they were originally supplied so
     reports can restore the input ordering.
@@ -100,12 +102,6 @@ class Scenario:
     total_raos: int
     strategy: Strategy
     source_order: tuple[int, ...] | None = None
-
-    def class_by_id(self, class_id: int) -> DeviceClass:
-        for cls in self.classes:
-            if cls.id == class_id:
-                return cls
-        raise KeyError(f"no device class with id {class_id}")
 
     @property
     def class_ids(self) -> tuple[int, ...]:
@@ -247,30 +243,21 @@ class SharingTopology:
         return cls(ranges)
 
 
-class LayoutMismatch(ScenarioError):
-    """The allocation handed over does not fit the scenario's strategy."""
-
-
 def pool_layout(
     scenario: Scenario, allocation: AllocationPlan | SharingTopology | None
 ) -> SharingTopology:
-    """Validate the allocation and resolve it to the scenario's pool layout.
+    """Validate the allocation and resolve it to per-class RAO ranges.
 
-    Full sharing takes no allocation, full dedication an AllocationPlan, and
-    partial dedication a SharingTopology, which is used as given.
+    The allocation's type alone decides the layout, whatever strategy the
+    scenario names: None shares the whole pool, an AllocationPlan becomes one
+    contiguous block per class in validated class order, and a
+    SharingTopology is used as given.
     """
-    if scenario.strategy == Strategy.FULL_SHARING:
-        if allocation is not None:
-            raise LayoutMismatch(["full sharing takes no plan or topology"])
+    if allocation is None:
         return SharingTopology.fully_shared(scenario)
-    if scenario.strategy == Strategy.FULL_DEDICATION:
-        if not isinstance(allocation, AllocationPlan):
-            raise LayoutMismatch(["full dedication requires an AllocationPlan"])
-        allocation.validate_for(scenario)
-        return SharingTopology.from_plan(scenario, allocation)
-    if not isinstance(allocation, SharingTopology):
-        raise LayoutMismatch(["partial dedication requires a SharingTopology"])
     allocation.validate_for(scenario)
+    if isinstance(allocation, AllocationPlan):
+        return SharingTopology.from_plan(scenario, allocation)
     return allocation
 
 

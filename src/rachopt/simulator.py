@@ -38,15 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import analytics
-from .model import (
-    AllocationPlan,
-    DeviceClass,
-    LayoutMismatch,
-    Scenario,
-    SharingTopology,
-    Strategy,
-    pool_layout,
-)
+from .model import AllocationPlan, DeviceClass, Scenario, SharingTopology, pool_layout
 
 
 # Largest per-iteration working set that run() accepts, in array items,
@@ -195,10 +187,7 @@ def _build_pools(
     allocation: AllocationPlan | SharingTopology | None,
     config: SimConfig,
 ) -> list[_Pool]:
-    try:
-        layout = pool_layout(scenario, allocation)
-    except LayoutMismatch as exc:
-        raise SimulationError(str(exc)) from None
+    layout = pool_layout(scenario, allocation)
     if config.arrival_mode == ArrivalMode.PER_DEVICE_BERNOULLI:
         for cls in scenario.classes:
             if cls.coordinators is None:
@@ -256,16 +245,17 @@ def run(
 ) -> SimStats:
     """Simulate the scenario and measure collision statistics.
 
-    Pass an AllocationPlan under full dedication, a SharingTopology under
-    partial dedication, and nothing under full sharing. With
-    ``config.measure_delay`` set (full dedication only) per-class mean
-    inclusive access delays are tracked as well. Raises SimulationError
-    before any draw when one iteration would exceed
-    ``MAX_ITEMS_PER_ITERATION``.
+    The allocation alone decides the pool layout, as in ``pool_layout``:
+    None shares the whole pool, an AllocationPlan dedicates one block per
+    class and a SharingTopology is used as given; the scenario's strategy
+    is not read. With ``config.measure_delay`` set, which needs an
+    AllocationPlan, per-class mean inclusive access delays are tracked as
+    well. Raises SimulationError before any draw when one iteration would
+    exceed ``MAX_ITEMS_PER_ITERATION``.
     """
     config.validate()
-    if config.measure_delay and scenario.strategy != Strategy.FULL_DEDICATION:
-        raise SimulationError("delay measurement requires the full dedication strategy")
+    if config.measure_delay and not isinstance(allocation, AllocationPlan):
+        raise SimulationError("delay measurement requires full dedication (an AllocationPlan)")
     pools = _build_pools(scenario, allocation, config)
     _check_budget(pools, config)
 
@@ -427,16 +417,17 @@ def sweep_dedication(
     """Simulate a two-class scenario across dedication splits.
 
     ``l_values`` are RAO counts for the swept class (the other class gets
-    the remainder); each point carries its simulated stats next to the
-    closed-form densities, and the split with the lowest simulated total
-    density is reported as the empirical optimum.
+    the remainder), whatever strategy the scenario names; each point
+    carries its simulated stats next to the closed-form densities, and the
+    split with the lowest simulated total density is reported as the
+    empirical optimum.
     """
     if len(scenario.classes) != 2:
         raise SimulationError("dedication sweep supports exactly 2 device classes")
-    if scenario.strategy != Strategy.FULL_DEDICATION:
-        raise SimulationError("dedication sweep requires the full dedication strategy")
     if class_index not in (0, 1):
         raise SimulationError("class_index must be 0 or 1")
+    if len(l_values) == 0:
+        raise SimulationError("dedication sweep needs at least one swept value")
     swept = scenario.classes[class_index]
     other = scenario.classes[1 - class_index]
     total = scenario.total_raos

@@ -385,6 +385,30 @@ class TestSweep:
             == EXIT_SIMULATION
         )
 
+    @pytest.mark.parametrize(
+        "option", [["--values", ","], ["--range", "10:5"]], ids=["values", "range"]
+    )
+    def test_empty_value_list_rejected(self, capsys, option):
+        assert main(["sweep", DC12, *option, "--iterations", "5", "--seed", "1"]) == EXIT_VALIDATION
+        assert "list of swept values is empty" in capsys.readouterr().err
+
+    def test_class_index_out_of_range_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "/nonexistent/file.yaml", "--values", "100", "--class-index", "5"])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "--class-index" in capsys.readouterr().err
+
+    def test_sharing_file_sweeps_like_dedication_file(self, capsys, tmp_path):
+        data = yaml.safe_load(Path(DC12).read_text())
+        data["strategy"] = "full_sharing"
+        path = tmp_path / "sharing.yaml"
+        path.write_text(yaml.safe_dump(data))
+        argv = ["--values", "600,3600", "--iterations", "10", "--seed", "8"]
+        code, shared = run_json(capsys, ["sweep", str(path), *argv])
+        assert code == EXIT_OK
+        _, dedicated = run_json(capsys, ["sweep", DC12, *argv])
+        assert shared["results"] == dedicated["results"]
+
 
 class TestCompare:
     def test_three_strategy_table(self, capsys):
@@ -444,6 +468,11 @@ class TestCompare:
 
     def test_unknown_strategy_rejected(self, capsys):
         assert main(["compare", DC12, "--strategies", "round_robin"]) == EXIT_VALIDATION
+
+    def test_repeated_strategy_rejected(self, capsys):
+        code = main(["compare", DC12, "--strategies", "full_sharing,full_dedication,full_sharing"])
+        assert code == EXIT_VALIDATION
+        assert "full_sharing given more than once" in capsys.readouterr().err
 
 
 class TestDiagnostics:

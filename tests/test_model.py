@@ -17,6 +17,7 @@ from rachopt.model import (
     Strategy,
     derive_ra_density,
     load_scenario,
+    pool_layout,
     save_scenario,
     scenario_fingerprint,
     scenario_from_dict,
@@ -267,6 +268,25 @@ class TestSharingTopology:
         assert topo.size(1) == 3600
         assert topo.size(2) == 7200
         topo.validate_for(scenario)
+
+
+class TestPoolLayout:
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_allocation_type_decides_the_layout(self, strategy):
+        scenario = make_scenario((1, 2), strategy=strategy)
+        assert pool_layout(scenario, None).ranges == {1: ((0, 10799),), 2: ((0, 10799),)}
+        plan = AllocationPlan({1: 3600, 2: 7200})
+        assert pool_layout(scenario, plan).ranges == {1: ((0, 3599),), 2: ((3600, 10799),)}
+        topo = SharingTopology.from_ranges({1: [(0, 5399)], 2: [(2700, 10799)]})
+        assert pool_layout(scenario, topo) is topo
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_allocation_is_validated(self, strategy):
+        scenario = make_scenario((1, 2), strategy=strategy)
+        with pytest.raises(ScenarioError, match="only 10800 are available"):
+            pool_layout(scenario, AllocationPlan({1: 3600, 2: 7201}))
+        with pytest.raises(ScenarioError, match="outside"):
+            pool_layout(scenario, SharingTopology.from_ranges({1: [(0, 10800)], 2: [(0, 9)]}))
 
 
 # --- serialization -----------------------------------------------------------

@@ -334,19 +334,29 @@ class TestDelayMeasurement:
 
 
 class TestInputChecking:
-    def test_dedication_needs_plan(self):
+    def test_allocation_alone_decides_the_layout(self):
+        config = SimConfig(iterations=20, seed=5, horizon=2)
+        plan = AllocationPlan({1: 3600, 2: 7200})
+        sharing = make_scenario((1, 2), strategy=Strategy.FULL_SHARING)
+        dedication = make_scenario((1, 2), strategy=Strategy.FULL_DEDICATION)
+        shared = run(sharing, None, config)
+        dedicated = run(sharing, plan, config)
+        assert run(dedication, None, config) == shared
+        assert run(dedication, plan, config) == dedicated
+        assert shared != dedicated
+
+    @pytest.mark.parametrize(
+        "allocation",
+        [None, SharingTopology.from_ranges({1: [(0, 3599)], 2: [(3600, 10799)]})],
+        ids=["none", "topology"],
+    )
+    def test_delay_needs_plan(self, allocation):
         with pytest.raises(SimulationError, match="AllocationPlan"):
-            run(make_scenario((1, 2)), None, SimConfig(iterations=1, seed=0))
-
-    def test_sharing_rejects_plan(self):
-        scenario = make_scenario((1, 2), strategy=Strategy.FULL_SHARING)
-        with pytest.raises(SimulationError, match="neither|takes no"):
-            run(scenario, AllocationPlan({1: 1, 2: 1}), SimConfig(iterations=1, seed=0))
-
-    def test_partial_needs_topology(self):
-        scenario = make_scenario((1, 2), strategy=Strategy.PARTIAL_DEDICATION)
-        with pytest.raises(SimulationError, match="SharingTopology"):
-            run(scenario, None, SimConfig(iterations=1, seed=0))
+            run(
+                make_scenario((1, 2)),
+                allocation,
+                SimConfig(iterations=1, seed=0, measure_delay=True),
+            )
 
     def test_bernoulli_needs_population(self):
         scenario = single_class_scenario(gamma=50.0)
@@ -414,10 +424,17 @@ class TestSweep:
         with pytest.raises(SimulationError, match="class_index"):
             sweep_dedication(make_scenario((1, 2)), 2, [100], SimConfig(iterations=1, seed=0))
 
-    def test_rejects_sharing_strategy(self):
-        scenario = make_scenario((1, 2), strategy=Strategy.FULL_SHARING)
-        with pytest.raises(SimulationError, match="full dedication"):
-            sweep_dedication(scenario, 0, [100], SimConfig(iterations=1, seed=0))
+    def test_ignores_scenario_strategy(self):
+        config = SimConfig(iterations=10, seed=4)
+        sharing = make_scenario((1, 2), strategy=Strategy.FULL_SHARING)
+        dedication = make_scenario((1, 2), strategy=Strategy.FULL_DEDICATION)
+        assert sweep_dedication(sharing, 0, [600, 3600], config) == sweep_dedication(
+            dedication, 0, [600, 3600], config
+        )
+
+    def test_rejects_empty_values(self):
+        with pytest.raises(SimulationError, match="at least one swept value"):
+            sweep_dedication(make_scenario((1, 2)), 0, [], SimConfig(iterations=1, seed=0))
 
 
 class TestHorizonSemantics:
