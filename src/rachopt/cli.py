@@ -8,7 +8,8 @@ draws one and records it in the report, so any emitted number can be
 regenerated from (scenario fingerprint, seed, parameters).
 
 Exit codes: 0 success, 2 scenario/validation errors, 3 RACH resource
-overload, 4 simulation errors.
+overload, 4 simulation errors. A reader that closes stdout early, such as
+``head``, ends the output quietly with exit code 0.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import secrets
 import sys
 from typing import Any, Iterable, Sequence
@@ -63,7 +65,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the
+        # interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OK
+    raise SystemExit(code)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,17 +171,16 @@ def _parse_plan(spec: str, scenario: Scenario) -> AllocationPlan:
     if any(keyed) and not all(keyed):
         raise ScenarioError(["--plan: mix of 'id=count' and bare counts"])
     try:
-        if all(keyed):
-            raos = {}
-            for entry in entries:
-                cid, _, count = entry.partition("=")
-                raos[int(cid)] = int(count)
-            plan = AllocationPlan(raos)
-        else:
-            plan = AllocationPlan.from_counts(scenario, [int(e) for e in entries])
+        if not all(keyed):
+            return AllocationPlan.from_counts(scenario, [int(e) for e in entries])
+        pairs = [entry.partition("=") for entry in entries]
+        ids, counts = [int(cid) for cid, _, _ in pairs], [int(count) for _, _, count in pairs]
     except ValueError:
         raise ScenarioError([f"--plan: could not parse {spec!r}"]) from None
-    return plan
+    repeated = ", ".join(map(str, sorted({cid for cid in ids if ids.count(cid) > 1})))
+    if repeated:
+        raise ScenarioError([f"--plan: class {repeated} given more than once"])
+    return AllocationPlan(dict(zip(ids, counts)))
 
 
 def _parse_topology(spec: str) -> SharingTopology:

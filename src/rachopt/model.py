@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Mapping, Sequence
@@ -276,10 +277,36 @@ def derive_ra_density(population: int, per_device_rate: float, group_size: int =
     return -(-population // group_size) * per_device_rate
 
 
+def _non_numbers(cls: DeviceClass) -> dict[str, Any]:
+    """The numeric fields of a class that hold something else (bool
+    included); only the optional ones may be None."""
+    fields = {"group_size": cls.group_size, "backoff": cls.backoff}
+    optional = {
+        "ra_density": cls.ra_density,
+        "population": cls.population,
+        "per_device_rate": cls.per_device_rate,
+    }
+    if cls.qos is not None:
+        optional["qos.max_collision_rate"] = cls.qos.max_collision_rate
+        optional["qos.max_mean_delay"] = cls.qos.max_mean_delay
+    fields.update((name, value) for name, value in optional.items() if value is not None)
+    return {
+        name: value
+        for name, value in fields.items()
+        if isinstance(value, bool) or not isinstance(value, numbers.Real)
+    }
+
+
 def _resolve_class(cls: DeviceClass, issues: list[str]) -> DeviceClass:
     label = f"class {cls.id}"
     if not isinstance(cls.id, int) or cls.id < 0:
         issues.append(f"{label}: id must be a non-negative integer")
+        return cls
+    bad = _non_numbers(cls)
+    if bad:
+        issues.extend(
+            f"{label}: {name} must be a number, got {value!r}" for name, value in bad.items()
+        )
         return cls
     if cls.group_size < 1:
         issues.append(f"{label}: group_size must be >= 1")

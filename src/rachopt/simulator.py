@@ -18,14 +18,14 @@ master seed, so results are bitwise reproducible no matter how iterations
 are scheduled, and sweeps over allocation plans reuse identical arrival
 patterns (common random numbers).
 
-Delay measurement retries collided requests after the class backoff until
-success or the attempt cap. Retries probe the slot occupancy produced by
-fresh arrivals but do not add to it: the closed-form delay model assumes
-every attempt faces the same fresh-traffic collision probability, and a
-simulator that fed retries back into the load would be unstable at high
-rates rather than converge to that model. Retries read a dense per-pool
-table of (second, RAO) counts over the horizon and the background seconds
-drawn past it, ``(horizon + ceil(max_attempts * backoff) + 1) * L_i`` cells.
+Delay measurement, on any pool layout, retries collided requests after the
+class backoff until success or the attempt cap. Retries probe the slot
+occupancy produced by fresh arrivals but do not add to it: the closed-form
+delay model assumes every attempt faces the same fresh-traffic collision
+probability, and a simulator that fed retries back into the load would be
+unstable at high rates rather than converge to that model. A retry looks its
+slot key up in one sorted table of the fresh requests and of background
+requests drawn past the horizon, as far as any retry into the pool reaches.
 """
 
 from __future__ import annotations
@@ -43,11 +43,11 @@ from .model import AllocationPlan, DeviceClass, Scenario, SharingTopology, pool_
 
 # Largest per-iteration working set that run() accepts, in array items,
 # checked before any draw: the per-second counts plus the expected fresh
-# requests, and with delays the pools' (second, RAO) tables plus their
-# background requests. tracemalloc put run()'s peak at about 40 bytes per
-# fresh request (slot keys, their sort order, the sorted copy and flags)
-# and 8 bytes per delay-table slot, so a run within the limit stays below
-# about 2 GB instead of failing inside numpy or swapping.
+# requests, and with delays the expected background requests. tracemalloc
+# put run()'s peak at about 40 bytes per fresh request (slot keys, their
+# sort order, the sorted copy and flags) and 32 bytes per background
+# request (its table entry and the draws that fill it), so a run within the
+# limit stays below about 2 GB instead of failing inside numpy or swapping.
 MAX_ITEMS_PER_ITERATION = 50_000_000
 
 
@@ -155,17 +155,10 @@ class _Pool:
     cls: DeviceClass
     slots: np.ndarray  # usable RAO ids, ascending
 
-    @property
-    def size(self) -> int:
-        return self.slots.size
-
-    def local(self, u: np.ndarray) -> np.ndarray:
-        """Positions in the pool for uniform draws ``u`` in [0, 1); for pool
-        sizes below 2**53, ``u * size`` rounds below ``size``."""
-        return (u * self.size).astype(np.int64)
-
     def pick(self, u: np.ndarray) -> np.ndarray:
-        return self.slots[self.local(u)]
+        """RAOs for uniform draws ``u`` in [0, 1); for pool sizes below
+        2**53, ``u * size`` rounds below ``size``."""
+        return self.slots[(u * self.slots.size).astype(np.int64)]
 
 
 def _stream(seed: int, iteration: int, class_id: int) -> np.random.Generator:
@@ -203,12 +196,24 @@ def _build_pools(
     return [_Pool(cls=cls, slots=layout.slots(cls.id)) for cls in scenario.classes]
 
 
-def _background_seconds(cls: DeviceClass, config: SimConfig) -> int:
-    """Seconds past the horizon that a class's final allowed retry can reach."""
-    return math.ceil(config.max_attempts * cls.backoff) + 1
+def _reach(pools: list[_Pool], config: SimConfig) -> list[tuple[DeviceClass, int]]:
+    """Per pool, the class with the longest backoff among those whose usable
+    RAOs overlap the pool, itself included (and preferred on ties), and the seconds
+    past the horizon that its final allowed retry can reach: the pool's
+    background must cover them."""
+    reach = []
+    for pool in pools:
+        slowest = max(
+            (other for other in pools if np.intersect1d(pool.slots, other.slots).size),
+            key=lambda other: (other.cls.backoff, other is pool),
+        ).cls
+        reach.append((slowest, math.ceil(config.max_attempts * slowest.backoff) + 1))
+    return reach
 
 
-def _check_budget(pools: list[_Pool], config: SimConfig) -> None:
+def _check_budget(
+    pools: list[_Pool], reach: list[tuple[DeviceClass, int]], config: SimConfig
+) -> None:
     horizon = config.horizon
     fresh = horizon * (len(pools) + sum(pool.cls.ra_density for pool in pools))
     if fresh > MAX_ITEMS_PER_ITERATION:
@@ -219,17 +224,17 @@ def _check_budget(pools: list[_Pool], config: SimConfig) -> None:
         )
     if not config.measure_delay:
         return
-    for pool in pools:
-        ext = _background_seconds(pool.cls, config)
-        table = (horizon + ext) * pool.size + ext * pool.cls.ra_density
-        if table > MAX_ITEMS_PER_ITERATION:
-            raise SimulationError(
-                f"class {pool.cls.id}: delay measurement over the horizon of {horizon} s "
-                f"plus {ext} s reachable with backoff {pool.cls.backoff} s and "
-                f"{config.max_attempts} attempts needs about {table:.3g} slots and "
-                f"background requests per iteration, over the simulator's limit of "
-                f"{MAX_ITEMS_PER_ITERATION}; lower the horizon, the backoff or max_attempts"
-            )
+    background = [seconds * pool.cls.ra_density for pool, (_, seconds) in zip(pools, reach)]
+    total = fresh + sum(background)
+    if total > MAX_ITEMS_PER_ITERATION:
+        slowest, seconds = reach[background.index(max(background))]
+        raise SimulationError(
+            f"class {slowest.id}: delay measurement over the horizon of {horizon} s "
+            f"plus {seconds} s reachable with backoff {slowest.backoff} s and "
+            f"{config.max_attempts} attempts needs about {total:.3g} fresh and "
+            f"background requests per iteration, over the simulator's limit of "
+            f"{MAX_ITEMS_PER_ITERATION}; lower the horizon, the backoff or max_attempts"
+        )
 
 
 def _draw_counts(rng: np.random.Generator, pool: _Pool, seconds: int, mode: ArrivalMode) -> np.ndarray:
@@ -248,16 +253,15 @@ def run(
     The allocation alone decides the pool layout, as in ``pool_layout``:
     None shares the whole pool, an AllocationPlan dedicates one block per
     class and a SharingTopology is used as given; the scenario's strategy
-    is not read. With ``config.measure_delay`` set, which needs an
-    AllocationPlan, per-class mean inclusive access delays are tracked as
-    well. Raises SimulationError before any draw when one iteration would
-    exceed ``MAX_ITEMS_PER_ITERATION``.
+    is not read. With ``config.measure_delay`` set, per-class mean inclusive
+    access delays are tracked as well, on every layout. Raises
+    SimulationError before any draw when one iteration would exceed
+    ``MAX_ITEMS_PER_ITERATION``.
     """
     config.validate()
-    if config.measure_delay and not isinstance(allocation, AllocationPlan):
-        raise SimulationError("delay measurement requires full dedication (an AllocationPlan)")
     pools = _build_pools(scenario, allocation, config)
-    _check_budget(pools, config)
+    reach = _reach(pools, config) if config.measure_delay else []
+    _check_budget(pools, reach, config)
 
     n_classes = len(pools)
     iters, horizon = config.iterations, config.horizon
@@ -278,16 +282,13 @@ def run(
             u = rng.random(int(counts.sum()))
             keys_by_class.append(np.repeat(seconds_index, counts) * total_slots + pool.pick(u))
         flags_by_class, events[it] = _collisions(keys_by_class)
-        for pos, (pool, rng, keys, flags) in enumerate(
-            zip(pools, rngs, keys_by_class, flags_by_class)
-        ):
+        for pos, (keys, flags) in enumerate(zip(keys_by_class, flags_by_class)):
             attempts[pos, it] = keys.size
             collided[pos, it] = np.count_nonzero(flags)
-            if config.measure_delay:
-                d_sum, d_n, d_cens = _measure_delays(pool, rng, keys, flags, total_slots, config)
-                delay_sums[pos, it] = d_sum
-                delay_counts[pos, it] = d_n
-                censored[pos, it] = d_cens
+        if config.measure_delay:
+            delay_sums[:, it], delay_counts[:, it], censored[:, it] = zip(*_measure_delays(
+                pools, rngs, reach, keys_by_class, flags_by_class, total_slots, config
+            ))
 
     per_class: dict[int, ClassStats] = {}
     for pos, pool in enumerate(pools):
@@ -355,57 +356,55 @@ def _collisions(keys_by_class: list[np.ndarray]) -> tuple[list[np.ndarray], int]
 
 
 def _measure_delays(
-    pool: _Pool,
-    rng: np.random.Generator,
-    slots_global: np.ndarray,
-    collided: np.ndarray,
+    pools: list[_Pool],
+    rngs: list[np.random.Generator],
+    reach: list[tuple[DeviceClass, int]],
+    keys_by_class: list[np.ndarray],
+    flags_by_class: list[np.ndarray],
     total_slots: int,
     config: SimConfig,
-) -> tuple[float, int, int]:
-    """Track retries for one class in one iteration.
+) -> list[tuple[float, int, int]]:
+    """Track retries for every class in one iteration.
 
-    Returns (sum of inclusive delays, successes, censored requests). The
-    inclusive delay of a request succeeding on attempt k is k backoff
-    periods. Retries extend past the horizon against lazily drawn background
-    seconds; a retry probing the second of its own first attempt discounts
-    its own occupancy contribution.
+    Returns per class (sum of inclusive delays, successes, censored
+    requests); a success on attempt k took k backoff periods. Each stream
+    draws its class's background after its fresh requests and before its
+    retries. A retry succeeds when no other request holds its slot key.
     """
-    backoff = pool.cls.backoff
     horizon = config.horizon
-    n_ext = _background_seconds(pool.cls, config)
-    ext_counts = _draw_counts(rng, pool, n_ext, config.arrival_mode)
-    ext_u = rng.random(int(ext_counts.sum()))
-    ext_secs = np.repeat(np.arange(horizon, horizon + n_ext), ext_counts)
+    background = []
+    for pool, rng, (_, seconds) in zip(pools, rngs, reach):
+        counts = _draw_counts(rng, pool, seconds, config.arrival_mode)
+        ext = np.repeat(np.arange(horizon, horizon + seconds), counts)
+        ext *= total_slots
+        ext += pool.pick(rng.random(ext.size))
+        background.append(ext)
+    table = np.concatenate(keys_by_class + background)
+    table.sort()
 
-    first_second = slots_global // total_slots
-    first_local = np.searchsorted(pool.slots, slots_global % total_slots)
-    # full dedication: the pool holds only this class's fresh requests, so
-    # they and the background fill its (second, pool position) table
-    pool_occ = np.bincount(
-        np.concatenate(
-            [first_second * pool.size + first_local, ext_secs * pool.size + pool.local(ext_u)]
-        ),
-        minlength=(horizon + n_ext) * pool.size,
-    ).reshape(horizon + n_ext, pool.size)
-
-    successes = int((~collided).sum())
-    delay_sum = successes * backoff  # attempt 1 counts one backoff period
-    s0 = first_second[collided]
-    j0 = first_local[collided]
-    t0 = s0 + (j0 + 0.5) / pool.size
-    for attempt in range(2, config.max_attempts + 1):
-        if s0.size == 0:
-            break
-        sec = np.floor(t0 + (attempt - 1) * backoff).astype(np.int64)
-        u = rng.random(s0.size)
-        j = pool.local(u)
-        others = pool_occ[sec, j] - ((sec == s0) & (j == j0))
-        ok = others < 1
-        n_ok = int(ok.sum())
-        successes += n_ok
-        delay_sum += n_ok * attempt * backoff
-        s0, j0, t0 = s0[~ok], j0[~ok], t0[~ok]
-    return float(delay_sum), successes, int(s0.size)
+    results = []
+    for pool, rng, keys, flags in zip(pools, rngs, keys_by_class, flags_by_class):
+        backoff = pool.cls.backoff
+        n_done = int((~flags).sum())
+        delay_sum = n_done * backoff  # attempt 1 counts one backoff period
+        k0 = keys[flags]
+        # the time within a second follows the first RAO's position in the pool
+        first_local = np.searchsorted(pool.slots, k0 % total_slots)
+        t0 = k0 // total_slots + (first_local + 0.5) / pool.slots.size
+        for attempt in range(2, config.max_attempts + 1):
+            if k0.size == 0:
+                break
+            sec = np.floor(t0 + (attempt - 1) * backoff).astype(np.int64)
+            key = sec * total_slots + pool.pick(rng.random(k0.size))
+            # a retry into the slot of its own first attempt does not count itself
+            hits = np.searchsorted(table, key, "right") - np.searchsorted(table, key, "left")
+            ok = hits - (key == k0) < 1
+            n_ok = int(ok.sum())
+            n_done += n_ok
+            delay_sum += n_ok * attempt * backoff
+            k0, t0 = k0[~ok], t0[~ok]
+        results.append((float(delay_sum), n_done, int(k0.size)))
+    return results
 
 
 def sweep_dedication(

@@ -1,12 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 import yaml
 
+import rachopt
 from rachopt import simulator
 from rachopt.cli import (
     EXIT_OK,
@@ -266,6 +270,18 @@ class TestSimulate:
         assert delay == report["results"]["simulated"]["per_class"]["1"]["mean_delay"]
         assert delay > 1.0
 
+    @pytest.mark.parametrize(
+        "strategy, topology",
+        [("full_sharing", None), ("partial_dedication", "1:0-5399;2:2700-10799")],
+    )
+    def test_measure_delay_on_shared_and_partial_files(self, capsys, tmp_path, strategy, topology):
+        path = write_cell(tmp_path, strategy, 10800, [50.0, 100.0])
+        argv = ["simulate", path, "--iterations", "5", "--seed", "3", "--measure-delay"]
+        code, report = run_json(capsys, argv + (["--topology", topology] if topology else []))
+        assert code == EXIT_OK
+        for stats in report["results"]["simulated"]["per_class"].values():
+            assert math.isfinite(stats["mean_delay"])
+
     def test_negative_seed_exits_with_simulation_error(self, capsys):
         assert main(["simulate", DC12, "--seed", "-1", "--iterations", "1"]) == EXIT_SIMULATION
         assert "seed must be >= 0" in capsys.readouterr().err
@@ -497,6 +513,60 @@ class TestDiagnostics:
 
     def test_invalid_plan_spec(self, capsys):
         assert main(["analyze", DC12, "--plan", "abc"]) == EXIT_VALIDATION
+
+    def test_repeated_plan_id_named(self, capsys):
+        assert main(["analyze", DC12, "--plan", "1=100,1=200,2=300"]) == EXIT_VALIDATION
+        assert "--plan: class 1 given more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["50", [1, 2], True], ids=["str", "list", "bool"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "ra_density",
+            "backoff",
+            "population",
+            "per_device_rate",
+            "group_size",
+            "qos.max_collision_rate",
+            "qos.max_mean_delay",
+        ],
+    )
+    def test_non_numeric_field_named(self, capsys, tmp_path, field, value):
+        record = {"id": 7, "population": 3000, "per_device_rate": 1 / 60, "backoff": 1.0}
+        if field.startswith("qos."):
+            name = field.removeprefix("qos.")
+            record["qos"] = {"kind": name, name: value}
+        else:
+            record[field] = value
+        path = tmp_path / "typo.yaml"
+        path.write_text(
+            yaml.safe_dump(
+                {"total_raos": 100, "strategy": "full_dedication", "classes": [record]}
+            )
+        )
+        assert main(["analyze", str(path)]) == EXIT_VALIDATION
+        assert f"class 7: {field} must be a number" in capsys.readouterr().err
+
+    def test_closed_stdout_ends_quietly(self):
+        # the reader has gone before the report is written, as with `| true`
+        src = str(Path(rachopt.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from rachopt.cli import entry; entry()",
+                 "optimize", QOS123, "--json"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == b""
 
     def test_shipped_scenarios_all_load(self, capsys):
         for name in ("dc1_dc2", "dc1_dc3", "dc1_dc4", "dc123_qos"):

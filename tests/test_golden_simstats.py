@@ -100,6 +100,21 @@ def _measure_delay_long_horizon():
     return run(scenario, plan, config)
 
 
+def _measure_delay_partial():
+    # class 2's longer backoff sets how far class 1's background reaches,
+    # because the two share RAOs 100-199
+    classes = (
+        DeviceClass(id=1, ra_density=50.0),
+        DeviceClass(id=2, ra_density=100.0, backoff=2.5),
+    )
+    scenario = validate_scenario(
+        Scenario(classes=classes, total_raos=300, strategy=Strategy.PARTIAL_DEDICATION)
+    )
+    topology = SharingTopology.from_ranges({1: [(0, 199)], 2: [(100, 299)]})
+    config = SimConfig(iterations=10, seed=20, measure_delay=True, max_attempts=6)
+    return run(scenario, topology, config)
+
+
 CASES = {
     "full_sharing": _full_sharing,
     "full_dedication": _full_dedication,
@@ -110,6 +125,7 @@ CASES = {
     "full_dedication_long_horizon": _full_dedication_long_horizon,
     "partial_sparse_seconds": _partial_sparse_seconds,
     "measure_delay_long_horizon": _measure_delay_long_horizon,
+    "measure_delay_partial": _measure_delay_partial,
 }
 
 # recorded with the seeds above; compared exactly
@@ -346,7 +362,32 @@ GOLDEN = {'bernoulli': {'event_density': 0.9,
                                                   'rate_stderr': 0.01372538706750273}},
                                 'seed': 19,
                                 'total_density': 53.550000000000004,
-                                'total_density_stderr': 3.3569579483018064}}
+                                'total_density_stderr': 3.3569579483018064},
+ 'measure_delay_partial': {'event_density': 30.6,
+                           'event_density_stderr': 1.4079141387961918,
+                           'horizon': 1,
+                           'iterations': 10,
+                           'per_class': {1: {'attempts': 519,
+                                             'censored': 2,
+                                             'collided': 220,
+                                             'collision_density': 22.0,
+                                             'collision_rate': 0.4238921001926782,
+                                             'delay_stderr': 0.04333033314015592,
+                                             'density_stderr': 1.8915014612148142,
+                                             'mean_delay': 1.6363636363636365,
+                                             'rate_stderr': 0.02187865405775016},
+                                         2: {'attempts': 954,
+                                             'censored': 12,
+                                             'collided': 452,
+                                             'collision_density': 45.2,
+                                             'collision_rate': 0.47379454926624737,
+                                             'delay_stderr': 0.05234321333898777,
+                                             'density_stderr': 2.546457233971237,
+                                             'mean_delay': 4.501061571125265,
+                                             'rate_stderr': 0.01726390203364474}},
+                           'seed': 20,
+                           'total_density': 67.2,
+                           'total_density_stderr': 3.0140412147886178}}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -116,6 +116,20 @@ class TestMemory:
         assert stats.per_class[1].attempts > 3000
         assert peak < 2 * 2**20
 
+    def test_delay_peak_grows_with_requests_not_slots(self):
+        # 1 Hz on 10 800 RAOs with backoff 400: retries reach 10 001 s past
+        # the horizon, about 10 000 background requests in 108 M slots
+        scenario = single_class_scenario(gamma=1.0, total=10800, backoff=400.0)
+        config = SimConfig(iterations=2, seed=5, measure_delay=True)
+        tracemalloc.start()
+        try:
+            stats = run(scenario, AllocationPlan({1: 10800}), config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.per_class[1].mean_delay is not None
+        assert peak < 4 * 2**20
+
 
 class TestDeterminism:
     def test_same_seed_reproduces_bitwise(self):
@@ -327,10 +341,32 @@ class TestDelayMeasurement:
             0.25 / (1.0 - p), rel=0.05
         )
 
-    def test_delay_requires_full_dedication(self):
-        scenario = make_scenario((1, 2), strategy=Strategy.FULL_SHARING)
-        with pytest.raises(SimulationError, match="full dedication"):
-            run(scenario, None, SimConfig(iterations=1, seed=0, measure_delay=True))
+    def test_shared_classes_reach_the_slowest_backoff(self):
+        # class 2's retries run up to 501 s past the horizon; class 1 shares
+        # its RAOs, so class 1's background must cover that far too, though
+        # its own retries stop after 4 s (z = -30 for class 2 otherwise)
+        classes = (
+            DeviceClass(id=1, ra_density=450.0, backoff=0.1),
+            DeviceClass(id=2, ra_density=50.0, backoff=20.0),
+        )
+        scenario = validate_scenario(
+            Scenario(classes=classes, total_raos=1000, strategy=Strategy.FULL_SHARING)
+        )
+        stats = run(scenario, None, SimConfig(iterations=100, seed=0, measure_delay=True))
+        metrics = layout_metrics(scenario, pool_layout(scenario, None))
+        for cid, s in stats.per_class.items():
+            assert abs(s.mean_delay - metrics[cid].mean_delay) < 4 * s.delay_stderr
+
+    def test_partial_topology_delays_match_layout_metrics(self):
+        # the three-region layout of benchmarks/cells/partial3.yaml
+        scenario = make_scenario((1, 2, 3), strategy=Strategy.PARTIAL_DEDICATION)
+        topology = SharingTopology.from_ranges(
+            {1: [(0, 3599)], 2: [(1800, 7199)], 3: [(3600, 10799)]}
+        )
+        stats = run(scenario, topology, SimConfig(iterations=200, seed=3, measure_delay=True))
+        metrics = layout_metrics(scenario, pool_layout(scenario, topology))
+        for cid, s in stats.per_class.items():
+            assert abs(s.mean_delay - metrics[cid].mean_delay) < 4 * s.delay_stderr
 
 
 class TestInputChecking:
@@ -350,13 +386,15 @@ class TestInputChecking:
         [None, SharingTopology.from_ranges({1: [(0, 3599)], 2: [(3600, 10799)]})],
         ids=["none", "topology"],
     )
-    def test_delay_needs_plan(self, allocation):
-        with pytest.raises(SimulationError, match="AllocationPlan"):
-            run(
-                make_scenario((1, 2)),
-                allocation,
-                SimConfig(iterations=1, seed=0, measure_delay=True),
-            )
+    def test_delay_on_every_layout(self, allocation):
+        # the topology is the plan's own layout, so it must give the same
+        # SimStats bit for bit
+        scenario = make_scenario((1, 2))
+        config = SimConfig(iterations=5, seed=0, measure_delay=True)
+        stats = run(scenario, allocation, config)
+        assert all(math.isfinite(s.mean_delay) for s in stats.per_class.values())
+        if allocation is not None:
+            assert stats == run(scenario, AllocationPlan({1: 3600, 2: 7200}), config)
 
     def test_bernoulli_needs_population(self):
         scenario = single_class_scenario(gamma=50.0)
