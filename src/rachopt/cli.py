@@ -397,6 +397,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "measure_delay": config.measure_delay,
         "plan": getattr(args, "plan", None),
         "topology": getattr(args, "topology", None),
+        "rng_layout": simulator.RNG_LAYOUT,
     }
     results = {
         "analytic": {
@@ -443,6 +444,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "iterations": config.iterations,
         "seed": config.seed,
         "horizon": config.horizon,
+        "rng_layout": simulator.RNG_LAYOUT,
     }
     rows = [
         {
@@ -518,6 +520,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "iterations": config.iterations,
         "seed": config.seed,
         "horizon": config.horizon,
+        "rng_layout": simulator.RNG_LAYOUT,
     }
     report = _report(scenario, "compare", parameters, {"strategies": columns})
     if args.json:

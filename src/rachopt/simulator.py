@@ -10,13 +10,28 @@ requests only, matching the closed-form model.
 Collisions are found by sorting the requests' slot keys (second times
 ``total_raos`` plus RAO), where requests sharing a slot become neighbours, so
 time and memory grow with the number of requests and never with
-``horizon * total_raos``. Before drawing, ``run`` refuses an iteration whose
+``horizon * total_raos``. One sort covers a chunk of consecutive iterations
+holding about ``CHUNK_KEYS`` requests (at least one iteration); an
+iteration's seconds never share a key with another's, so the chunking does
+not change any count. Before drawing, ``run`` refuses an iteration whose
 expected size exceeds ``MAX_ITEMS_PER_ITERATION``.
 
-Randomness for (iteration, class) comes from its own child stream of the
-master seed, so results are bitwise reproducible no matter how iterations
-are scheduled, and sweeps over allocation plans reuse identical arrival
-patterns (common random numbers).
+Random numbers follow one layout, named by ``RNG_LAYOUT``. Iterations are
+grouped into blocks of ``max(1, BLOCK_SECONDS // horizon)``. Fresh arrivals
+of one class in one block come from one child stream of the master seed,
+which first draws the request counts of every second of the block, then the
+slot picks in iteration order. Delay measurement draws background traffic
+and retries from a separate child stream per (iteration, class). The layout
+keeps these properties:
+
+- results are bitwise reproducible from the seed, whatever the chunking;
+- a class's fresh draws do not depend on any other class (isolation);
+- the block size depends on the horizon alone, so sweeps over allocation
+  plans reuse identical arrival patterns (common random numbers);
+- the first N iterations of a longer run equal a run of N iterations, since
+  a block's counts are drawn in full even when the run ends inside it;
+- fresh draws, and so every fresh collision statistic, do not depend on
+  whether delays are measured.
 
 Delay measurement, on any pool layout, retries collided requests after the
 class backoff until success or the attempt cap. Retries probe the slot
@@ -25,7 +40,8 @@ delay model assumes every attempt faces the same fresh-traffic collision
 probability, and a simulator that fed retries back into the load would be
 unstable at high rates rather than converge to that model. A retry looks its
 slot key up in one sorted table of the fresh requests and of background
-requests drawn past the horizon, as far as any retry into the pool reaches.
+requests drawn past the horizon, as far as any retry into the pool reaches;
+background keys enter the table only for the seconds some retry can probe.
 """
 
 from __future__ import annotations
@@ -33,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +65,18 @@ from .model import AllocationPlan, DeviceClass, Scenario, SharingTopology, pool_
 # request (its table entry and the draws that fill it), so a run within the
 # limit stays below about 2 GB instead of failing inside numpy or swapping.
 MAX_ITEMS_PER_ITERATION = 50_000_000
+
+# Seconds of fresh arrivals that one block stream serves: a block is
+# max(1, BLOCK_SECONDS // horizon) iterations. One stream costs about 25 us to
+# set up, so at horizon 1 a stream per iteration cost more than the draws.
+BLOCK_SECONDS = 4096
+
+# Requests sorted together in one collision chunk; at least one iteration.
+CHUNK_KEYS = 2**14
+
+# Names the random-number layout described in the module docstring; a seed
+# reproduces a report's numbers only under the same layout.
+RNG_LAYOUT = "pcg64-block4096-v1"
 
 
 class SimulationError(RuntimeError):
@@ -161,9 +189,17 @@ class _Pool:
         return self.slots[(u * self.slots.size).astype(np.int64)]
 
 
-def _stream(seed: int, iteration: int, class_id: int) -> np.random.Generator:
+def _block_stream(seed: int, block: int, class_id: int) -> np.random.Generator:
+    """Fresh arrivals of one class over one block of iterations."""
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(iteration, class_id))
+        np.random.SeedSequence(entropy=seed, spawn_key=(0, block, class_id))
+    )
+
+
+def _delay_stream(seed: int, iteration: int, class_id: int) -> np.random.Generator:
+    """Background traffic and retries of one class in one iteration."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(1, iteration, class_id))
     )
 
 
@@ -243,6 +279,31 @@ def _draw_counts(rng: np.random.Generator, pool: _Pool, seconds: int, mode: Arri
     return rng.binomial(pool.cls.coordinators, pool.cls.per_device_rate, size=seconds)
 
 
+@dataclass(frozen=True)
+class _Tally:
+    """Per-iteration counts of one run: a row per class, and one row of
+    events (slots holding two or more requests)."""
+
+    attempts: np.ndarray
+    collided: np.ndarray
+    events: np.ndarray
+    delay_sums: np.ndarray
+    delay_counts: np.ndarray
+    censored: np.ndarray
+
+    @classmethod
+    def zeros(cls, n_classes: int, iterations: int) -> _Tally:
+        shape = (n_classes, iterations)
+        return cls(
+            attempts=np.zeros(shape, dtype=np.int64),
+            collided=np.zeros(shape, dtype=np.int64),
+            events=np.zeros(iterations, dtype=np.int64),
+            delay_sums=np.zeros(shape),
+            delay_counts=np.zeros(shape, dtype=np.int64),
+            censored=np.zeros(shape, dtype=np.int64),
+        )
+
+
 def run(
     scenario: Scenario,
     allocation: AllocationPlan | SharingTopology | None,
@@ -263,46 +324,70 @@ def run(
     reach = _reach(pools, config) if config.measure_delay else []
     _check_budget(pools, reach, config)
 
-    n_classes = len(pools)
     iters, horizon = config.iterations, config.horizon
     total_slots = scenario.total_raos
-    attempts = np.zeros((n_classes, iters), dtype=np.int64)
-    collided = np.zeros((n_classes, iters), dtype=np.int64)
-    events = np.zeros(iters, dtype=np.int64)
-    delay_sums = np.zeros((n_classes, iters))
-    delay_counts = np.zeros((n_classes, iters), dtype=np.int64)
-    censored = np.zeros((n_classes, iters), dtype=np.int64)
+    span = horizon * total_slots  # slot keys per iteration
+    tally = _Tally.zeros(len(pools), iters)
+    per_block = max(1, BLOCK_SECONDS // horizon)
+    for first in range(0, iters, per_block):
+        n = min(per_block, iters - first)
+        rngs = [_block_stream(config.seed, first // per_block, pool.cls.id) for pool in pools]
+        # the whole block's counts, so that a shorter run draws a prefix of a longer one
+        counts = [
+            _draw_counts(rng, pool, per_block * horizon, config.arrival_mode)[: n * horizon]
+            for pool, rng in zip(pools, rngs)
+        ]
+        block = slice(first, first + n)
+        tally.attempts[:, block] = [c.reshape(n, horizon).sum(axis=1) for c in counts]
+        for lo, hi in _chunks(tally.attempts[:, block].sum(axis=0)):
+            chunk = slice(first + lo, first + hi)
+            # the previous chunk's keys are freed only once these exist; freeing
+            # them first let the heap shrink and fault its pages in again, which
+            # cost a tenth of the time at horizon 200
+            keys_by_class = [
+                _fresh_keys(pool, rng, c[lo * horizon : hi * horizon], total_slots)
+                for pool, rng, c in zip(pools, rngs, counts)
+            ]
+            flags_by_class, event_keys = _collisions(keys_by_class)
+            bounds = np.arange(hi - lo + 1) * span
+            tally.events[chunk] = np.diff(np.searchsorted(event_keys, bounds))
+            for pos, flags in enumerate(flags_by_class):
+                tally.collided[pos, chunk] = _segment_sums(flags, tally.attempts[pos, chunk])
+            if config.measure_delay:
+                ends = np.cumsum(tally.attempts[:, chunk], axis=1)
+                starts = ends - tally.attempts[:, chunk]
+                for j, it in enumerate(range(chunk.start, chunk.stop)):
+                    parts = [slice(a, b) for a, b in zip(starts[:, j], ends[:, j])]
+                    tally.delay_sums[:, it], tally.delay_counts[:, it], tally.censored[:, it] = zip(
+                        *_measure_delays(
+                            pools,
+                            reach,
+                            [keys[part] - j * span for keys, part in zip(keys_by_class, parts)],
+                            [flags[part] for flags, part in zip(flags_by_class, parts)],
+                            total_slots,
+                            config,
+                            it,
+                        )
+                    )
+    return _summarize(pools, config, tally)
 
-    seconds_index = np.arange(horizon)
-    for it in range(iters):
-        rngs = [_stream(config.seed, it, pool.cls.id) for pool in pools]
-        keys_by_class = []
-        for pool, rng in zip(pools, rngs):
-            counts = _draw_counts(rng, pool, horizon, config.arrival_mode)
-            u = rng.random(int(counts.sum()))
-            keys_by_class.append(np.repeat(seconds_index, counts) * total_slots + pool.pick(u))
-        flags_by_class, events[it] = _collisions(keys_by_class)
-        for pos, (keys, flags) in enumerate(zip(keys_by_class, flags_by_class)):
-            attempts[pos, it] = keys.size
-            collided[pos, it] = np.count_nonzero(flags)
-        if config.measure_delay:
-            delay_sums[:, it], delay_counts[:, it], censored[:, it] = zip(*_measure_delays(
-                pools, rngs, reach, keys_by_class, flags_by_class, total_slots, config
-            ))
 
+def _summarize(pools: list[_Pool], config: SimConfig, tally: _Tally) -> SimStats:
+    horizon = config.horizon
     per_class: dict[int, ClassStats] = {}
     for pos, pool in enumerate(pools):
-        att, col = attempts[pos], collided[pos]
+        att, col = tally.attempts[pos], tally.collided[pos]
         with_attempts = att > 0
         rates = col[with_attempts] / att[with_attempts]
         _, rate_stderr = _mean_stderr(rates)
         density, density_stderr = _mean_stderr(col / horizon)
         mean_delay = delay_stderr = None
         if config.measure_delay:
-            n_delays = int(delay_counts[pos].sum())
-            mean_delay = float(delay_sums[pos].sum() / n_delays) if n_delays else None
-            has = delay_counts[pos] > 0
-            _, delay_stderr = _mean_stderr(delay_sums[pos][has] / delay_counts[pos][has])
+            sums, counts = tally.delay_sums[pos], tally.delay_counts[pos]
+            n_delays = int(counts.sum())
+            mean_delay = float(sums.sum() / n_delays) if n_delays else None
+            has = counts > 0
+            _, delay_stderr = _mean_stderr(sums[has] / counts[has])
         per_class[pool.cls.id] = ClassStats(
             attempts=int(att.sum()),
             collided=int(col.sum()),
@@ -312,32 +397,63 @@ def run(
             density_stderr=density_stderr,
             mean_delay=mean_delay,
             delay_stderr=delay_stderr,
-            censored=int(censored[pos].sum()),
+            censored=int(tally.censored[pos].sum()),
         )
 
     total_density = sum(stats.collision_density for stats in per_class.values())
-    _, total_stderr = _mean_stderr(collided.sum(axis=0) / horizon)
-    event_density, event_stderr = _mean_stderr(events / horizon)
+    _, total_stderr = _mean_stderr(tally.collided.sum(axis=0) / horizon)
+    event_density, event_stderr = _mean_stderr(tally.events / horizon)
     return SimStats(
         per_class=per_class,
         total_density=total_density,
         total_density_stderr=total_stderr,
         event_density=event_density,
         event_density_stderr=event_stderr,
-        iterations=iters,
+        iterations=config.iterations,
         horizon=horizon,
         seed=config.seed,
     )
 
 
-def _collisions(keys_by_class: list[np.ndarray]) -> tuple[list[np.ndarray], int]:
+def _fresh_keys(
+    pool: _Pool, rng: np.random.Generator, counts: np.ndarray, total_slots: int
+) -> np.ndarray:
+    """Slot keys of one class's fresh requests, given its counts per second
+    of a chunk; the picks continue the class's block stream."""
+    u = rng.random(int(counts.sum()))
+    return np.repeat(np.arange(counts.size), counts) * total_slots + pool.pick(u)
+
+
+def _chunks(sizes: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Split consecutive iterations, holding ``sizes`` requests each, into
+    (lo, hi) runs of about ``CHUNK_KEYS`` requests and at least one iteration."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < sizes.size:
+        before = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, before + CHUNK_KEYS, "right")))
+        yield lo, hi
+        lo = hi
+
+
+def _segment_sums(flags: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Set flags per consecutive segment of ``sizes`` items; empty segments
+    count 0 (``reduceat`` would repeat the next item for them)."""
+    out = np.zeros(sizes.size, dtype=np.int64)
+    nonempty = sizes > 0
+    if flags.size:
+        starts = np.cumsum(sizes) - sizes
+        out[nonempty] = np.add.reduceat(flags, starts[nonempty], dtype=np.int64)
+    return out
+
+
+def _collisions(keys_by_class: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
     """Flag, per class, the requests whose slot key another request of any
-    class shares, and count the slots holding two or more requests.
+    class shares, and list the keys of the slots holding two or more
+    requests, ascending, once each.
 
     Sorting puts equal keys next to each other, so the work grows with the
-    number of requests, not with the number of slots they pick from. A slot
-    holding k >= 2 requests sets k sorted flags and k - 1 neighbour matches,
-    so the two counts differ by one per such slot.
+    number of requests, not with the number of slots they pick from.
     """
     keys = np.concatenate(keys_by_class)
     order = np.argsort(keys)
@@ -352,49 +468,68 @@ def _collisions(keys_by_class: list[np.ndarray]) -> tuple[list[np.ndarray], int]
     for class_keys in keys_by_class:
         flags_by_class.append(flags[start : start + class_keys.size])
         start += class_keys.size
-    return flags_by_class, np.count_nonzero(hit) - np.count_nonzero(same)
+    # a shared slot starts where a match follows a non-match
+    first_match = same.copy()
+    first_match[1:] &= ~same[:-1]
+    return flags_by_class, ordered[:-1][first_match]
+
+
+def _retry_second(t0: np.ndarray, attempt: int, backoff: float) -> np.ndarray:
+    """The second that attempt ``attempt`` of requests first sent at ``t0``
+    lands in; the background table is built for exactly these seconds."""
+    return np.floor(t0 + (attempt - 1) * backoff).astype(np.int64)
 
 
 def _measure_delays(
     pools: list[_Pool],
-    rngs: list[np.random.Generator],
     reach: list[tuple[DeviceClass, int]],
     keys_by_class: list[np.ndarray],
     flags_by_class: list[np.ndarray],
     total_slots: int,
     config: SimConfig,
+    iteration: int,
 ) -> list[tuple[float, int, int]]:
     """Track retries for every class in one iteration.
 
     Returns per class (sum of inclusive delays, successes, censored
-    requests); a success on attempt k took k backoff periods. Each stream
-    draws its class's background after its fresh requests and before its
+    requests); a success on attempt k took k backoff periods. Each class's
+    delay stream draws its background over its whole reach, then its
     retries. A retry succeeds when no other request holds its slot key.
     """
     horizon = config.horizon
-    background = []
-    for pool, rng, (_, seconds) in zip(pools, rngs, reach):
-        counts = _draw_counts(rng, pool, seconds, config.arrival_mode)
-        ext = np.repeat(np.arange(horizon, horizon + seconds), counts)
-        ext *= total_slots
-        ext += pool.pick(rng.random(ext.size))
-        background.append(ext)
-    table = np.concatenate(keys_by_class + background)
-    table.sort()
-
-    results = []
-    for pool, rng, keys, flags in zip(pools, rngs, keys_by_class, flags_by_class):
-        backoff = pool.cls.backoff
-        n_done = int((~flags).sum())
-        delay_sum = n_done * backoff  # attempt 1 counts one backoff period
+    rngs = [_delay_stream(config.seed, iteration, pool.cls.id) for pool in pools]
+    pending, probed = [], np.zeros(horizon + max(s for _, s in reach), dtype=bool)
+    for pool, keys, flags in zip(pools, keys_by_class, flags_by_class):
         k0 = keys[flags]
         # the time within a second follows the first RAO's position in the pool
         first_local = np.searchsorted(pool.slots, k0 % total_slots)
         t0 = k0 // total_slots + (first_local + 0.5) / pool.slots.size
         for attempt in range(2, config.max_attempts + 1):
+            probed[_retry_second(t0, attempt, pool.cls.backoff)] = True
+        pending.append((k0, t0))
+
+    background = []
+    for pool, rng, (_, seconds) in zip(pools, rngs, reach):
+        counts = _draw_counts(rng, pool, seconds, config.arrival_mode)
+        u = rng.random(int(counts.sum()))
+        # every draw is made, but only probed seconds enter the table
+        keep = probed[horizon : horizon + seconds]
+        ext = np.repeat(np.arange(horizon, horizon + seconds)[keep], counts[keep])
+        ext *= total_slots
+        ext += pool.pick(u[np.repeat(keep, counts)])
+        background.append(ext)
+    table = np.concatenate(keys_by_class + background)
+    table.sort()
+
+    results = []
+    for pool, rng, flags, (k0, t0) in zip(pools, rngs, flags_by_class, pending):
+        backoff = pool.cls.backoff
+        n_done = int((~flags).sum())
+        delay_sum = n_done * backoff  # attempt 1 counts one backoff period
+        for attempt in range(2, config.max_attempts + 1):
             if k0.size == 0:
                 break
-            sec = np.floor(t0 + (attempt - 1) * backoff).astype(np.int64)
+            sec = _retry_second(t0, attempt, backoff)
             key = sec * total_slots + pool.pick(rng.random(k0.size))
             # a retry into the slot of its own first attempt does not count itself
             hits = np.searchsorted(table, key, "right") - np.searchsorted(table, key, "left")

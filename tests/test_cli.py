@@ -215,6 +215,21 @@ class TestUnwritableCsv:
         assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", DC12, "--iterations", "2", "--seed", "1"],
+        ["sweep", DC12, "--values", "3600", "--iterations", "2", "--seed", "1"],
+        ["compare", DC12, "--strategies", "full_sharing", "--iterations", "2", "--seed", "1"],
+    ],
+    ids=["simulate", "sweep", "compare"],
+)
+def test_simulation_reports_name_the_rng_layout(capsys, argv):
+    code, report = run_json(capsys, argv)
+    assert code == EXIT_OK
+    assert report["parameters"]["rng_layout"] == simulator.RNG_LAYOUT
+
+
 class TestSimulate:
     def test_csv_round_trips_report_numbers(self, capsys, tmp_path):
         out = tmp_path / "stats.csv"

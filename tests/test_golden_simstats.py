@@ -3,7 +3,11 @@
 The expected values were recorded from the simulator and are compared with
 ``==``, so any change to the random-number layout, the slot picks or the
 statistics shows up here. A change that is meant to alter simulator output
-must say so and re-record these values.
+must say so and re-record these values: from the repository root,
+
+    PYTHONPATH=src python tests/test_golden_simstats.py
+
+prints ``GOLDEN`` from ``CASES``, to paste over the recording below.
 """
 
 import dataclasses
@@ -19,7 +23,7 @@ from rachopt.model import (
     Strategy,
     validate_scenario,
 )
-from rachopt.simulator import ArrivalMode, SimConfig, _build_pools, run
+from rachopt.simulator import RNG_LAYOUT, ArrivalMode, SimConfig, _build_pools, run
 
 from conftest import make_scenario
 
@@ -115,6 +119,16 @@ def _measure_delay_partial():
     return run(scenario, topology, config)
 
 
+def _multi_block():
+    # 1500 s per iteration makes blocks of two iterations, so five
+    # iterations draw from three block streams and end inside the third
+    classes = (DeviceClass(id=1, ra_density=0.5), DeviceClass(id=2, ra_density=2.0))
+    scenario = validate_scenario(
+        Scenario(classes=classes, total_raos=8, strategy=Strategy.FULL_SHARING)
+    )
+    return run(scenario, None, SimConfig(iterations=5, seed=21, horizon=1500))
+
+
 CASES = {
     "full_sharing": _full_sharing,
     "full_dedication": _full_dedication,
@@ -126,273 +140,305 @@ CASES = {
     "partial_sparse_seconds": _partial_sparse_seconds,
     "measure_delay_long_horizon": _measure_delay_long_horizon,
     "measure_delay_partial": _measure_delay_partial,
+    "multi_block": _multi_block,
 }
 
-# recorded with the seeds above; compared exactly
-GOLDEN = {'bernoulli': {'event_density': 0.9,
-               'event_density_stderr': 0.2164303704731799,
-               'horizon': 1,
-               'iterations': 20,
-               'per_class': {1: {'attempts': 1014,
-                                 'censored': 0,
-                                 'collided': 6,
-                                 'collision_density': 0.3,
-                                 'collision_rate': 0.005917159763313609,
-                                 'delay_stderr': None,
-                                 'density_stderr': 0.16383560438182507,
-                                 'mean_delay': None,
-                                 'rate_stderr': 0.002940680980406755},
-                             2: {'attempts': 2047,
-                                 'censored': 0,
-                                 'collided': 30,
-                                 'collision_density': 1.5,
-                                 'collision_rate': 0.014655593551538837,
-                                 'delay_stderr': None,
-                                 'density_stderr': 0.4559547530644957,
-                                 'mean_delay': None,
-                                 'rate_stderr': 0.004224842090140392}},
-               'seed': 15,
-               'total_density': 1.8,
-               'total_density_stderr': 0.4328607409463598},
- 'bernoulli_partial': {'event_density': 1.1,
-                       'event_density_stderr': 0.2704771612111494,
-                       'horizon': 1,
-                       'iterations': 20,
-                       'per_class': {1: {'attempts': 1004,
-                                         'censored': 0,
-                                         'collided': 18,
-                                         'collision_density': 0.9,
-                                         'collision_rate': 0.017928286852589643,
-                                         'delay_stderr': None,
-                                         'density_stderr': 0.2704771612111494,
-                                         'mean_delay': None,
-                                         'rate_stderr': 0.005084940404835481},
-                                     2: {'attempts': 2079,
-                                         'censored': 0,
-                                         'collided': 26,
-                                         'collision_density': 1.3,
-                                         'collision_rate': 0.012506012506012507,
-                                         'delay_stderr': None,
-                                         'density_stderr': 0.31705885224903224,
-                                         'mean_delay': None,
-                                         'rate_stderr': 0.002921155163302499}},
-                       'seed': 16,
-                       'total_density': 2.2,
-                       'total_density_stderr': 0.5409543224222988},
- 'full_dedication': {'event_density': 1.2,
-                     'event_density_stderr': 0.23619795444544078,
-                     'horizon': 1,
-                     'iterations': 20,
-                     'per_class': {1: {'attempts': 1007,
-                                       'censored': 0,
-                                       'collided': 12,
-                                       'collision_density': 0.6,
-                                       'collision_rate': 0.011916583912611719,
-                                       'delay_stderr': None,
-                                       'density_stderr': 0.2102629932151387,
-                                       'mean_delay': None,
-                                       'rate_stderr': 0.0041411212281373},
-                                   2: {'attempts': 1957,
-                                       'censored': 0,
-                                       'collided': 36,
-                                       'collision_density': 1.8,
-                                       'collision_rate': 0.018395503321410323,
-                                       'delay_stderr': None,
-                                       'density_stderr': 0.4790341159150633,
-                                       'mean_delay': None,
-                                       'rate_stderr': 0.005034599718102105}},
-                     'seed': 12,
-                     'total_density': 2.4,
-                     'total_density_stderr': 0.47239590889088157},
- 'full_sharing': {'event_density': 47.425,
-                  'event_density_stderr': 1.545909287867755,
-                  'horizon': 2,
-                  'iterations': 20,
-                  'per_class': {1: {'attempts': 2016,
-                                    'censored': 0,
-                                    'collided': 176,
-                                    'collision_density': 4.4,
-                                    'collision_rate': 0.0873015873015873,
-                                    'delay_stderr': None,
-                                    'density_stderr': 0.2869989913791189,
-                                    'mean_delay': None,
-                                    'rate_stderr': 0.005739379401019799},
-                                4: {'attempts': 39847,
-                                    'censored': 0,
-                                    'collided': 3687,
-                                    'collision_density': 92.175,
-                                    'collision_rate': 0.09252892313097598,
-                                    'delay_stderr': None,
-                                    'density_stderr': 3.1404146139273426,
-                                    'mean_delay': None,
-                                    'rate_stderr': 0.0029924028343145327}},
-                  'seed': 11,
-                  'total_density': 96.575,
-                  'total_density_stderr': 3.1473202887535927},
- 'measure_delay': {'event_density': 29.6,
-                   'event_density_stderr': 1.4772346537440226,
-                   'horizon': 1,
-                   'iterations': 10,
-                   'per_class': {1: {'attempts': 494,
-                                     'censored': 3,
-                                     'collided': 195,
-                                     'collision_density': 19.5,
-                                     'collision_rate': 0.39473684210526316,
-                                     'delay_stderr': 0.04541830683450524,
-                                     'density_stderr': 1.8272626764887658,
-                                     'mean_delay': 1.6619144602851323,
-                                     'rate_stderr': 0.025152116957010185},
-                                 2: {'attempts': 1043,
-                                     'censored': 6,
-                                     'collided': 449,
-                                     'collision_density': 44.9,
-                                     'collision_rate': 0.4304889741131352,
-                                     'delay_stderr': 0.03611055106070049,
-                                     'density_stderr': 3.737051719678971,
-                                     'mean_delay': 1.6682738669238186,
-                                     'rate_stderr': 0.02421517760984036}},
-                   'seed': 14,
-                   'total_density': 64.4,
-                   'total_density_stderr': 3.584534682338684},
- 'partial_overlapping': {'event_density': 23.95,
-                         'event_density_stderr': 1.064931428481863,
-                         'horizon': 1,
-                         'iterations': 20,
-                         'per_class': {1: {'attempts': 1005,
-                                           'censored': 0,
-                                           'collided': 27,
-                                           'collision_density': 1.35,
-                                           'collision_rate': 0.026865671641791045,
-                                           'delay_stderr': None,
-                                           'density_stderr': 0.3423986596137069,
-                                           'mean_delay': None,
-                                           'rate_stderr': 0.006130964596374768},
-                                       2: {'attempts': 2064,
-                                           'censored': 0,
-                                           'collided': 161,
-                                           'collision_density': 8.05,
-                                           'collision_rate': 0.07800387596899225,
-                                           'delay_stderr': None,
-                                           'density_stderr': 0.5959291727607975,
-                                           'mean_delay': None,
-                                           'rate_stderr': 0.006025401861440218},
-                                       3: {'attempts': 9922,
-                                           'censored': 0,
-                                           'collided': 785,
-                                           'collision_density': 39.25,
-                                           'collision_rate': 0.07911711348518444,
-                                           'delay_stderr': None,
-                                           'density_stderr': 1.6715498638594126,
-                                           'mean_delay': None,
-                                           'rate_stderr': 0.003117872047886314}},
-                         'seed': 13,
-                         'total_density': 48.65,
-                         'total_density_stderr': 2.1042250730125653},
- 'full_dedication_long_horizon': {'event_density': 1.0283333333333333,
-                                  'event_density_stderr': 0.019649710204252654,
-                                  'horizon': 200,
-                                  'iterations': 3,
-                                  'per_class': {1: {'attempts': 30196,
-                                                    'censored': 0,
-                                                    'collided': 432,
-                                                    'collision_density': 0.7200000000000001,
-                                                    'collision_rate': 0.014306530666313419,
-                                                    'delay_stderr': None,
-                                                    'density_stderr': 0.03214550253664318,
-                                                    'mean_delay': None,
-                                                    'rate_stderr': 0.0006177335566138037},
-                                                2: {'attempts': 59912,
-                                                    'censored': 0,
-                                                    'collided': 803,
-                                                    'collision_density': 1.3383333333333336,
-                                                    'collision_rate': 0.013402991053545199,
-                                                    'delay_stderr': None,
-                                                    'density_stderr': 0.031135902820448976,
-                                                    'mean_delay': None,
-                                                    'rate_stderr': 0.00026282535536566415}},
-                                  'seed': 17,
-                                  'total_density': 2.0583333333333336,
-                                  'total_density_stderr': 0.037675515184857664},
- 'partial_sparse_seconds': {'event_density': 0.36,
-                            'event_density_stderr': 0.03749073959733998,
-                            'horizon': 40,
+# recorded with the seeds above under RECORDED_LAYOUT; compared exactly
+RECORDED_LAYOUT = "pcg64-block4096-v1"
+GOLDEN = {'bernoulli': {'event_density': 1.0,
+                        'event_density_stderr': 0.1777046633277277,
+                        'horizon': 1,
+                        'iterations': 20,
+                        'per_class': {1: {'attempts': 1037,
+                                          'censored': 0,
+                                          'collided': 16,
+                                          'collision_density': 0.8,
+                                          'collision_rate': 0.015429122468659595,
+                                          'delay_stderr': None,
+                                          'density_stderr': 0.26754242162397546,
+                                          'mean_delay': None,
+                                          'rate_stderr': 0.0053061507857944746},
+                                      2: {'attempts': 2011,
+                                          'censored': 0,
+                                          'collided': 24,
+                                          'collision_density': 1.2,
+                                          'collision_rate': 0.011934361014420686,
+                                          'delay_stderr': None,
+                                          'density_stderr': 0.3043543641010728,
+                                          'mean_delay': None,
+                                          'rate_stderr': 0.0030160056746359946}},
+                        'seed': 15,
+                        'total_density': 2.0,
+                        'total_density_stderr': 0.3554093266554554},
+          'bernoulli_partial': {'event_density': 1.25,
+                                'event_density_stderr': 0.20358626776148883,
+                                'horizon': 1,
+                                'iterations': 20,
+                                'per_class': {1: {'attempts': 1001,
+                                                  'censored': 0,
+                                                  'collided': 18,
+                                                  'collision_density': 0.9,
+                                                  'collision_rate': 0.017982017982017984,
+                                                  'delay_stderr': None,
+                                                  'density_stderr': 0.21643037047317987,
+                                                  'mean_delay': None,
+                                                  'rate_stderr': 0.004405820621357461},
+                                              2: {'attempts': 2001,
+                                                  'censored': 0,
+                                                  'collided': 32,
+                                                  'collision_density': 1.6,
+                                                  'collision_rate': 0.015992003998001,
+                                                  'delay_stderr': None,
+                                                  'density_stderr': 0.3656285143780717,
+                                                  'mean_delay': None,
+                                                  'rate_stderr': 0.0035873940612704417}},
+                                'seed': 16,
+                                'total_density': 2.5,
+                                'total_density_stderr': 0.40717253552297766},
+          'full_dedication': {'event_density': 0.8,
+                              'event_density_stderr': 0.19999999999999998,
+                              'horizon': 1,
+                              'iterations': 20,
+                              'per_class': {1: {'attempts': 954,
+                                                'censored': 0,
+                                                'collided': 8,
+                                                'collision_density': 0.4,
+                                                'collision_rate': 0.008385744234800839,
+                                                'delay_stderr': None,
+                                                'density_stderr': 0.18353258709644943,
+                                                'mean_delay': None,
+                                                'rate_stderr': 0.0041928061206884075},
+                                            2: {'attempts': 2069,
+                                                'censored': 0,
+                                                'collided': 24,
+                                                'collision_density': 1.2,
+                                                'collision_rate': 0.011599806669888834,
+                                                'delay_stderr': None,
+                                                'density_stderr': 0.30435436410107286,
+                                                'mean_delay': None,
+                                                'rate_stderr': 0.0028417913183710333}},
+                              'seed': 12,
+                              'total_density': 1.6,
+                              'total_density_stderr': 0.39999999999999997},
+          'full_dedication_long_horizon': {'event_density': 1.0333333333333332,
+                                           'event_density_stderr': 0.05456901847914965,
+                                           'horizon': 200,
+                                           'iterations': 3,
+                                           'per_class': {1: {'attempts': 30383,
+                                                             'censored': 0,
+                                                             'collided': 416,
+                                                             'collision_density': 0.6933333333333334,
+                                                             'collision_rate': 0.013691867162558009,
+                                                             'delay_stderr': None,
+                                                             'density_stderr': 0.09938701010583716,
+                                                             'mean_delay': None,
+                                                             'rate_stderr': 0.0019172835350299406},
+                                                         2: {'attempts': 59995,
+                                                             'censored': 0,
+                                                             'collided': 825,
+                                                             'collision_density': 1.375,
+                                                             'collision_rate': 0.013751145928827401,
+                                                             'delay_stderr': None,
+                                                             'density_stderr': 0.06331139971074194,
+                                                             'mean_delay': None,
+                                                             'rate_stderr': 0.0006282360469379735}},
+                                           'seed': 17,
+                                           'total_density': 2.0683333333333334,
+                                           'total_density_stderr': 0.11076752432208846},
+          'full_sharing': {'event_density': 48.125,
+                           'event_density_stderr': 1.0765900113931852,
+                           'horizon': 2,
+                           'iterations': 20,
+                           'per_class': {1: {'attempts': 2067,
+                                             'censored': 0,
+                                             'collided': 213,
+                                             'collision_density': 5.325,
+                                             'collision_rate': 0.10304789550072568,
+                                             'delay_stderr': None,
+                                             'density_stderr': 0.4719430719460715,
+                                             'mean_delay': None,
+                                             'rate_stderr': 0.008712388967998466},
+                                         4: {'attempts': 39996,
+                                             'censored': 0,
+                                             'collided': 3710,
+                                             'collision_density': 92.75,
+                                             'collision_rate': 0.09275927592759275,
+                                             'delay_stderr': None,
+                                             'density_stderr': 2.116818615902548,
+                                             'mean_delay': None,
+                                             'rate_stderr': 0.001970822404716835}},
+                           'seed': 11,
+                           'total_density': 98.075,
+                           'total_density_stderr': 2.2379134431312058},
+          'measure_delay': {'event_density': 24.6,
+                            'event_density_stderr': 2.10923893594085,
+                            'horizon': 1,
                             'iterations': 10,
-                            'per_class': {1: {'attempts': 202,
-                                              'censored': 0,
-                                              'collided': 36,
-                                              'collision_density': 0.09,
-                                              'collision_rate': 0.1782178217821782,
-                                              'delay_stderr': None,
-                                              'density_stderr': 0.020480342879074177,
-                                              'mean_delay': None,
-                                              'rate_stderr': 0.03439826597433615},
-                                          2: {'attempts': 783,
-                                              'censored': 0,
-                                              'collided': 270,
-                                              'collision_density': 0.6749999999999999,
-                                              'collision_rate': 0.3448275862068966,
-                                              'delay_stderr': None,
-                                              'density_stderr': 0.0758287544405155,
-                                              'mean_delay': None,
-                                              'rate_stderr': 0.029062601613718823}},
-                            'seed': 18,
-                            'total_density': 0.7649999999999999,
-                            'total_density_stderr': 0.07557189365836423},
- 'measure_delay_long_horizon': {'event_density': 24.4,
-                                'event_density_stderr': 1.5556349186104044,
-                                'horizon': 5,
-                                'iterations': 4,
-                                'per_class': {1: {'attempts': 998,
-                                                  'censored': 2,
-                                                  'collided': 358,
-                                                  'collision_density': 17.9,
-                                                  'collision_rate': 0.3587174348697395,
-                                                  'delay_stderr': 0.047961123842879594,
-                                                  'density_stderr': 1.4011899704655804,
-                                                  'mean_delay': 1.6104417670682731,
-                                                  'rate_stderr': 0.014224620749887507},
-                                              2: {'attempts': 1923,
-                                                  'censored': 9,
-                                                  'collided': 713,
-                                                  'collision_density': 35.650000000000006,
-                                                  'collision_rate': 0.3707748309932397,
-                                                  'delay_stderr': 0.015216175116010883,
-                                                  'density_stderr': 2.041853732926692,
-                                                  'mean_delay': 1.5694879832810866,
-                                                  'rate_stderr': 0.01372538706750273}},
-                                'seed': 19,
-                                'total_density': 53.550000000000004,
-                                'total_density_stderr': 3.3569579483018064},
- 'measure_delay_partial': {'event_density': 30.6,
-                           'event_density_stderr': 1.4079141387961918,
-                           'horizon': 1,
-                           'iterations': 10,
-                           'per_class': {1: {'attempts': 519,
-                                             'censored': 2,
-                                             'collided': 220,
-                                             'collision_density': 22.0,
-                                             'collision_rate': 0.4238921001926782,
-                                             'delay_stderr': 0.04333033314015592,
-                                             'density_stderr': 1.8915014612148142,
-                                             'mean_delay': 1.6363636363636365,
-                                             'rate_stderr': 0.02187865405775016},
-                                         2: {'attempts': 954,
-                                             'censored': 12,
-                                             'collided': 452,
-                                             'collision_density': 45.2,
-                                             'collision_rate': 0.47379454926624737,
-                                             'delay_stderr': 0.05234321333898777,
-                                             'density_stderr': 2.546457233971237,
-                                             'mean_delay': 4.501061571125265,
-                                             'rate_stderr': 0.01726390203364474}},
-                           'seed': 20,
-                           'total_density': 67.2,
-                           'total_density_stderr': 3.0140412147886178}}
+                            'per_class': {1: {'attempts': 458,
+                                              'censored': 1,
+                                              'collided': 161,
+                                              'collision_density': 16.1,
+                                              'collision_rate': 0.35152838427947597,
+                                              'delay_stderr': 0.06766434393622688,
+                                              'density_stderr': 1.3203534880225571,
+                                              'mean_delay': 1.5317286652078774,
+                                              'rate_stderr': 0.024598764513114133},
+                                          2: {'attempts': 968,
+                                              'censored': 2,
+                                              'collided': 379,
+                                              'collision_density': 37.9,
+                                              'collision_rate': 0.3915289256198347,
+                                              'delay_stderr': 0.04875468928936026,
+                                              'density_stderr': 4.086427399194666,
+                                              'mean_delay': 1.6304347826086956,
+                                              'rate_stderr': 0.025745631050250274}},
+                            'seed': 14,
+                            'total_density': 54.0,
+                            'total_density_stderr': 4.939635614091387},
+          'measure_delay_long_horizon': {'event_density': 28.0,
+                                         'event_density_stderr': 1.1165422816296156,
+                                         'horizon': 5,
+                                         'iterations': 4,
+                                         'per_class': {1: {'attempts': 1004,
+                                                           'censored': 2,
+                                                           'collided': 430,
+                                                           'collision_density': 21.5,
+                                                           'collision_rate': 0.42828685258964144,
+                                                           'delay_stderr': 0.037348315997103164,
+                                                           'density_stderr': 1.8046236911518883,
+                                                           'mean_delay': 1.6976047904191616,
+                                                           'rate_stderr': 0.023042161954016285},
+                                                       2: {'attempts': 1965,
+                                                           'censored': 8,
+                                                           'collided': 787,
+                                                           'collision_density': 39.35,
+                                                           'collision_rate': 0.40050890585241733,
+                                                           'delay_stderr': 0.009413969969096502,
+                                                           'density_stderr': 1.0210288928331066,
+                                                           'mean_delay': 1.6382217680122637,
+                                                           'rate_stderr': 0.013030101076968451}},
+                                         'seed': 19,
+                                         'total_density': 60.85,
+                                         'total_density_stderr': 2.7183021661814317},
+          'measure_delay_partial': {'event_density': 29.6,
+                                    'event_density_stderr': 1.713994684290992,
+                                    'horizon': 1,
+                                    'iterations': 10,
+                                    'per_class': {1: {'attempts': 506,
+                                                      'censored': 2,
+                                                      'collided': 211,
+                                                      'collision_density': 21.1,
+                                                      'collision_rate': 0.41699604743083,
+                                                      'delay_stderr': 0.048107332398605034,
+                                                      'density_stderr': 1.168569876197207,
+                                                      'mean_delay': 1.6428571428571428,
+                                                      'rate_stderr': 0.021385952101952807},
+                                                  2: {'attempts': 997,
+                                                      'censored': 8,
+                                                      'collided': 449,
+                                                      'collision_density': 44.9,
+                                                      'collision_rate': 0.45035105315947843,
+                                                      'delay_stderr': 0.13703650528650718,
+                                                      'density_stderr': 3.4942810419312287,
+                                                      'mean_delay': 4.4413549039433775,
+                                                      'rate_stderr': 0.022419409302592695}},
+                                    'seed': 20,
+                                    'total_density': 66.0,
+                                    'total_density_stderr': 3.9972212570456707},
+          'multi_block': {'event_density': 0.3177333333333333,
+                          'event_density_stderr': 0.004145144415122617,
+                          'horizon': 1500,
+                          'iterations': 5,
+                          'per_class': {1: {'attempts': 3754,
+                                            'censored': 0,
+                                            'collided': 1030,
+                                            'collision_density': 0.13733333333333334,
+                                            'collision_rate': 0.2743740010655301,
+                                            'delay_stderr': None,
+                                            'density_stderr': 0.003346640106136304,
+                                            'mean_delay': None,
+                                            'rate_stderr': 0.003412584134415533},
+                                        2: {'attempts': 14987,
+                                            'censored': 0,
+                                            'collided': 4008,
+                                            'collision_density': 0.5344,
+                                            'collision_rate': 0.2674317742043104,
+                                            'delay_stderr': None,
+                                            'density_stderr': 0.009159330397650975,
+                                            'mean_delay': None,
+                                            'rate_stderr': 0.0035278658354594107}},
+                          'seed': 21,
+                          'total_density': 0.6717333333333333,
+                          'total_density_stderr': 0.010105224171464755},
+          'partial_overlapping': {'event_density': 23.85,
+                                  'event_density_stderr': 1.3846432183437232,
+                                  'horizon': 1,
+                                  'iterations': 20,
+                                  'per_class': {1: {'attempts': 934,
+                                                    'censored': 0,
+                                                    'collided': 14,
+                                                    'collision_density': 0.7,
+                                                    'collision_rate': 0.014989293361884369,
+                                                    'delay_stderr': None,
+                                                    'density_stderr': 0.21884866196096617,
+                                                    'mean_delay': None,
+                                                    'rate_stderr': 0.004554109258416971},
+                                                2: {'attempts': 2029,
+                                                    'censored': 0,
+                                                    'collided': 139,
+                                                    'collision_density': 6.95,
+                                                    'collision_rate': 0.06850665352390341,
+                                                    'delay_stderr': None,
+                                                    'density_stderr': 0.5734246153363878,
+                                                    'mean_delay': None,
+                                                    'rate_stderr': 0.005675159999678747},
+                                                3: {'attempts': 10082,
+                                                    'censored': 0,
+                                                    'collided': 810,
+                                                    'collision_density': 40.5,
+                                                    'collision_rate': 0.08034120214243205,
+                                                    'delay_stderr': None,
+                                                    'density_stderr': 2.3725402775129134,
+                                                    'mean_delay': None,
+                                                    'rate_stderr': 0.004309294006502651}},
+                                  'seed': 13,
+                                  'total_density': 48.15,
+                                  'total_density_stderr': 2.7532516660926776},
+          'partial_sparse_seconds': {'event_density': 0.3375,
+                                     'event_density_stderr': 0.018352262954621033,
+                                     'horizon': 40,
+                                     'iterations': 10,
+                                     'per_class': {1: {'attempts': 190,
+                                                       'censored': 0,
+                                                       'collided': 34,
+                                                       'collision_density': 0.08499999999999999,
+                                                       'collision_rate': 0.17894736842105263,
+                                                       'delay_stderr': None,
+                                                       'density_stderr': 0.019790570145063194,
+                                                       'mean_delay': None,
+                                                       'rate_stderr': 0.03329600057479705},
+                                                   2: {'attempts': 751,
+                                                       'censored': 0,
+                                                       'collided': 262,
+                                                       'collision_density': 0.655,
+                                                       'collision_rate': 0.3488681757656458,
+                                                       'delay_stderr': None,
+                                                       'density_stderr': 0.03723051317281446,
+                                                       'mean_delay': None,
+                                                       'rate_stderr': 0.016277210683358346}},
+                                     'seed': 18,
+                                     'total_density': 0.74,
+                                     'total_density_stderr': 0.046127841676993485}}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_simstats_match_recording(name):
     assert dataclasses.asdict(CASES[name]()) == GOLDEN[name]
+
+
+def test_recording_names_the_current_layout():
+    # a new random-number layout gets a new tag and a new recording
+    assert RNG_LAYOUT == RECORDED_LAYOUT
 
 
 @pytest.mark.parametrize("size", [1, 2, 4096, 8192, 10800])
@@ -404,3 +450,10 @@ def test_largest_uniform_draw_picks_last_slot(size):
     pool = _build_pools(scenario, plan, SimConfig(iterations=1, seed=0))[1]
     u = np.array([0.0, np.nextafter(1.0, 0.0)])
     assert pool.pick(u).tolist() == [1, size]
+
+
+if __name__ == "__main__":
+    import pprint
+
+    recorded = {name: dataclasses.asdict(case()) for name, case in sorted(CASES.items())}
+    print("GOLDEN = " + pprint.pformat(recorded, width=70).replace("\n", "\n" + " " * 9))

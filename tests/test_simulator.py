@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rachopt import simulator
 from rachopt.analytics import layout_metrics, simple_collision_rate
 from rachopt.model import (
     AllocationPlan,
@@ -74,11 +75,11 @@ class TestDegenerateLoads:
 
 def dense_collisions(keys_by_class):
     """Reference for the sorted kernel: per-class collided flags and the
-    number of slots holding two or more requests, read from one dense
+    keys of the slots holding two or more requests, read from one dense
     occupancy count over every slot up to the largest key."""
     occupancy = np.bincount(np.concatenate(keys_by_class))
     flags = [occupancy[keys] >= 2 for keys in keys_by_class]
-    return flags, int(np.count_nonzero(occupancy >= 2))
+    return flags, np.flatnonzero(occupancy >= 2)
 
 
 class_keys = st.lists(st.integers(0, 60), max_size=40).map(
@@ -94,11 +95,161 @@ class TestCollisionKernel:
     @example([np.array([7], dtype=np.int64), np.array([], dtype=np.int64)])  # one request
     @example([np.array([3, 3, 3], dtype=np.int64), np.array([3], dtype=np.int64)])  # one slot
     def test_matches_dense_occupancy(self, keys_by_class):
-        flags, events = _collisions(keys_by_class)
-        dense_flags, dense_events = dense_collisions(keys_by_class)
+        flags, event_keys = _collisions(keys_by_class)
+        dense_flags, dense_event_keys = dense_collisions(keys_by_class)
         assert [f.tolist() for f in flags] == [f.tolist() for f in dense_flags]
         assert [np.count_nonzero(f) for f in flags] == [np.count_nonzero(f) for f in dense_flags]
-        assert events == dense_events
+        assert event_keys.tolist() == dense_event_keys.tolist()
+
+
+def reference_run(scenario, allocation, config):
+    """Plain per-iteration engine over the simulator's random streams: each
+    iteration slices its seconds out of its block's counts and continues
+    the block stream's picks, counts collisions densely, and retries
+    against background drawn for every second of each class's reach."""
+    pools = simulator._build_pools(scenario, allocation, config)
+    reach = simulator._reach(pools, config) if config.measure_delay else []
+    horizon, total = config.horizon, scenario.total_raos
+    tally = simulator._Tally.zeros(len(pools), config.iterations)
+    per_block = max(1, simulator.BLOCK_SECONDS // horizon)
+    for it in range(config.iterations):
+        block, offset = divmod(it, per_block)
+        if offset == 0:
+            rngs = [simulator._block_stream(config.seed, block, p.cls.id) for p in pools]
+            counts = [
+                simulator._draw_counts(rng, p, per_block * horizon, config.arrival_mode)
+                for p, rng in zip(pools, rngs)
+            ]
+        keys_by_class = []
+        for pool, rng, block_counts in zip(pools, rngs, counts):
+            c = block_counts[offset * horizon : (offset + 1) * horizon]
+            u = rng.random(int(c.sum()))
+            keys_by_class.append(np.repeat(np.arange(horizon), c) * total + pool.pick(u))
+        flags_by_class, event_keys = dense_collisions(keys_by_class)
+        tally.events[it] = event_keys.size
+        for pos, (keys, flags) in enumerate(zip(keys_by_class, flags_by_class)):
+            tally.attempts[pos, it] = keys.size
+            tally.collided[pos, it] = np.count_nonzero(flags)
+        if config.measure_delay:
+            delays = reference_delays(pools, reach, keys_by_class, flags_by_class, total, config, it)
+            for pos, (delay_sum, n_done, n_censored) in enumerate(delays):
+                tally.delay_sums[pos, it] = delay_sum
+                tally.delay_counts[pos, it] = n_done
+                tally.censored[pos, it] = n_censored
+    return simulator._summarize(pools, config, tally)
+
+
+def reference_delays(pools, reach, keys_by_class, flags_by_class, total, config, iteration):
+    horizon = config.horizon
+    rngs = [simulator._delay_stream(config.seed, iteration, p.cls.id) for p in pools]
+    table = list(keys_by_class)
+    for pool, rng, (_, seconds) in zip(pools, rngs, reach):
+        counts = simulator._draw_counts(rng, pool, seconds, config.arrival_mode)
+        u = rng.random(int(counts.sum()))
+        table.append(np.repeat(np.arange(horizon, horizon + seconds), counts) * total + pool.pick(u))
+    size = (horizon + max(seconds for _, seconds in reach)) * total
+    occupancy = np.bincount(np.concatenate(table), minlength=size)
+    results = []
+    for pool, rng, keys, flags in zip(pools, rngs, keys_by_class, flags_by_class):
+        backoff = pool.cls.backoff
+        n_done = int(np.count_nonzero(~flags))
+        delay_sum = n_done * backoff
+        k0 = keys[flags]
+        t0 = k0 // total + (np.searchsorted(pool.slots, k0 % total) + 0.5) / pool.slots.size
+        for attempt in range(2, config.max_attempts + 1):
+            if k0.size == 0:
+                break
+            second = np.floor(t0 + (attempt - 1) * backoff).astype(np.int64)
+            key = second * total + pool.pick(rng.random(k0.size))
+            ok = occupancy[key] - (key == k0) < 1
+            n_ok = int(ok.sum())
+            n_done += n_ok
+            delay_sum += n_ok * attempt * backoff
+            k0, t0 = k0[~ok], t0[~ok]
+        results.append((float(delay_sum), n_done, int(k0.size)))
+    return results
+
+
+def _light_cell(strategy, backoffs=(1.0, 1.0), populations=None, total=40):
+    # 10 requests per second in all: at horizon 700, about 7 000 requests per
+    # iteration, so the default chunk holds two iterations of a five-iteration block
+    rates = (4.0, 6.0)
+    classes = tuple(
+        DeviceClass(
+            id=cid,
+            ra_density=None if populations else rate,
+            population=populations[cid - 1] if populations else None,
+            per_device_rate=rate / populations[cid - 1] if populations else None,
+            backoff=backoff,
+        )
+        for cid, rate, backoff in zip((1, 2), rates, backoffs)
+    )
+    return validate_scenario(Scenario(classes=classes, total_raos=total, strategy=strategy))
+
+
+OVERLAP = SharingTopology.from_ranges({1: [(0, 24)], 2: [(15, 39)]})
+
+# 17 iterations of 700 s: blocks of five iterations, and the run ends two
+# iterations into its fourth block
+REFERENCE_CASES = {
+    "poisson-plan": lambda: (
+        _light_cell(Strategy.FULL_DEDICATION),
+        AllocationPlan({1: 15, 2: 25}),
+        SimConfig(iterations=17, seed=3, horizon=700),
+    ),
+    "bernoulli-partial": lambda: (
+        _light_cell(Strategy.PARTIAL_DEDICATION, populations=(400, 600)),
+        OVERLAP,
+        SimConfig(
+            iterations=17, seed=4, horizon=700,
+            arrival_mode=ArrivalMode.PER_DEVICE_BERNOULLI,
+        ),
+    ),
+    "delay-partial": lambda: (
+        _light_cell(Strategy.PARTIAL_DEDICATION, backoffs=(0.5, 3.0)),
+        OVERLAP,
+        SimConfig(iterations=17, seed=5, horizon=700, measure_delay=True, max_attempts=5),
+    ),
+    # horizon 1: many iterations without a class-1 request, and about half
+    # the retries collide, so the last of three attempts is often reached
+    "delay-shared-horizon-1": lambda: (
+        validate_scenario(
+            Scenario(
+                classes=(DeviceClass(id=1, ra_density=0.5), DeviceClass(id=2, ra_density=20.0)),
+                total_raos=30,
+                strategy=Strategy.FULL_SHARING,
+            )
+        ),
+        None,
+        SimConfig(iterations=40, seed=6, measure_delay=True, max_attempts=3),
+    ),
+}
+
+
+class TestReferenceEngine:
+    @pytest.mark.parametrize("chunk_keys", [1, simulator.CHUNK_KEYS, 2**62],
+                             ids=["per-iteration", "default", "per-block"])
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_run_equals_per_iteration_loop(self, monkeypatch, case, chunk_keys):
+        scenario, allocation, config = REFERENCE_CASES[case]()
+        monkeypatch.setattr(simulator, "CHUNK_KEYS", chunk_keys)
+        assert run(scenario, allocation, config) == reference_run(scenario, allocation, config)
+
+    def test_fresh_statistics_do_not_depend_on_delays(self):
+        scenario = make_scenario((1, 2), strategy=Strategy.PARTIAL_DEDICATION)
+        topology = SharingTopology.from_ranges({1: [(0, 5399)], 2: [(2700, 10799)]})
+        off = run(scenario, topology, SimConfig(iterations=30, seed=8))
+        on = run(scenario, topology, SimConfig(iterations=30, seed=8, measure_delay=True))
+        fresh = ("attempts", "collided", "collision_rate", "rate_stderr",
+                 "collision_density", "density_stderr")
+        for cid in (1, 2):
+            assert [getattr(on.per_class[cid], f) for f in fresh] == [
+                getattr(off.per_class[cid], f) for f in fresh
+            ]
+        assert (on.event_density, on.event_density_stderr) == (
+            off.event_density, off.event_density_stderr
+        )
+        assert on.per_class[1].mean_delay is not None and off.per_class[1].mean_delay is None
 
 
 class TestMemory:
