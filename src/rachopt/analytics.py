@@ -68,21 +68,13 @@ def layout_metrics(
     sharing it. The class's collision and success probabilities average the
     per-RAO ``1 - exp(-load)`` and ``exp(-load)`` over its set, and its mean
     inclusive delay is backoff / success, infinite once success underflows.
-    The load is constant between range ends, so the work grows with the
-    number of ranges, not of RAOs. Pass a validated layout (``pool_layout``).
+    The load is constant between range ends (``SharingTopology.segments``),
+    so the work grows with the number of ranges, not of RAOs. Pass a
+    validated layout (``pool_layout``).
     """
-    edges = np.unique(
-        [end for cls in scenario.classes for first, last in layout.ranges[cls.id]
-         for end in (first, last + 1)]
+    _, widths, covered, load = layout.segments(
+        {cls.id: cls.ra_density / layout.size(cls.id) for cls in scenario.classes}
     )
-    starts, widths = edges[:-1], np.diff(edges)
-    load = np.zeros(starts.size)
-    covered = {}
-    for cls in scenario.classes:
-        firsts, lasts = np.array(layout.ranges[cls.id]).T
-        k = np.searchsorted(firsts, starts, side="right") - 1
-        covered[cls.id] = (k >= 0) & (starts <= lasts[k])
-        load[covered[cls.id]] += cls.ra_density / layout.size(cls.id)
     collide, succeed = -np.expm1(-load), np.exp(-load)
     metrics = {}
     for cls in scenario.classes:

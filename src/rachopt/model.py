@@ -176,8 +176,8 @@ class SharingTopology:
     Full sharing gives every class the whole pool (``fully_shared``), full
     dedication gives each class its own contiguous block (``from_plan``),
     and partial dedication lets ranges of different classes overlap. Build
-    one with ``from_ranges``, ``fully_shared`` or ``from_plan``; no slot
-    array exists until ``slots`` is called.
+    one with ``from_ranges``, ``fully_shared`` or ``from_plan``. No slot
+    array is built: ``rao_at`` and ``index_of`` read the range ends.
     """
 
     ranges: Mapping[int, tuple[tuple[int, int], ...]]
@@ -185,11 +185,44 @@ class SharingTopology:
     def size(self, class_id: int) -> int:
         return sum(last - first + 1 for first, last in self.ranges[class_id])
 
-    def slots(self, class_id: int) -> np.ndarray:
-        """The class's usable RAO indices, ascending."""
-        return np.concatenate(
-            [np.arange(first, last + 1, dtype=np.int64) for first, last in self.ranges[class_id]]
+    def rao_at(self, class_id: int, index: np.ndarray) -> np.ndarray:
+        """The RAOs at positions ``index`` (int64) of the class's usable
+        RAOs, counted from 0 in ascending order; each range past the first
+        adds its gap to the positions it holds."""
+        spans = self.ranges[class_id]
+        rao = index + spans[0][0]
+        for (_, before), (first, _) in zip(spans, spans[1:]):
+            rao[rao > before] += first - before - 1
+        return rao
+
+    def index_of(self, class_id: int, rao: np.ndarray) -> np.ndarray:
+        """The positions of usable RAOs ``rao`` (int64); inverts ``rao_at``."""
+        spans = self.ranges[class_id]
+        index = rao - spans[0][0]
+        for (_, before), (first, _) in zip(spans, spans[1:]):
+            index[rao >= first] -= first - before - 1
+        return index
+
+    def segments(
+        self, weights: Mapping[int, float]
+    ) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray], np.ndarray]:
+        """Split the weighted classes' RAOs into runs between range ends,
+        each used by the same classes: each run's first RAO and width, per
+        class the mask of the runs it uses, and per run the weights of the
+        classes using it, summed in the order of ``weights``."""
+        edges = np.unique(
+            [end for cid in weights for first, last in self.ranges[cid]
+             for end in (first, last + 1)]
         )
+        starts, widths = edges[:-1], np.diff(edges)
+        total = np.zeros(starts.size)
+        covered = {}
+        for cid, weight in weights.items():
+            firsts, lasts = np.array(self.ranges[cid]).T
+            k = np.searchsorted(firsts, starts, side="right") - 1
+            covered[cid] = (k >= 0) & (starts <= lasts[k])
+            total[covered[cid]] += weight
+        return starts, widths, covered, total
 
     def validate_for(self, scenario: Scenario) -> None:
         issues = []
@@ -299,7 +332,7 @@ def _non_numbers(cls: DeviceClass) -> dict[str, Any]:
 
 def _resolve_class(cls: DeviceClass, issues: list[str]) -> DeviceClass:
     label = f"class {cls.id}"
-    if not isinstance(cls.id, int) or cls.id < 0:
+    if isinstance(cls.id, bool) or not isinstance(cls.id, int) or cls.id < 0:
         issues.append(f"{label}: id must be a non-negative integer")
         return cls
     bad = _non_numbers(cls)
@@ -379,7 +412,8 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     issues: list[str] = []
     if not scenario.classes:
         issues.append("scenario: needs at least one device class")
-    if not isinstance(scenario.total_raos, int) or scenario.total_raos < 1:
+    raos_ok = isinstance(scenario.total_raos, int) and not isinstance(scenario.total_raos, bool)
+    if not raos_ok or scenario.total_raos < 1:
         issues.append("scenario: total_raos must be a positive integer")
 
     resolved = [_resolve_class(cls, issues) for cls in scenario.classes]
@@ -390,7 +424,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
         issues.append(f"scenario: duplicate class ids {dupes}")
     if (
         scenario.strategy == Strategy.FULL_DEDICATION
-        and isinstance(scenario.total_raos, int)
+        and raos_ok
         and scenario.total_raos < len(resolved)
     ):
         issues.append(

@@ -8,40 +8,44 @@ one counts as collided. Collision statistics are therefore measured on fresh
 requests only, matching the closed-form model.
 
 Collisions are found by sorting the requests' slot keys (second times
-``total_raos`` plus RAO), where requests sharing a slot become neighbours, so
-time and memory grow with the number of requests and never with
-``horizon * total_raos``. One sort covers a chunk of consecutive iterations
-holding about ``CHUNK_KEYS`` requests (at least one iteration); an
-iteration's seconds never share a key with another's, so the chunking does
-not change any count. Before drawing, ``run`` refuses an iteration whose
-expected size exceeds ``MAX_ITEMS_PER_ITERATION``.
+``total_raos`` plus RAO), so time and memory grow with the number of
+requests, never with ``horizon * total_raos``. One sort covers a chunk of
+consecutive iterations holding about ``CHUNK_KEYS`` requests (at least one
+iteration). Before drawing, ``run`` refuses an iteration whose expected size
+exceeds ``MAX_ITEMS_PER_ITERATION``, and slot keys that overflow int64.
 
 Random numbers follow one layout, named by ``RNG_LAYOUT``. Iterations are
 grouped into blocks of ``max(1, BLOCK_SECONDS // horizon)``. Fresh arrivals
-of one class in one block come from one child stream of the master seed,
-which first draws the request counts of every second of the block, then the
-slot picks in iteration order. Delay measurement draws background traffic
-and retries from a separate child stream per (iteration, class). The layout
-keeps these properties:
+of one class in one block come from one child stream of the master seed:
+the request counts of every second of the block, then the slot picks in
+iteration order. A pick ``u`` takes position ``floor(u * size)`` of the
+class's usable RAOs in ascending order. Delays draw from no stream: each of
+their uniforms hashes the seed with what it decides, as counter-based
+generators do (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC 2011), mixed by SplitMix64's finaliser (Steele, Lea and Flood, OOPSLA
+2014). So results are bitwise reproducible from the seed, whatever the
+chunking; a class's fresh draws do not depend on other classes; sweeps over
+plans reuse identical arrivals (common random numbers); the first N
+iterations of a longer run equal an N-iteration run; fresh statistics do not
+depend on whether delays are measured; and delays depend on which slot keys
+collided, not on the order of the requests.
 
-- results are bitwise reproducible from the seed, whatever the chunking;
-- a class's fresh draws do not depend on any other class (isolation);
-- the block size depends on the horizon alone, so sweeps over allocation
-  plans reuse identical arrival patterns (common random numbers);
-- the first N iterations of a longer run equal a run of N iterations, since
-  a block's counts are drawn in full even when the run ends inside it;
-- fresh draws, and so every fresh collision statistic, do not depend on
-  whether delays are measured.
-
-Delay measurement, on any pool layout, retries collided requests after the
-class backoff until success or the attempt cap. Retries probe the slot
-occupancy produced by fresh arrivals but do not add to it: the closed-form
-delay model assumes every attempt faces the same fresh-traffic collision
-probability, and a simulator that fed retries back into the load would be
-unstable at high rates rather than converge to that model. A retry looks its
-slot key up in one sorted table of the fresh requests and of background
-requests drawn past the horizon, as far as any retry into the pool reaches;
-background keys enter the table only for the seconds some retry can probe.
+Delay measurement retries collided requests after the class backoff until
+success or the attempt cap, on any pool layout. Retries probe the occupancy
+made by fresh arrivals but do not add to it: the closed-form delay model
+gives every attempt the fresh-traffic collision probability, and feeding
+retries back into the load would make the simulator unstable at high rates.
+A retry's RAO comes from a uniform hashed from (seed, iteration, class,
+first slot key, rank among the class's requests with that key, attempt).
+Inside the horizon, the retry looks its slot key up in the chunk's sorted
+fresh keys. Past it, no traffic is drawn: the slot is occupied when a
+uniform hashed from (seed, iteration, slot key) falls below the chance that
+fresh arrivals fill it, ``1 - exp(-sum gamma_j / L_j)`` under Poisson
+arrivals and ``1 - prod (1 - q_j / L_j) ** N_j`` under per-device Bernoulli
+arrivals, over the classes j whose ranges hold the RAO. Poisson arrivals
+fill slots independently, so this is exact. Under Bernoulli arrivals each
+slot's marginal is exact, but the joint distribution of the slots within one
+second is not, since one coordinator's request fills only one of them.
 """
 
 from __future__ import annotations
@@ -59,11 +63,10 @@ from .model import AllocationPlan, DeviceClass, Scenario, SharingTopology, pool_
 
 # Largest per-iteration working set that run() accepts, in array items,
 # checked before any draw: the per-second counts plus the expected fresh
-# requests, and with delays the expected background requests. tracemalloc
-# put run()'s peak at about 40 bytes per fresh request (slot keys, their
-# sort order, the sorted copy and flags) and 32 bytes per background
-# request (its table entry and the draws that fill it), so a run within the
-# limit stays below about 2 GB instead of failing inside numpy or swapping.
+# requests. tracemalloc put run()'s peak at about 40 bytes per fresh request
+# (slot keys, their sort order, the sorted copy and flags), so a run within
+# the limit stays below about 2 GB instead of failing inside numpy or
+# swapping.
 MAX_ITEMS_PER_ITERATION = 50_000_000
 
 # Seconds of fresh arrivals that one block stream serves: a block is
@@ -76,7 +79,7 @@ CHUNK_KEYS = 2**14
 
 # Names the random-number layout described in the module docstring; a seed
 # reproduces a report's numbers only under the same layout.
-RNG_LAYOUT = "pcg64-block4096-v1"
+RNG_LAYOUT = "pcg64-block4096-splitmix64-v2"
 
 
 class SimulationError(RuntimeError):
@@ -176,19 +179,6 @@ class SweepResult:
     empirical_optimum: int
 
 
-@dataclass(frozen=True)
-class _Pool:
-    """Resolved per-class sampling context for one run."""
-
-    cls: DeviceClass
-    slots: np.ndarray  # usable RAO ids, ascending
-
-    def pick(self, u: np.ndarray) -> np.ndarray:
-        """RAOs for uniform draws ``u`` in [0, 1); for pool sizes below
-        2**53, ``u * size`` rounds below ``size``."""
-        return self.slots[(u * self.slots.size).astype(np.int64)]
-
-
 def _block_stream(seed: int, block: int, class_id: int) -> np.random.Generator:
     """Fresh arrivals of one class over one block of iterations."""
     return np.random.default_rng(
@@ -196,11 +186,34 @@ def _block_stream(seed: int, block: int, class_id: int) -> np.random.Generator:
     )
 
 
-def _delay_stream(seed: int, iteration: int, class_id: int) -> np.random.Generator:
-    """Background traffic and retries of one class in one iteration."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(1, iteration, class_id))
-    )
+def _hash_key(seed: int, *spawn_key: int) -> np.ndarray:
+    """A 64-bit hash key derived from the seed, as a one-item uint64 array:
+    keeping every uint64 operand an array makes the products wrap silently."""
+    return np.random.SeedSequence(entropy=seed, spawn_key=spawn_key).generate_state(1, np.uint64)
+
+
+def _hash(key: np.ndarray, *fields: np.ndarray | int) -> np.ndarray:
+    """Fold non-negative integers, arrays broadcast together, into ``key``
+    one at a time with SplitMix64's step: add the increment, then finalise."""
+    h = key
+    for field in fields:
+        h = (h ^ np.asarray(field).astype(np.uint64)) + 0x9E3779B97F4A7C15
+        h ^= h >> 30
+        h *= 0xBF58476D1CE4E5B9
+        h ^= h >> 27
+        h *= 0x94D049BB133111EB
+        h ^= h >> 31
+    return h
+
+
+def _uniform(key: np.ndarray, *fields: np.ndarray | int) -> np.ndarray:
+    """Doubles in [0, 1) from the top 53 bits of ``_hash(key, *fields)``."""
+    return (_hash(key, *fields) >> 11).astype(np.float64) * 2.0**-53
+
+
+def _pick(layout: SharingTopology, class_id: int, u: np.ndarray) -> np.ndarray:
+    """RAOs for draws ``u`` in [0, 1); below 2**53, ``u * size`` rounds below ``size``."""
+    return layout.rao_at(class_id, (u * layout.size(class_id)).astype(np.int64))
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -211,12 +224,8 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def _build_pools(
-    scenario: Scenario,
-    allocation: AllocationPlan | SharingTopology | None,
-    config: SimConfig,
-) -> list[_Pool]:
-    layout = pool_layout(scenario, allocation)
+def _check_inputs(scenario: Scenario, config: SimConfig) -> None:
+    horizon = config.horizon
     if config.arrival_mode == ArrivalMode.PER_DEVICE_BERNOULLI:
         for cls in scenario.classes:
             if cls.coordinators is None:
@@ -229,54 +238,33 @@ def _build_pools(
                     f"class {cls.id}: per-device attempt probability "
                     f"{cls.per_device_rate}/s exceeds 1"
                 )
-    return [_Pool(cls=cls, slots=layout.slots(cls.id)) for cls in scenario.classes]
-
-
-def _reach(pools: list[_Pool], config: SimConfig) -> list[tuple[DeviceClass, int]]:
-    """Per pool, the class with the longest backoff among those whose usable
-    RAOs overlap the pool, itself included (and preferred on ties), and the seconds
-    past the horizon that its final allowed retry can reach: the pool's
-    background must cover them."""
-    reach = []
-    for pool in pools:
-        slowest = max(
-            (other for other in pools if np.intersect1d(pool.slots, other.slots).size),
-            key=lambda other: (other.cls.backoff, other is pool),
-        ).cls
-        reach.append((slowest, math.ceil(config.max_attempts * slowest.backoff) + 1))
-    return reach
-
-
-def _check_budget(
-    pools: list[_Pool], reach: list[tuple[DeviceClass, int]], config: SimConfig
-) -> None:
-    horizon = config.horizon
-    fresh = horizon * (len(pools) + sum(pool.cls.ra_density for pool in pools))
+    fresh = horizon * (len(scenario.classes) + sum(cls.ra_density for cls in scenario.classes))
     if fresh > MAX_ITEMS_PER_ITERATION:
         raise SimulationError(
             f"horizon {horizon} s needs about {fresh:.3g} requests and per-second "
             f"counts per iteration, over the simulator's limit of "
             f"{MAX_ITEMS_PER_ITERATION}; lower the horizon"
         )
-    if not config.measure_delay:
-        return
-    background = [seconds * pool.cls.ra_density for pool, (_, seconds) in zip(pools, reach)]
-    total = fresh + sum(background)
-    if total > MAX_ITEMS_PER_ITERATION:
-        slowest, seconds = reach[background.index(max(background))]
+    # a chunk's keys span at most a block; no retry lands later (floats round
+    # monotonically). Passing implies total_raos < 2**51, so picks are exact.
+    seconds = max(horizon, BLOCK_SECONDS)
+    if config.measure_delay:
+        slowest = max(cls.backoff for cls in scenario.classes)
+        attempts = min(config.max_attempts - 1, 2**63)  # so that it converts to a float
+        seconds = max(seconds, math.floor(horizon + attempts * slowest) + 1)
+    if seconds * scenario.total_raos >= 2**63:
         raise SimulationError(
-            f"class {slowest.id}: delay measurement over the horizon of {horizon} s "
-            f"plus {seconds} s reachable with backoff {slowest.backoff} s and "
-            f"{config.max_attempts} attempts needs about {total:.3g} fresh and "
-            f"background requests per iteration, over the simulator's limit of "
-            f"{MAX_ITEMS_PER_ITERATION}; lower the horizon, the backoff or max_attempts"
+            f"slot keys over {seconds} s of {scenario.total_raos} RAOs do not fit in "
+            f"64 bits; lower total_raos, the horizon, the backoff or max_attempts"
         )
 
 
-def _draw_counts(rng: np.random.Generator, pool: _Pool, seconds: int, mode: ArrivalMode) -> np.ndarray:
+def _draw_counts(
+    rng: np.random.Generator, cls: DeviceClass, seconds: int, mode: ArrivalMode
+) -> np.ndarray:
     if mode == ArrivalMode.POISSON_AGGREGATE:
-        return rng.poisson(pool.cls.ra_density, size=seconds)
-    return rng.binomial(pool.cls.coordinators, pool.cls.per_device_rate, size=seconds)
+        return rng.poisson(cls.ra_density, size=seconds)
+    return rng.binomial(cls.coordinators, cls.per_device_rate, size=seconds)
 
 
 @dataclass(frozen=True)
@@ -317,25 +305,26 @@ def run(
     is not read. With ``config.measure_delay`` set, per-class mean inclusive
     access delays are tracked as well, on every layout. Raises
     SimulationError before any draw when one iteration would exceed
-    ``MAX_ITEMS_PER_ITERATION``.
+    ``MAX_ITEMS_PER_ITERATION`` or a slot key would not fit in int64.
     """
     config.validate()
-    pools = _build_pools(scenario, allocation, config)
-    reach = _reach(pools, config) if config.measure_delay else []
-    _check_budget(pools, reach, config)
+    layout = pool_layout(scenario, allocation)
+    _check_inputs(scenario, config)
 
+    classes = scenario.classes
     iters, horizon = config.iterations, config.horizon
     total_slots = scenario.total_raos
     span = horizon * total_slots  # slot keys per iteration
-    tally = _Tally.zeros(len(pools), iters)
+    tally = _Tally.zeros(len(classes), iters)
+    measure = _delay_meter(scenario, layout, config) if config.measure_delay else None
     per_block = max(1, BLOCK_SECONDS // horizon)
     for first in range(0, iters, per_block):
         n = min(per_block, iters - first)
-        rngs = [_block_stream(config.seed, first // per_block, pool.cls.id) for pool in pools]
+        rngs = [_block_stream(config.seed, first // per_block, cls.id) for cls in classes]
         # the whole block's counts, so that a shorter run draws a prefix of a longer one
         counts = [
-            _draw_counts(rng, pool, per_block * horizon, config.arrival_mode)[: n * horizon]
-            for pool, rng in zip(pools, rngs)
+            _draw_counts(rng, cls, per_block * horizon, config.arrival_mode)[: n * horizon]
+            for cls, rng in zip(classes, rngs)
         ]
         block = slice(first, first + n)
         tally.attempts[:, block] = [c.reshape(n, horizon).sum(axis=1) for c in counts]
@@ -345,37 +334,23 @@ def run(
             # them first let the heap shrink and fault its pages in again, which
             # cost a tenth of the time at horizon 200
             keys_by_class = [
-                _fresh_keys(pool, rng, c[lo * horizon : hi * horizon], total_slots)
-                for pool, rng, c in zip(pools, rngs, counts)
+                _fresh_keys(layout, cls.id, rng, c[lo * horizon : hi * horizon], total_slots)
+                for cls, rng, c in zip(classes, rngs, counts)
             ]
-            flags_by_class, event_keys = _collisions(keys_by_class)
+            flags_by_class, event_keys, ordered = _collisions(keys_by_class)
             bounds = np.arange(hi - lo + 1) * span
             tally.events[chunk] = np.diff(np.searchsorted(event_keys, bounds))
-            for pos, flags in enumerate(flags_by_class):
+            for pos, (keys, flags) in enumerate(zip(keys_by_class, flags_by_class)):
                 tally.collided[pos, chunk] = _segment_sums(flags, tally.attempts[pos, chunk])
-            if config.measure_delay:
-                ends = np.cumsum(tally.attempts[:, chunk], axis=1)
-                starts = ends - tally.attempts[:, chunk]
-                for j, it in enumerate(range(chunk.start, chunk.stop)):
-                    parts = [slice(a, b) for a, b in zip(starts[:, j], ends[:, j])]
-                    tally.delay_sums[:, it], tally.delay_counts[:, it], tally.censored[:, it] = zip(
-                        *_measure_delays(
-                            pools,
-                            reach,
-                            [keys[part] - j * span for keys, part in zip(keys_by_class, parts)],
-                            [flags[part] for flags, part in zip(flags_by_class, parts)],
-                            total_slots,
-                            config,
-                            it,
-                        )
-                    )
-    return _summarize(pools, config, tally)
+                if measure is not None:
+                    measure(pos, keys[flags], ordered, chunk, tally)
+    return _summarize(classes, config, tally)
 
 
-def _summarize(pools: list[_Pool], config: SimConfig, tally: _Tally) -> SimStats:
+def _summarize(classes: Sequence[DeviceClass], config: SimConfig, tally: _Tally) -> SimStats:
     horizon = config.horizon
     per_class: dict[int, ClassStats] = {}
-    for pos, pool in enumerate(pools):
+    for pos, cls in enumerate(classes):
         att, col = tally.attempts[pos], tally.collided[pos]
         with_attempts = att > 0
         rates = col[with_attempts] / att[with_attempts]
@@ -388,7 +363,7 @@ def _summarize(pools: list[_Pool], config: SimConfig, tally: _Tally) -> SimStats
             mean_delay = float(sums.sum() / n_delays) if n_delays else None
             has = counts > 0
             _, delay_stderr = _mean_stderr(sums[has] / counts[has])
-        per_class[pool.cls.id] = ClassStats(
+        per_class[cls.id] = ClassStats(
             attempts=int(att.sum()),
             collided=int(col.sum()),
             collision_rate=float(col.sum() / att.sum()) if att.sum() else 0.0,
@@ -416,12 +391,17 @@ def _summarize(pools: list[_Pool], config: SimConfig, tally: _Tally) -> SimStats
 
 
 def _fresh_keys(
-    pool: _Pool, rng: np.random.Generator, counts: np.ndarray, total_slots: int
+    layout: SharingTopology,
+    class_id: int,
+    rng: np.random.Generator,
+    counts: np.ndarray,
+    total_slots: int,
 ) -> np.ndarray:
     """Slot keys of one class's fresh requests, given its counts per second
     of a chunk; the picks continue the class's block stream."""
-    u = rng.random(int(counts.sum()))
-    return np.repeat(np.arange(counts.size), counts) * total_slots + pool.pick(u)
+    keys = _pick(layout, class_id, rng.random(int(counts.sum())))
+    keys += np.repeat(np.arange(counts.size) * total_slots, counts)
+    return keys
 
 
 def _chunks(sizes: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -447,10 +427,12 @@ def _segment_sums(flags: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _collisions(keys_by_class: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+def _collisions(
+    keys_by_class: list[np.ndarray],
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
     """Flag, per class, the requests whose slot key another request of any
-    class shares, and list the keys of the slots holding two or more
-    requests, ascending, once each.
+    class shares; list the keys of the slots holding two or more requests,
+    ascending, once each; and return all keys sorted.
 
     Sorting puts equal keys next to each other, so the work grows with the
     number of requests, not with the number of slots they pick from.
@@ -464,82 +446,73 @@ def _collisions(keys_by_class: list[np.ndarray]) -> tuple[list[np.ndarray], np.n
     hit[:-1] |= same
     flags = np.zeros(keys.size, dtype=bool)
     flags[order[hit]] = True
-    flags_by_class, start = [], 0
-    for class_keys in keys_by_class:
-        flags_by_class.append(flags[start : start + class_keys.size])
-        start += class_keys.size
+    flags_by_class = np.split(flags, np.cumsum([k.size for k in keys_by_class])[:-1])
     # a shared slot starts where a match follows a non-match
     first_match = same.copy()
     first_match[1:] &= ~same[:-1]
-    return flags_by_class, ordered[:-1][first_match]
+    return flags_by_class, ordered[:-1][first_match], ordered
 
 
-def _retry_second(t0: np.ndarray, attempt: int, backoff: float) -> np.ndarray:
-    """The second that attempt ``attempt`` of requests first sent at ``t0``
-    lands in; the background table is built for exactly these seconds."""
-    return np.floor(t0 + (attempt - 1) * backoff).astype(np.int64)
+def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig):
+    """The delay measurement of one run, as a function that retries the
+    collided requests of the class at ``pos`` in one chunk, given their slot
+    keys and the chunk's sorted fresh keys. It fills the chunk's delay sums,
+    successes and censored requests in the tally; a success on attempt k
+    took k backoff periods."""
+    horizon, total_slots = config.horizon, scenario.total_raos
+    span = horizon * total_slots
+    classes, sizes = scenario.classes, [layout.size(c.id) for c in scenario.classes]
+    # per run of RAOs between range ends, the log of the chance that it is free
+    if config.arrival_mode == ArrivalMode.POISSON_AGGREGATE:
+        log_free = {c.id: -c.ra_density / size for c, size in zip(classes, sizes)}
+    else:
+        with np.errstate(divide="ignore"):  # q = L = 1 fills the slot
+            log_free = {
+                c.id: c.coordinators * np.log1p(-c.per_device_rate / size)
+                for c, size in zip(classes, sizes)
+            }
+    run_starts, _, _, log_free_run = layout.segments(log_free)
+    busy_chance = -np.expm1(log_free_run)
+    occupancy_key = _hash_key(config.seed, 1)
+    pick_keys = [_hash_key(config.seed, 1, c.id) for c in classes]
 
-
-def _measure_delays(
-    pools: list[_Pool],
-    reach: list[tuple[DeviceClass, int]],
-    keys_by_class: list[np.ndarray],
-    flags_by_class: list[np.ndarray],
-    total_slots: int,
-    config: SimConfig,
-    iteration: int,
-) -> list[tuple[float, int, int]]:
-    """Track retries for every class in one iteration.
-
-    Returns per class (sum of inclusive delays, successes, censored
-    requests); a success on attempt k took k backoff periods. Each class's
-    delay stream draws its background over its whole reach, then its
-    retries. A retry succeeds when no other request holds its slot key.
-    """
-    horizon = config.horizon
-    rngs = [_delay_stream(config.seed, iteration, pool.cls.id) for pool in pools]
-    pending, probed = [], np.zeros(horizon + max(s for _, s in reach), dtype=bool)
-    for pool, keys, flags in zip(pools, keys_by_class, flags_by_class):
-        k0 = keys[flags]
+    def measure(pos, collided, ordered, chunk, tally):
+        cls, size = classes[pos], sizes[pos]
+        k0 = np.sort(collided)
+        j, first_key = np.divmod(k0, span)  # iteration in the chunk, key in it
+        second, rao = np.divmod(first_key, total_slots)
         # the time within a second follows the first RAO's position in the pool
-        first_local = np.searchsorted(pool.slots, k0 % total_slots)
-        t0 = k0 // total_slots + (first_local + 0.5) / pool.slots.size
+        t0 = second + (layout.index_of(cls.id, rao) + 0.5) / size
+        iteration = chunk.start + j
+        rank = np.arange(k0.size) - np.searchsorted(k0, k0)
+        pick = _hash(pick_keys[pos], iteration, first_key, rank)
+        done = np.zeros(k0.size, dtype=np.int64)  # the attempt that succeeded
+        todo = np.arange(k0.size)
         for attempt in range(2, config.max_attempts + 1):
-            probed[_retry_second(t0, attempt, pool.cls.backoff)] = True
-        pending.append((k0, t0))
-
-    background = []
-    for pool, rng, (_, seconds) in zip(pools, rngs, reach):
-        counts = _draw_counts(rng, pool, seconds, config.arrival_mode)
-        u = rng.random(int(counts.sum()))
-        # every draw is made, but only probed seconds enter the table
-        keep = probed[horizon : horizon + seconds]
-        ext = np.repeat(np.arange(horizon, horizon + seconds)[keep], counts[keep])
-        ext *= total_slots
-        ext += pool.pick(u[np.repeat(keep, counts)])
-        background.append(ext)
-    table = np.concatenate(keys_by_class + background)
-    table.sort()
-
-    results = []
-    for pool, rng, flags, (k0, t0) in zip(pools, rngs, flags_by_class, pending):
-        backoff = pool.cls.backoff
-        n_done = int((~flags).sum())
-        delay_sum = n_done * backoff  # attempt 1 counts one backoff period
-        for attempt in range(2, config.max_attempts + 1):
-            if k0.size == 0:
+            if todo.size == 0:
                 break
-            sec = _retry_second(t0, attempt, backoff)
-            key = sec * total_slots + pool.pick(rng.random(k0.size))
+            sec = np.floor(t0[todo] + (attempt - 1) * cls.backoff).astype(np.int64)
+            rao = _pick(layout, cls.id, _uniform(pick[todo], attempt))
+            key = sec * total_slots + rao
+            busy = np.empty(todo.size, dtype=bool)
+            inside, past = sec < horizon, sec >= horizon
             # a retry into the slot of its own first attempt does not count itself
-            hits = np.searchsorted(table, key, "right") - np.searchsorted(table, key, "left")
-            ok = hits - (key == k0) < 1
-            n_ok = int(ok.sum())
-            n_done += n_ok
-            delay_sum += n_ok * attempt * backoff
-            k0, t0 = k0[~ok], t0[~ok]
-        results.append((float(delay_sum), n_done, int(k0.size)))
-    return results
+            own = k0[todo[inside]]
+            probe = key[inside] + own // span * span
+            hits = np.searchsorted(ordered, probe, "right") - np.searchsorted(ordered, probe, "left")
+            busy[inside] = hits - (probe == own) > 0
+            chance = busy_chance[np.searchsorted(run_starts, rao[past], "right") - 1]
+            busy[past] = _uniform(occupancy_key, iteration[todo[past]], key[past]) < chance
+            done[todo[~busy]] = attempt
+            todo = todo[busy]
+        ok, n = done > 0, chunk.stop - chunk.start
+        first_ok = tally.attempts[pos, chunk] - tally.collided[pos, chunk]
+        attempts = first_ok + np.bincount(j, weights=done, minlength=n)
+        tally.delay_sums[pos, chunk] = attempts * cls.backoff
+        tally.delay_counts[pos, chunk] = first_ok + np.bincount(j[ok], minlength=n)
+        tally.censored[pos, chunk] = np.bincount(j[~ok], minlength=n)
+
+    return measure
 
 
 def sweep_dedication(

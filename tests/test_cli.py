@@ -51,6 +51,20 @@ def write_cell(tmp_path, strategy, total_raos, densities):
     return str(path)
 
 
+def write_class(tmp_path, total_raos, class_id=1, **fields):
+    path = tmp_path / f"one_class_{total_raos}.yaml"
+    path.write_text(
+        yaml.safe_dump(
+            {
+                "total_raos": total_raos,
+                "strategy": "full_dedication",
+                "classes": [{"id": class_id, **fields}],
+            }
+        )
+    )
+    return str(path)
+
+
 class TestAnalyze:
     def test_reports_reference_density(self, capsys):
         code, report = run_json(capsys, ["analyze", DC12])
@@ -321,27 +335,60 @@ class TestSimulate:
         assert main(argv + ["--csv", str(out)]) == EXIT_SIMULATION
         assert out.read_text() == "earlier,rows\n"
 
-    def test_backoff_over_memory_limit_exits_before_drawing(self, capsys, tmp_path):
-        path = tmp_path / "slow_backoff.yaml"
-        path.write_text(
-            yaml.safe_dump(
-                {
-                    "total_raos": 100,
-                    "strategy": "full_dedication",
-                    "classes": [{"id": 1, "ra_density": 5.0, "backoff": 1e12}],
-                }
-            )
-        )
-        argv = ["simulate", str(path), "--iterations", "1", "--seed", "1", "--measure-delay"]
+    @staticmethod
+    def _simulate_peak(path, *extra):
+        argv = ["simulate", str(path), "--iterations", "2", "--seed", "1", "--measure-delay"]
         tracemalloc.start()
         try:
-            code = main(argv)
+            code = main(argv + list(extra))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert code == EXIT_SIMULATION
-        assert "backoff 1000000000000.0 s" in capsys.readouterr().err
+        return code, peak
+
+    def test_huge_backoff_probes_past_the_horizon_in_small_memory(self, capsys, tmp_path):
+        # retries reach 2.4e13 s past the horizon; no traffic is drawn there
+        path = write_class(tmp_path, 100, ra_density=5.0, backoff=1e12)
+        code, peak = self._simulate_peak(path)
+        assert code == EXIT_OK
         assert peak < 10 * 2**20
+
+    def test_backoff_past_64_bit_keys_exits_before_drawing(self, capsys, tmp_path):
+        path = write_class(tmp_path, 100, ra_density=5.0, backoff=1e18)
+        code, peak = self._simulate_peak(path)
+        assert code == EXIT_SIMULATION
+        assert "do not fit in 64 bits" in capsys.readouterr().err
+        assert peak < 10 * 2**20
+
+    def test_attempt_cap_past_floats_exits_before_drawing(self, capsys):
+        code, _ = self._simulate_peak(DC12, "--max-attempts", str(10**400))
+        assert code == EXIT_SIMULATION
+        assert "do not fit in 64 bits" in capsys.readouterr().err
+
+    def test_huge_pool_runs_in_small_memory(self, capsys, tmp_path):
+        # 1e11 RAOs: no per-class slot array exists, so nothing grows with them
+        path = write_class(tmp_path, 10**11, ra_density=10.0)
+        code, peak = self._simulate_peak(path, "--json")
+        assert code == EXIT_OK
+        assert peak < 10 * 2**20
+        assert strict_json(capsys.readouterr().out)["results"]["simulated"]["per_class"]["1"][
+            "attempts"] > 0
+
+    def test_pool_past_64_bit_keys_exits_before_drawing(self, capsys, tmp_path):
+        path = write_class(tmp_path, 10**21, ra_density=10.0)
+        code, peak = self._simulate_peak(path)
+        assert code == EXIT_SIMULATION
+        assert "do not fit in 64 bits" in capsys.readouterr().err
+        assert peak < 10 * 2**20
+
+    def test_huge_class_id_and_seed_measure_delays(self, capsys, tmp_path):
+        path = write_class(tmp_path, 100, ra_density=50.0, class_id=10**30)
+        code, report = run_json(
+            capsys,
+            ["simulate", str(path), "--iterations", "3", "--seed", str(10**30), "--measure-delay"],
+        )
+        assert code == EXIT_OK
+        assert report["results"]["simulated"]["per_class"][str(10**30)]["mean_delay"] > 1.0
 
     def test_device_mode_needs_population(self, capsys, tmp_path):
         path = tmp_path / "nopop.yaml"
@@ -561,6 +608,22 @@ class TestDiagnostics:
         )
         assert main(["analyze", str(path)]) == EXIT_VALIDATION
         assert f"class 7: {field} must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"total_raos": True, "classes": [{"id": 1, "ra_density": 5.0}]},
+             "total_raos must be a positive integer"),
+            ({"total_raos": 100, "classes": [{"id": True, "ra_density": 5.0}]},
+             "id must be a non-negative integer"),
+        ],
+        ids=["total_raos", "id"],
+    )
+    def test_bool_count_or_id_rejected(self, capsys, tmp_path, document, message):
+        path = tmp_path / "bool.yaml"
+        path.write_text(yaml.safe_dump({"strategy": "full_sharing", **document}))
+        assert main(["analyze", str(path)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
 
     def test_closed_stdout_ends_quietly(self):
         # the reader has gone before the report is written, as with `| true`

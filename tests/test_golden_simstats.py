@@ -5,9 +5,10 @@ The expected values were recorded from the simulator and are compared with
 statistics shows up here. A change that is meant to alter simulator output
 must say so and re-record these values: from the repository root,
 
-    PYTHONPATH=src python tests/test_golden_simstats.py
+    PYTHONPATH=src python tests/test_golden_simstats.py [CASE ...]
 
-prints ``GOLDEN`` from ``CASES``, to paste over the recording below.
+prints ``GOLDEN`` from ``CASES``, or only the named cases, to paste over
+the recording below.
 """
 
 import dataclasses
@@ -23,7 +24,7 @@ from rachopt.model import (
     Strategy,
     validate_scenario,
 )
-from rachopt.simulator import RNG_LAYOUT, ArrivalMode, SimConfig, _build_pools, run
+from rachopt.simulator import RNG_LAYOUT, ArrivalMode, SimConfig, _pick, run
 
 from conftest import make_scenario
 
@@ -105,8 +106,8 @@ def _measure_delay_long_horizon():
 
 
 def _measure_delay_partial():
-    # class 2's longer backoff sets how far class 1's background reaches,
-    # because the two share RAOs 100-199
+    # the two classes share RAOs 100-199, so retries past the horizon
+    # probe them at the summed load of both
     classes = (
         DeviceClass(id=1, ra_density=50.0),
         DeviceClass(id=2, ra_density=100.0, backoff=2.5),
@@ -144,7 +145,7 @@ CASES = {
 }
 
 # recorded with the seeds above under RECORDED_LAYOUT; compared exactly
-RECORDED_LAYOUT = "pcg64-block4096-v1"
+RECORDED_LAYOUT = "pcg64-block4096-splitmix64-v2"
 GOLDEN = {'bernoulli': {'event_density': 1.0,
                         'event_density_stderr': 0.1777046633277277,
                         'horizon': 1,
@@ -275,22 +276,22 @@ GOLDEN = {'bernoulli': {'event_density': 1.0,
                             'horizon': 1,
                             'iterations': 10,
                             'per_class': {1: {'attempts': 458,
-                                              'censored': 1,
+                                              'censored': 3,
                                               'collided': 161,
                                               'collision_density': 16.1,
                                               'collision_rate': 0.35152838427947597,
-                                              'delay_stderr': 0.06766434393622688,
+                                              'delay_stderr': 0.06178311739889537,
                                               'density_stderr': 1.3203534880225571,
-                                              'mean_delay': 1.5317286652078774,
+                                              'mean_delay': 1.6021978021978023,
                                               'rate_stderr': 0.024598764513114133},
                                           2: {'attempts': 968,
-                                              'censored': 2,
+                                              'censored': 4,
                                               'collided': 379,
                                               'collision_density': 37.9,
                                               'collision_rate': 0.3915289256198347,
-                                              'delay_stderr': 0.04875468928936026,
+                                              'delay_stderr': 0.060444576549808844,
                                               'density_stderr': 4.086427399194666,
-                                              'mean_delay': 1.6304347826086956,
+                                              'mean_delay': 1.6327800829875518,
                                               'rate_stderr': 0.025745631050250274}},
                             'seed': 14,
                             'total_density': 54.0,
@@ -304,18 +305,18 @@ GOLDEN = {'bernoulli': {'event_density': 1.0,
                                                            'collided': 430,
                                                            'collision_density': 21.5,
                                                            'collision_rate': 0.42828685258964144,
-                                                           'delay_stderr': 0.037348315997103164,
+                                                           'delay_stderr': 0.04108234887940419,
                                                            'density_stderr': 1.8046236911518883,
-                                                           'mean_delay': 1.6976047904191616,
+                                                           'mean_delay': 1.656686626746507,
                                                            'rate_stderr': 0.023042161954016285},
                                                        2: {'attempts': 1965,
-                                                           'censored': 8,
+                                                           'censored': 4,
                                                            'collided': 787,
                                                            'collision_density': 39.35,
                                                            'collision_rate': 0.40050890585241733,
-                                                           'delay_stderr': 0.009413969969096502,
+                                                           'delay_stderr': 0.01192558816003024,
                                                            'density_stderr': 1.0210288928331066,
-                                                           'mean_delay': 1.6382217680122637,
+                                                           'mean_delay': 1.6231514533401326,
                                                            'rate_stderr': 0.013030101076968451}},
                                          'seed': 19,
                                          'total_density': 60.85,
@@ -325,22 +326,22 @@ GOLDEN = {'bernoulli': {'event_density': 1.0,
                                     'horizon': 1,
                                     'iterations': 10,
                                     'per_class': {1: {'attempts': 506,
-                                                      'censored': 2,
+                                                      'censored': 1,
                                                       'collided': 211,
                                                       'collision_density': 21.1,
                                                       'collision_rate': 0.41699604743083,
-                                                      'delay_stderr': 0.048107332398605034,
+                                                      'delay_stderr': 0.04963412457320485,
                                                       'density_stderr': 1.168569876197207,
-                                                      'mean_delay': 1.6428571428571428,
+                                                      'mean_delay': 1.6514851485148514,
                                                       'rate_stderr': 0.021385952101952807},
                                                   2: {'attempts': 997,
-                                                      'censored': 8,
+                                                      'censored': 12,
                                                       'collided': 449,
                                                       'collision_density': 44.9,
                                                       'collision_rate': 0.45035105315947843,
-                                                      'delay_stderr': 0.13703650528650718,
+                                                      'delay_stderr': 0.11082484174023839,
                                                       'density_stderr': 3.4942810419312287,
-                                                      'mean_delay': 4.4413549039433775,
+                                                      'mean_delay': 4.49238578680203,
                                                       'rate_stderr': 0.022419409302592695}},
                                     'seed': 20,
                                     'total_density': 66.0,
@@ -444,16 +445,19 @@ def test_recording_names_the_current_layout():
 @pytest.mark.parametrize("size", [1, 2, 4096, 8192, 10800])
 def test_largest_uniform_draw_picks_last_slot(size):
     # rng.random() stays below 1; its largest value must map to the pool's
-    # last slot, never one past it
-    scenario = make_scenario((1, 2), total_raos=size + 1)
-    plan = AllocationPlan({1: 1, 2: size})
-    pool = _build_pools(scenario, plan, SimConfig(iterations=1, seed=0))[1]
+    # last slot, never one past it, however many ranges come before it
     u = np.array([0.0, np.nextafter(1.0, 0.0)])
-    assert pool.pick(u).tolist() == [1, size]
+    for before in ([(1, 1)], [(3, 5)], [(0, 0), (2, 2), (7, 9)]):
+        last = 20 + size
+        topology = SharingTopology.from_ranges({2: before + [(21, last)]})
+        picks = _pick(topology, 2, u)
+        assert picks.tolist() == [before[0][0], last]
 
 
 if __name__ == "__main__":
     import pprint
+    import sys
 
-    recorded = {name: dataclasses.asdict(case()) for name, case in sorted(CASES.items())}
+    names = sys.argv[1:] or sorted(CASES)
+    recorded = {name: dataclasses.asdict(CASES[name]()) for name in names}
     print("GOLDEN = " + pprint.pformat(recorded, width=70).replace("\n", "\n" + " " * 9))

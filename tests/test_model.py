@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -158,6 +159,21 @@ class TestValidateScenario:
         assert scenario.class_ids == (1, 2, 3)
         assert scenario.source_order == (2, 3, 1)
 
+    def test_bool_total_raos_rejected(self):
+        # YAML's true is an int subclass in Python, not a count of RAOs
+        with pytest.raises(ScenarioError, match="total_raos must be a positive integer"):
+            validate_scenario(
+                Scenario(classes=(DeviceClass(id=1, ra_density=1.0),), total_raos=True,
+                         strategy=Strategy.FULL_SHARING)
+            )
+
+    def test_bool_class_id_rejected(self):
+        with pytest.raises(ScenarioError, match="id must be a non-negative integer"):
+            validate_scenario(
+                Scenario(classes=(DeviceClass(id=True, ra_density=1.0),), total_raos=10,
+                         strategy=Strategy.FULL_SHARING)
+            )
+
     def test_all_violations_reported_at_once(self):
         bad = Scenario(
             classes=(
@@ -243,7 +259,18 @@ class TestSharingTopology:
         )
         assert topo.ranges == {1: ((0, 17), (20, 22)), 2: ((2, 5), (8, 9))}
         assert topo.size(1) == 21
-        assert topo.slots(2).tolist() == [2, 3, 4, 5, 8, 9]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 12)), min_size=1, max_size=6))
+    def test_range_map_matches_slot_array(self, spans):
+        # positions map to RAOs, and back, as indexing the concatenated
+        # aranges of the merged ranges would
+        topo = SharingTopology.from_ranges({1: [(a, a + w) for a, w in spans]})
+        slots = np.concatenate([np.arange(a, b + 1) for a, b in topo.ranges[1]])
+        index = np.arange(slots.size)
+        assert topo.size(1) == slots.size
+        assert topo.rao_at(1, index).tolist() == slots.tolist()
+        assert topo.index_of(1, slots).tolist() == index.tolist()
 
     def test_validation_catches_out_of_range(self):
         scenario = make_scenario((1, 2), strategy=Strategy.PARTIAL_DEDICATION)

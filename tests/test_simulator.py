@@ -1,4 +1,6 @@
+import functools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -95,79 +97,102 @@ class TestCollisionKernel:
     @example([np.array([7], dtype=np.int64), np.array([], dtype=np.int64)])  # one request
     @example([np.array([3, 3, 3], dtype=np.int64), np.array([3], dtype=np.int64)])  # one slot
     def test_matches_dense_occupancy(self, keys_by_class):
-        flags, event_keys = _collisions(keys_by_class)
+        flags, event_keys, ordered = _collisions(keys_by_class)
         dense_flags, dense_event_keys = dense_collisions(keys_by_class)
+        assert ordered.tolist() == sorted(np.concatenate(keys_by_class).tolist())
         assert [f.tolist() for f in flags] == [f.tolist() for f in dense_flags]
         assert [np.count_nonzero(f) for f in flags] == [np.count_nonzero(f) for f in dense_flags]
         assert event_keys.tolist() == dense_event_keys.tolist()
 
 
 def reference_run(scenario, allocation, config):
-    """Plain per-iteration engine over the simulator's random streams: each
-    iteration slices its seconds out of its block's counts and continues
-    the block stream's picks, counts collisions densely, and retries
-    against background drawn for every second of each class's reach."""
-    pools = simulator._build_pools(scenario, allocation, config)
-    reach = simulator._reach(pools, config) if config.measure_delay else []
+    """Plain per-iteration, per-request engine over the simulator's random
+    streams and hash helpers: each iteration slices its seconds out of its
+    block's counts, continues the block stream's picks through the pool's
+    slot array, counts collisions densely, and retries one request at a time."""
+    layout = pool_layout(scenario, allocation)
+    classes = scenario.classes
+    slots = {
+        cls.id: np.concatenate([np.arange(a, b + 1) for a, b in layout.ranges[cls.id]])
+        for cls in classes
+    }
     horizon, total = config.horizon, scenario.total_raos
-    tally = simulator._Tally.zeros(len(pools), config.iterations)
+    tally = simulator._Tally.zeros(len(classes), config.iterations)
     per_block = max(1, simulator.BLOCK_SECONDS // horizon)
     for it in range(config.iterations):
         block, offset = divmod(it, per_block)
         if offset == 0:
-            rngs = [simulator._block_stream(config.seed, block, p.cls.id) for p in pools]
+            rngs = [simulator._block_stream(config.seed, block, cls.id) for cls in classes]
             counts = [
-                simulator._draw_counts(rng, p, per_block * horizon, config.arrival_mode)
-                for p, rng in zip(pools, rngs)
+                simulator._draw_counts(rng, cls, per_block * horizon, config.arrival_mode)
+                for cls, rng in zip(classes, rngs)
             ]
         keys_by_class = []
-        for pool, rng, block_counts in zip(pools, rngs, counts):
+        for cls, rng, block_counts in zip(classes, rngs, counts):
             c = block_counts[offset * horizon : (offset + 1) * horizon]
-            u = rng.random(int(c.sum()))
-            keys_by_class.append(np.repeat(np.arange(horizon), c) * total + pool.pick(u))
+            picks = (rng.random(int(c.sum())) * slots[cls.id].size).astype(np.int64)
+            keys_by_class.append(np.repeat(np.arange(horizon), c) * total + slots[cls.id][picks])
         flags_by_class, event_keys = dense_collisions(keys_by_class)
         tally.events[it] = event_keys.size
         for pos, (keys, flags) in enumerate(zip(keys_by_class, flags_by_class)):
             tally.attempts[pos, it] = keys.size
             tally.collided[pos, it] = np.count_nonzero(flags)
         if config.measure_delay:
-            delays = reference_delays(pools, reach, keys_by_class, flags_by_class, total, config, it)
-            for pos, (delay_sum, n_done, n_censored) in enumerate(delays):
-                tally.delay_sums[pos, it] = delay_sum
-                tally.delay_counts[pos, it] = n_done
-                tally.censored[pos, it] = n_censored
-    return simulator._summarize(pools, config, tally)
+            occupancy = np.bincount(np.concatenate(keys_by_class), minlength=horizon * total)
+            for pos, (cls, keys, flags) in enumerate(zip(classes, keys_by_class, flags_by_class)):
+                sums, done, censored = reference_delays(
+                    scenario, cls, slots, occupancy, keys[flags], config, it
+                )
+                n_first = int(np.count_nonzero(~flags))
+                tally.delay_sums[pos, it] = (n_first + sums) * cls.backoff
+                tally.delay_counts[pos, it] = n_first + done
+                tally.censored[pos, it] = censored
+    return simulator._summarize(classes, config, tally)
 
 
-def reference_delays(pools, reach, keys_by_class, flags_by_class, total, config, iteration):
-    horizon = config.horizon
-    rngs = [simulator._delay_stream(config.seed, iteration, p.cls.id) for p in pools]
-    table = list(keys_by_class)
-    for pool, rng, (_, seconds) in zip(pools, rngs, reach):
-        counts = simulator._draw_counts(rng, pool, seconds, config.arrival_mode)
-        u = rng.random(int(counts.sum()))
-        table.append(np.repeat(np.arange(horizon, horizon + seconds), counts) * total + pool.pick(u))
-    size = (horizon + max(seconds for _, seconds in reach)) * total
-    occupancy = np.bincount(np.concatenate(table), minlength=size)
-    results = []
-    for pool, rng, keys, flags in zip(pools, rngs, keys_by_class, flags_by_class):
-        backoff = pool.cls.backoff
-        n_done = int(np.count_nonzero(~flags))
-        delay_sum = n_done * backoff
-        k0 = keys[flags]
-        t0 = k0 // total + (np.searchsorted(pool.slots, k0 % total) + 0.5) / pool.slots.size
+def busy_chance(scenario, slots, rao, mode):
+    """Chance that fresh arrivals occupy one slot of RAO ``rao`` in a second,
+    summed over the classes whose slot arrays hold it, in class order."""
+    log_free = 0.0
+    for cls in scenario.classes:
+        if rao in slots[cls.id]:
+            size = slots[cls.id].size
+            if mode == ArrivalMode.POISSON_AGGREGATE:
+                log_free += -cls.ra_density / size
+            else:
+                log_free += cls.coordinators * np.log1p(-cls.per_device_rate / size)
+    return -np.expm1(log_free)
+
+
+def reference_delays(scenario, cls, slots, occupancy, firsts, config, iteration):
+    """Retries of one class's collided requests in one iteration, one
+    request at a time, in request order. Returns the summed attempts of the
+    successes, their number and the censored count."""
+    total, horizon = scenario.total_raos, config.horizon
+    pool = slots[cls.id]
+    occupancy_key = simulator._hash_key(config.seed, 1)
+    pick_key = simulator._hash_key(config.seed, 1, cls.id)
+    attempt_sum = done = censored = 0
+    for n, k0 in enumerate(firsts.tolist()):
+        rank = firsts[:n].tolist().count(k0)
+        t0 = k0 // total + (np.searchsorted(pool, k0 % total) + 0.5) / pool.size
+        pick = simulator._hash(pick_key, iteration, k0, rank)
         for attempt in range(2, config.max_attempts + 1):
-            if k0.size == 0:
+            second = math.floor(t0 + (attempt - 1) * cls.backoff)
+            rao = int(pool[int(simulator._uniform(pick, attempt)[0] * pool.size)])
+            key = second * total + rao
+            if second < horizon:
+                busy = occupancy[key] - (key == k0) >= 1
+            else:
+                u = simulator._uniform(occupancy_key, iteration, key)[0]
+                busy = u < busy_chance(scenario, slots, rao, config.arrival_mode)
+            if not busy:
+                attempt_sum += attempt
+                done += 1
                 break
-            second = np.floor(t0 + (attempt - 1) * backoff).astype(np.int64)
-            key = second * total + pool.pick(rng.random(k0.size))
-            ok = occupancy[key] - (key == k0) < 1
-            n_ok = int(ok.sum())
-            n_done += n_ok
-            delay_sum += n_ok * attempt * backoff
-            k0, t0 = k0[~ok], t0[~ok]
-        results.append((float(delay_sum), n_done, int(k0.size)))
-    return results
+        else:
+            censored += 1
+    return attempt_sum, done, censored
 
 
 def _light_cell(strategy, backoffs=(1.0, 1.0), populations=None, total=40):
@@ -223,7 +248,31 @@ REFERENCE_CASES = {
         None,
         SimConfig(iterations=40, seed=6, measure_delay=True, max_attempts=3),
     ),
+    # few coordinators on 5-RAO pools, so (1 - q/L)^N is far from
+    # exp(-N q/L), and most retries probe hashed slots past the horizon
+    "delay-bernoulli-partial": lambda: (
+        validate_scenario(
+            Scenario(
+                classes=(
+                    DeviceClass(id=1, population=6, per_device_rate=0.5, backoff=0.5),
+                    DeviceClass(id=2, population=10, per_device_rate=0.6, backoff=3.0),
+                ),
+                total_raos=8,
+                strategy=Strategy.PARTIAL_DEDICATION,
+            )
+        ),
+        SharingTopology.from_ranges({1: [(0, 4)], 2: [(3, 7)]}),
+        SimConfig(
+            iterations=200, seed=7, measure_delay=True, max_attempts=4,
+            arrival_mode=ArrivalMode.PER_DEVICE_BERNOULLI,
+        ),
+    ),
 }
+
+
+@functools.cache
+def reference_stats(case):
+    return reference_run(*REFERENCE_CASES[case]())
 
 
 class TestReferenceEngine:
@@ -233,7 +282,7 @@ class TestReferenceEngine:
     def test_run_equals_per_iteration_loop(self, monkeypatch, case, chunk_keys):
         scenario, allocation, config = REFERENCE_CASES[case]()
         monkeypatch.setattr(simulator, "CHUNK_KEYS", chunk_keys)
-        assert run(scenario, allocation, config) == reference_run(scenario, allocation, config)
+        assert run(scenario, allocation, config) == reference_stats(case)
 
     def test_fresh_statistics_do_not_depend_on_delays(self):
         scenario = make_scenario((1, 2), strategy=Strategy.PARTIAL_DEDICATION)
@@ -268,8 +317,8 @@ class TestMemory:
         assert peak < 2 * 2**20
 
     def test_delay_peak_grows_with_requests_not_slots(self):
-        # 1 Hz on 10 800 RAOs with backoff 400: retries reach 10 001 s past
-        # the horizon, about 10 000 background requests in 108 M slots
+        # 1 Hz on 10 800 RAOs with backoff 400: retries reach 10 000 s past
+        # the horizon, 108 M slots that no array may hold
         scenario = single_class_scenario(gamma=1.0, total=10800, backoff=400.0)
         config = SimConfig(iterations=2, seed=5, measure_delay=True)
         tracemalloc.start()
@@ -280,6 +329,17 @@ class TestMemory:
             tracemalloc.stop()
         assert stats.per_class[1].mean_delay is not None
         assert peak < 4 * 2**20
+
+
+    def test_attempt_cap_costs_nothing_without_collisions(self):
+        # a cell that draws no request: no retry loop runs, and nothing is
+        # sized by max_attempts * backoff
+        scenario = single_class_scenario(gamma=1e-9, total=100)
+        config = SimConfig(iterations=2, seed=1, measure_delay=True, max_attempts=10**7)
+        start = time.perf_counter()
+        stats = run(scenario, AllocationPlan({1: 100}), config)
+        assert time.perf_counter() - start < 1.0
+        assert stats.per_class[1].attempts == 0 and stats.per_class[1].mean_delay is None
 
 
 class TestDeterminism:
@@ -493,9 +553,10 @@ class TestDelayMeasurement:
         )
 
     def test_shared_classes_reach_the_slowest_backoff(self):
-        # class 2's retries run up to 501 s past the horizon; class 1 shares
-        # its RAOs, so class 1's background must cover that far too, though
-        # its own retries stop after 4 s (z = -30 for class 2 otherwise)
+        # class 2's retries run up to 481 s past the horizon, into RAOs that
+        # class 1 shares, so a slot's occupancy there must count class 1's
+        # load too, though class 1's own retries stop after 3.4 s (z = -30
+        # for class 2 when only the retrying class's load counted)
         classes = (
             DeviceClass(id=1, ra_density=450.0, backoff=0.1),
             DeviceClass(id=2, ra_density=50.0, backoff=20.0),
