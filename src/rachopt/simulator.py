@@ -9,10 +9,12 @@ requests only, matching the closed-form model.
 
 Collisions are found by sorting the requests' slot keys (second times
 ``total_raos`` plus RAO), so time and memory grow with the number of
-requests, never with ``horizon * total_raos``. One sort covers a chunk of
-consecutive iterations holding about ``CHUNK_KEYS`` requests (at least one
-iteration). Before drawing, ``run`` refuses an iteration whose expected size
-exceeds ``MAX_ITEMS_PER_ITERATION``, and slot keys that overflow int64.
+requests, never with ``horizon * total_raos``. Each key carries its class's
+position in its low ``(C - 1).bit_length()`` bits (none for one class), and
+one in-place sort of these values, in uint32 when they fit and int64
+otherwise, covers a chunk of consecutive iterations holding about
+``CHUNK_KEYS`` requests (at least one iteration). Before drawing, ``run``
+refuses an iteration over ``MAX_ITEMS_PER_ITERATION``, and keys past int64.
 
 Random numbers follow one layout, named by ``RNG_LAYOUT``. Iterations are
 grouped into blocks of ``max(1, BLOCK_SECONDS // horizon)``. Fresh arrivals
@@ -38,7 +40,7 @@ retries back into the load would make the simulator unstable at high rates.
 A retry's RAO comes from a uniform hashed from (seed, iteration, class,
 first slot key, rank among the class's requests with that key, attempt).
 Inside the horizon, the retry looks its slot key up in the chunk's sorted
-fresh keys. Past it, no traffic is drawn: the slot is occupied when a
+tagged keys. Past it, no traffic is drawn: the slot is occupied when a
 uniform hashed from (seed, iteration, slot key) falls below the chance that
 fresh arrivals fill it, ``1 - exp(-sum gamma_j / L_j)`` under Poisson
 arrivals and ``1 - prod (1 - q_j / L_j) ** N_j`` under per-device Bernoulli
@@ -46,6 +48,8 @@ arrivals, over the classes j whose ranges hold the RAO. Poisson arrivals
 fill slots independently, so this is exact. Under Bernoulli arrivals each
 slot's marginal is exact, but the joint distribution of the slots within one
 second is not, since one coordinator's request fills only one of them.
+A class whose usable slots are all filled for sure stops retrying once its
+retries are all past the horizon; they are censored.
 """
 
 from __future__ import annotations
@@ -63,10 +67,10 @@ from .model import AllocationPlan, DeviceClass, Scenario, SharingTopology, pool_
 
 # Largest per-iteration working set that run() accepts, in array items,
 # checked before any draw: the per-second counts plus the expected fresh
-# requests. tracemalloc put run()'s peak at about 40 bytes per fresh request
-# (slot keys, their sort order, the sorted copy and flags), so a run within
-# the limit stays below about 2 GB instead of failing inside numpy or
-# swapping.
+# requests. tracemalloc put run()'s peak at 15 bytes per fresh request with
+# uint32 keys and 19 with int64 keys (the tagged keys, their per-class parts
+# and one class's uniforms), so a run within the limit stays below about
+# 1 GB instead of failing inside numpy or swapping.
 MAX_ITEMS_PER_ITERATION = 50_000_000
 
 # Seconds of fresh arrivals that one block stream serves: a block is
@@ -211,9 +215,9 @@ def _uniform(key: np.ndarray, *fields: np.ndarray | int) -> np.ndarray:
     return (_hash(key, *fields) >> 11).astype(np.float64) * 2.0**-53
 
 
-def _pick(layout: SharingTopology, class_id: int, u: np.ndarray) -> np.ndarray:
+def _pick(layout: SharingTopology, class_id: int, u: np.ndarray, dtype=np.int64) -> np.ndarray:
     """RAOs for draws ``u`` in [0, 1); below 2**53, ``u * size`` rounds below ``size``."""
-    return layout.rao_at(class_id, (u * layout.size(class_id)).astype(np.int64))
+    return layout.rao_at(class_id, (u * layout.size(class_id)).astype(dtype))
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -245,17 +249,17 @@ def _check_inputs(scenario: Scenario, config: SimConfig) -> None:
             f"counts per iteration, over the simulator's limit of "
             f"{MAX_ITEMS_PER_ITERATION}; lower the horizon"
         )
-    # a chunk's keys span at most a block; no retry lands later (floats round
-    # monotonically). Passing implies total_raos < 2**51, so picks are exact.
-    seconds = max(horizon, BLOCK_SECONDS)
+    # a chunk's tagged keys span at most a block; no (untagged) retry lands later
+    # (floats round monotonically). Passing implies total_raos < 2**51, so picks are exact.
+    seconds = max(horizon, BLOCK_SECONDS) << (len(scenario.classes) - 1).bit_length()
     if config.measure_delay:
         slowest = max(cls.backoff for cls in scenario.classes)
         attempts = min(config.max_attempts - 1, 2**63)  # so that it converts to a float
         seconds = max(seconds, math.floor(horizon + attempts * slowest) + 1)
     if seconds * scenario.total_raos >= 2**63:
         raise SimulationError(
-            f"slot keys over {seconds} s of {scenario.total_raos} RAOs do not fit in "
-            f"64 bits; lower total_raos, the horizon, the backoff or max_attempts"
+            f"slot keys up to {seconds} x {scenario.total_raos}, class tag included, do not "
+            f"fit in 64 bits; lower total_raos, the horizon, the backoff or max_attempts"
         )
 
 
@@ -333,17 +337,13 @@ def run(
             # the previous chunk's keys are freed only once these exist; freeing
             # them first let the heap shrink and fault its pages in again, which
             # cost a tenth of the time at horizon 200
-            keys_by_class = [
-                _fresh_keys(layout, cls.id, rng, c[lo * horizon : hi * horizon], total_slots)
-                for cls, rng, c in zip(classes, rngs, counts)
-            ]
-            flags_by_class, event_keys, ordered = _collisions(keys_by_class)
-            bounds = np.arange(hi - lo + 1) * span
-            tally.events[chunk] = np.diff(np.searchsorted(event_keys, bounds))
-            for pos, (keys, flags) in enumerate(zip(keys_by_class, flags_by_class)):
-                tally.collided[pos, chunk] = _segment_sums(flags, tally.attempts[pos, chunk])
-                if measure is not None:
-                    measure(pos, keys[flags], ordered, chunk, tally)
+            chunk_counts = [c[lo * horizon : hi * horizon] for c in counts]
+            tagged = _fresh_keys(layout, classes, rngs, chunk_counts, total_slots)
+            collided, events, hits = _collisions(tagged, len(classes), span, hi - lo)
+            tally.collided[:, chunk], tally.events[chunk] = collided, events
+            if measure is not None:
+                for pos in range(len(classes)):
+                    measure(pos, hits, tagged, chunk, tally)
     return _summarize(classes, config, tally)
 
 
@@ -392,15 +392,25 @@ def _summarize(classes: Sequence[DeviceClass], config: SimConfig, tally: _Tally)
 
 def _fresh_keys(
     layout: SharingTopology,
-    class_id: int,
-    rng: np.random.Generator,
-    counts: np.ndarray,
+    classes: Sequence[DeviceClass],
+    rngs: Sequence[np.random.Generator],
+    counts: Sequence[np.ndarray],
     total_slots: int,
 ) -> np.ndarray:
-    """Slot keys of one class's fresh requests, given its counts per second
-    of a chunk; the picks continue the class's block stream."""
-    keys = _pick(layout, class_id, rng.random(int(counts.sum())))
-    keys += np.repeat(np.arange(counts.size) * total_slots, counts)
+    """Tagged slot keys ``(second * total_slots + rao) << tag_bits | pos`` of
+    a chunk's fresh requests, class after class, given each class's counts
+    per second of the chunk; the picks continue the classes' block streams.
+    They are uint32 when the chunk's tagged range fits, and int64 otherwise."""
+    tag_bits, seconds = (len(classes) - 1).bit_length(), counts[0].size
+    stride = total_slots << tag_bits  # tagged values per second
+    dtype = np.uint32 if seconds * stride < 2**32 else np.int64
+    keys = np.concatenate([
+        _pick(layout, cls.id, rng.random(int(c.sum())), dtype)
+        for cls, rng, c in zip(classes, rngs, counts)
+    ])
+    keys <<= tag_bits
+    tags = np.arange(len(classes), dtype=dtype)[:, None]
+    keys += np.repeat(np.arange(seconds, dtype=dtype) * stride + tags, np.ravel(counts))
     return keys
 
 
@@ -416,51 +426,42 @@ def _chunks(sizes: np.ndarray) -> Iterator[tuple[int, int]]:
         lo = hi
 
 
-def _segment_sums(flags: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Set flags per consecutive segment of ``sizes`` items; empty segments
-    count 0 (``reduceat`` would repeat the next item for them)."""
-    out = np.zeros(sizes.size, dtype=np.int64)
-    nonempty = sizes > 0
-    if flags.size:
-        starts = np.cumsum(sizes) - sizes
-        out[nonempty] = np.add.reduceat(flags, starts[nonempty], dtype=np.int64)
-    return out
-
-
 def _collisions(
-    keys_by_class: list[np.ndarray],
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """Flag, per class, the requests whose slot key another request of any
-    class shares; list the keys of the slots holding two or more requests,
-    ascending, once each; and return all keys sorted.
-
-    Sorting puts equal keys next to each other, so the work grows with the
-    number of requests, not with the number of slots they pick from.
-    """
-    keys = np.concatenate(keys_by_class)
-    order = np.argsort(keys)
-    ordered = keys[order]
-    same = ordered[1:] == ordered[:-1]
+    tagged: np.ndarray, n_classes: int, span: int, iterations: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort a chunk's tagged slot keys in place. Count per (class, iteration)
+    the requests whose key another request of any class shares, and per
+    iteration the slots holding two or more requests; return both and the
+    tagged values of the collided requests, ascending. Sorting puts equal
+    keys next to each other, so the work grows with the number of requests,
+    not with the number of slots they pick from."""
+    tag_bits = (n_classes - 1).bit_length()
+    tagged.sort()
+    keys = tagged >> tag_bits
+    same = keys[1:] == keys[:-1]
     hit = np.zeros(keys.size, dtype=bool)
     hit[1:] = same
     hit[:-1] |= same
-    flags = np.zeros(keys.size, dtype=bool)
-    flags[order[hit]] = True
-    flags_by_class = np.split(flags, np.cumsum([k.size for k in keys_by_class])[:-1])
-    # a shared slot starts where a match follows a non-match
-    first_match = same.copy()
-    first_match[1:] &= ~same[:-1]
-    return flags_by_class, ordered[:-1][first_match], ordered
+    hits = tagged[hit]
+    cells = hits // (span << tag_bits) * n_classes + (hits & ((1 << tag_bits) - 1))
+    collided = np.bincount(cells, minlength=iterations * n_classes).reshape(iterations, -1).T
+    # a shared slot starts at each collided request whose key differs from the previous one's
+    shared = hits >> tag_bits
+    first = np.ones(shared.size, dtype=bool)
+    first[1:] = shared[1:] != shared[:-1]
+    events = np.bincount(shared[first] // span, minlength=iterations)
+    return collided, events, hits
 
 
 def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig):
     """The delay measurement of one run, as a function that retries the
-    collided requests of the class at ``pos`` in one chunk, given their slot
-    keys and the chunk's sorted fresh keys. It fills the chunk's delay sums,
-    successes and censored requests in the tally; a success on attempt k
-    took k backoff periods."""
+    collided requests of the class at ``pos`` in one chunk, given the
+    chunk's collided and all its tagged keys, sorted. It fills the chunk's
+    delay sums, successes and censored requests in the tally; a success on
+    attempt k took k backoff periods."""
     horizon, total_slots = config.horizon, scenario.total_raos
     span = horizon * total_slots
+    tag_bits = (len(scenario.classes) - 1).bit_length()
     classes, sizes = scenario.classes, [layout.size(c.id) for c in scenario.classes]
     # per run of RAOs between range ends, the log of the chance that it is free
     if config.arrival_mode == ArrivalMode.POISSON_AGGREGATE:
@@ -471,14 +472,16 @@ def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig)
                 c.id: c.coordinators * np.log1p(-c.per_device_rate / size)
                 for c, size in zip(classes, sizes)
             }
-    run_starts, _, _, log_free_run = layout.segments(log_free)
+    run_starts, _, covered, log_free_run = layout.segments(log_free)
     busy_chance = -np.expm1(log_free_run)
+    # hashed uniforms lie in [0, 1), so past the horizon such a class never succeeds
+    saturated = [bool(np.all(busy_chance[covered[c.id]] == 1.0)) for c in classes]
     occupancy_key = _hash_key(config.seed, 1)
     pick_keys = [_hash_key(config.seed, 1, c.id) for c in classes]
 
-    def measure(pos, collided, ordered, chunk, tally):
+    def measure(pos, hits, tagged, chunk, tally):
         cls, size = classes[pos], sizes[pos]
-        k0 = np.sort(collided)
+        k0 = (hits[(hits & ((1 << tag_bits) - 1)) == pos] >> tag_bits).astype(np.int64)
         j, first_key = np.divmod(k0, span)  # iteration in the chunk, key in it
         second, rao = np.divmod(first_key, total_slots)
         # the time within a second follows the first RAO's position in the pool
@@ -489,18 +492,20 @@ def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig)
         done = np.zeros(k0.size, dtype=np.int64)  # the attempt that succeeded
         todo = np.arange(k0.size)
         for attempt in range(2, config.max_attempts + 1):
-            if todo.size == 0:
-                break
             sec = np.floor(t0[todo] + (attempt - 1) * cls.backoff).astype(np.int64)
+            inside, past = sec < horizon, sec >= horizon
+            if todo.size == 0 or (saturated[pos] and past.all()):
+                break
             rao = _pick(layout, cls.id, _uniform(pick[todo], attempt))
             key = sec * total_slots + rao
             busy = np.empty(todo.size, dtype=bool)
-            inside, past = sec < horizon, sec >= horizon
             # a retry into the slot of its own first attempt does not count itself
             own = k0[todo[inside]]
             probe = key[inside] + own // span * span
-            hits = np.searchsorted(ordered, probe, "right") - np.searchsorted(ordered, probe, "left")
-            busy[inside] = hits - (probe == own) > 0
+            # probes in the sorted values' dtype, so that searchsorted copies nothing
+            start, stop = ((p << tag_bits).astype(tagged.dtype) for p in (probe, probe + 1))
+            found = np.searchsorted(tagged, stop) - np.searchsorted(tagged, start)
+            busy[inside] = found > (probe == own)
             chance = busy_chance[np.searchsorted(run_starts, rao[past], "right") - 1]
             busy[past] = _uniform(occupancy_key, iteration[todo[past]], key[past]) < chance
             done[todo[~busy]] = attempt
@@ -535,15 +540,12 @@ def sweep_dedication(
         raise SimulationError("class_index must be 0 or 1")
     if len(l_values) == 0:
         raise SimulationError("dedication sweep needs at least one swept value")
-    swept = scenario.classes[class_index]
-    other = scenario.classes[1 - class_index]
+    swept, other = scenario.classes[class_index], scenario.classes[1 - class_index]
     total = scenario.total_raos
     points = []
     for value in l_values:
         if not 1 <= value <= total - 1:
-            raise SimulationError(
-                f"swept value {value} outside [1, {total - 1}]"
-            )
+            raise SimulationError(f"swept value {value} outside [1, {total - 1}]")
         plan = AllocationPlan({swept.id: value, other.id: total - value})
         stats = run(scenario, plan, config)
         metrics = analytics.layout_metrics(scenario, pool_layout(scenario, plan))
@@ -558,6 +560,4 @@ def sweep_dedication(
             )
         )
     best = min(points, key=lambda p: p.stats.total_density)
-    return SweepResult(
-        class_id=swept.id, points=tuple(points), empirical_optimum=best.l_value
-    )
+    return SweepResult(class_id=swept.id, points=tuple(points), empirical_optimum=best.l_value)

@@ -381,6 +381,22 @@ class TestSimulate:
         assert "do not fit in 64 bits" in capsys.readouterr().err
         assert peak < 10 * 2**20
 
+    def test_two_classes_just_below_tagged_64_bit_keys_run_in_small_memory(self, capsys, tmp_path):
+        # two classes tag their keys with one bit: 4 096 s of keys take 2**13 x total_raos
+        path = write_cell(tmp_path, "full_sharing", 2**50 - 1, [10.0, 10.0])
+        code, peak = self._simulate_peak(path, "--json")
+        assert code == EXIT_OK
+        assert peak < 10 * 2**20
+        per_class = strict_json(capsys.readouterr().out)["results"]["simulated"]["per_class"]
+        assert per_class["1"]["attempts"] > 0 and per_class["2"]["attempts"] > 0
+
+    def test_two_classes_past_tagged_64_bit_keys_exit_before_drawing(self, capsys, tmp_path):
+        path = write_cell(tmp_path, "full_sharing", 2**50, [10.0, 10.0])
+        code, peak = self._simulate_peak(path)
+        assert code == EXIT_SIMULATION
+        assert "do not fit in 64 bits" in capsys.readouterr().err
+        assert peak < 10 * 2**20
+
     def test_huge_class_id_and_seed_measure_delays(self, capsys, tmp_path):
         path = write_class(tmp_path, 100, ra_density=50.0, class_id=10**30)
         code, report = run_json(

@@ -24,6 +24,7 @@ from rachopt.simulator import (
     SimConfig,
     SimulationError,
     _collisions,
+    _fresh_keys,
     run,
     sweep_dedication,
 )
@@ -88,6 +89,24 @@ class_keys = st.lists(st.integers(0, 60), max_size=40).map(
     lambda keys: np.array(keys, dtype=np.int64)
 )
 
+SPAN = 16  # slot keys per iteration: keys up to 60 fall into four iterations
+
+
+def assert_kernel_output(keys_by_class, flags_by_class, span, iterations, output):
+    """Check ``_collisions``' output against each class's collided flags,
+    given in the order of its int64 keys."""
+    collided, events, hits = output
+    tag_bits = (len(keys_by_class) - 1).bit_length()
+    assert collided.tolist() == [
+        np.bincount(keys[flags] // span, minlength=iterations).tolist()
+        for keys, flags in zip(keys_by_class, flags_by_class)
+    ]
+    shared = np.unique(np.concatenate([k[f] for k, f in zip(keys_by_class, flags_by_class)]))
+    assert events.tolist() == np.bincount(shared // span, minlength=iterations).tolist()
+    for pos, (keys, flags) in enumerate(zip(keys_by_class, flags_by_class)):
+        mine = hits[(hits & ((1 << tag_bits) - 1)) == pos] >> tag_bits
+        assert mine.tolist() == sorted(keys[flags].tolist())
+
 
 class TestCollisionKernel:
     @settings(max_examples=300, deadline=None)
@@ -97,12 +116,69 @@ class TestCollisionKernel:
     @example([np.array([7], dtype=np.int64), np.array([], dtype=np.int64)])  # one request
     @example([np.array([3, 3, 3], dtype=np.int64), np.array([3], dtype=np.int64)])  # one slot
     def test_matches_dense_occupancy(self, keys_by_class):
-        flags, event_keys, ordered = _collisions(keys_by_class)
-        dense_flags, dense_event_keys = dense_collisions(keys_by_class)
-        assert ordered.tolist() == sorted(np.concatenate(keys_by_class).tolist())
-        assert [f.tolist() for f in flags] == [f.tolist() for f in dense_flags]
-        assert [np.count_nonzero(f) for f in flags] == [np.count_nonzero(f) for f in dense_flags]
-        assert event_keys.tolist() == dense_event_keys.tolist()
+        tag_bits = (len(keys_by_class) - 1).bit_length()
+        dense_flags, _ = dense_collisions(keys_by_class)
+        for dtype in (np.uint32, np.int64):
+            tagged = np.concatenate([(k << tag_bits) | p for p, k in enumerate(keys_by_class)])
+            tagged = tagged[::-1].astype(dtype)  # the order of the requests does not matter
+            output = _collisions(tagged, len(keys_by_class), SPAN, 4)
+            assert tagged.tolist() == sorted(tagged.tolist())  # sorted in place
+            assert_kernel_output(keys_by_class, dense_flags, SPAN, 4, output)
+
+    @pytest.mark.parametrize("n_classes", [1, 2, 3])
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+    def test_keys_at_the_uint32_limit(self, n_classes, offset):
+        # two one-second iterations whose tagged range ends just below 2**32,
+        # at it, or past it, with every pool at the top of the RAOs: a wrong
+        # dtype choice wraps the keys or overflows the iteration stride
+        tag_bits = (n_classes - 1).bit_length()
+        total = (2**31 >> tag_bits) + offset
+        ranges = {pos: [(total - 4 - pos, total - 1)] for pos in range(n_classes)}
+        layout = SharingTopology.from_ranges(ranges)
+        classes = [DeviceClass(id=pos, ra_density=1.0) for pos in range(n_classes)]
+        counts = [np.array([5, 4 + pos]) for pos in range(n_classes)]
+        rngs = [np.random.default_rng(pos) for pos in range(n_classes)]
+        tagged = _fresh_keys(layout, classes, rngs, counts, total)
+        assert tagged.dtype == (np.uint32 if offset < 0 else np.int64)
+        keys_by_class = []
+        for pos, c in enumerate(counts):
+            u = np.random.default_rng(pos).random(int(c.sum()))
+            rao = total - 4 - pos + (u * (4 + pos)).astype(np.int64)
+            keys_by_class.append(np.repeat(np.arange(c.size), c) * total + rao)
+        values, occupancy = np.unique(np.concatenate(keys_by_class), return_counts=True)
+        flags_by_class = [np.isin(keys, values[occupancy >= 2]) for keys in keys_by_class]
+        assert any(f.any() for f in flags_by_class)
+        output = _collisions(tagged, n_classes, total, 2)
+        assert_kernel_output(keys_by_class, flags_by_class, total, 2, output)
+
+    @pytest.mark.parametrize("n_classes", [1, 2, 3])
+    def test_uint32_and_int64_chunks_agree(self, monkeypatch, n_classes):
+        # one-iteration chunks just fit in uint32; one chunk per block needs
+        # int64. Retries land inside the horizon, at keys near 2**32.
+        tag_bits = (n_classes - 1).bit_length()
+        total = (2**31 >> tag_bits) - 1
+        classes = tuple(
+            DeviceClass(id=pos + 1, ra_density=1.0 + pos, backoff=0.3) for pos in range(n_classes)
+        )
+        scenario = validate_scenario(
+            Scenario(classes=classes, total_raos=total, strategy=Strategy.FULL_SHARING)
+        )
+        top = SharingTopology.from_ranges({c.id: [(total - 6, total - 1)] for c in classes})
+        config = SimConfig(iterations=40, seed=3, horizon=2, measure_delay=True, max_attempts=4)
+        dtypes = set()
+
+        def spy(tagged, *args):
+            dtypes.add(tagged.dtype)
+            return _collisions(tagged, *args)
+
+        monkeypatch.setattr(simulator, "_collisions", spy)
+        monkeypatch.setattr(simulator, "CHUNK_KEYS", 1)
+        narrow = run(scenario, top, config)
+        monkeypatch.setattr(simulator, "CHUNK_KEYS", 2**62)
+        wide = run(scenario, top, config)
+        assert dtypes == {np.dtype(np.uint32), np.dtype(np.int64)}
+        assert narrow == wide
+        assert all(s.collided > 0 and s.mean_delay > 0.3 for s in wide.per_class.values())
 
 
 def reference_run(scenario, allocation, config):
@@ -340,6 +416,17 @@ class TestMemory:
         stats = run(scenario, AllocationPlan({1: 100}), config)
         assert time.perf_counter() - start < 1.0
         assert stats.per_class[1].attempts == 0 and stats.per_class[1].mean_delay is None
+
+    def test_saturated_retries_stop_past_the_horizon(self):
+        # 50 Hz on one RAO: every retry past the horizon is busy for sure, so
+        # the loop ends there instead of running max_attempts times
+        scenario = single_class_scenario(gamma=50.0, total=1)
+        config = SimConfig(iterations=1, seed=1, measure_delay=True, max_attempts=10**5)
+        start = time.perf_counter()
+        stats = run(scenario, AllocationPlan({1: 1}), config)
+        assert time.perf_counter() - start < 1.0
+        assert stats.per_class[1].attempts > 0
+        assert stats.per_class[1].censored == stats.per_class[1].attempts
 
 
 class TestDeterminism:
