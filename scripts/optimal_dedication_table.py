@@ -3,17 +3,19 @@
 
 For each two-class cell (50 Hz vs 100/500/1000 Hz, 10800 RAOs/s) this prints
 the proportional-rule share for class 1, the exact integer optimum from
-``brute_force_optimal``, and seeded Monte-Carlo collision densities at the
-estimated optimum and under full sharing.
+``brute_force_optimal``, the closed-form cell density of ``layout_metrics``
+at the estimated optimum, and seeded Monte-Carlo collision densities there
+and under full sharing.
 """
 
 import argparse
 import csv
+import math
 import sys
 
 from rachopt.allocator import brute_force_optimal, proportional_allocation
-from rachopt.analytics import cell_collision_density
-from rachopt.model import DeviceClass, Scenario, Strategy, validate_scenario
+from rachopt.analytics import layout_metrics
+from rachopt.model import DeviceClass, Scenario, Strategy, pool_layout, validate_scenario
 from rachopt.simulator import SimConfig, run
 
 PAIRS = ((50.0, 100.0), (50.0, 500.0), (50.0, 1000.0))
@@ -45,13 +47,16 @@ def main() -> int:
         exact = brute_force_optimal(scenario)
         simulated = run(scenario, estimated, config)
         simulated_shared = run(scenario, None, config)
+        analytic = layout_metrics(scenario, pool_layout(scenario, estimated))
         rows.append(
             {
                 "gamma_1": g1,
                 "gamma_2": g2,
                 "L1_estimated": estimated.get(1),
                 "L1_exact": exact.get(1),
-                "analytic_density_hz": cell_collision_density(scenario, estimated),
+                "analytic_density_hz": math.fsum(
+                    m.collision_density for m in analytic.values()
+                ),
                 "simulated_density_hz": simulated.total_density,
                 "simulated_stderr": simulated.total_density_stderr,
                 "sharing_density_hz": simulated_shared.total_density,

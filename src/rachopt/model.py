@@ -210,9 +210,11 @@ class SharingTopology:
         each used by the same classes: each run's first RAO and width, per
         class the mask of the runs it uses, and per run the weights of the
         classes using it, summed in the order of ``weights``."""
-        edges = np.unique(
-            [end for cid in weights for first, last in self.ranges[cid]
-             for end in (first, last + 1)]
+        # sorted() of a few ints, not np.unique, which imports numpy.ma
+        edges = np.array(
+            sorted({end for cid in weights for first, last in self.ranges[cid]
+                    for end in (first, last + 1)}),
+            dtype=np.int64,
         )
         starts, widths = edges[:-1], np.diff(edges)
         total = np.zeros(starts.size)

@@ -1,7 +1,13 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenario builders and a fresh-interpreter runner for the test suite."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import rachopt
 from rachopt.model import (
     DeviceClass,
     QosKind,
@@ -21,6 +27,23 @@ CLASS_SPECS = {
 }
 
 RATE_QOS = QosTarget(kind=QosKind.MAX_COLLISION_RATE, max_collision_rate=0.02)
+
+# a child interpreter imports the rachopt under test, installed or not
+_FRESH_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(rachopt.__file__).resolve().parents[1]),
+                      os.environ.get("PYTHONPATH")])
+    ),
+}
+
+
+def run_fresh(code: str, *args: str, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python -c code *args`` in a fresh interpreter; ``kwargs`` go to
+    ``subprocess.run``."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=_FRESH_ENV, timeout=60, **kwargs
+    )
 
 
 def make_class(

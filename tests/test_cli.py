@@ -3,14 +3,12 @@ import json
 import math
 import os
 import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 import yaml
 
-import rachopt
 from rachopt import simulator
 from rachopt.cli import (
     EXIT_OK,
@@ -20,6 +18,7 @@ from rachopt.cli import (
     SIMULATE_CSV_HEADER,
     main,
 )
+from conftest import run_fresh
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 DC12 = str(SCENARIOS / "dc1_dc2.yaml")
@@ -643,24 +642,48 @@ class TestDiagnostics:
 
     def test_closed_stdout_ends_quietly(self):
         # the reader has gone before the report is written, as with `| true`
-        src = str(Path(rachopt.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run(
-                [sys.executable, "-c", "from rachopt.cli import entry; entry()",
-                 "optimize", QOS123, "--json"],
+            proc = run_fresh(
+                "from rachopt.cli import entry; entry()", "optimize", QOS123, "--json",
                 stdout=write_end,
                 stderr=subprocess.PIPE,
-                env=env,
-                timeout=60,
             )
         finally:
             os.close(write_end)
         assert proc.returncode == EXIT_OK
         assert proc.stderr == b""
+
+    def test_commands_import_no_masked_arrays(self):
+        # every command's start-up pays for the modules it imports, so the
+        # closed form loads neither numpy.ma nor, before any draw, numpy.random
+        probe = (
+            "import contextlib, io, json, sys\n"
+            "from rachopt.cli import main\n"
+            "before, added = set(sys.modules), {}\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "    added[argv[0]] = sorted(set(sys.modules) - before)\n"
+            "print(json.dumps(added))\n"
+        )
+        tiny = ["--iterations", "2", "--seed", "1"]
+        commands = [
+            ["analyze", DC12],
+            ["optimize", QOS123],
+            ["simulate", DC12, "--measure-delay", *tiny],
+            ["compare", DC12, *tiny],
+            ["sweep", DC12, "--values", "600,1200", *tiny],
+        ]
+        proc = run_fresh(probe, json.dumps(commands), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        added = json.loads(proc.stdout)
+        for command, modules in added.items():
+            assert "numpy.ma" not in modules, command
+        # the lists grow command by command, and analyze and optimize run first
+        for command in ("analyze", "optimize"):
+            assert not [m for m in added[command] if m.startswith("numpy.random")], command
 
     def test_shipped_scenarios_all_load(self, capsys):
         for name in ("dc1_dc2", "dc1_dc3", "dc1_dc4", "dc123_qos"):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rachopt.model import (
@@ -271,6 +271,46 @@ class TestSharingTopology:
         assert topo.size(1) == slots.size
         assert topo.rao_at(1, index).tolist() == slots.tolist()
         assert topo.index_of(1, slots).tolist() == index.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.tuples(st.integers(0, 60), st.integers(0, 12)), min_size=1, max_size=4),
+                st.floats(1e-3, 1e3),  # weight
+                st.integers(0, 3),  # rank in the order of the weights
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    # summed as 0.3 + 0.2 + 0.1 this is 0.6; in class or reversed order, 0.6000000000000001
+    @example([([(0, 5)], 0.1, 2), ([(0, 5)], 0.2, 1), ([(0, 5)], 0.3, 0)])
+    def test_segments_match_slot_array(self, classes):
+        # the runs split the union of the classes' RAOs wherever one class's
+        # membership changes, which is at its range ends, and carry per-RAO
+        # membership and weight sums
+        topo = SharingTopology.from_ranges(
+            {cid: [(a, a + w) for a, w in spans] for cid, (spans, _, _) in enumerate(classes, 1)}
+        )
+        order = sorted(topo.ranges, key=lambda cid: classes[cid - 1][2])
+        weights = {cid: classes[cid - 1][1] for cid in order}
+        starts, widths, covered, total = topo.segments(weights)
+
+        member = np.zeros((len(order) + 1, 74), dtype=bool)  # RAOs 0-73; row 0 unused
+        for cid, spans in topo.ranges.items():
+            for first, last in spans:
+                member[cid, first:last + 1] = True
+        changes = np.flatnonzero(np.diff(member, axis=1, prepend=False).any(axis=0))
+        assert starts.dtype == np.int64
+        assert starts.tolist() == changes[:-1].tolist()
+        assert (starts + widths).tolist() == changes[1:].tolist()
+        per_rao = np.zeros(member.shape[1])
+        for cid, weight in weights.items():
+            assert covered[cid].tolist() == member[cid, starts].tolist()
+            per_rao[member[cid]] += weight
+        union = slice(changes[0], changes[-1])
+        assert np.repeat(total, widths).tolist() == per_rao[union].tolist()
 
     def test_validation_catches_out_of_range(self):
         scenario = make_scenario((1, 2), strategy=Strategy.PARTIAL_DEDICATION)
