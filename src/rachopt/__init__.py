@@ -27,7 +27,6 @@ from .allocator import (
     proportional_allocation,
     reserve_and_divide,
     reserve_for_collision_rate,
-    reserve_for_delay,
 )
 from .model import (
     AllocationPlan,
@@ -94,7 +93,6 @@ __all__ = [
     "proportional_allocation",
     "reserve_and_divide",
     "reserve_for_collision_rate",
-    "reserve_for_delay",
     "run",
     "save_scenario",
     "scenario_fingerprint",

@@ -28,8 +28,13 @@ import numpy as np
 from .model import AllocationPlan, DeviceClass, QosKind, Scenario
 
 # Largest search brute_force_optimal makes, in cost sums (n - 2) * L**2 / 2:
-# 3 classes up to 20 000 RAOs, 4 classes up to 14 142.
+# 3 classes up to 20 000 RAOs, 4 classes up to 14 142. Either takes about
+# 0.21-0.23 s at the limit on a 2-vCPU Xeon guest (median of 3 calls).
 MAX_COST_SUMS = 200_000_000
+# Cost sums per block of budgets in brute_force_optimal's table fill, which
+# sizes its float64 block buffer (512 KB). At 10 800 RAOs, 2**14 leaves one
+# budget per block and was slower than a per-budget loop; 2**16 fills 6.
+BLOCK_SUMS = 1 << 16
 
 
 class AllocationError(ValueError):
@@ -125,26 +130,6 @@ def reserve_for_collision_rate(ra_density: float, max_rate: float) -> int:
     return max(1, math.ceil(minimum_raos_for_rate(ra_density, max_rate)))
 
 
-def minimum_raos_for_delay(ra_density: float, backoff: float, max_delay: float) -> float:
-    """Real-valued RAOs/s needed so the mean inclusive access delay stays
-    at or below ``max_delay``; equivalent to a collision-rate bound of
-    ``1 - backoff/max_delay``."""
-    if backoff <= 0:
-        raise AllocationError(f"backoff must be > 0, got {backoff}")
-    if max_delay <= backoff:
-        raise AllocationError(
-            f"max_delay must exceed the backoff ({max_delay} <= {backoff})"
-        )
-    if ra_density <= 0:
-        raise AllocationError(f"ra_density must be > 0, got {ra_density}")
-    return ra_density / math.log(max_delay / backoff)
-
-
-def reserve_for_delay(ra_density: float, backoff: float, max_delay: float) -> int:
-    """Smallest whole RAO count meeting a mean-delay bound (>= 1)."""
-    return max(1, math.ceil(minimum_raos_for_delay(ra_density, backoff, max_delay)))
-
-
 def _reservation(cls: DeviceClass) -> int:
     if cls.qos is None:
         raise AllocationError(f"special class {cls.id} carries no QoS target")
@@ -207,6 +192,37 @@ def _class_costs(gamma: float, shares: np.ndarray, objective: str) -> np.ndarray
     return gamma * gamma / shares
 
 
+def _min_plus_fill(cost: np.ndarray, after: np.ndarray, rest: int, top: int) -> np.ndarray:
+    """``best[b] = min over s >= 1 of cost[s - 1] + after[b - s]`` for every
+    budget ``b`` from ``rest + 1`` to ``top``, +inf below.
+
+    ``after`` holds the best cost of the ``rest`` later classes on each
+    budget and is +inf below ``rest``. Budget ``b``'s completions pair
+    ``cost[j]`` with ``after[b - 1 - j]``, which is ``rev[len(after) - b + j]``
+    in the reversed copy of ``after``, so the completions of consecutive
+    budgets are rows of one sliding window over ``rev``. Padding ``rev`` with
+    +inf lets every row of a block be as wide as its largest budget's: the
+    extra sums are +inf and never the minimum, so each entry is the minimum
+    of the same float sums as a per-budget loop would take. Blocks are
+    filled from the top budget down, at most ``BLOCK_SUMS`` sums each.
+    """
+    m, widest = len(after), top - rest
+    rev = np.full(m + widest, np.inf)
+    rev[:m] = after[::-1]
+    window = np.lib.stride_tricks.sliding_window_view(rev, widest)
+    buf = np.empty(max(widest, min(BLOCK_SUMS, widest * widest)))
+    best = np.full(top + 1, np.inf)
+    high = top
+    while high > rest:
+        width = high - rest
+        low = max(rest + 1, high - max(1, BLOCK_SUMS // width) + 1)
+        rows = buf[: (high - low + 1) * width].reshape(-1, width)
+        np.add(cost[:width], window[m - high : m - low + 1, :width], out=rows)
+        best[low : high + 1] = rows.min(axis=1)[::-1]
+        high = low - 1
+    return best
+
+
 def brute_force_optimal(scenario: Scenario, objective: str = "density") -> AllocationPlan:
     """Exact, not exhaustive, integer optimum over full-dedication plans.
 
@@ -219,12 +235,18 @@ def brute_force_optimal(scenario: Scenario, objective: str = "density") -> Alloc
 
     The objective is a sum of per-class costs, so a min-plus recursion over
     the classes finds the optimum without enumerating plans. ``best[k][b]``,
-    the least cost of classes ``k..n-1`` on ``b`` RAOs, is filled one budget
-    at a time from the last class, which takes the remainder. A walk from
-    the first class then takes at each class the smallest share whose best
+    the least cost of classes ``k..n-1`` on ``b`` RAOs, is built from the
+    last class, which takes the remainder. Each table is filled a block of
+    consecutive budgets at a time: the block's completions are rows of a
+    sliding window over the next table, reversed and padded with +inf once
+    per class, so one ``np.add`` into a reused buffer and one row-wise
+    ``min`` fill the whole block (see ``_min_plus_fill``). A walk from the
+    first class then takes at each class the smallest share whose best
     completion stays within the tie band. The recursion makes about
     ``(n - 2) * L**2 / 2`` cost sums for ``n`` classes and ``L`` RAOs and is
-    refused above ``MAX_COST_SUMS``; one or two classes cost O(L).
+    refused above ``MAX_COST_SUMS``; one or two classes cost O(L). Memory
+    stays O(n * L + BLOCK_SUMS): the tables, one padded copy and the
+    block buffer, never an L x L array.
     """
     gammas = [cls.ra_density for cls in scenario.classes]
     n = len(gammas)
@@ -246,16 +268,13 @@ def brute_force_optimal(scenario: Scenario, objective: str = "density") -> Alloc
     costs = [_class_costs(g, shares, objective) for g in gammas]
     best = [np.empty(0)] * n
     best[-1] = np.concatenate(([np.inf], costs[-1]))  # indexed by budget
+    for k in range(n - 2, 0, -1):
+        best[k] = _min_plus_fill(costs[k], best[k + 1], n - k - 1, total - k)
 
     def completions(k: int, budget: int) -> np.ndarray:
         """Cost of shares 1, 2, ... for class k plus the best completion."""
         width = budget - (n - k - 1)
         return costs[k][:width] + best[k + 1][budget - width : budget][::-1]
-
-    for k in range(n - 2, 0, -1):
-        best[k] = np.full(total - k + 1, np.inf)
-        for budget in range(n - k, total - k + 1):
-            best[k][budget] = completions(k, budget).min()
 
     limit = completions(0, total).min() * (1.0 + 1e-12)
     plan: list[int] = []

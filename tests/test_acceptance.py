@@ -23,7 +23,6 @@ import numpy as np
 
 from rachopt.allocator import (
     brute_force_optimal,
-    minimum_raos_for_delay,
     minimum_raos_for_rate,
     proportional_allocation,
     reserve_and_divide,
@@ -47,6 +46,7 @@ from rachopt.model import (
 from rachopt.simulator import SimConfig, run, sweep_dedication
 
 from conftest import RATE_QOS, make_scenario
+from oracles import minimum_raos_for_delay
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

@@ -2,23 +2,23 @@ import heapq
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from rachopt import allocator
 from rachopt.allocator import (
     AllocationError,
     OverloadError,
     brute_force_optimal,
     largest_remainder,
-    minimum_raos_for_delay,
     minimum_raos_for_rate,
     proportional_allocation,
     reserve_and_divide,
     reserve_for_collision_rate,
-    reserve_for_delay,
 )
 from rachopt.analytics import cell_collision_density, layout_metrics, simple_collision_rate
 from rachopt.model import (
@@ -32,6 +32,7 @@ from rachopt.model import (
 )
 
 from conftest import RATE_QOS, make_scenario
+from oracles import minimum_raos_for_delay, per_budget_optimum, reserve_for_delay
 
 
 def two_class_scenario(g1, g2, total=10800):
@@ -413,6 +414,60 @@ class TestBruteForce:
         total = len(gammas) + spare
         plan = brute_force_optimal(dedicated(gammas, total), objective=objective)
         assert shares_of(plan) == scan_optimum(gammas, total, objective)
+
+    @given(
+        weights=st.lists(st.floats(1.0, 10.0), min_size=3, max_size=5),
+        total=st.integers(5, 300),
+        load=st.floats(0.01, 3.0),
+        equal=st.booleans(),
+        objective=st.sampled_from(["density", "probability"]),
+    )
+    # with 2**16 sums per block the table fill splits into two blocks from
+    # L = 259 (3 classes), 260 (4) and 261 (5); one block just below
+    @example(weights=[1.0, 2.0, 5.0], total=258, load=0.9, equal=False, objective="density")
+    @example(weights=[1.0, 2.0, 5.0], total=259, load=0.9, equal=False, objective="density")
+    @example(weights=[3.0] * 4, total=259, load=2.5, equal=True, objective="probability")
+    @example(weights=[1.0, 7.0, 2.0, 9.0], total=260, load=2.5, equal=False, objective="density")
+    @example(weights=[1.0, 7.0, 2.0, 9.0, 4.0], total=260, load=0.5, equal=False,
+             objective="probability")
+    @example(weights=[1.0, 7.0, 2.0, 9.0, 4.0], total=261, load=3.0, equal=False,
+             objective="density")
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_budget_recursion(self, weights, total, load, equal, objective):
+        if equal:
+            weights = [weights[0]] * len(weights)
+        scale = load * total / math.fsum(weights)
+        gammas = [w * scale for w in weights]
+        plan = brute_force_optimal(dedicated(gammas, total), objective=objective)
+        assert shares_of(plan) == per_budget_optimum(gammas, total, objective)
+
+    @pytest.mark.parametrize("block_sums", [1, 2, 7, 64, 1000])
+    def test_any_block_size_gives_the_per_budget_plan(self, monkeypatch, block_sums):
+        # small blocks put block edges at every kind of budget, down to one
+        # budget per block
+        monkeypatch.setattr(allocator, "BLOCK_SUMS", block_sums)
+        rng = np.random.default_rng(block_sums)
+        for _ in range(12):
+            n = int(rng.integers(3, 6))
+            total = int(rng.integers(n, 120))
+            gammas = [float(g) for g in rng.uniform(1.0, 10.0, size=n)]
+            gammas = [g * rng.uniform(0.05, 3.0) * total / sum(gammas) for g in gammas]
+            for objective in ("density", "probability"):
+                plan = brute_force_optimal(dedicated(gammas, total), objective=objective)
+                assert shares_of(plan) == per_budget_optimum(gammas, total, objective)
+
+    @pytest.mark.parametrize("objective", ["density", "probability"])
+    def test_memory_stays_linear_in_the_budget(self, objective):
+        # a full L x L table at L = 10 800 would be about 930 MB; the tables,
+        # the padded copy and one block buffer take about 1.4 MB
+        scenario = dedicated([50.0, 100.0, 500.0], 10800)
+        tracemalloc.start()
+        try:
+            brute_force_optimal(scenario, objective=objective)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
     @pytest.mark.parametrize("objective", ["density", "probability"])
     def test_matches_two_class_scan_on_criterion2_budgets(self, objective):
