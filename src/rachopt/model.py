@@ -185,12 +185,15 @@ class SharingTopology:
     def size(self, class_id: int) -> int:
         return sum(last - first + 1 for first, last in self.ranges[class_id])
 
-    def rao_at(self, class_id: int, index: np.ndarray) -> np.ndarray:
-        """The RAOs at positions ``index`` (int64) of the class's usable
-        RAOs, counted from 0 in ascending order; each range past the first
-        adds its gap to the positions it holds."""
+    def rao_at(
+        self, class_id: int, index: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The RAOs at positions ``index`` (integers) of the class's usable
+        RAOs, counted from 0 in ascending order, in ``out`` if given (it may
+        be ``index``); each range past the first adds its gap to the
+        positions it holds."""
         spans = self.ranges[class_id]
-        rao = index + spans[0][0]
+        rao = np.add(index, spans[0][0], out=out)
         for (_, before), (first, _) in zip(spans, spans[1:]):
             rao[rao > before] += first - before - 1
         return rao
@@ -555,15 +558,23 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     }
 
 
+# PyYAML's libyaml scanner and parser, when it was built with them, under the
+# same resolver and constructor as yaml.SafeLoader: they load the shipped
+# scenarios several times faster.
+YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def load_scenario(path: str) -> Scenario:
     """Load and validate a YAML scenario file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark is not None else path
         raise ScenarioError([f"{where}: not valid YAML ({exc})"]) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError([f"{path}: not valid UTF-8 ({exc})"]) from exc
     except OSError as exc:
         raise ScenarioError([f"{path}: {exc.strerror or exc}"]) from exc
     if data is None:

@@ -13,8 +13,10 @@ requests, never with ``horizon * total_raos``. Each key carries its class's
 position in its low ``(C - 1).bit_length()`` bits (none for one class), and
 one in-place sort of these values, in uint32 when they fit and int64
 otherwise, covers a chunk of consecutive iterations holding about
-``CHUNK_KEYS`` requests (at least one iteration). Before drawing, ``run``
-refuses an iteration over ``MAX_ITEMS_PER_ITERATION``, and keys past int64.
+``CHUNK_KEYS`` requests (at least one iteration). A run builds, sorts and
+scans every chunk in the same few arrays, which only grow, so that no chunk
+faults fresh memory in. Before drawing, ``run`` refuses an iteration over
+``MAX_ITEMS_PER_ITERATION``, and keys past int64.
 
 Random numbers follow one layout, named by ``RNG_LAYOUT``. Iterations are
 grouped into blocks of ``max(1, BLOCK_SECONDS // horizon)``. Fresh arrivals
@@ -33,7 +35,8 @@ depend on whether delays are measured; and delays depend on which slot keys
 collided, not on the order of the requests.
 
 Delay measurement retries collided requests after the class backoff until
-success or the attempt cap, on any pool layout. Retries probe the occupancy
+success or the attempt cap, on any pool layout, ``RETRY_KEYS`` of one class
+at a time. Retries probe the occupancy
 made by fresh arrivals but do not add to it: the closed-form delay model
 gives every attempt the fresh-traffic collision probability, and feeding
 retries back into the load would make the simulator unstable at high rates.
@@ -67,10 +70,14 @@ from .model import AllocationPlan, DeviceClass, Scenario, SharingTopology, pool_
 
 # Largest per-iteration working set that run() accepts, in array items,
 # checked before any draw: the per-second counts plus the expected fresh
-# requests. tracemalloc put run()'s peak at 15 bytes per fresh request with
-# uint32 keys and 19 with int64 keys (the tagged keys, their per-class parts
-# and one class's uniforms), so a run within the limit stays below about
-# 1 GB instead of failing inside numpy or swapping.
+# requests. A chunk holds its tagged keys and a spare array of their dtype
+# (the picks' uniforms, then the shifted keys, then the collided ones), the
+# per-second offsets of its keys while they are built, and later a one-byte
+# mask; every other temporary covers at most PIECE_KEYS requests. tracemalloc
+# puts run()'s peak on one 1.5 M-request iteration below 13 bytes per fresh
+# request with uint32 keys and 25 with int64 keys, however many collide, so a
+# run within the limit stays below about 0.65 GB, or 1.25 GB with int64 keys,
+# instead of failing inside numpy or swapping.
 MAX_ITEMS_PER_ITERATION = 50_000_000
 
 # Seconds of fresh arrivals that one block stream serves: a block is
@@ -79,7 +86,17 @@ MAX_ITEMS_PER_ITERATION = 50_000_000
 BLOCK_SECONDS = 4096
 
 # Requests sorted together in one collision chunk; at least one iteration.
-CHUNK_KEYS = 2**14
+# A run reuses its chunk arrays (see _Scratch), so larger chunks cost fewer
+# numpy calls per request without faulting fresh pages in for every chunk.
+CHUNK_KEYS = 2**16
+
+# Longest piece of a chunk that _collisions' temporaries cover: the index
+# array of np.compress and the cells and repeats of the collided requests.
+PIECE_KEYS = 2**16
+
+# Collided requests of one class in one chunk that the delay meter retries
+# together; each holds about 200 bytes of retry state.
+RETRY_KEYS = 2**12
 
 # Names the random-number layout described in the module docstring; a seed
 # reproduces a report's numbers only under the same layout.
@@ -215,9 +232,9 @@ def _uniform(key: np.ndarray, *fields: np.ndarray | int) -> np.ndarray:
     return (_hash(key, *fields) >> 11).astype(np.float64) * 2.0**-53
 
 
-def _pick(layout: SharingTopology, class_id: int, u: np.ndarray, dtype=np.int64) -> np.ndarray:
+def _pick(layout: SharingTopology, class_id: int, u: np.ndarray) -> np.ndarray:
     """RAOs for draws ``u`` in [0, 1); below 2**53, ``u * size`` rounds below ``size``."""
-    return layout.rao_at(class_id, (u * layout.size(class_id)).astype(dtype))
+    return layout.rao_at(class_id, (u * layout.size(class_id)).astype(np.int64))
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -321,6 +338,7 @@ def run(
     span = horizon * total_slots  # slot keys per iteration
     tally = _Tally.zeros(len(classes), iters)
     measure = _delay_meter(scenario, layout, config) if config.measure_delay else None
+    scratch = _Scratch()
     per_block = max(1, BLOCK_SECONDS // horizon)
     for first in range(0, iters, per_block):
         n = min(per_block, iters - first)
@@ -334,12 +352,9 @@ def run(
         tally.attempts[:, block] = [c.reshape(n, horizon).sum(axis=1) for c in counts]
         for lo, hi in _chunks(tally.attempts[:, block].sum(axis=0)):
             chunk = slice(first + lo, first + hi)
-            # the previous chunk's keys are freed only once these exist; freeing
-            # them first let the heap shrink and fault its pages in again, which
-            # cost a tenth of the time at horizon 200
             chunk_counts = [c[lo * horizon : hi * horizon] for c in counts]
-            tagged = _fresh_keys(layout, classes, rngs, chunk_counts, total_slots)
-            collided, events, hits = _collisions(tagged, len(classes), span, hi - lo)
+            tagged = _fresh_keys(layout, classes, rngs, chunk_counts, total_slots, scratch)
+            collided, events, hits = _collisions(tagged, len(classes), span, hi - lo, scratch)
             tally.collided[:, chunk], tally.events[chunk] = collided, events
             if measure is not None:
                 for pos in range(len(classes)):
@@ -396,22 +411,58 @@ def _fresh_keys(
     rngs: Sequence[np.random.Generator],
     counts: Sequence[np.ndarray],
     total_slots: int,
+    scratch: _Scratch,
 ) -> np.ndarray:
     """Tagged slot keys ``(second * total_slots + rao) << tag_bits | pos`` of
     a chunk's fresh requests, class after class, given each class's counts
     per second of the chunk; the picks continue the classes' block streams.
-    They are uint32 when the chunk's tagged range fits, and int64 otherwise."""
+    They are uint32 when the chunk's tagged range fits, and int64 otherwise,
+    and are built in the scratch's keys from uniforms drawn into its spare
+    array."""
     tag_bits, seconds = (len(classes) - 1).bit_length(), counts[0].size
     stride = total_slots << tag_bits  # tagged values per second
     dtype = np.uint32 if seconds * stride < 2**32 else np.int64
-    keys = np.concatenate([
-        _pick(layout, cls.id, rng.random(int(c.sum())), dtype)
-        for cls, rng, c in zip(classes, rngs, counts)
-    ])
+    sizes = [int(c.sum()) for c in counts]
+    keys = scratch.take("keys", dtype, sum(sizes))
+    # _collisions overwrites the spare array next
+    uniforms = scratch.take("spare", np.float64, max(1, keys.nbytes // 8))
+    end = 0
+    for cls, rng, size in zip(classes, rngs, sizes):
+        picks, pool = keys[end : end + size], layout.size(cls.id)
+        # doubles convert to int32 twice as fast as to uint32
+        index = picks.view(np.int32) if dtype == np.uint32 and pool <= 2**31 else picks
+        for lo in range(0, size, uniforms.size):
+            part = index[lo : lo + uniforms.size]
+            u = rng.random(out=uniforms[: part.size])
+            u *= pool  # below 2**53, u * pool rounds below pool
+            np.copyto(part, u, casting="unsafe")
+        layout.rao_at(cls.id, picks, out=picks)
+        end += size
     keys <<= tag_bits
     tags = np.arange(len(classes), dtype=dtype)[:, None]
     keys += np.repeat(np.arange(seconds, dtype=dtype) * stride + tags, np.ravel(counts))
     return keys
+
+
+class _Scratch:
+    """Arrays that one run reuses from chunk to chunk, so that no chunk
+    faults fresh pages in. ``take`` returns a view of the first ``size``
+    items of a named buffer in ``dtype``. A buffer only grows, by at least
+    an eighth, so that chunks of about the same size share it."""
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, dtype, size: int) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = size * dtype.itemsize
+        buffer = self._buffers.pop(name, None)
+        if buffer is None or buffer.size < nbytes:
+            grown = 0 if buffer is None else buffer.size + buffer.size // 8
+            del buffer  # freed before the larger one is made
+            buffer = np.empty(max(nbytes, grown), np.uint8)
+        self._buffers[name] = buffer
+        return buffer[:nbytes].view(dtype)
 
 
 def _chunks(sizes: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -427,30 +478,48 @@ def _chunks(sizes: np.ndarray) -> Iterator[tuple[int, int]]:
 
 
 def _collisions(
-    tagged: np.ndarray, n_classes: int, span: int, iterations: int
+    tagged: np.ndarray, n_classes: int, span: int, iterations: int, scratch: _Scratch
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort a chunk's tagged slot keys in place. Count per (class, iteration)
     the requests whose key another request of any class shares, and per
     iteration the slots holding two or more requests; return both and the
     tagged values of the collided requests, ascending. Sorting puts equal
     keys next to each other, so the work grows with the number of requests,
-    not with the number of slots they pick from."""
-    tag_bits = (n_classes - 1).bit_length()
+    not with the number of slots they pick from. The arrays as long as the
+    chunk are the scratch's, and the collided values are a view of one of
+    them; every other temporary holds at most ``PIECE_KEYS`` items."""
+    tag_bits, size = (n_classes - 1).bit_length(), tagged.size
     tagged.sort()
-    keys = tagged >> tag_bits
-    same = keys[1:] == keys[:-1]
-    hit = np.zeros(keys.size, dtype=bool)
-    hit[1:] = same
-    hit[:-1] |= same
-    hits = tagged[hit]
-    cells = hits // (span << tag_bits) * n_classes + (hits & ((1 << tag_bits) - 1))
-    collided = np.bincount(cells, minlength=iterations * n_classes).reshape(iterations, -1).T
-    # a shared slot starts at each collided request whose key differs from the previous one's
-    shared = hits >> tag_bits
-    first = np.ones(shared.size, dtype=bool)
-    first[1:] = shared[1:] != shared[:-1]
-    events = np.bincount(shared[first] // span, minlength=iterations)
-    return collided, events, hits
+    spare = scratch.take("spare", tagged.dtype, size)
+    keys = np.right_shift(tagged, tag_bits, out=spare)
+    hit = scratch.take("hit", bool, size)
+    np.equal(keys[1:], keys[:-1], out=hit[1:])  # each key equal to the one before
+    hit[:1] = False
+    hit[:-1] |= hit[1:]  # ... or to the one after
+    # the collided values replace the keys in place; np.compress copies twice
+    # as fast as boolean indexing, but through an index array
+    end = 0
+    for lo in range(0, size, PIECE_KEYS):
+        mask = hit[lo : lo + PIECE_KEYS]
+        count = np.count_nonzero(mask)
+        np.compress(mask, tagged[lo : lo + PIECE_KEYS], out=spare[end : end + count])
+        end += count
+    hits = spare[:end]
+    collided = np.zeros(iterations * n_classes, dtype=np.int64)
+    # up to each iteration's end, the collided keys equal to the one before:
+    # a slot shared by m requests holds m - 1 of them, so an iteration's
+    # events are its collided requests less these repeats
+    repeats = np.zeros(iterations + 1, dtype=np.int64)
+    ends = np.arange(iterations + 1, dtype=hits.dtype) * span
+    for lo in range(0, end, PIECE_KEYS):
+        part = hits[lo : lo + PIECE_KEYS]
+        cells = part // (span << tag_bits) * n_classes + (part & ((1 << tag_bits) - 1))
+        collided += np.bincount(cells, minlength=collided.size)
+        shared = hits[max(lo - 1, 0) : lo + part.size] >> tag_bits
+        repeats += np.searchsorted(shared[1:][shared[1:] == shared[:-1]], ends)
+    collided = collided.reshape(iterations, -1)
+    events = collided.sum(axis=1) - (repeats[1:] - repeats[:-1])
+    return collided.T, events, hits
 
 
 def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig):
@@ -458,7 +527,10 @@ def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig)
     collided requests of the class at ``pos`` in one chunk, given the
     chunk's collided and all its tagged keys, sorted. It fills the chunk's
     delay sums, successes and censored requests in the tally; a success on
-    attempt k took k backoff periods."""
+    attempt k took k backoff periods. The requests are retried in slices of
+    ``RETRY_KEYS``, so that the retry state does not grow with the chunk;
+    a request's rank among equal first keys counts over the whole chunk, so
+    the slices change no number."""
     horizon, total_slots = config.horizon, scenario.total_raos
     span = horizon * total_slots
     tag_bits = (len(scenario.classes) - 1).bit_length()
@@ -480,42 +552,52 @@ def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig)
     pick_keys = [_hash_key(config.seed, 1, c.id) for c in classes]
 
     def measure(pos, hits, tagged, chunk, tally):
-        cls, size = classes[pos], sizes[pos]
-        k0 = (hits[(hits & ((1 << tag_bits) - 1)) == pos] >> tag_bits).astype(np.int64)
-        j, first_key = np.divmod(k0, span)  # iteration in the chunk, key in it
-        second, rao = np.divmod(first_key, total_slots)
-        # the time within a second follows the first RAO's position in the pool
-        t0 = second + (layout.index_of(cls.id, rao) + 0.5) / size
-        iteration = chunk.start + j
-        rank = np.arange(k0.size) - np.searchsorted(k0, k0)
-        pick = _hash(pick_keys[pos], iteration, first_key, rank)
-        done = np.zeros(k0.size, dtype=np.int64)  # the attempt that succeeded
-        todo = np.arange(k0.size)
-        for attempt in range(2, config.max_attempts + 1):
-            sec = np.floor(t0[todo] + (attempt - 1) * cls.backoff).astype(np.int64)
-            inside, past = sec < horizon, sec >= horizon
-            if todo.size == 0 or (saturated[pos] and past.all()):
-                break
-            rao = _pick(layout, cls.id, _uniform(pick[todo], attempt))
-            key = sec * total_slots + rao
-            busy = np.empty(todo.size, dtype=bool)
-            # a retry into the slot of its own first attempt does not count itself
-            own = k0[todo[inside]]
-            probe = key[inside] + own // span * span
-            # probes in the sorted values' dtype, so that searchsorted copies nothing
-            start, stop = ((p << tag_bits).astype(tagged.dtype) for p in (probe, probe + 1))
-            found = np.searchsorted(tagged, stop) - np.searchsorted(tagged, start)
-            busy[inside] = found > (probe == own)
-            chance = busy_chance[np.searchsorted(run_starts, rao[past], "right") - 1]
-            busy[past] = _uniform(occupancy_key, iteration[todo[past]], key[past]) < chance
-            done[todo[~busy]] = attempt
-            todo = todo[busy]
-        ok, n = done > 0, chunk.stop - chunk.start
+        cls, size, n = classes[pos], sizes[pos], chunk.stop - chunk.start
+        firsts = hits[(hits & ((1 << tag_bits) - 1)) == pos]  # tagged, ascending
+        sums, successes, censored = (
+            a[pos, chunk] for a in (tally.delay_sums, tally.delay_counts, tally.censored)
+        )
+        for lo in range(0, firsts.size, RETRY_KEYS):
+            part = firsts[lo : lo + RETRY_KEYS]
+            k0 = (part >> tag_bits).astype(np.int64)
+            iteration, first_key = np.divmod(k0, span)  # in the chunk, and the key in it
+            iteration += chunk.start
+            # the time within a second follows the first RAO's position in the pool
+            index = layout.index_of(cls.id, first_key % total_slots)
+            t0 = first_key // total_slots + (index + 0.5) / size
+            # the rank counts the class's requests in the whole chunk with this first key
+            rank = np.arange(lo, lo + part.size) - np.searchsorted(firsts, part)
+            pick = _hash(pick_keys[pos], iteration, first_key, rank)
+            del first_key, index, rank  # RETRY_KEYS bounds what stays alive below
+            done = np.zeros(k0.size, dtype=np.int64)  # the attempt that succeeded
+            todo = np.arange(k0.size)
+            for attempt in range(2, config.max_attempts + 1):
+                sec = np.floor(t0[todo] + (attempt - 1) * cls.backoff).astype(np.int64)
+                inside, past = sec < horizon, sec >= horizon
+                if todo.size == 0 or (saturated[pos] and past.all()):
+                    break
+                rao = _pick(layout, cls.id, _uniform(pick[todo], attempt))
+                key = sec * total_slots + rao
+                busy = np.empty(todo.size, dtype=bool)
+                # a retry into the slot of its own first attempt does not count itself
+                own = k0[todo[inside]]
+                probe = key[inside] + own // span * span
+                # probes in the sorted values' dtype, so that searchsorted copies nothing
+                start, stop = ((p << tag_bits).astype(tagged.dtype) for p in (probe, probe + 1))
+                found = np.searchsorted(tagged, stop) - np.searchsorted(tagged, start)
+                busy[inside] = found > (probe == own)
+                chance = busy_chance[np.searchsorted(run_starts, rao[past], "right") - 1]
+                busy[past] = _uniform(occupancy_key, iteration[todo[past]], key[past]) < chance
+                done[todo[~busy]] = attempt
+                todo = todo[busy]
+            ok, j = done > 0, iteration - chunk.start
+            sums += np.bincount(j, weights=done, minlength=n)  # whole numbers, summed exactly
+            successes += np.bincount(j[ok], minlength=n)
+            censored += np.bincount(j[~ok], minlength=n)
         first_ok = tally.attempts[pos, chunk] - tally.collided[pos, chunk]
-        attempts = first_ok + np.bincount(j, weights=done, minlength=n)
-        tally.delay_sums[pos, chunk] = attempts * cls.backoff
-        tally.delay_counts[pos, chunk] = first_ok + np.bincount(j[ok], minlength=n)
-        tally.censored[pos, chunk] = np.bincount(j[~ok], minlength=n)
+        sums += first_ok
+        sums *= cls.backoff
+        successes += first_ok
 
     return measure
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from rachopt import simulator
+from rachopt import model, simulator
 from rachopt.cli import (
     EXIT_OK,
     EXIT_OVERLOAD,
@@ -579,6 +579,17 @@ class TestDiagnostics:
         assert main(["analyze", str(path)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "not valid YAML" in err
+
+    @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+    def test_non_utf8_file_exits_2(self, capsys, monkeypatch, tmp_path, loader):
+        # byte 0xFF never occurs in UTF-8; it used to escape as a traceback
+        if not hasattr(yaml, loader):
+            pytest.skip("PyYAML was built without libyaml")
+        monkeypatch.setattr(model, "YAML_LOADER", getattr(yaml, loader))
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"total_raos: 100\n# caf\xff\nstrategy: full_sharing\n")
+        assert main(["analyze", str(path)]) == EXIT_VALIDATION
+        assert f"error: {path}: not valid UTF-8 (" in capsys.readouterr().err
 
     def test_unknown_field_named(self, capsys, tmp_path):
         data = yaml.safe_load(Path(DC12).read_text())

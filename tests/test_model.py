@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rachopt import model
 from rachopt.model import (
     AllocationPlan,
     DeviceClass,
@@ -448,6 +451,37 @@ class TestSerialization:
         path.write_text("total_raos: [unclosed\nstrategy: full_sharing\n")
         with pytest.raises(ScenarioError, match="not valid YAML"):
             load_scenario(str(path))
+
+    @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+    def test_yaml_error_names_path_and_line_with_either_loader(
+        self, monkeypatch, tmp_path, loader
+    ):
+        if not hasattr(yaml, loader):
+            pytest.skip("PyYAML was built without libyaml")
+        monkeypatch.setattr(model, "YAML_LOADER", getattr(yaml, loader))
+        path = tmp_path / "broken.yaml"
+        path.write_text("total_raos: [unclosed\nstrategy: full_sharing\n")
+        with pytest.raises(ScenarioError, match=f"^{re.escape(str(path))}:2: not valid YAML"):
+            load_scenario(str(path))
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED_YAML = sorted(
+    [*ROOT.glob("scenarios/*.yaml"), *ROOT.glob("benchmarks/cells/*.yaml")]
+)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+@pytest.mark.parametrize("path", SHIPPED_YAML, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_libyaml_and_python_loaders_agree(monkeypatch, path):
+    # load_scenario uses the C loader when PyYAML has it and SafeLoader
+    # otherwise; both must read every shipped file as the same document
+    assert model.YAML_LOADER is yaml.CSafeLoader
+    text = path.read_text(encoding="utf-8")
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+    fast = load_scenario(str(path))
+    monkeypatch.setattr(model, "YAML_LOADER", yaml.SafeLoader)
+    assert load_scenario(str(path)) == fast
 
 
 class TestFingerprint:

@@ -25,6 +25,7 @@ from rachopt.simulator import (
     SimulationError,
     _collisions,
     _fresh_keys,
+    _Scratch,
     run,
     sweep_dedication,
 )
@@ -121,7 +122,7 @@ class TestCollisionKernel:
         for dtype in (np.uint32, np.int64):
             tagged = np.concatenate([(k << tag_bits) | p for p, k in enumerate(keys_by_class)])
             tagged = tagged[::-1].astype(dtype)  # the order of the requests does not matter
-            output = _collisions(tagged, len(keys_by_class), SPAN, 4)
+            output = _collisions(tagged, len(keys_by_class), SPAN, 4, _Scratch())
             assert tagged.tolist() == sorted(tagged.tolist())  # sorted in place
             assert_kernel_output(keys_by_class, dense_flags, SPAN, 4, output)
 
@@ -138,7 +139,8 @@ class TestCollisionKernel:
         classes = [DeviceClass(id=pos, ra_density=1.0) for pos in range(n_classes)]
         counts = [np.array([5, 4 + pos]) for pos in range(n_classes)]
         rngs = [np.random.default_rng(pos) for pos in range(n_classes)]
-        tagged = _fresh_keys(layout, classes, rngs, counts, total)
+        scratch = _Scratch()
+        tagged = _fresh_keys(layout, classes, rngs, counts, total, scratch)
         assert tagged.dtype == (np.uint32 if offset < 0 else np.int64)
         keys_by_class = []
         for pos, c in enumerate(counts):
@@ -148,13 +150,32 @@ class TestCollisionKernel:
         values, occupancy = np.unique(np.concatenate(keys_by_class), return_counts=True)
         flags_by_class = [np.isin(keys, values[occupancy >= 2]) for keys in keys_by_class]
         assert any(f.any() for f in flags_by_class)
-        output = _collisions(tagged, n_classes, total, 2)
+        output = _collisions(tagged, n_classes, total, 2, scratch)
         assert_kernel_output(keys_by_class, flags_by_class, total, 2, output)
+
+    def test_pool_past_int32_picks_every_rao(self):
+        # a uint32 chunk whose pool holds more than 2**31 RAOs: its positions
+        # do not fit in int32, and picks still map floor(u * size)
+        total = 2**32 - 1
+        layout = SharingTopology.from_ranges({1: [(0, total - 1)]})
+        classes = [DeviceClass(id=1, ra_density=1.0)]
+        counts = [np.array([50])]
+        tagged = _fresh_keys(
+            layout, classes, [np.random.default_rng(4)], counts, total, _Scratch()
+        )
+        expected = (np.random.default_rng(4).random(50) * total).astype(np.int64)
+        assert tagged.dtype == np.uint32
+        assert tagged.tolist() == expected.tolist()
+        assert tagged.max() >= 2**31
 
     @pytest.mark.parametrize("n_classes", [1, 2, 3])
     def test_uint32_and_int64_chunks_agree(self, monkeypatch, n_classes):
         # one-iteration chunks just fit in uint32; one chunk per block needs
-        # int64. Retries land inside the horizon, at keys near 2**32.
+        # int64. Chunks of about one and a half iterations hold one iteration
+        # or more, so that consecutive chunks of one run differ in length and
+        # switch between uint32 and int64 in both directions, each reusing the
+        # buffers that the chunks before it sized. Retries land inside the
+        # horizon, at keys near 2**32.
         tag_bits = (n_classes - 1).bit_length()
         total = (2**31 >> tag_bits) - 1
         classes = tuple(
@@ -165,20 +186,30 @@ class TestCollisionKernel:
         )
         top = SharingTopology.from_ranges({c.id: [(total - 6, total - 1)] for c in classes})
         config = SimConfig(iterations=40, seed=3, horizon=2, measure_delay=True, max_attempts=4)
-        dtypes = set()
+        chunks = []
 
         def spy(tagged, *args):
-            dtypes.add(tagged.dtype)
+            chunks.append((tagged.dtype, tagged.size))
             return _collisions(tagged, *args)
 
         monkeypatch.setattr(simulator, "_collisions", spy)
-        monkeypatch.setattr(simulator, "CHUNK_KEYS", 1)
-        narrow = run(scenario, top, config)
-        monkeypatch.setattr(simulator, "CHUNK_KEYS", 2**62)
-        wide = run(scenario, top, config)
-        assert dtypes == {np.dtype(np.uint32), np.dtype(np.int64)}
-        assert narrow == wide
-        assert all(s.collided > 0 and s.mean_delay > 0.3 for s in wide.per_class.values())
+        per_iteration = sum(c.ra_density for c in classes) * config.horizon
+        stats, seen = {}, {}
+        for name, chunk_keys in [("narrow", 1), ("mixed", int(1.5 * per_iteration)),
+                                 ("wide", 2**62)]:
+            chunks.clear()
+            monkeypatch.setattr(simulator, "CHUNK_KEYS", chunk_keys)
+            stats[name] = run(scenario, top, config)
+            seen[name] = list(chunks)
+        assert {dtype for dtype, _ in seen["narrow"] + seen["wide"]} == {
+            np.dtype(np.uint32), np.dtype(np.int64)
+        }
+        switches = {(a[0], b[0]) for a, b in zip(seen["mixed"], seen["mixed"][1:])}
+        assert {(np.dtype(np.uint32), np.dtype(np.int64)),
+                (np.dtype(np.int64), np.dtype(np.uint32))} <= switches
+        assert len({size for _, size in seen["mixed"]}) > 2
+        assert stats["narrow"] == stats["mixed"] == stats["wide"]
+        assert all(s.collided > 0 and s.mean_delay > 0.3 for s in stats["wide"].per_class.values())
 
 
 def reference_run(scenario, allocation, config):
@@ -352,12 +383,30 @@ def reference_stats(case):
 
 
 class TestReferenceEngine:
-    @pytest.mark.parametrize("chunk_keys", [1, simulator.CHUNK_KEYS, 2**62],
-                             ids=["per-iteration", "default", "per-block"])
+    # "uneven": two 700 s iterations of the light cells hold about 14 000
+    # requests, so chunks of one and two iterations follow each other
+    @pytest.mark.parametrize("chunk_keys", [1, 14_000, simulator.CHUNK_KEYS, 2**62],
+                             ids=["per-iteration", "uneven", "default", "per-block"])
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_run_equals_per_iteration_loop(self, monkeypatch, case, chunk_keys):
         scenario, allocation, config = REFERENCE_CASES[case]()
         monkeypatch.setattr(simulator, "CHUNK_KEYS", chunk_keys)
+        assert run(scenario, allocation, config) == reference_stats(case)
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_pieces_split_chunks(self, monkeypatch, case):
+        # pieces of 97 requests split the copy of the collided keys, and
+        # their cells and repeats, at odd places
+        scenario, allocation, config = REFERENCE_CASES[case]()
+        monkeypatch.setattr(simulator, "PIECE_KEYS", 97)
+        assert run(scenario, allocation, config) == reference_stats(case)
+
+    @pytest.mark.parametrize("case", ["delay-shared-horizon-1", "delay-bernoulli-partial"])
+    def test_retry_slices_split_shared_slots(self, monkeypatch, case):
+        # slices of three collided requests cut through pairs of one class's
+        # requests in one slot; their ranks still count over the whole chunk
+        scenario, allocation, config = REFERENCE_CASES[case]()
+        monkeypatch.setattr(simulator, "RETRY_KEYS", 3)
         assert run(scenario, allocation, config) == reference_stats(case)
 
     def test_fresh_statistics_do_not_depend_on_delays(self):
@@ -406,6 +455,44 @@ class TestMemory:
         assert stats.per_class[1].mean_delay is not None
         assert peak < 4 * 2**20
 
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64], ids=["uint32", "int64"])
+    @pytest.mark.parametrize("saturated", [False, True], ids=["sparse", "saturated"])
+    @pytest.mark.parametrize("n_classes", [1, 3])
+    def test_peak_bytes_per_request(self, monkeypatch, n_classes, saturated, dtype):
+        # the per-request peak that MAX_ITEMS_PER_ITERATION's comment states,
+        # on one 1.5 M-request iteration, which one chunk holds whole: the
+        # pools span 2**28 or 2**32 tagged values per second, for uint32 or
+        # int64 keys, and a saturated cell puts each class on one RAO
+        requests = 1_500_000
+        tag_bits = (n_classes - 1).bit_length()
+        total = (2**28 if dtype == np.uint32 else 2**32) >> tag_bits
+        classes = tuple(
+            DeviceClass(id=pos + 1, ra_density=requests / n_classes) for pos in range(n_classes)
+        )
+        scenario = validate_scenario(
+            Scenario(classes=classes, total_raos=total, strategy=Strategy.PARTIAL_DEDICATION)
+        )
+        ranges = {c.id: [(pos, pos) if saturated else (0, total - 1)]
+                  for pos, c in enumerate(classes)}
+        dtypes = set()
+
+        def spy(tagged, *args):
+            dtypes.add(tagged.dtype)
+            return _collisions(tagged, *args)
+
+        monkeypatch.setattr(simulator, "_collisions", spy)
+        tracemalloc.start()
+        try:
+            stats = run(scenario, SharingTopology.from_ranges(ranges), SimConfig(iterations=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        attempts = sum(s.attempts for s in stats.per_class.values())
+        collided = sum(s.collided for s in stats.per_class.values())
+        assert dtypes == {np.dtype(dtype)}
+        assert collided == attempts if saturated else collided < 0.03 * attempts
+        assert peak / attempts < (13 if dtype == np.uint32 else 25)
 
     def test_attempt_cap_costs_nothing_without_collisions(self):
         # a cell that draws no request: no retry loop runs, and nothing is
