@@ -335,6 +335,24 @@ def _non_numbers(cls: DeviceClass) -> dict[str, Any]:
     }
 
 
+def _exponent_hint(value: Any) -> str:
+    """A spelling that YAML 1.1 reads as a number, for a string that is a
+    float with an exponent: PyYAML reads one as a float only with a dot in
+    its mantissa and a sign on its exponent, and as a string otherwise."""
+    if not isinstance(value, str) or not {"e", "E"} & set(value):
+        return ""
+    try:
+        float(value)
+    except ValueError:
+        return ""
+    mantissa, e, exponent = value.strip().partition("e" if "e" in value else "E")
+    if "." not in mantissa:
+        mantissa += ".0"
+    if not exponent.startswith(("+", "-")):
+        exponent = "+" + exponent
+    return f"; YAML reads an exponent only after a dot and with a sign: write {mantissa}{e}{exponent}"
+
+
 def _resolve_class(cls: DeviceClass, issues: list[str]) -> DeviceClass:
     label = f"class {cls.id}"
     if isinstance(cls.id, bool) or not isinstance(cls.id, int) or cls.id < 0:
@@ -343,7 +361,8 @@ def _resolve_class(cls: DeviceClass, issues: list[str]) -> DeviceClass:
     bad = _non_numbers(cls)
     if bad:
         issues.extend(
-            f"{label}: {name} must be a number, got {value!r}" for name, value in bad.items()
+            f"{label}: {name} must be a number, got {value!r}{_exponent_hint(value)}"
+            for name, value in bad.items()
         )
         return cls
     if cls.group_size < 1:

@@ -35,8 +35,10 @@ depend on whether delays are measured; and delays depend on which slot keys
 collided, not on the order of the requests.
 
 Delay measurement retries collided requests after the class backoff until
-success or the attempt cap, on any pool layout, ``RETRY_KEYS`` of one class
-at a time. Retries probe the occupancy
+success or the attempt cap, on any pool layout: the collided requests of
+every class in a chunk retry together, ``RETRY_KEYS`` at a time, and once
+few are pending each step tries a window of attempts per request and keeps
+the first free one. Retries probe the occupancy
 made by fresh arrivals but do not add to it: the closed-form delay model
 gives every attempt the fresh-traffic collision probability, and feeding
 retries back into the load would make the simulator unstable at high rates.
@@ -80,6 +82,11 @@ from .model import AllocationPlan, DeviceClass, Scenario, SharingTopology, pool_
 # instead of failing inside numpy or swapping.
 MAX_ITEMS_PER_ITERATION = 50_000_000
 
+# Largest tally that run() accepts, in bytes, checked before it is allocated:
+# iterations times _Tally.bytes_per_iteration (88 with two classes, so about
+# 12 M iterations). _summarize adds a few arrays of one class's iterations.
+MAX_TALLY_BYTES = 2**30
+
 # Seconds of fresh arrivals that one block stream serves: a block is
 # max(1, BLOCK_SECONDS // horizon) iterations. One stream costs about 25 us to
 # set up, so at horizon 1 a stream per iteration cost more than the draws.
@@ -94,9 +101,17 @@ CHUNK_KEYS = 2**16
 # array of np.compress and the cells and repeats of the collided requests.
 PIECE_KEYS = 2**16
 
-# Collided requests of one class in one chunk that the delay meter retries
-# together; each holds about 200 bytes of retry state.
-RETRY_KEYS = 2**12
+# Collided requests of one chunk, of every class, that the delay meter retries
+# together, each with 144 bytes of retry state (176 when retries can land
+# inside the horizon): a column in each of two blocks of 8 or 10 rows, a cell
+# and an outcome. Each slice runs its own attempt loop, so larger slices make
+# fewer numpy calls per retry; 2**14 keeps the state near 2.3 MB.
+RETRY_KEYS = 2**14
+
+# Attempts that one step of the retry loop evaluates at most, once fewer
+# requests than this are pending: each then tries RETRY_WINDOW // pending
+# attempts in one step, so the tail of few pending requests takes few steps.
+RETRY_WINDOW = 2**12
 
 # Names the random-number layout described in the module docstring; a seed
 # reproduces a report's numbers only under the same layout.
@@ -215,25 +230,37 @@ def _hash_key(seed: int, *spawn_key: int) -> np.ndarray:
 
 def _hash(key: np.ndarray, *fields: np.ndarray | int) -> np.ndarray:
     """Fold non-negative integers, arrays broadcast together, into ``key``
-    one at a time with SplitMix64's step: add the increment, then finalise."""
+    one at a time with SplitMix64's step (see ``_mix``)."""
     h = key
     for field in fields:
-        h = (h ^ np.asarray(field).astype(np.uint64)) + 0x9E3779B97F4A7C15
-        h ^= h >> 30
-        h *= 0xBF58476D1CE4E5B9
-        h ^= h >> 27
-        h *= 0x94D049BB133111EB
-        h ^= h >> 31
+        h = h ^ np.asarray(field).astype(np.uint64, copy=False)
+        _mix(h, np.empty_like(h))
     return h
 
 
+def _mix(h: np.ndarray, spare: np.ndarray) -> None:
+    """SplitMix64's step on the uint64 array ``h``, in place: add the
+    increment, then finalise; ``spare``, of h's shape, takes the shifts."""
+    h += 0x9E3779B97F4A7C15
+    h ^= np.right_shift(h, 30, out=spare)
+    h *= 0xBF58476D1CE4E5B9
+    h ^= np.right_shift(h, 27, out=spare)
+    h *= 0x94D049BB133111EB
+    h ^= np.right_shift(h, 31, out=spare)
+
+
 def _uniform(key: np.ndarray, *fields: np.ndarray | int) -> np.ndarray:
-    """Doubles in [0, 1) from the top 53 bits of ``_hash(key, *fields)``."""
+    """Doubles in [0, 1) from the top 53 bits of ``_hash(key, *fields)``.
+    The delay meter works on those bits directly, with the same outcomes:
+    it scales them by ``size * 2**-53`` in one product, and compares them
+    with an occupancy chance times 2**53 as integers."""
     return (_hash(key, *fields) >> 11).astype(np.float64) * 2.0**-53
 
 
 def _pick(layout: SharingTopology, class_id: int, u: np.ndarray) -> np.ndarray:
-    """RAOs for draws ``u`` in [0, 1); below 2**53, ``u * size`` rounds below ``size``."""
+    """RAOs for draws ``u`` in [0, 1); below 2**53, ``u * size`` rounds below
+    ``size``. The delay meter maps its picks alike, by class offsets and
+    range shifts."""
     return layout.rao_at(class_id, (u * layout.size(class_id)).astype(np.int64))
 
 
@@ -259,6 +286,13 @@ def _check_inputs(scenario: Scenario, config: SimConfig) -> None:
                     f"class {cls.id}: per-device attempt probability "
                     f"{cls.per_device_rate}/s exceeds 1"
                 )
+    per_iteration = _Tally.bytes_per_iteration(len(scenario.classes))
+    if config.iterations * per_iteration > MAX_TALLY_BYTES:
+        raise SimulationError(
+            f"iterations {config.iterations} need {per_iteration} bytes each for their "
+            f"tallies, over the simulator's limit of {MAX_TALLY_BYTES // per_iteration} "
+            f"iterations ({MAX_TALLY_BYTES} bytes); lower iterations"
+        )
     fresh = horizon * (len(scenario.classes) + sum(cls.ra_density for cls in scenario.classes))
     if fresh > MAX_ITEMS_PER_ITERATION:
         raise SimulationError(
@@ -299,6 +333,12 @@ class _Tally:
     delay_sums: np.ndarray
     delay_counts: np.ndarray
     censored: np.ndarray
+
+    @staticmethod
+    def bytes_per_iteration(n_classes: int) -> int:
+        """What ``zeros`` allocates per iteration: five 8-byte rows per
+        class, and the events."""
+        return 8 * (5 * n_classes + 1)
 
     @classmethod
     def zeros(cls, n_classes: int, iterations: int) -> _Tally:
@@ -357,8 +397,7 @@ def run(
             collided, events, hits = _collisions(tagged, len(classes), span, hi - lo, scratch)
             tally.collided[:, chunk], tally.events[chunk] = collided, events
             if measure is not None:
-                for pos in range(len(classes)):
-                    measure(pos, hits, tagged, chunk, tally)
+                measure(hits, tagged, chunk, tally, scratch)
     return _summarize(classes, config, tally)
 
 
@@ -522,19 +561,34 @@ def _collisions(
     return collided.T, events, hits
 
 
+# Rows of the delay meter's state block, one column per pending request: the
+# pick's and the occupancy's hashes of every field but the attempt and the slot
+# key, the first attempt's time, the class's backoff, pool scale (size / 2**53),
+# RAO offset and occupancy bound, the request's position in its slice and,
+# when retries can land inside the horizon, its first key and its iteration's.
+PICK, OCCUPANCY, T0, BACKOFF, SCALE, OFFSET, BOUND, ROW, OWN, BASE = range(10)
+
+
 def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig):
-    """The delay measurement of one run, as a function that retries the
-    collided requests of the class at ``pos`` in one chunk, given the
-    chunk's collided and all its tagged keys, sorted. It fills the chunk's
-    delay sums, successes and censored requests in the tally; a success on
-    attempt k took k backoff periods. The requests are retried in slices of
-    ``RETRY_KEYS``, so that the retry state does not grow with the chunk;
-    a request's rank among equal first keys counts over the whole chunk, so
-    the slices change no number."""
-    horizon, total_slots = config.horizon, scenario.total_raos
-    span = horizon * total_slots
-    tag_bits = (len(scenario.classes) - 1).bit_length()
-    classes, sizes = scenario.classes, [layout.size(c.id) for c in scenario.classes]
+    """The delay measurement of one run, as a function that retries every
+    collided request of one chunk, given the chunk's collided and all its
+    tagged values, sorted, the tally and the run's scratch. It fills the
+    chunk's delay sums, successes and censored requests in the tally; a
+    success on attempt k took k backoff periods.
+
+    The collided requests of every class retry together, in slices of
+    ``RETRY_KEYS`` values, so that the retry state does not grow with the
+    chunk; a request's rank among equal values counts over the whole chunk,
+    so the slices change no number. The pending requests are the columns of
+    a state block (see ``PICK``), which one ``np.take`` compacts after each
+    step. A step evaluates one attempt of each pending request or, once
+    fewer than ``RETRY_WINDOW`` are pending, a window of attempts, of which
+    the first free one counts; every draw hashes its attempt, so windows
+    change no number either."""
+    horizon, total_slots, classes = config.horizon, scenario.total_raos, scenario.classes
+    span, n_classes = horizon * total_slots, len(classes)
+    tag_bits = (n_classes - 1).bit_length()
+    sizes = [layout.size(c.id) for c in classes]
     # per run of RAOs between range ends, the log of the chance that it is free
     if config.arrival_mode == ArrivalMode.POISSON_AGGREGATE:
         log_free = {c.id: -c.ra_density / size for c, size in zip(classes, sizes)}
@@ -545,61 +599,221 @@ def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig)
                 for c, size in zip(classes, sizes)
             }
     run_starts, _, covered, log_free_run = layout.segments(log_free)
-    busy_chance = -np.expm1(log_free_run)
-    # hashed uniforms lie in [0, 1), so past the horizon such a class never succeeds
-    saturated = [bool(np.all(busy_chance[covered[c.id]] == 1.0)) for c in classes]
+    # a hashed uniform m * 2**-53 falls below the chance c that fresh arrivals
+    # fill the slot exactly when the integer m falls below ceil(c * 2**53)
+    run_bounds = np.ceil(-np.expm1(log_free_run) * 2.0**53).astype(np.uint64)
+    class_bounds = [set(run_bounds[covered[c.id]].tolist()) for c in classes]
+    per_run = any(len(bounds) > 1 for bounds in class_bounds)
+    # past the horizon, a class whose slots are all filled for sure never succeeds
+    saturated = any(bounds == {2**53} for bounds in class_bounds)
+    min_backoff = min(c.backoff for c in classes)
+    inside_possible = min_backoff < horizon  # t0 >= 0: a retry lands at t0 + backoff or later
+    rows = BASE + 1 if inside_possible else ROW + 1
+    # a pick's position plus its class's offset is its RAO, for a class of one
+    # range; a class of several ranges takes offsets past total_slots, and
+    # each of its ranges shifts its positions back onto its RAOs
+    offsets, remaps, virtual = [], [], total_slots
+    for cls in classes:
+        spans = layout.ranges[cls.id]
+        if len(spans) == 1:
+            offsets.append(spans[0][0])
+            continue
+        offsets.append(virtual)
+        for first, last in spans:
+            remaps.append((virtual, first - virtual))
+            virtual += last - first + 1
+    remaps.reverse()  # a shifted position falls below every start
+    multi = [pos for pos, cls in enumerate(classes) if len(layout.ranges[cls.id]) > 1]
+    # per class, rows T0 to ROW of its requests' columns: T0 and ROW hold its
+    # first RAO and pool size until the requests' own values replace them
+    table = np.zeros((ROW + 1, n_classes), dtype=np.uint64)
+    table.view(np.int64)[T0] = [layout.ranges[c.id][0][0] for c in classes]
+    table.view(np.float64)[BACKOFF] = [c.backoff for c in classes]
+    table.view(np.float64)[SCALE] = [size * 2.0**-53 for size in sizes]  # exact
+    table.view(np.int64)[OFFSET] = offsets
+    table[BOUND] = [min(bounds) for bounds in class_bounds]
+    table.view(np.float64)[ROW] = sizes
+    table = table[T0:]
+    backoffs = np.array([c.backoff for c in classes])
     occupancy_key = _hash_key(config.seed, 1)
-    pick_keys = [_hash_key(config.seed, 1, c.id) for c in classes]
+    pick_keys = np.concatenate([_hash_key(config.seed, 1, c.id) for c in classes])
 
-    def measure(pos, hits, tagged, chunk, tally):
-        cls, size, n = classes[pos], sizes[pos], chunk.stop - chunk.start
-        firsts = hits[(hits & ((1 << tag_bits) - 1)) == pos]  # tagged, ascending
-        sums, successes, censored = (
-            a[pos, chunk] for a in (tally.delay_sums, tally.delay_counts, tally.censored)
-        )
-        for lo in range(0, firsts.size, RETRY_KEYS):
-            part = firsts[lo : lo + RETRY_KEYS]
-            k0 = (part >> tag_bits).astype(np.int64)
-            iteration, first_key = np.divmod(k0, span)  # in the chunk, and the key in it
-            iteration += chunk.start
-            # the time within a second follows the first RAO's position in the pool
-            index = layout.index_of(cls.id, first_key % total_slots)
-            t0 = first_key // total_slots + (index + 0.5) / size
-            # the rank counts the class's requests in the whole chunk with this first key
-            rank = np.arange(lo, lo + part.size) - np.searchsorted(firsts, part)
-            pick = _hash(pick_keys[pos], iteration, first_key, rank)
-            del first_key, index, rank  # RETRY_KEYS bounds what stays alive below
-            done = np.zeros(k0.size, dtype=np.int64)  # the attempt that succeeded
-            todo = np.arange(k0.size)
-            for attempt in range(2, config.max_attempts + 1):
-                sec = np.floor(t0[todo] + (attempt - 1) * cls.backoff).astype(np.int64)
-                inside, past = sec < horizon, sec >= horizon
-                if todo.size == 0 or (saturated[pos] and past.all()):
-                    break
-                rao = _pick(layout, cls.id, _uniform(pick[todo], attempt))
-                key = sec * total_slots + rao
-                busy = np.empty(todo.size, dtype=bool)
-                # a retry into the slot of its own first attempt does not count itself
-                own = k0[todo[inside]]
-                probe = key[inside] + own // span * span
-                # probes in the sorted values' dtype, so that searchsorted copies nothing
-                start, stop = ((p << tag_bits).astype(tagged.dtype) for p in (probe, probe + 1))
-                found = np.searchsorted(tagged, stop) - np.searchsorted(tagged, start)
-                busy[inside] = found > (probe == own)
-                chance = busy_chance[np.searchsorted(run_starts, rao[past], "right") - 1]
-                busy[past] = _uniform(occupancy_key, iteration[todo[past]], key[past]) < chance
-                done[todo[~busy]] = attempt
-                todo = todo[busy]
-            ok, j = done > 0, iteration - chunk.start
-            sums += np.bincount(j, weights=done, minlength=n)  # whole numbers, summed exactly
-            successes += np.bincount(j[ok], minlength=n)
-            censored += np.bincount(j[~ok], minlength=n)
-        first_ok = tally.attempts[pos, chunk] - tally.collided[pos, chunk]
-        sums += first_ok
-        sums *= cls.backoff
-        successes += first_ok
+    def first_attempts(part, lo, hits, pick_heads, occupancy_heads, state, work):
+        """Fill ``state`` for the requests whose first tagged values are
+        ``part``, from position ``lo`` of ``hits``, and their (class,
+        iteration) cells; five rows of the spare block are temporaries."""
+        m, ints, floats = part.size, state.view(np.int64), state.view(np.float64)
+        pos, first_key, iteration, index, spare = work.other[: 5 * m].view(np.int64).reshape(5, m)
+        keys, base = (ints[OWN], ints[BASE]) if inside_possible else (first_key, index)
+        cells = work.cells[:m]
+        np.bitwise_and(part, (1 << tag_bits) - 1, out=pos)
+        np.right_shift(part, tag_bits, out=keys)
+        # the iteration in the chunk, and the key in it; divmod would not use libdivide
+        np.floor_divide(keys, span, out=iteration)
+        np.multiply(iteration, span, out=base)
+        np.subtract(keys, base, out=first_key)
+        np.multiply(pos, occupancy_heads.size, out=cells)
+        cells += iteration
+        np.take(occupancy_heads, iteration, out=state[OCCUPANCY], mode="clip")
+        pick = state[PICK]
+        np.take(pick_heads, cells, out=pick, mode="clip")
+        np.bitwise_xor(pick, first_key.view(np.uint64), out=pick)
+        _mix(pick, spare.view(np.uint64))
+        np.take(table, pos, axis=1, out=state[T0 : ROW + 1], mode="clip")
+        # the time within a second follows the first RAO's position in the pool
+        second = iteration
+        np.floor_divide(first_key, total_slots, out=second)
+        np.multiply(second, total_slots, out=index)
+        np.subtract(first_key, index, out=index)  # the first RAO
+        rao = index.copy() if multi else None
+        index -= ints[T0]
+        for p in multi:
+            among = pos == p
+            index[among] = layout.index_of(classes[p].id, rao[among])
+        t0 = floats[T0]
+        np.add(index, 0.5, out=t0)
+        np.divide(t0, floats[ROW], out=t0)
+        np.add(second, t0, out=t0)
+        # the rank counts the class's requests in the whole chunk with this first key
+        order, rank = ints[ROW], iteration
+        order[:] = np.arange(m)
+        np.not_equal(part[1:], part[:-1], out=work.flags[1:m])
+        rank[0] = 0
+        np.multiply(work.flags[1:m], order[1:], out=rank[1:])
+        np.maximum.accumulate(rank, out=rank)
+        np.subtract(order, rank, out=rank)
+        carry = lo - int(np.searchsorted(hits, part[0]))
+        if carry:
+            rank[: np.searchsorted(part, part[0], "right")] += carry
+        np.bitwise_xor(pick, rank.view(np.uint64), out=pick)
+        _mix(pick, spare.view(np.uint64))
+
+    def retry(state, tagged, done, work):
+        """Retry the requests of ``state`` until success or the attempt cap;
+        write each one's successful attempt, or 0, to ``done``. A step's
+        arrays are views of the block that does not hold the state."""
+        attempt, capacity = 2, work.flags.size // 2
+        while state.shape[1] and attempt <= config.max_attempts:
+            k = state.shape[1]
+            width = min(config.max_attempts + 1 - attempt, max(1, RETRY_WINDOW // k))
+            shape, size = (width, k), width * k
+            floats, ints = state.view(np.float64), state.view(np.int64)
+            key = work.other[:size].view(np.int64).reshape(shape)
+            h = work.other[size : 2 * size].reshape(shape)
+            spare = work.other[2 * size : 3 * size].reshape(shape)
+            time = h.view(np.float64)
+            # the seconds of the window's attempts; casting floors them, being >= 0
+            steps = np.arange(attempt - 1, attempt - 1 + width, dtype=np.float64)[:, None]
+            np.multiply(floats[BACKOFF], steps, out=time)
+            time += floats[T0]
+            np.copyto(key, time, casting="unsafe")
+            inside = None
+            if inside_possible and (attempt - 1) * min_backoff < horizon:
+                inside = work.flags[capacity : capacity + size].reshape(shape)
+                np.less(key, horizon, out=inside)
+                if not inside.any():
+                    inside = None
+            if saturated:
+                dead = (state[BOUND] == 2**53) & (key[-1] >= horizon)
+            key *= total_slots
+            attempts = np.arange(attempt, attempt + width, dtype=np.uint64)[:, None]
+            np.bitwise_xor(state[PICK], attempts, out=h)
+            _mix(h, spare)
+            h >>= 11
+            position = spare.view(np.float64)
+            np.copyto(position, h.view(np.int64), casting="unsafe")  # exact below 2**53
+            position *= floats[SCALE]
+            rao = h.view(np.int64)
+            np.copyto(rao, position, casting="unsafe")
+            rao += ints[OFFSET]
+            for start, shift in remaps:
+                np.add(rao, shift, out=rao, where=rao >= start)
+            key += rao
+            free = work.flags[:size].reshape(shape)
+            if inside is None or not inside.all():
+                if per_run:
+                    bounds = run_bounds[np.searchsorted(run_starts, rao, "right") - 1]
+                else:
+                    bounds = state[BOUND]
+                np.bitwise_xor(state[OCCUPANCY], key.view(np.uint64), out=h)
+                _mix(h, spare)
+                h >>= 11
+                np.greater_equal(h, bounds, out=free)
+            if inside is not None:
+                # look the slot key up in the chunk's sorted tagged values: it is
+                # busy when another request holds it; a retry into the slot of
+                # its own first attempt does not count itself
+                at = inside.ravel().nonzero()[0]
+                column = at % k
+                probe = key.ravel()[at] + ints[BASE][column]
+                found = np.searchsorted(tagged, (probe << tag_bits).astype(tagged.dtype))
+                found += probe == ints[OWN][column]
+                held = found < tagged.size
+                np.minimum(found, tagged.size - 1, out=found)
+                held &= (tagged[found] >> tag_bits) == probe
+                free.ravel()[at] = ~held
+            # each request's first free attempt of the window, or 0
+            first = spare[0].view(np.int64)
+            if width == 1:
+                np.multiply(free[0], attempt, out=first)
+            else:
+                # the window's earlier free attempts score higher, busy ones 0
+                score = np.multiply(free, np.arange(width, 0, -1)[:, None]).max(axis=0)
+                np.subtract(attempt + width, score, out=first)
+                first *= score > 0
+            done[ints[ROW]] = first
+            pending = np.equal(first, 0, out=work.flags[capacity : capacity + k])
+            if saturated:
+                pending &= ~dead
+            keep = pending.nonzero()[0]
+            compacted = work.other[: rows * keep.size].reshape(rows, keep.size)
+            np.take(state, keep, axis=1, out=compacted, mode="clip")
+            work.state, work.other, state = work.other, work.state, compacted
+            attempt += width
+
+    def measure(hits, tagged, chunk, tally, scratch):
+        n = chunk.stop - chunk.start
+        iterations = np.arange(chunk.start, chunk.stop)
+        # the hashes' first fields, (class,) iteration: _hash(k, a, b) == _hash(_hash(k, a), b)
+        pick_heads = _hash(pick_keys[:, None], iterations).ravel()
+        occupancy_heads = _hash(occupancy_key, iterations)
+        sums = np.zeros(n_classes * n)
+        successes = np.zeros(n_classes * n, dtype=np.int64)
+        for lo in range(0, hits.size, RETRY_KEYS):
+            part = hits[lo : lo + RETRY_KEYS]
+            work = _RetryWork(scratch, rows, part.size)
+            state = work.state[: rows * part.size].reshape(rows, part.size)
+            first_attempts(part, lo, hits, pick_heads, occupancy_heads, state, work)
+            cells, done = work.cells[: part.size], work.done[: part.size]
+            done[:] = 0
+            retry(state, tagged, done, work)
+            sums += np.bincount(cells, weights=done, minlength=sums.size)  # whole numbers
+            successes += np.bincount(cells[done > 0], minlength=successes.size)
+        sums, successes = sums.reshape(n_classes, n), successes.reshape(n_classes, n)
+        collided = tally.collided[:, chunk]
+        first_ok = tally.attempts[:, chunk] - collided
+        tally.delay_sums[:, chunk] = (sums + first_ok) * backoffs[:, None]
+        tally.delay_counts[:, chunk] = successes + first_ok
+        tally.censored[:, chunk] = collided - successes
 
     return measure
+
+
+class _RetryWork:
+    """The arrays that the delay meter retries a slice of ``size`` requests
+    in, views of the run's scratch: two blocks, one holding the state
+    (``rows`` rows) and the other a step's three arrays, which trade places
+    after each step; per request its cell and successful attempt; and two
+    masks per evaluated attempt."""
+
+    def __init__(self, scratch: _Scratch, rows: int, size: int) -> None:
+        capacity = max(size, RETRY_WINDOW)
+        length = max(rows * size, 3 * capacity)
+        self.state = scratch.take("retry_state", np.uint64, length)
+        self.other = scratch.take("retry_other", np.uint64, length)
+        self.cells = scratch.take("retry_cells", np.int64, size)
+        self.done = scratch.take("retry_done", np.int64, size)
+        self.flags = scratch.take("retry_flags", bool, 2 * capacity)
 
 
 def sweep_dedication(

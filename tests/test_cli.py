@@ -434,6 +434,34 @@ class TestSimulate:
         assert "population" in capsys.readouterr().err
 
 
+class TestIterationLimit:
+    # the per-iteration tallies of 10**10 iterations would need 0.9 TB; each
+    # command refuses them before allocating anything
+    @pytest.mark.parametrize(
+        "argv, n_classes",
+        [
+            (["simulate", DC12, "--iterations", str(10**12)], 2),
+            (["compare", QOS123, "--iterations", str(10**11)], 3),
+            (["sweep", DC12, "--range", "600:1200", "--step", "600",
+              "--iterations", str(10**10)], 2),
+        ],
+        ids=["simulate", "compare", "sweep"],
+    )
+    def test_huge_iterations_exit_4_before_allocating(self, capsys, argv, n_classes):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_SIMULATION
+        err = capsys.readouterr().err
+        limit = simulator.MAX_TALLY_BYTES // simulator._Tally.bytes_per_iteration(n_classes)
+        assert f"iterations {argv[-1]} need" in err
+        assert f"limit of {limit} iterations" in err
+        assert peak < 16 * 2**20
+
+
 class TestSweep:
     def test_values_mode_and_csv(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -634,6 +662,24 @@ class TestDiagnostics:
         )
         assert main(["analyze", str(path)]) == EXIT_VALIDATION
         assert f"class 7: {field} must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, spelling",
+        [("1.0e300", "1.0e+300"), ("5E3", "5.0E+3"), ("2e-3", "2.0e-3"), ("1e+5", "1.0e+5")],
+    )
+    def test_unsigned_exponent_gets_a_hint(self, capsys, tmp_path, text, spelling):
+        # YAML 1.1 reads a float only with a dot and a signed exponent, so
+        # PyYAML hands these over as strings
+        path = tmp_path / "exponent.yaml"
+        path.write_text(
+            f"total_raos: 100\nstrategy: full_sharing\nclasses:\n"
+            f"  - id: 1\n    ra_density: {text}\n"
+        )
+        assert main(["analyze", str(path)]) == EXIT_VALIDATION
+        assert (
+            f"class 1: ra_density must be a number, got {text!r}; YAML reads an exponent "
+            f"only after a dot and with a sign: write {spelling}"
+        ) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "document, message",

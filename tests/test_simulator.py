@@ -374,6 +374,46 @@ REFERENCE_CASES = {
             arrival_mode=ArrivalMode.PER_DEVICE_BERNOULLI,
         ),
     ),
+    # three classes, so two tag bits: class 1 picks from two disjoint ranges,
+    # and the overlaps give every class runs of different occupancy chances;
+    # at horizon 3 the 0.5 s and 1 s backoffs retry inside it
+    "delay-three-classes-split": lambda: (
+        validate_scenario(
+            Scenario(
+                classes=(
+                    DeviceClass(id=1, ra_density=4.0, backoff=0.5),
+                    DeviceClass(id=2, ra_density=8.0, backoff=1.0),
+                    DeviceClass(id=3, ra_density=6.0, backoff=3.0),
+                ),
+                total_raos=30,
+                strategy=Strategy.PARTIAL_DEDICATION,
+            )
+        ),
+        SharingTopology.from_ranges({1: [(0, 4), (20, 24)], 2: [(3, 19)], 3: [(10, 29)]}),
+        SimConfig(iterations=30, seed=9, horizon=3, measure_delay=True, max_attempts=6),
+    ),
+    # 60 Hz on one RAO fills it for sure, so class 1 stops once its retries
+    # are past the horizon, while class 2 beside it keeps retrying
+    "delay-saturated-beside-free": lambda: (
+        validate_scenario(
+            Scenario(
+                classes=(
+                    DeviceClass(id=1, ra_density=60.0, backoff=0.5),
+                    DeviceClass(id=2, ra_density=10.0, backoff=1.0),
+                ),
+                total_raos=21,
+                strategy=Strategy.FULL_DEDICATION,
+            )
+        ),
+        AllocationPlan({1: 1, 2: 20}),
+        SimConfig(iterations=20, seed=10, horizon=2, measure_delay=True, max_attempts=8),
+    ),
+    # no retry: every collided request is censored at once
+    "delay-one-attempt": lambda: (
+        _light_cell(Strategy.FULL_SHARING),
+        None,
+        SimConfig(iterations=30, seed=11, measure_delay=True, max_attempts=1),
+    ),
 }
 
 
@@ -408,6 +448,25 @@ class TestReferenceEngine:
         scenario, allocation, config = REFERENCE_CASES[case]()
         monkeypatch.setattr(simulator, "RETRY_KEYS", 3)
         assert run(scenario, allocation, config) == reference_stats(case)
+
+    @pytest.mark.parametrize(
+        "case", ["delay-three-classes-split", "delay-saturated-beside-free", "delay-one-attempt"]
+    )
+    def test_merged_retries_in_short_slices(self, monkeypatch, case):
+        # every class retries in one loop; slices of three collided values
+        # mix the classes and cut through shared slots
+        scenario, allocation, config = REFERENCE_CASES[case]()
+        monkeypatch.setattr(simulator, "RETRY_KEYS", 3)
+        assert run(scenario, allocation, config) == reference_stats(case)
+
+    def test_reference_cases_exercise_the_merged_loop(self):
+        split = reference_stats("delay-three-classes-split")
+        assert all(s.collided and s.mean_delay is not None for s in split.per_class.values())
+        saturated = reference_stats("delay-saturated-beside-free")
+        assert saturated.per_class[1].censored == saturated.per_class[1].collided > 0
+        assert saturated.per_class[2].censored < saturated.per_class[2].collided
+        once = reference_stats("delay-one-attempt")
+        assert all(s.censored == s.collided > 0 for s in once.per_class.values())
 
     def test_fresh_statistics_do_not_depend_on_delays(self):
         scenario = make_scenario((1, 2), strategy=Strategy.PARTIAL_DEDICATION)
@@ -494,6 +553,24 @@ class TestMemory:
         assert collided == attempts if saturated else collided < 0.03 * attempts
         assert peak / attempts < (13 if dtype == np.uint32 else 25)
 
+    def test_retry_state_does_not_grow_with_the_chunk(self):
+        # 30 requests per RAO: all of one 1 M-request iteration, which one
+        # chunk holds whole, collide and stay pending until the attempt cap,
+        # yet the retries of every class share slices of RETRY_KEYS; retry
+        # state sized by the chunk would hold over 150 bytes per request
+        requests = 1_000_000
+        scenario = single_class_scenario(gamma=float(requests), total=requests // 30)
+        config = SimConfig(iterations=1, seed=1, measure_delay=True, max_attempts=3)
+        tracemalloc.start()
+        try:
+            stats = run(scenario, AllocationPlan({1: requests // 30}), config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cls = stats.per_class[1]
+        assert cls.censored == cls.collided == cls.attempts > 0.99 * requests
+        assert peak / cls.attempts < 14
+
     def test_attempt_cap_costs_nothing_without_collisions(self):
         # a cell that draws no request: no retry loop runs, and nothing is
         # sized by max_attempts * backoff
@@ -514,6 +591,16 @@ class TestMemory:
         assert time.perf_counter() - start < 1.0
         assert stats.per_class[1].attempts > 0
         assert stats.per_class[1].censored == stats.per_class[1].attempts
+
+    def test_saturated_stop_holds_for_many_requests(self):
+        # 20 000 requests fill one RAO: the stop must come per request, not
+        # by evaluating max_attempts windows of every pending request
+        scenario = single_class_scenario(gamma=50.0, total=1)
+        config = SimConfig(iterations=400, seed=1, measure_delay=True, max_attempts=10**5)
+        start = time.perf_counter()
+        stats = run(scenario, AllocationPlan({1: 1}), config)
+        assert time.perf_counter() - start < 1.0
+        assert stats.per_class[1].censored == stats.per_class[1].attempts > 19_000
 
 
 class TestDeterminism:
@@ -781,6 +868,17 @@ class TestInputChecking:
         assert all(math.isfinite(s.mean_delay) for s in stats.per_class.values())
         if allocation is not None:
             assert stats == run(scenario, AllocationPlan({1: 3600, 2: 7200}), config)
+
+    @pytest.mark.parametrize("n_classes", [1, 2, 3])
+    def test_tally_limit_is_checked_from_its_bytes(self, n_classes):
+        per_iteration = simulator._Tally.bytes_per_iteration(n_classes)
+        tally = simulator._Tally.zeros(n_classes, 5)
+        assert sum(a.nbytes for a in vars(tally).values()) == 5 * per_iteration
+        scenario = make_scenario(tuple(range(1, n_classes + 1)))
+        most = simulator.MAX_TALLY_BYTES // per_iteration
+        simulator._check_inputs(scenario, SimConfig(iterations=most))
+        with pytest.raises(SimulationError, match=f"iterations {most + 1} need"):
+            simulator._check_inputs(scenario, SimConfig(iterations=most + 1))
 
     def test_bernoulli_needs_population(self):
         scenario = single_class_scenario(gamma=50.0)
