@@ -10,13 +10,9 @@ The package splits into:
 """
 
 from .analytics import (
-    AccessDelay,
     ClassMetrics,
     any_collision_probability,
-    cell_collision_density,
     layout_metrics,
-    mean_access_delay,
-    simple_collision_rate,
 )
 from .allocator import (
     AllocationError,
@@ -40,7 +36,6 @@ from .model import (
     derive_ra_density,
     load_scenario,
     pool_layout,
-    save_scenario,
     scenario_fingerprint,
     scenario_from_dict,
     scenario_to_dict,
@@ -61,7 +56,6 @@ from .simulator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccessDelay",
     "AllocationError",
     "AllocationOutcome",
     "AllocationPlan",
@@ -83,22 +77,18 @@ __all__ = [
     "SweepResult",
     "any_collision_probability",
     "brute_force_optimal",
-    "cell_collision_density",
     "derive_ra_density",
     "largest_remainder",
     "layout_metrics",
     "load_scenario",
-    "mean_access_delay",
     "pool_layout",
     "proportional_allocation",
     "reserve_and_divide",
     "reserve_for_collision_rate",
     "run",
-    "save_scenario",
     "scenario_fingerprint",
     "scenario_from_dict",
     "scenario_to_dict",
-    "simple_collision_rate",
     "sweep_dedication",
     "validate_scenario",
 ]

@@ -63,23 +63,21 @@ class AllocationOutcome:
     residual: int
 
 
-def largest_remainder(weights: Sequence[float], total: int, minimum: int = 1) -> list[int]:
+def largest_remainder(weights: Sequence[float], total: int) -> list[int]:
     """Split ``total`` integer units proportionally to ``weights``.
 
     Hamilton apportionment: floor the exact rational quotas, then hand the
     leftover units to the largest fractional parts, ties to the lowest
-    index. Every share is raised to ``minimum`` afterwards (taking units
-    from the largest shares), so ``total >= minimum * len(weights)`` is
-    required.
+    index. Every share is raised to one afterwards (taking units from the
+    largest shares), so ``total >= len(weights)`` is required.
     """
     if not weights:
         raise AllocationError("cannot apportion among zero classes")
     if any(w <= 0 for w in weights):
         raise AllocationError("apportionment weights must be positive")
-    if total < minimum * len(weights):
+    if total < len(weights):
         raise AllocationError(
-            f"insufficient RAOs: {total} cannot give {len(weights)} classes "
-            f"{minimum} each"
+            f"insufficient RAOs: {total} cannot give {len(weights)} classes 1 each"
         )
     denom = sum(Fraction(w) for w in weights)
     quotas = [Fraction(w) * total / denom for w in weights]
@@ -88,9 +86,9 @@ def largest_remainder(weights: Sequence[float], total: int, minimum: int = 1) ->
     by_fraction = sorted(range(len(weights)), key=lambda i: (shares[i] - quotas[i], i))
     for i in by_fraction[:leftover]:
         shares[i] += 1
-    # floors can undershoot the minimum when a quota is tiny
-    while min(shares) < minimum:
-        needy = shares.index(min(shares))
+    # floors can leave a class with no RAO when its quota is tiny
+    while 0 in shares:
+        needy = shares.index(0)
         donor = max(range(len(shares)), key=lambda i: (shares[i], i))
         shares[needy] += 1
         shares[donor] -= 1

@@ -3,13 +3,13 @@
 All formulas share one kernel: with requests arriving at ``gamma`` Hz over a
 pool of ``raos`` slots per second, the per-attempt collision probability is
 ``p = 1 - exp(-gamma/raos)``. ``layout_metrics`` applies it to any pool
-layout and is the one source of predictions in the CLI and the simulator;
-the single-pool scalar functions are references that tests and scripts
-check it against. The cell-wide quantities assume collision events of
-distinct requests are independent, which makes the expected
-colliding-request density exact and the any-collision probability an
-approximation. ``expm1``/``log1p`` forms are used throughout so small
-``gamma/raos`` ratios do not lose precision to cancellation.
+layout and is the one source of predictions in the CLI and the simulator.
+The cell-wide quantities assume collision events of distinct requests are
+independent, which makes the expected colliding-request density exact and
+the any-collision probability an approximation. ``expm1``/``log1p`` forms
+are used throughout so small ``gamma/raos`` ratios do not lose precision to
+cancellation. The single-pool references the tests check these against live
+in ``tests/oracles.py``.
 
 Collision density here always counts colliding *requests* per second (a
 2-request pileup contributes 2), never pileup events.
@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import AllocationPlan, Scenario, SharingTopology
+from .model import Scenario, SharingTopology
 
 
 @dataclass(frozen=True)
@@ -34,28 +34,6 @@ class ClassMetrics:
     success_rate: float
     collision_density: float
     mean_delay: float
-
-
-@dataclass(frozen=True)
-class AccessDelay:
-    """Mean access delay; ``inclusive`` counts the final (successful) slot
-    interval as one backoff period, ``exclusive`` counts retry waits only,
-    so ``inclusive - exclusive`` equals the backoff."""
-
-    inclusive: float
-    exclusive: float
-
-
-def simple_collision_rate(ra_density: float, raos: float) -> float:
-    """Per-attempt collision probability ``1 - exp(-ra_density/raos)``.
-
-    Single-pool reference for ``layout_metrics``; no command reads it.
-    """
-    if raos <= 0:
-        raise ValueError(f"raos must be > 0, got {raos}")
-    if ra_density <= 0:
-        raise ValueError(f"ra_density must be > 0, got {ra_density}")
-    return -math.expm1(-ra_density / raos)
 
 
 def layout_metrics(
@@ -90,19 +68,6 @@ def layout_metrics(
     return metrics
 
 
-def cell_collision_density(scenario: Scenario, plan: AllocationPlan) -> float:
-    """Expected colliding requests per second over the whole cell (Hz)
-    under a full-dedication plan.
-
-    Reference for the cell density of ``layout_metrics``, and the density
-    objective of the allocator's tests and scripts; no command reads it.
-    """
-    return math.fsum(
-        cls.ra_density * simple_collision_rate(cls.ra_density, plan.get(cls.id))
-        for cls in scenario.classes
-    )
-
-
 def any_collision_probability(density_rate_pairs: Iterable[tuple[float, float]]) -> float:
     """Probability that at least one of the requests collides, given
     (density, per-attempt rate) pairs; each of the ``gamma`` requests is an
@@ -113,24 +78,3 @@ def any_collision_probability(density_rate_pairs: Iterable[tuple[float, float]])
             return 1.0
         log_terms.append(gamma * math.log1p(-p))
     return -math.expm1(math.fsum(log_terms))
-
-
-def mean_access_delay(ra_density: float, raos: float, backoff: float) -> AccessDelay:
-    """Mean access delay of a class with its own pool of ``raos`` slots.
-
-    Attempts collide independently with probability p, retries wait one
-    backoff period, so the inclusive delay is backoff/(1 - p), equivalently
-    backoff * exp(ra_density/raos). Reference for the delays of
-    ``layout_metrics``; no command reads it.
-    """
-    if backoff <= 0:
-        raise ValueError(f"backoff must be > 0, got {backoff}")
-    if raos <= 0:
-        raise ValueError(f"raos must be > 0, got {raos}")
-    if ra_density <= 0:
-        raise ValueError(f"ra_density must be > 0, got {ra_density}")
-    try:
-        exclusive = backoff * math.expm1(ra_density / raos)
-    except OverflowError:
-        exclusive = math.inf
-    return AccessDelay(inclusive=backoff + exclusive, exclusive=exclusive)

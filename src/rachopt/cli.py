@@ -163,6 +163,12 @@ def _add_sim_options(p: argparse.ArgumentParser) -> None:
 # --- option parsing helpers ---------------------------------------------------
 
 
+def _reject_repeated(label: str, values: list) -> None:
+    repeated = ", ".join(map(str, sorted({v for v in values if values.count(v) > 1})))
+    if repeated:
+        raise ScenarioError([f"{label} {repeated} given more than once"])
+
+
 def _parse_plan(spec: str, scenario: Scenario) -> AllocationPlan:
     entries = [part.strip() for part in spec.split(",") if part.strip()]
     if not entries:
@@ -177,14 +183,12 @@ def _parse_plan(spec: str, scenario: Scenario) -> AllocationPlan:
         ids, counts = [int(cid) for cid, _, _ in pairs], [int(count) for _, _, count in pairs]
     except ValueError:
         raise ScenarioError([f"--plan: could not parse {spec!r}"]) from None
-    repeated = ", ".join(map(str, sorted({cid for cid in ids if ids.count(cid) > 1})))
-    if repeated:
-        raise ScenarioError([f"--plan: class {repeated} given more than once"])
+    _reject_repeated("--plan: class", ids)
     return AllocationPlan(dict(zip(ids, counts)))
 
 
 def _parse_topology(spec: str) -> SharingTopology:
-    ranges: dict[int, list[tuple[int, int]]] = {}
+    pairs: list[tuple[int, list[tuple[int, int]]]] = []
     try:
         for entry in spec.split(";"):
             entry = entry.strip()
@@ -195,28 +199,29 @@ def _parse_topology(spec: str) -> SharingTopology:
             for span in spans_text.split(","):
                 first, _, last = span.partition("-")
                 spans.append((int(first), int(last)))
-            ranges[int(cid_text)] = spans
+            pairs.append((int(cid_text), spans))
     except ValueError:
         raise ScenarioError([f"--topology: could not parse {spec!r}"]) from None
-    return SharingTopology.from_ranges(ranges)
+    _reject_repeated("--topology: class", [cid for cid, _ in pairs])
+    return SharingTopology.from_ranges(dict(pairs))
 
 
 def _resolve_allocation(
     args: argparse.Namespace, scenario: Scenario
 ) -> AllocationPlan | SharingTopology | None:
     if scenario.strategy == Strategy.FULL_DEDICATION:
-        if getattr(args, "topology", None):
+        if args.topology:
             raise ScenarioError(["--topology is only valid for partial dedication"])
         if args.plan:
             return _parse_plan(args.plan, scenario)
         return allocator.proportional_allocation(scenario)
     if scenario.strategy == Strategy.PARTIAL_DEDICATION:
-        if getattr(args, "plan", None):
+        if args.plan:
             raise ScenarioError(["--plan is only valid for full dedication"])
-        if not getattr(args, "topology", None):
+        if not args.topology:
             raise ScenarioError(["partial dedication requires --topology"])
         return _parse_topology(args.topology)
-    if getattr(args, "plan", None) or getattr(args, "topology", None):
+    if args.plan or args.topology:
         raise ScenarioError(["full sharing takes neither --plan nor --topology"])
     return None
 
@@ -333,7 +338,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "per_class": per_class,
         "cell": _cell_block(scenario, metrics),
     }
-    parameters = {"plan": getattr(args, "plan", None), "topology": getattr(args, "topology", None)}
+    parameters = {"plan": args.plan, "topology": args.topology}
     if isinstance(allocation, AllocationPlan) and not args.plan:
         parameters["plan"] = "proportional:" + ",".join(
             str(allocation.get(c.id)) for c in scenario.classes
@@ -395,8 +400,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "horizon": config.horizon,
         "arrival_mode": config.arrival_mode.value,
         "measure_delay": config.measure_delay,
-        "plan": getattr(args, "plan", None),
-        "topology": getattr(args, "topology", None),
+        "plan": args.plan,
+        "topology": args.topology,
         "rng_layout": simulator.RNG_LAYOUT,
     }
     results = {
@@ -490,9 +495,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 f"(got {args.strategies!r})"
             ]
         )
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        raise ScenarioError([f"--strategies: {', '.join(repeated)} given more than once"])
+    _reject_repeated("--strategies:", names)
     config = _sim_config(args)
     columns: dict[str, dict] = {}
     for name in names:

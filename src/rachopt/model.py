@@ -365,6 +365,14 @@ def _resolve_class(cls: DeviceClass, issues: list[str]) -> DeviceClass:
             for name, value in bad.items()
         )
         return cls
+    fractional = [
+        f"{label}: {name} must be an integer, got {value!r}"
+        for name, value in (("population", cls.population), ("group_size", cls.group_size))
+        if value is not None and not isinstance(value, numbers.Integral)
+    ]
+    if fractional:
+        issues.extend(fractional)
+        return cls
     if cls.group_size < 1:
         issues.append(f"{label}: group_size must be >= 1")
         return cls
@@ -599,11 +607,6 @@ def load_scenario(path: str) -> Scenario:
     if data is None:
         raise ScenarioError([f"{path}: file is empty"])
     return scenario_from_dict(data)
-
-
-def save_scenario(scenario: Scenario, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(scenario_to_dict(scenario), fh, sort_keys=False)
 
 
 def scenario_fingerprint(scenario: Scenario) -> str:

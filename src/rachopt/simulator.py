@@ -249,21 +249,6 @@ def _mix(h: np.ndarray, spare: np.ndarray) -> None:
     h ^= np.right_shift(h, 31, out=spare)
 
 
-def _uniform(key: np.ndarray, *fields: np.ndarray | int) -> np.ndarray:
-    """Doubles in [0, 1) from the top 53 bits of ``_hash(key, *fields)``.
-    The delay meter works on those bits directly, with the same outcomes:
-    it scales them by ``size * 2**-53`` in one product, and compares them
-    with an occupancy chance times 2**53 as integers."""
-    return (_hash(key, *fields) >> 11).astype(np.float64) * 2.0**-53
-
-
-def _pick(layout: SharingTopology, class_id: int, u: np.ndarray) -> np.ndarray:
-    """RAOs for draws ``u`` in [0, 1); below 2**53, ``u * size`` rounds below
-    ``size``. The delay meter maps its picks alike, by class offsets and
-    range shifts."""
-    return layout.rao_at(class_id, (u * layout.size(class_id)).astype(np.int64))
-
-
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     if values.size == 0:
         return 0.0, 0.0

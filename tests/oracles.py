@@ -1,15 +1,89 @@
 """Reference implementations the tests check the library against.
 
-No command reads these; they live beside the tests that use them.
+No command reads these; they live beside the tests that use them:
+
+- single-pool closed forms (``simple_collision_rate``, ``mean_access_delay``
+  and ``cell_collision_density``), which ``analytics.layout_metrics`` must
+  reproduce on one pool per class, and which give the allocator's density
+  objective;
+- the delay reservation (``minimum_raos_for_delay``, ``reserve_for_delay``)
+  and the per-budget min-plus oracle for the allocator;
+- ``uniform``, the hashed retry draws as doubles, for the simulator's
+  reference engine;
+- ``save_scenario``, the YAML writer that round-trips ``load_scenario``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+import yaml
 
 from rachopt.allocator import AllocationError
+from rachopt.model import AllocationPlan, Scenario, scenario_to_dict
+from rachopt.simulator import _hash
+
+
+def simple_collision_rate(ra_density: float, raos: float) -> float:
+    """Per-attempt collision probability ``1 - exp(-ra_density/raos)`` of
+    one pool."""
+    if raos <= 0:
+        raise ValueError(f"raos must be > 0, got {raos}")
+    if ra_density <= 0:
+        raise ValueError(f"ra_density must be > 0, got {ra_density}")
+    return -math.expm1(-ra_density / raos)
+
+
+def cell_collision_density(scenario: Scenario, plan: AllocationPlan) -> float:
+    """Expected colliding requests per second over the whole cell (Hz)
+    under a full-dedication plan."""
+    return math.fsum(
+        cls.ra_density * simple_collision_rate(cls.ra_density, plan.get(cls.id))
+        for cls in scenario.classes
+    )
+
+
+@dataclass(frozen=True)
+class AccessDelay:
+    """Mean access delay; ``inclusive`` counts the final (successful) slot
+    interval as one backoff period, ``exclusive`` counts retry waits only,
+    so ``inclusive - exclusive`` equals the backoff."""
+
+    inclusive: float
+    exclusive: float
+
+
+def mean_access_delay(ra_density: float, raos: float, backoff: float) -> AccessDelay:
+    """Mean access delay of a class with its own pool of ``raos`` slots.
+
+    Attempts collide independently with probability p, retries wait one
+    backoff period, so the inclusive delay is backoff/(1 - p), equivalently
+    backoff * exp(ra_density/raos).
+    """
+    if backoff <= 0:
+        raise ValueError(f"backoff must be > 0, got {backoff}")
+    if raos <= 0:
+        raise ValueError(f"raos must be > 0, got {raos}")
+    if ra_density <= 0:
+        raise ValueError(f"ra_density must be > 0, got {ra_density}")
+    try:
+        exclusive = backoff * math.expm1(ra_density / raos)
+    except OverflowError:
+        exclusive = math.inf
+    return AccessDelay(inclusive=backoff + exclusive, exclusive=exclusive)
+
+
+def uniform(key: np.ndarray, *fields: np.ndarray | int) -> np.ndarray:
+    """Doubles in [0, 1) from the top 53 bits of the simulator's
+    ``_hash(key, *fields)``, the retry draws of its delay meter."""
+    return (_hash(key, *fields) >> 11).astype(np.float64) * 2.0**-53
+
+
+def save_scenario(scenario: Scenario, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(scenario_to_dict(scenario), fh, sort_keys=False)
 
 
 def minimum_raos_for_delay(ra_density: float, backoff: float, max_delay: float) -> float:

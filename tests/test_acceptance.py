@@ -28,12 +28,7 @@ from rachopt.allocator import (
     reserve_and_divide,
     reserve_for_collision_rate,
 )
-from rachopt.analytics import (
-    any_collision_probability,
-    cell_collision_density,
-    layout_metrics,
-    simple_collision_rate,
-)
+from rachopt.analytics import any_collision_probability, layout_metrics
 from rachopt.model import (
     AllocationPlan,
     DeviceClass,
@@ -46,7 +41,7 @@ from rachopt.model import (
 from rachopt.simulator import SimConfig, run, sweep_dedication
 
 from conftest import RATE_QOS, make_scenario
-from oracles import minimum_raos_for_delay
+from oracles import cell_collision_density, minimum_raos_for_delay, simple_collision_rate
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

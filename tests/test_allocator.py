@@ -20,7 +20,7 @@ from rachopt.allocator import (
     reserve_and_divide,
     reserve_for_collision_rate,
 )
-from rachopt.analytics import cell_collision_density, layout_metrics, simple_collision_rate
+from rachopt.analytics import layout_metrics
 from rachopt.model import (
     DeviceClass,
     QosKind,
@@ -32,7 +32,13 @@ from rachopt.model import (
 )
 
 from conftest import RATE_QOS, make_scenario
-from oracles import minimum_raos_for_delay, per_budget_optimum, reserve_for_delay
+from oracles import (
+    cell_collision_density,
+    minimum_raos_for_delay,
+    per_budget_optimum,
+    reserve_for_delay,
+    simple_collision_rate,
+)
 
 
 def two_class_scenario(g1, g2, total=10800):

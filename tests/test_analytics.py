@@ -4,13 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rachopt.analytics import (
-    any_collision_probability,
-    cell_collision_density,
-    layout_metrics,
-    mean_access_delay,
-    simple_collision_rate,
-)
+from rachopt.analytics import any_collision_probability, layout_metrics
 from rachopt.model import (
     AllocationPlan,
     ScenarioError,
@@ -20,6 +14,7 @@ from rachopt.model import (
 )
 
 from conftest import make_scenario
+from oracles import cell_collision_density, mean_access_delay, simple_collision_rate
 
 densities = st.floats(1e-3, 1e5)
 pools = st.floats(1.0, 1e7)

@@ -634,6 +634,30 @@ class TestDiagnostics:
         assert main(["analyze", DC12, "--plan", "1=100,1=200,2=300"]) == EXIT_VALIDATION
         assert "--plan: class 1 given more than once" in capsys.readouterr().err
 
+    def test_repeated_topology_id_named(self, capsys, tmp_path):
+        # a later entry for the same class used to replace the earlier one
+        path = write_cell(tmp_path, "partial_dedication", 10800, [50.0, 100.0, 500.0])
+        spec = "1:0-3599;1:9000-9999;2:1800-7199;3:3600-10799"
+        assert main(["analyze", path, "--topology", spec]) == EXIT_VALIDATION
+        assert "--topology: class 1 given more than once" in capsys.readouterr().err
+        merged = "1:0-3599,9000-9999;2:1800-7199;3:3600-10799"
+        code, report = run_json(capsys, ["analyze", path, "--topology", merged])
+        assert code == EXIT_OK
+        assert report["results"]["per_class"]["1"]["raos"] == 4600
+
+    @pytest.mark.parametrize("command", [
+        ["analyze"],
+        ["simulate", "--arrival-mode", "per_device_bernoulli", "--iterations", "10"],
+    ])
+    def test_fractional_population_and_group_size_named(self, capsys, tmp_path, command):
+        path = write_class(
+            tmp_path, 100, population=10.5, group_size=2.5, per_device_rate=0.5
+        )
+        assert main([command[0], path, *command[1:]]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "class 1: population must be an integer, got 10.5" in err
+        assert "class 1: group_size must be an integer, got 2.5" in err
+
     @pytest.mark.parametrize("value", ["50", [1, 2], True], ids=["str", "list", "bool"])
     @pytest.mark.parametrize(
         "field",

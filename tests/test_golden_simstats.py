@@ -24,7 +24,8 @@ from rachopt.model import (
     Strategy,
     validate_scenario,
 )
-from rachopt.simulator import RNG_LAYOUT, ArrivalMode, SimConfig, _pick, run
+from rachopt import simulator
+from rachopt.simulator import RNG_LAYOUT, ArrivalMode, SimConfig, run
 
 from conftest import make_scenario
 
@@ -442,16 +443,35 @@ def test_recording_names_the_current_layout():
     assert RNG_LAYOUT == RECORDED_LAYOUT
 
 
+class _ExtremeDraws:
+    """A generator stub whose stream is the smallest and then the largest
+    value ``rng.random()`` returns, however it is split between calls."""
+
+    def __init__(self):
+        self._stream = np.array([0.0, np.nextafter(1.0, 0.0)])
+
+    def random(self, out):
+        out[:], self._stream = self._stream[: out.size], self._stream[out.size :]
+        return out
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["uint32", "int64"])
 @pytest.mark.parametrize("size", [1, 2, 4096, 8192, 10800])
-def test_largest_uniform_draw_picks_last_slot(size):
+def test_largest_uniform_draw_picks_last_slot(size, wide):
     # rng.random() stays below 1; its largest value must map to the pool's
-    # last slot, never one past it, however many ranges come before it
-    u = np.array([0.0, np.nextafter(1.0, 0.0)])
+    # last slot, never one past it, however many ranges come before it. A
+    # pool of 2**32 slots per second makes the chunk's keys int64; a
+    # smaller one keeps them uint32, converted through an int32 view.
     for before in ([(1, 1)], [(3, 5)], [(0, 0), (2, 2), (7, 9)]):
         last = 20 + size
         topology = SharingTopology.from_ranges({2: before + [(21, last)]})
-        picks = _pick(topology, 2, u)
-        assert picks.tolist() == [before[0][0], last]
+        total_slots = 2**32 if wide else last + 1
+        keys = simulator._fresh_keys(
+            topology, [DeviceClass(id=2)], [_ExtremeDraws()], [np.array([2])],
+            total_slots, simulator._Scratch(),
+        )
+        assert keys.dtype == (np.int64 if wide else np.uint32)
+        assert keys.tolist() == [before[0][0], last]
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from rachopt.model import (
     derive_ra_density,
     load_scenario,
     pool_layout,
-    save_scenario,
     scenario_fingerprint,
     scenario_from_dict,
     scenario_to_dict,
@@ -30,6 +29,7 @@ from rachopt.model import (
 )
 
 from conftest import RATE_QOS, make_scenario
+from oracles import save_scenario
 
 
 class TestDeriveRaDensity:
@@ -176,6 +176,19 @@ class TestValidateScenario:
                 Scenario(classes=(DeviceClass(id=True, ra_density=1.0),), total_raos=10,
                          strategy=Strategy.FULL_SHARING)
             )
+
+    @pytest.mark.parametrize("field, value", [
+        ("population", 10.5), ("population", 3000.0), ("group_size", 2.5),
+    ])
+    def test_fractional_count_rejected(self, field, value):
+        # a fractional group count would pass through ceil() as a float
+        # number of coordinators
+        record = {"id": 4, "population": 3000, "per_device_rate": 0.5, field: value}
+        data = {"total_raos": 100, "strategy": "full_sharing", "classes": [record]}
+        with pytest.raises(
+            ScenarioError, match=rf"class 4: {field} must be an integer, got {value}"
+        ):
+            scenario_from_dict(data)
 
     def test_all_violations_reported_at_once(self):
         bad = Scenario(

@@ -1,0 +1,84 @@
+"""The names the package exports, pinned, so that a new export is a choice
+and an unused one shows up here.
+
+The single-pool references and the scenario writer live in
+``tests/oracles.py``; no library module may define them again.
+"""
+
+import importlib
+import inspect
+
+import pytest
+
+import rachopt
+from rachopt.allocator import largest_remainder
+
+PUBLIC = {
+    "AllocationError",
+    "AllocationOutcome",
+    "AllocationPlan",
+    "ArrivalMode",
+    "ClassMetrics",
+    "ClassStats",
+    "DeviceClass",
+    "OverloadError",
+    "QosKind",
+    "QosTarget",
+    "Scenario",
+    "ScenarioError",
+    "SharingTopology",
+    "SimConfig",
+    "SimStats",
+    "SimulationError",
+    "Strategy",
+    "SweepPoint",
+    "SweepResult",
+    "any_collision_probability",
+    "brute_force_optimal",
+    "derive_ra_density",
+    "largest_remainder",
+    "layout_metrics",
+    "load_scenario",
+    "pool_layout",
+    "proportional_allocation",
+    "reserve_and_divide",
+    "reserve_for_collision_rate",
+    "run",
+    "scenario_fingerprint",
+    "scenario_from_dict",
+    "scenario_to_dict",
+    "sweep_dedication",
+    "validate_scenario",
+}
+
+TEST_ONLY = {
+    "AccessDelay",
+    "cell_collision_density",
+    "mean_access_delay",
+    "save_scenario",
+    "simple_collision_rate",
+    "_pick",
+    "_uniform",
+}
+
+
+def test_exports_are_the_public_surface():
+    assert len(rachopt.__all__) == len(set(rachopt.__all__))
+    assert set(rachopt.__all__) == PUBLIC
+
+
+def test_every_export_resolves():
+    for name in rachopt.__all__:
+        assert getattr(rachopt, name) is not None
+
+
+@pytest.mark.parametrize(
+    "module", ["rachopt", "rachopt.analytics", "rachopt.allocator", "rachopt.model",
+               "rachopt.simulator", "rachopt.cli"]
+)
+def test_test_references_are_not_in_the_library(module):
+    assert not TEST_ONLY & set(vars(importlib.import_module(module)))
+
+
+def test_apportionment_floor_is_fixed():
+    assert list(inspect.signature(largest_remainder).parameters) == ["weights", "total"]

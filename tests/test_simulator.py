@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rachopt import simulator
-from rachopt.analytics import layout_metrics, simple_collision_rate
+from rachopt.analytics import layout_metrics
 from rachopt.model import (
     AllocationPlan,
     DeviceClass,
@@ -31,6 +31,7 @@ from rachopt.simulator import (
 )
 
 from conftest import make_scenario
+from oracles import simple_collision_rate, uniform
 
 
 def single_class_scenario(
@@ -286,12 +287,12 @@ def reference_delays(scenario, cls, slots, occupancy, firsts, config, iteration)
         pick = simulator._hash(pick_key, iteration, k0, rank)
         for attempt in range(2, config.max_attempts + 1):
             second = math.floor(t0 + (attempt - 1) * cls.backoff)
-            rao = int(pool[int(simulator._uniform(pick, attempt)[0] * pool.size)])
+            rao = int(pool[int(uniform(pick, attempt)[0] * pool.size)])
             key = second * total + rao
             if second < horizon:
                 busy = occupancy[key] - (key == k0) >= 1
             else:
-                u = simulator._uniform(occupancy_key, iteration, key)[0]
+                u = uniform(occupancy_key, iteration, key)[0]
                 busy = u < busy_chance(scenario, slots, rao, config.arrival_mode)
             if not busy:
                 attempt_sum += attempt
