@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import Scenario, SharingTopology
+from .model import Scenario, ScenarioError, SharingTopology
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,15 @@ def layout_metrics(
     inclusive delay is backoff / success, infinite once success underflows.
     The load is constant between range ends (``SharingTopology.segments``),
     so the work grows with the number of ranges, not of RAOs. Pass a
-    validated layout (``pool_layout``).
+    validated layout (``pool_layout``); a pool of 2**63 RAOs or more raises
+    ScenarioError, since ``segments`` keeps the range ends in int64 and
+    float ends would merge neighbouring RAOs.
     """
+    if scenario.total_raos >= 2**63:
+        raise ScenarioError(
+            [f"scenario: total_raos {scenario.total_raos} is 2**63 or more, "
+             "past the pools the closed form evaluates"]
+        )
     _, widths, covered, load = layout.segments(
         {cls.id: cls.ra_density / layout.size(cls.id) for cls in scenario.classes}
     )

@@ -7,6 +7,11 @@ Five subcommands cover the workflows: ``analyze`` (closed-form metrics),
 draws one and records it in the report, so any emitted number can be
 regenerated from (scenario fingerprint, seed, parameters).
 
+Each command validates its options, checks a --csv path before it simulates,
+and returns its report's command, parameters and results; ``simulate`` and
+``sweep`` add their CSV table. One emitter adds the scenario fingerprint,
+writes the table to --csv and prints the report.
+
 Exit codes: 0 success, 2 scenario/validation errors, 3 RACH resource
 overload, 4 simulation errors. A reader that closes stdout early, such as
 ``head``, ends the output quietly with exit code 0.
@@ -48,20 +53,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        scenario = load_scenario(args.scenario)
+        _emit(args, scenario, *args.handler(args, scenario))
+        return EXIT_OK
     except ScenarioError as exc:
-        for issue in exc.issues:
-            print(f"error: {issue}", file=sys.stderr)
-        return EXIT_VALIDATION
+        issues, code = exc.issues, EXIT_VALIDATION
     except allocator.OverloadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OVERLOAD
+        issues, code = [exc], EXIT_OVERLOAD
     except allocator.AllocationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        issues, code = [exc], EXIT_VALIDATION
     except simulator.SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
+        issues, code = [exc], EXIT_SIMULATION
+    for issue in issues:
+        print(f"error: {issue}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:
@@ -236,26 +241,44 @@ def _sim_config(args: argparse.Namespace, **overrides: Any) -> simulator.SimConf
     )
 
 
+def _sim_parameters(config: simulator.SimConfig, **between: Any) -> dict:
+    """Report parameters of a run: iterations, seed, horizon, ``between``, RNG layout."""
+    return {
+        "iterations": config.iterations,
+        "seed": config.seed,
+        "horizon": config.horizon,
+        **between,
+        "rng_layout": simulator.RNG_LAYOUT,
+    }
+
+
 # --- report assembly ----------------------------------------------------------
 
 
-def _report(scenario: Scenario, command: str, parameters: dict, results: dict) -> dict:
-    return {
+def _emit(args: argparse.Namespace, scenario: Scenario, command: str, parameters: dict,
+          results: dict, csv_table: tuple[Sequence[str], list] | None = None) -> None:
+    """Complete a command's report with the scenario fingerprint, write the
+    command's CSV table (header, rows) to ``--csv`` when it was given, and
+    print the report as JSON or text."""
+    report = {
         "fingerprint": scenario_fingerprint(scenario),
         "command": command,
         "parameters": parameters,
         "results": results,
     }
-
-
-def _print_report(report: dict, as_json: bool) -> None:
-    if as_json:
+    if csv_table is not None and args.csv:
+        _write_rows(args.csv, *csv_table)
+        report["csv"] = args.csv
+    if args.json:
         print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
         return
     print(f"scenario fingerprint: {report['fingerprint']}")
-    params = ", ".join(f"{k}={v}" for k, v in report["parameters"].items() if v is not None)
-    print(f"{report['command']}({params})")
-    _print_tree(report["results"], indent=1)
+    if command == "compare":
+        _print_compare_table(scenario, results["strategies"])
+        return
+    params = ", ".join(f"{k}={v}" for k, v in parameters.items() if v is not None)
+    print(f"{command}({params})")
+    _print_tree(results, indent=1)
 
 
 def _print_tree(node: Any, indent: int) -> None:
@@ -281,41 +304,31 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _class_stats_dict(stats: simulator.ClassStats) -> dict:
-    out = dataclasses.asdict(stats)
-    out["censored_fraction"] = stats.censored_fraction
-    return out
+def _print_compare_table(scenario: Scenario, columns: dict[str, dict]) -> None:
+    width = max(len(n) for n in columns) + 2
+
+    def line(first: Any, label: str, cells: Iterable[Any], spec: str) -> None:
+        print(f"{first:>6} {label:<26}" + "".join(f"{cell:>{width}{spec}}" for cell in cells))
+
+    line("class", "metric", columns, "")
+    metrics = (
+        ("collision_rate_analytic", "p analytic"),
+        ("collision_rate_empirical", "p empirical"),
+        ("collision_density_hz", "density (Hz)"),
+    )
+    floats = f".{_FLOAT_DIGITS}g"
+    for cls in scenario.classes:
+        cells = [column["per_class"][str(cls.id)] for column in columns.values()]
+        for key, label in metrics:
+            line(cls.id, label, (cell[key] for cell in cells), floats)
+    line("cell", "total density (Hz)", (c["total_density_hz"] for c in columns.values()), floats)
 
 
-def _sim_stats_dict(stats: simulator.SimStats) -> dict:
-    return {
-        "per_class": {str(cid): _class_stats_dict(s) for cid, s in stats.per_class.items()},
-        "total_density_hz": stats.total_density,
-        "total_density_stderr": stats.total_density_stderr,
-        "event_density_hz": stats.event_density,
-        "event_density_stderr": stats.event_density_stderr,
-        "iterations": stats.iterations,
-        "horizon_s": stats.horizon,
-        "seed": stats.seed,
-    }
-
-
-def _cell_block(scenario: Scenario, metrics: dict[int, analytics.ClassMetrics]) -> dict:
-    return {
-        "total_collision_density_hz": sum(m.collision_density for m in metrics.values()),
-        "collision_probability": analytics.any_collision_probability(
-            (cls.ra_density, metrics[cls.id].collision_rate) for cls in scenario.classes
-        ),
-    }
-
-
-# --- commands -----------------------------------------------------------------
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    allocation = _resolve_allocation(args, scenario)
-    layout = pool_layout(scenario, allocation)
+def _predicted(scenario: Scenario, layout: SharingTopology,
+               columns: Sequence[str]) -> tuple[dict, dict]:
+    """Closed-form predictions on a layout: per class the fields named by
+    ``columns``, in that order, and the cell's total density and
+    any-collision probability. A saturated class's delays are None."""
     metrics = analytics.layout_metrics(scenario, layout)
     per_class = {}
     for cls in scenario.classes:
@@ -324,31 +337,47 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         # backoff * p / (1 - p) equals inclusive - backoff but does not
         # cancel at light load, where p is tiny
         excl = None if saturated else cls.backoff * m.collision_rate / m.success_rate
-        per_class[str(cls.id)] = {
+        fields = {
             "raos": layout.size(cls.id),
             "ra_density_hz": cls.ra_density,
             "collision_rate": m.collision_rate,
             "collision_density_hz": m.collision_density,
-            "mean_delay_incl_s": None if saturated else m.mean_delay,
+            "mean_delay_s": None if saturated else m.mean_delay,
             "mean_delay_excl_s": excl,
             "saturated": saturated,
         }
-    results = {
-        "strategy": scenario.strategy.value,
-        "per_class": per_class,
-        "cell": _cell_block(scenario, metrics),
+        fields["mean_delay_incl_s"] = fields["mean_delay_s"]
+        per_class[str(cls.id)] = {name: fields[name] for name in columns}
+    cell = {
+        "total_collision_density_hz": sum(m.collision_density for m in metrics.values()),
+        "collision_probability": analytics.any_collision_probability(
+            (cls.ra_density, metrics[cls.id].collision_rate) for cls in scenario.classes
+        ),
     }
+    return per_class, cell
+
+
+# --- commands -----------------------------------------------------------------
+
+
+def cmd_analyze(args: argparse.Namespace, scenario: Scenario) -> tuple:
+    allocation = _resolve_allocation(args, scenario)
+    per_class, cell = _predicted(
+        scenario,
+        pool_layout(scenario, allocation),
+        ("raos", "ra_density_hz", "collision_rate", "collision_density_hz",
+         "mean_delay_incl_s", "mean_delay_excl_s", "saturated"),
+    )
+    results = {"strategy": scenario.strategy.value, "per_class": per_class, "cell": cell}
     parameters = {"plan": args.plan, "topology": args.topology}
     if isinstance(allocation, AllocationPlan) and not args.plan:
         parameters["plan"] = "proportional:" + ",".join(
             str(allocation.get(c.id)) for c in scenario.classes
         )
-    _print_report(_report(scenario, "analyze", parameters, results), args.json)
-    return EXIT_OK
+    return "analyze", parameters, results
 
 
-def cmd_optimize(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+def cmd_optimize(args: argparse.Namespace, scenario: Scenario) -> tuple:
     method = args.method
     if method is None:
         method = "reserve-and-divide" if scenario.special_classes else "proportional"
@@ -359,29 +388,23 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     else:
         outcome = allocator.reserve_and_divide(scenario)
         plan, reserved, residual = outcome.plan, outcome.reserved, outcome.residual
-    metrics = analytics.layout_metrics(scenario, pool_layout(scenario, plan))
+    predicted, cell = _predicted(
+        scenario,
+        pool_layout(scenario, plan),
+        ("collision_rate", "collision_density_hz", "mean_delay_s", "saturated"),
+    )
     results = {
         "method": method,
         "plan": {str(cls.id): plan.get(cls.id) for cls in scenario.classes},
         "reserved": {str(cid): count for cid, count in reserved.items()},
         "residual_after_reservation": residual,
-        "predicted": {
-            str(cid): {
-                "collision_rate": m.collision_rate,
-                "collision_density_hz": m.collision_density,
-                "mean_delay_s": m.mean_delay if math.isfinite(m.mean_delay) else None,
-                "saturated": not math.isfinite(m.mean_delay),
-            }
-            for cid, m in metrics.items()
-        },
-        "cell": _cell_block(scenario, metrics),
+        "predicted": predicted,
+        "cell": cell,
     }
-    _print_report(_report(scenario, "optimize", {"method": method}, results), args.json)
-    return EXIT_OK
+    return "optimize", {"method": method}, results
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+def cmd_simulate(args: argparse.Namespace, scenario: Scenario) -> tuple:
     allocation = _resolve_allocation(args, scenario)
     config = _sim_config(
         args,
@@ -393,33 +416,63 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.csv:
         _check_csv_writable(args.csv)
     stats = simulator.run(scenario, allocation, config)
-    metrics = analytics.layout_metrics(scenario, layout)
-    parameters = {
-        "iterations": config.iterations,
-        "seed": config.seed,
-        "horizon": config.horizon,
-        "arrival_mode": config.arrival_mode.value,
-        "measure_delay": config.measure_delay,
-        "plan": args.plan,
-        "topology": args.topology,
-        "rng_layout": simulator.RNG_LAYOUT,
-    }
+    analytic, cell = _predicted(scenario, layout, ("collision_rate",))
+    parameters = _sim_parameters(
+        config,
+        arrival_mode=config.arrival_mode.value,
+        measure_delay=config.measure_delay,
+        plan=args.plan,
+        topology=args.topology,
+    )
     results = {
-        "analytic": {
-            str(cid): {"collision_rate": m.collision_rate} for cid, m in metrics.items()
+        "analytic": analytic,
+        "simulated": {
+            "per_class": {
+                str(cid): {**dataclasses.asdict(s), "censored_fraction": s.censored_fraction}
+                for cid, s in stats.per_class.items()
+            },
+            "total_density_hz": stats.total_density,
+            "total_density_stderr": stats.total_density_stderr,
+            "event_density_hz": stats.event_density,
+            "event_density_stderr": stats.event_density_stderr,
+            "iterations": stats.iterations,
+            "horizon_s": stats.horizon,
+            "seed": stats.seed,
         },
-        "simulated": _sim_stats_dict(stats),
     }
-    report = _report(scenario, "simulate", parameters, results)
-    if args.csv:
-        _write_simulate_csv(args.csv, scenario, stats, metrics, layout)
-        report["csv"] = args.csv
-    _print_report(report, args.json)
-    return EXIT_OK
+    rows: list[Sequence[Any]] = []
+    for cls in scenario.classes:
+        s = stats.per_class[cls.id]
+        rows.append(
+            (
+                cls.id,
+                layout.size(cls.id),
+                cls.ra_density,
+                analytic[str(cls.id)]["collision_rate"],
+                s.collision_rate,
+                s.collision_density,
+                s.density_stderr,
+                s.mean_delay,
+            )
+        )
+    pooled_attempts = sum(s.attempts for s in stats.per_class.values())
+    pooled_collided = sum(s.collided for s in stats.per_class.values())
+    rows.append(
+        (
+            "cell",
+            scenario.total_raos,
+            scenario.total_density,
+            cell["collision_probability"],
+            pooled_collided / pooled_attempts if pooled_attempts else 0.0,
+            stats.total_density,
+            stats.total_density_stderr,
+            None,
+        )
+    )
+    return "simulate", parameters, results, (SIMULATE_CSV_HEADER, rows)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+def cmd_sweep(args: argparse.Namespace, scenario: Scenario) -> tuple:
     if args.values:
         try:
             values = [int(v) for v in args.values.split(",") if v.strip()]
@@ -446,12 +499,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     parameters = {
         "class_index": args.class_index,
         "values": ",".join(str(v) for v in values),
-        "iterations": config.iterations,
-        "seed": config.seed,
-        "horizon": config.horizon,
-        "rng_layout": simulator.RNG_LAYOUT,
+        **_sim_parameters(config),
     }
-    rows = [
+    points = [
         {
             "l_swept": point.l_value,
             "simulated": {
@@ -466,14 +516,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     results = {
         "swept_class": result.class_id,
         "empirical_optimum": result.empirical_optimum,
-        "points": rows,
+        "points": points,
     }
-    report = _report(scenario, "sweep", parameters, results)
-    if args.csv:
-        _write_sweep_csv(args.csv, scenario, result)
-        report["csv"] = args.csv
-    _print_report(report, args.json)
-    return EXIT_OK
+    ids = [cls.id for cls in scenario.classes]
+    header = (
+        "l_swept",
+        *(f"density_{cid}_hz" for cid in ids),
+        "total_density_hz",
+        "total_stderr",
+        *(f"analytic_{cid}_hz" for cid in ids),
+        "analytic_total_hz",
+    )
+    rows = [
+        (
+            point.l_value,
+            *(point.stats.per_class[cid].collision_density for cid in ids),
+            point.stats.total_density,
+            point.stats.total_density_stderr,
+            *(point.analytic_density[cid] for cid in ids),
+            point.analytic_total,
+        )
+        for point in result.points
+    ]
+    return "sweep", parameters, results, (header, rows)
 
 
 # each compared strategy is an allocation of the unmodified scenario
@@ -484,8 +549,7 @@ _COMPARE_ALLOCATIONS = {
 }
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+def cmd_compare(args: argparse.Namespace, scenario: Scenario) -> tuple:
     names = [name.strip() for name in args.strategies.split(",") if name.strip()]
     unknown = [name for name in names if name not in _COMPARE_ALLOCATIONS]
     if unknown or not names:
@@ -518,42 +582,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "total_density_hz": stats.total_density,
             "total_density_stderr": stats.total_density_stderr,
         }
-    parameters = {
-        "strategies": ",".join(names),
-        "iterations": config.iterations,
-        "seed": config.seed,
-        "horizon": config.horizon,
-        "rng_layout": simulator.RNG_LAYOUT,
-    }
-    report = _report(scenario, "compare", parameters, {"strategies": columns})
-    if args.json:
-        _print_report(report, True)
-    else:
-        print(f"scenario fingerprint: {report['fingerprint']}")
-        _print_compare_table(scenario, names, columns)
-    return EXIT_OK
-
-
-def _print_compare_table(scenario: Scenario, names: list[str], columns: dict) -> None:
-    width = max(len(n) for n in names) + 2
-    header = f"{'class':>6} {'metric':<26}" + "".join(f"{n:>{width}}" for n in names)
-    print(header)
-    metrics = (
-        ("collision_rate_analytic", "p analytic"),
-        ("collision_rate_empirical", "p empirical"),
-        ("collision_density_hz", "density (Hz)"),
-    )
-    for cls in scenario.classes:
-        for key, label in metrics:
-            row = f"{cls.id:>6} {label:<26}"
-            for name in names:
-                value = columns[name]["per_class"][str(cls.id)][key]
-                row += f"{value:>{width}.{_FLOAT_DIGITS}g}"
-            print(row)
-    row = f"{'cell':>6} {'total density (Hz)':<26}"
-    for name in names:
-        row += f"{columns[name]['total_density_hz']:>{width}.{_FLOAT_DIGITS}g}"
-    print(row)
+    parameters = {"strategies": ",".join(names), **_sim_parameters(config)}
+    return "compare", parameters, {"strategies": columns}
 
 
 # --- CSV emission -------------------------------------------------------------
@@ -604,74 +634,6 @@ SIMULATE_CSV_HEADER = (
     "stderr",
     "delay_s",
 )
-
-
-def _write_simulate_csv(
-    path: str,
-    scenario: Scenario,
-    stats: simulator.SimStats,
-    metrics: dict[int, analytics.ClassMetrics],
-    layout: SharingTopology,
-) -> None:
-    rows = []
-    for cls in scenario.classes:
-        s = stats.per_class[cls.id]
-        rows.append(
-            (
-                cls.id,
-                layout.size(cls.id),
-                cls.ra_density,
-                metrics[cls.id].collision_rate,
-                s.collision_rate,
-                s.collision_density,
-                s.density_stderr,
-                s.mean_delay,
-            )
-        )
-    pooled_attempts = sum(s.attempts for s in stats.per_class.values())
-    pooled_collided = sum(s.collided for s in stats.per_class.values())
-    rows.append(
-        (
-            "cell",
-            scenario.total_raos,
-            scenario.total_density,
-            _cell_block(scenario, metrics)["collision_probability"],
-            pooled_collided / pooled_attempts if pooled_attempts else 0.0,
-            stats.total_density,
-            stats.total_density_stderr,
-            None,
-        )
-    )
-    _write_rows(path, SIMULATE_CSV_HEADER, rows)
-
-
-def sweep_csv_header(scenario: Scenario) -> tuple[str, ...]:
-    ids = [cls.id for cls in scenario.classes]
-    return (
-        "l_swept",
-        *(f"density_{cid}_hz" for cid in ids),
-        "total_density_hz",
-        "total_stderr",
-        *(f"analytic_{cid}_hz" for cid in ids),
-        "analytic_total_hz",
-    )
-
-
-def _write_sweep_csv(path: str, scenario: Scenario, result: simulator.SweepResult) -> None:
-    ids = [cls.id for cls in scenario.classes]
-    rows = []
-    for point in result.points:
-        rows.append(
-            (
-                point.l_value,
-                *(point.stats.per_class[cid].collision_density for cid in ids),
-                point.stats.total_density,
-                point.stats.total_density_stderr,
-                *(point.analytic_density[cid] for cid in ids),
-                point.analytic_total,
-            )
-        )
-    _write_rows(path, sweep_csv_header(scenario), rows)
 
 
 if __name__ == "__main__":

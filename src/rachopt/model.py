@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Any, Mapping, Sequence
@@ -94,9 +95,9 @@ class Scenario:
 
     The strategy names the scenario file's default allocation; the layout a
     run or report uses comes from the allocation handed to ``pool_layout``.
-    After validation, special classes precede normal ones; ``source_order``
-    records the class ids in the order they were originally supplied so
-    reports can restore the input ordering.
+    After validation, special classes precede normal ones, and every report
+    follows that order; ``source_order`` records the class ids in the order
+    they were originally supplied, which ``scenario_to_dict`` restores.
     """
 
     classes: tuple[DeviceClass, ...]
@@ -358,6 +359,9 @@ def _resolve_class(cls: DeviceClass, issues: list[str]) -> DeviceClass:
     if isinstance(cls.id, bool) or not isinstance(cls.id, int) or cls.id < 0:
         issues.append(f"{label}: id must be a non-negative integer")
         return cls
+    if not isinstance(cls.special, bool):
+        issues.append(f"{label}: special must be true or false, got {cls.special!r}")
+        return cls
     bad = _non_numbers(cls)
     if bad:
         issues.extend(
@@ -399,7 +403,7 @@ def _resolve_class(cls: DeviceClass, issues: list[str]) -> DeviceClass:
     if density is None:
         issues.append(f"{label}: ra_density missing (give it or population/per_device_rate)")
         return cls
-    if not 0 < density < math.inf:
+    if not 0 < density <= sys.float_info.max:  # an int may be past the float range
         issues.append(f"{label}: ra_density must be finite and > 0")
     if not 0 < cls.backoff < math.inf:
         issues.append(f"{label}: backoff must be finite and > 0")
@@ -449,6 +453,11 @@ def validate_scenario(scenario: Scenario) -> Scenario:
         issues.append("scenario: total_raos must be a positive integer")
 
     resolved = [_resolve_class(cls, issues) for cls in scenario.classes]
+    if not issues:
+        # each density is finite, but the cell's load must be too
+        total = sum(float(cls.ra_density) for cls in resolved)
+        if not math.isfinite(total):
+            issues.append(f"scenario: the classes' ra_density sum to {total}, past the float range")
 
     ids = [cls.id for cls in resolved]
     dupes = sorted({i for i in ids if ids.count(i) > 1})
@@ -591,11 +600,32 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
 YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
+class _UniqueKeys:
+    """Loader mixin that rejects a key given twice in one mapping, where a
+    YAML loader would keep the last value silently."""
+
+    def construct_mapping(self, node, deep=False):
+        first: dict[Any, Any] = {}
+        for key_node, _ in node.value:
+            # a `<<` merge may be overridden; the constructor reports a
+            # collection as a key, which is unhashable
+            if not isinstance(key_node, yaml.ScalarNode) or key_node.tag.endswith(":merge"):
+                continue
+            earlier = first.setdefault(self.construct_object(key_node, deep=deep), key_node)
+            if earlier is not key_node:
+                mark = key_node.start_mark
+                raise ScenarioError(
+                    [f"{mark.name}:{mark.line + 1}: key {key_node.value!r} given again "
+                     f"(first on line {earlier.start_mark.line + 1})"]
+                )
+        return super().construct_mapping(node, deep)
+
+
 def load_scenario(path: str) -> Scenario:
     """Load and validate a YAML scenario file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.load(fh, Loader=YAML_LOADER)
+            data = yaml.load(fh, Loader=type("Loader", (_UniqueKeys, YAML_LOADER), {}))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark is not None else path

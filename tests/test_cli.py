@@ -619,6 +619,53 @@ class TestDiagnostics:
         assert main(["analyze", str(path)]) == EXIT_VALIDATION
         assert f"error: {path}: not valid UTF-8 (" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+    def test_repeated_key_exits_2(self, capsys, monkeypatch, tmp_path, loader):
+        # it used to analyze the last value, 5000 Hz, and exit 0
+        if not hasattr(yaml, loader):
+            pytest.skip("PyYAML was built without libyaml")
+        monkeypatch.setattr(model, "YAML_LOADER", getattr(yaml, loader))
+        path = tmp_path / "repeated.yaml"
+        path.write_text(
+            "total_raos: 10800\nstrategy: full_sharing\nclasses:\n"
+            "  - id: 1\n    ra_density: 50\n    ra_density: 5000\n"
+        )
+        assert main(["analyze", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            f"error: {path}:6: key 'ra_density' given again (first on line 5)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["analyze", "optimize"])
+    def test_non_bool_special_named(self, capsys, tmp_path, command):
+        # it used to make class 1 special, so optimize asked for a QoS target
+        path = write_class(tmp_path, 10800, ra_density=50.0, special="no")
+        assert main([command, path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: class 1: special must be true or false, got 'no'\n"
+        )
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("command", ["analyze", "optimize"])
+    @pytest.mark.parametrize(
+        "total_raos, densities, message",
+        [
+            (10800, [1.0e308, 1.0e308],
+             "scenario: the classes' ra_density sum to inf, past the float range"),
+            (10**19, [50.0, 100.0],
+             "scenario: total_raos 10000000000000000000 is 2**63 or more, "
+             "past the pools the closed form evaluates"),
+        ],
+        ids=["density-sum", "pool-past-int64"],
+    )
+    def test_closed_form_past_its_range_exits_2(
+        self, capsys, tmp_path, command, mode, total_raos, densities, message
+    ):
+        # both used to end in a traceback (inf in JSON, an int64 overflow)
+        path = write_cell(tmp_path, "full_dedication", total_raos, densities)
+        assert main([command, path, *mode]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
+
     def test_unknown_field_named(self, capsys, tmp_path):
         data = yaml.safe_load(Path(DC12).read_text())
         data["classes"][0]["color"] = "blue"

@@ -190,6 +190,32 @@ class TestValidateScenario:
         ):
             scenario_from_dict(data)
 
+    def test_density_sum_past_float_range_rejected(self):
+        # each density is finite; their sum used to reach the reports as inf
+        data = {"total_raos": 10800, "strategy": "full_dedication",
+                "classes": [{"id": 1, "ra_density": 1.0e308}, {"id": 2, "ra_density": 1.0e308}]}
+        with pytest.raises(ScenarioError, match="ra_density sum to inf"):
+            scenario_from_dict(data)
+        data["classes"][1]["ra_density"] = 7.0e307
+        assert scenario_from_dict(data).total_density == 1.7e308
+
+    def test_integer_density_past_float_range_rejected(self):
+        # YAML reads 1 followed by 400 zeros as an int, which no float holds
+        data = {"total_raos": 100, "strategy": "full_sharing",
+                "classes": [{"id": 5, "ra_density": 10**400}]}
+        with pytest.raises(ScenarioError, match="class 5: ra_density must be finite"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("value", ["no", "false", 1, 0, None])
+    def test_non_bool_special_rejected(self, value):
+        # "no" in quotes is a string, and used to make the class special
+        data = {"total_raos": 100, "strategy": "full_sharing",
+                "classes": [{"id": 6, "ra_density": 1.0, "special": value}]}
+        with pytest.raises(
+            ScenarioError, match=f"class 6: special must be true or false, got {value!r}"
+        ):
+            scenario_from_dict(data)
+
     def test_all_violations_reported_at_once(self):
         bad = Scenario(
             classes=(
@@ -476,6 +502,46 @@ class TestSerialization:
         path.write_text("total_raos: [unclosed\nstrategy: full_sharing\n")
         with pytest.raises(ScenarioError, match=f"^{re.escape(str(path))}:2: not valid YAML"):
             load_scenario(str(path))
+
+    @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+    @pytest.mark.parametrize(
+        "text, line, key",
+        [
+            ("total_raos: 100\ntotal_raos: 200\nstrategy: full_sharing\n"
+             "classes: [{id: 1, ra_density: 5.0}]\n", 2, "'total_raos'"),
+            ("total_raos: 100\nstrategy: full_sharing\nclasses:\n"
+             "  - id: 1\n    ra_density: 50\n    ra_density: 5000\n", 6, "'ra_density'"),
+            ("total_raos: 100\nstrategy: full_dedication\nclasses:\n"
+             "  - id: 1\n    ra_density: 5.0\n    special: true\n    qos:\n"
+             "      kind: max_collision_rate\n      max_collision_rate: 0.02\n"
+             "      max_collision_rate: 0.5\n", 10, "'max_collision_rate'"),
+        ],
+        ids=["scenario", "class", "qos"],
+    )
+    def test_repeated_key_names_path_and_line_with_either_loader(
+        self, monkeypatch, tmp_path, loader, text, line, key
+    ):
+        # a loader keeps a repeated key's last value: 5000 Hz, not 50
+        if not hasattr(yaml, loader):
+            pytest.skip("PyYAML was built without libyaml")
+        monkeypatch.setattr(model, "YAML_LOADER", getattr(yaml, loader))
+        path = tmp_path / "repeated.yaml"
+        path.write_text(text)
+        with pytest.raises(
+            ScenarioError,
+            match=f"^{re.escape(str(path))}:{line}: key {key} given again "
+            rf"\(first on line {line - 1}\)$",
+        ):
+            load_scenario(str(path))
+
+    def test_merge_key_may_override(self, tmp_path):
+        # YAML's `<<` merge gives defaults that the mapping's own keys replace
+        path = tmp_path / "merge.yaml"
+        path.write_text(
+            "total_raos: 100\nstrategy: full_sharing\nclasses:\n"
+            "  - &base {id: 1, ra_density: 5.0}\n  - {<<: *base, id: 2}\n"
+        )
+        assert load_scenario(str(path)).class_ids == (1, 2)
 
 
 ROOT = Path(__file__).resolve().parent.parent

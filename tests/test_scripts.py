@@ -12,12 +12,7 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 # per script: tiny arguments, and whether it writes the CSV named by --csv
 ARGS = {
-    "dedication_sweep_curve.py": (
-        ["--lo", "3000", "--hi", "4200", "--iterations", "1", "--horizon", "1"],
-        True,
-    ),
     "optimal_dedication_table.py": (["--iterations", "2"], True),
-    "qos_reservation_demo.py": (["--iterations", "2", "--json"], False),
 }
 
 
