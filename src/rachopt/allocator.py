@@ -131,16 +131,23 @@ def reserve_for_collision_rate(ra_density: float, max_rate: float) -> int:
 def _reservation(cls: DeviceClass) -> int:
     if cls.qos is None:
         raise AllocationError(f"special class {cls.id} carries no QoS target")
-    if cls.qos.kind == QosKind.MAX_COLLISION_RATE:
-        return reserve_for_collision_rate(cls.ra_density, cls.qos.max_collision_rate)
-    # delay bounds normalize to the equivalent collision-rate bound
-    max_rate = 1.0 - cls.backoff / cls.qos.max_mean_delay
-    if not 0 < max_rate < 1:
-        raise AllocationError(
-            f"class {cls.id}: delay bound {cls.qos.max_mean_delay} does not "
-            f"exceed the backoff {cls.backoff}"
-        )
-    return reserve_for_collision_rate(cls.ra_density, max_rate)
+    max_rate = cls.qos.max_collision_rate
+    if cls.qos.kind == QosKind.MAX_MEAN_DELAY:
+        # delay bounds normalize to the equivalent collision-rate bound
+        max_rate = 1.0 - cls.backoff / cls.qos.max_mean_delay
+        if not 0 < max_rate < 1:
+            raise AllocationError(
+                f"class {cls.id}: delay bound {cls.qos.max_mean_delay} does not "
+                f"exceed the backoff {cls.backoff}"
+            )
+    try:
+        return reserve_for_collision_rate(cls.ra_density, max_rate)
+    except OverflowError:  # the real-valued need is past the float range
+        raise OverloadError(
+            f"RACH resource overload: class {cls.id} at {cls.ra_density} Hz needs more "
+            f"RAOs than the float range holds to keep its collision rate at {max_rate}",
+            class_id=cls.id,
+        ) from None
 
 
 def reserve_and_divide(scenario: Scenario) -> AllocationOutcome:

@@ -15,7 +15,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 from typing import Any, Mapping, Sequence
 
@@ -316,26 +316,6 @@ def derive_ra_density(population: int, per_device_rate: float, group_size: int =
     return -(-population // group_size) * per_device_rate
 
 
-def _non_numbers(cls: DeviceClass) -> dict[str, Any]:
-    """The numeric fields of a class that hold something else (bool
-    included); only the optional ones may be None."""
-    fields = {"group_size": cls.group_size, "backoff": cls.backoff}
-    optional = {
-        "ra_density": cls.ra_density,
-        "population": cls.population,
-        "per_device_rate": cls.per_device_rate,
-    }
-    if cls.qos is not None:
-        optional["qos.max_collision_rate"] = cls.qos.max_collision_rate
-        optional["qos.max_mean_delay"] = cls.qos.max_mean_delay
-    fields.update((name, value) for name, value in optional.items() if value is not None)
-    return {
-        name: value
-        for name, value in fields.items()
-        if isinstance(value, bool) or not isinstance(value, numbers.Real)
-    }
-
-
 def _exponent_hint(value: Any) -> str:
     """A spelling that YAML 1.1 reads as a number, for a string that is a
     float with an exponent: PyYAML reads one as a float only with a dot in
@@ -354,6 +334,30 @@ def _exponent_hint(value: Any) -> str:
     return f"; YAML reads an exponent only after a dot and with a sign: write {mantissa}{e}{exponent}"
 
 
+def _number_issues(cls: DeviceClass) -> list[str]:
+    """The breaches of the one rule for a class's numbers, which are the
+    fields of the class and of its qos other than the id, the special flag
+    and the qos kind: each is a real that is not a bool, an integer where
+    the field is typed int, and > 0 within the float range (an int may lie
+    past it). A field may hold None only where None is its default."""
+    named = [(f, f.name, getattr(cls, f.name)) for f in fields(cls)]
+    if isinstance(cls.qos, QosTarget):
+        named += [(f, f"qos.{f.name}", getattr(cls.qos, f.name)) for f in fields(cls.qos)]
+    issues = []
+    for field, name, value in named:
+        if field.name in ("id", "qos", "special", "kind") or (
+            value is None and field.default is None
+        ):
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            issues.append(f"{name} must be a number, got {value!r}{_exponent_hint(value)}")
+        elif field.type.startswith("int") and not isinstance(value, numbers.Integral):
+            issues.append(f"{name} must be an integer, got {value!r}")
+        elif not 0 < value <= sys.float_info.max:
+            issues.append(f"{name} must be finite and > 0")
+    return issues
+
+
 def _resolve_class(cls: DeviceClass, issues: list[str]) -> DeviceClass:
     label = f"class {cls.id}"
     if isinstance(cls.id, bool) or not isinstance(cls.id, int) or cls.id < 0:
@@ -362,36 +366,16 @@ def _resolve_class(cls: DeviceClass, issues: list[str]) -> DeviceClass:
     if not isinstance(cls.special, bool):
         issues.append(f"{label}: special must be true or false, got {cls.special!r}")
         return cls
-    bad = _non_numbers(cls)
+    bad = _number_issues(cls)
     if bad:
-        issues.extend(
-            f"{label}: {name} must be a number, got {value!r}{_exponent_hint(value)}"
-            for name, value in bad.items()
-        )
-        return cls
-    fractional = [
-        f"{label}: {name} must be an integer, got {value!r}"
-        for name, value in (("population", cls.population), ("group_size", cls.group_size))
-        if value is not None and not isinstance(value, numbers.Integral)
-    ]
-    if fractional:
-        issues.extend(fractional)
-        return cls
-    if cls.group_size < 1:
-        issues.append(f"{label}: group_size must be >= 1")
+        issues.extend(f"{label}: {issue}" for issue in bad)
         return cls
     if (cls.population is None) != (cls.per_device_rate is None):
         issues.append(f"{label}: population and per_device_rate must be given together")
         return cls
-    if cls.population is not None and cls.population < 1:
-        issues.append(f"{label}: population must be >= 1")
-        return cls
-    if cls.per_device_rate is not None and cls.per_device_rate <= 0:
-        issues.append(f"{label}: per_device_rate must be > 0")
-        return cls
 
     density = cls.ra_density
-    if cls.population is not None and cls.per_device_rate is not None:
+    if cls.population is not None:
         derived = derive_ra_density(cls.population, cls.per_device_rate, cls.group_size)
         if density is None:
             density = derived
@@ -403,36 +387,34 @@ def _resolve_class(cls: DeviceClass, issues: list[str]) -> DeviceClass:
     if density is None:
         issues.append(f"{label}: ra_density missing (give it or population/per_device_rate)")
         return cls
-    if not 0 < density <= sys.float_info.max:  # an int may be past the float range
+    if density == math.inf:  # a derived density, whose factors are finite
         issues.append(f"{label}: ra_density must be finite and > 0")
-    if not 0 < cls.backoff < math.inf:
-        issues.append(f"{label}: backoff must be finite and > 0")
     _check_qos(cls, issues)
     return replace(cls, ra_density=density)
 
 
 def _check_qos(cls: DeviceClass, issues: list[str]) -> None:
+    """The pairing of the qos kind with its bound, and the bounds that the
+    number rule leaves: a rate below 1, a delay past the backoff."""
     qos = cls.qos
     if qos is None:
         return
-    label = f"class {cls.id}"
+    label = f"class {cls.id}: qos"
     if qos.kind == QosKind.MAX_COLLISION_RATE:
         if qos.max_mean_delay is not None:
-            issues.append(f"{label}: qos kind is {qos.kind.value} but max_mean_delay is set")
+            issues.append(f"{label}.kind is {qos.kind.value} but qos.max_mean_delay is set")
         if qos.max_collision_rate is None:
-            issues.append(f"{label}: qos max_collision_rate missing")
-        elif not 0 < qos.max_collision_rate < 1:
-            issues.append(f"{label}: qos max_collision_rate must lie in (0, 1)")
+            issues.append(f"{label}.max_collision_rate missing")
+        elif not qos.max_collision_rate < 1:
+            issues.append(f"{label}.max_collision_rate must lie in (0, 1)")
     elif qos.kind == QosKind.MAX_MEAN_DELAY:
         if qos.max_collision_rate is not None:
-            issues.append(f"{label}: qos kind is {qos.kind.value} but max_collision_rate is set")
+            issues.append(f"{label}.kind is {qos.kind.value} but qos.max_collision_rate is set")
         if qos.max_mean_delay is None:
-            issues.append(f"{label}: qos max_mean_delay missing")
-        elif not math.isfinite(qos.max_mean_delay):
-            issues.append(f"{label}: qos max_mean_delay must be finite")
+            issues.append(f"{label}.max_mean_delay missing")
         elif not qos.max_mean_delay > cls.backoff:
             issues.append(
-                f"{label}: qos max_mean_delay must exceed the backoff "
+                f"{label}.max_mean_delay must exceed the backoff "
                 f"({qos.max_mean_delay} <= {cls.backoff})"
             )
 
@@ -483,23 +465,21 @@ def validate_scenario(scenario: Scenario) -> Scenario:
 # --- serialization -----------------------------------------------------------
 
 _SCENARIO_KEYS = {"total_raos", "strategy", "classes"}
-_CLASS_KEYS = {
-    "id",
-    "ra_density",
-    "population",
-    "per_device_rate",
-    "group_size",
-    "backoff",
-    "qos",
-    "special",
-}
-_QOS_KEYS = {"kind", "max_collision_rate", "max_mean_delay"}
 
 
-def _reject_unknown(mapping: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
+def _reject_unknown(mapping: Mapping[Any, Any], allowed: set[str], where: str) -> None:
+    # a YAML key may be any scalar, and keys of different types do not compare
+    unknown = sorted(set(mapping) - allowed, key=str)
     if unknown:
         raise ScenarioError([f"{where}: unknown fields {unknown}"])
+
+
+def _fields_from(kind: type, rec: Mapping[str, Any], where: str) -> dict[str, Any]:
+    """The value ``rec`` gives each field of the dataclass ``kind``, or the
+    field's default (None for a field without one); other keys are errors."""
+    known = fields(kind)
+    _reject_unknown(rec, {f.name for f in known}, where)
+    return {f.name: rec.get(f.name, None if f.default is MISSING else f.default) for f in known}
 
 
 def scenario_from_dict(data: Mapping[str, Any]) -> Scenario:
@@ -531,36 +511,19 @@ def _class_from_dict(rec: Mapping[str, Any], idx: int) -> DeviceClass:
     where = f"classes[{idx}]"
     if not isinstance(rec, Mapping):
         raise ScenarioError([f"{where}: class record must be a mapping"])
-    _reject_unknown(rec, _CLASS_KEYS, where)
+    values = _fields_from(DeviceClass, rec, where)
     if "id" not in rec:
         raise ScenarioError([f"{where}: missing id"])
-    qos = None
-    if rec.get("qos") is not None:
-        qos_rec = rec["qos"]
-        if not isinstance(qos_rec, Mapping):
+    if values["qos"] is not None:
+        if not isinstance(values["qos"], Mapping):
             raise ScenarioError([f"{where}: qos must be a mapping"])
-        _reject_unknown(qos_rec, _QOS_KEYS, f"{where}.qos")
+        qos = _fields_from(QosTarget, values["qos"], f"{where}.qos")
         try:
-            kind = QosKind(qos_rec.get("kind"))
+            qos["kind"] = QosKind(qos["kind"])
         except ValueError:
-            raise ScenarioError(
-                [f"{where}.qos: unknown kind {qos_rec.get('kind')!r}"]
-            ) from None
-        qos = QosTarget(
-            kind=kind,
-            max_collision_rate=qos_rec.get("max_collision_rate"),
-            max_mean_delay=qos_rec.get("max_mean_delay"),
-        )
-    return DeviceClass(
-        id=rec["id"],
-        ra_density=rec.get("ra_density"),
-        population=rec.get("population"),
-        per_device_rate=rec.get("per_device_rate"),
-        group_size=rec.get("group_size", 1),
-        backoff=rec.get("backoff", 1.0),
-        qos=qos,
-        special=rec.get("special", False),
-    )
+            raise ScenarioError([f"{where}.qos: unknown kind {qos['kind']!r}"]) from None
+        values["qos"] = QosTarget(**qos)
+    return DeviceClass(**values)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:

@@ -102,8 +102,8 @@ CHUNK_KEYS = 2**16
 PIECE_KEYS = 2**16
 
 # Collided requests of one chunk, of every class, that the delay meter retries
-# together, each with 144 bytes of retry state (176 when retries can land
-# inside the horizon): a column in each of two blocks of 8 or 10 rows, a cell
+# together, each with 144 bytes of retry state (160 when retries can land
+# inside the horizon): a column in each of two blocks of 8 or 9 rows, a cell
 # and an outcome. Each slice runs its own attempt loop, so larger slices make
 # fewer numpy calls per retry; 2**14 keeps the state near 2.3 MB.
 RETRY_KEYS = 2**14
@@ -550,8 +550,8 @@ def _collisions(
 # pick's and the occupancy's hashes of every field but the attempt and the slot
 # key, the first attempt's time, the class's backoff, pool scale (size / 2**53),
 # RAO offset and occupancy bound, the request's position in its slice and,
-# when retries can land inside the horizon, its first key and its iteration's.
-PICK, OCCUPANCY, T0, BACKOFF, SCALE, OFFSET, BOUND, ROW, OWN, BASE = range(10)
+# when retries can land inside the horizon, its iteration's first key.
+PICK, OCCUPANCY, T0, BACKOFF, SCALE, OFFSET, BOUND, ROW, BASE = range(9)
 
 
 def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig):
@@ -629,14 +629,14 @@ def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig)
         iteration) cells; five rows of the spare block are temporaries."""
         m, ints, floats = part.size, state.view(np.int64), state.view(np.float64)
         pos, first_key, iteration, index, spare = work.other[: 5 * m].view(np.int64).reshape(5, m)
-        keys, base = (ints[OWN], ints[BASE]) if inside_possible else (first_key, index)
+        base = ints[BASE] if inside_possible else index
         cells = work.cells[:m]
         np.bitwise_and(part, (1 << tag_bits) - 1, out=pos)
-        np.right_shift(part, tag_bits, out=keys)
+        np.right_shift(part, tag_bits, out=first_key)
         # the iteration in the chunk, and the key in it; divmod would not use libdivide
-        np.floor_divide(keys, span, out=iteration)
+        np.floor_divide(first_key, span, out=iteration)
         np.multiply(iteration, span, out=base)
-        np.subtract(keys, base, out=first_key)
+        first_key -= base
         np.multiply(pos, occupancy_heads.size, out=cells)
         cells += iteration
         np.take(occupancy_heads, iteration, out=state[OCCUPANCY], mode="clip")
@@ -726,13 +726,12 @@ def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig)
                 np.greater_equal(h, bounds, out=free)
             if inside is not None:
                 # look the slot key up in the chunk's sorted tagged values: it is
-                # busy when another request holds it; a retry into the slot of
-                # its own first attempt does not count itself
+                # busy when a request holds it; a retry into the slot of its own
+                # first attempt finds it busy without counting itself, since
+                # only collided requests retry, so another request holds it too
                 at = inside.ravel().nonzero()[0]
-                column = at % k
-                probe = key.ravel()[at] + ints[BASE][column]
+                probe = key.ravel()[at] + ints[BASE][at % k]
                 found = np.searchsorted(tagged, (probe << tag_bits).astype(tagged.dtype))
-                found += probe == ints[OWN][column]
                 held = found < tagged.size
                 np.minimum(found, tagged.size - 1, out=found)
                 held &= (tagged[found] >> tag_bits) == probe

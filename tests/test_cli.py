@@ -194,7 +194,7 @@ class TestOptimize:
         path.write_text(yaml.safe_dump(data))
         for command in ("optimize", "analyze"):
             assert main([command, str(path)]) == EXIT_VALIDATION
-            assert "qos max_mean_delay must be finite" in capsys.readouterr().err
+            assert "qos.max_mean_delay must be finite" in capsys.readouterr().err
 
     def test_overload_exit_code(self, capsys, tmp_path):
         data = yaml.safe_load(Path(QOS123).read_text())
@@ -817,3 +817,94 @@ class TestDiagnostics:
         for name in ("dc1_dc2", "dc1_dc3", "dc1_dc4", "dc123_qos"):
             assert main(["analyze", str(SCENARIOS / f"{name}.yaml")]) == EXIT_OK
             capsys.readouterr()
+
+
+class TestClassNumbers:
+    """Every class number follows one rule: a real but a bool, an integer
+    for the two counts, finite and > 0; a bound that no float reservation
+    meets is an overload."""
+
+    FIELDS = [
+        "ra_density",
+        "population",
+        "per_device_rate",
+        "group_size",
+        "backoff",
+        "qos.max_collision_rate",
+        "qos.max_mean_delay",
+    ]
+    HOSTILE = [True, "50", 10**400, math.inf, math.nan, 0, -1, 1.0e-320]
+
+    @staticmethod
+    def _cell(tmp_path, field, value):
+        """One special class holding ``value`` in ``field``, and a normal one."""
+        record = {"id": 1, "ra_density": 50.0, "backoff": 1.0, "special": True,
+                  "qos": {"kind": "max_collision_rate", "max_collision_rate": 0.02}}
+        if field.startswith("qos."):
+            name = field.removeprefix("qos.")
+            record["qos"] = {"kind": name, name: value}
+        elif field in ("population", "per_device_rate", "group_size"):
+            del record["ra_density"]
+            record.update({"population": 3000, "per_device_rate": 1 / 60, field: value})
+        else:
+            record[field] = value
+        document = {"total_raos": 10800, "strategy": "full_dedication",
+                    "classes": [record, {"id": 2, "ra_density": 100.0}]}
+        path = tmp_path / "cell.yaml"
+        path.write_text(yaml.safe_dump(document))
+        return str(path)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_hostile_values_exit_with_a_documented_code(self, capsys, tmp_path, field):
+        for value in self.HOSTILE:
+            path = self._cell(tmp_path, field, value)
+            for command in ("analyze", "optimize"):
+                code = main([command, path])
+                err = capsys.readouterr().err
+                assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_OVERLOAD), (command, value)
+                assert (code == EXIT_OK) == (err == ""), (command, value, err)
+                for line in err.splitlines():
+                    assert line.startswith("error: "), (command, value, line)
+
+    @pytest.mark.parametrize("command", ["analyze", "optimize"])
+    @pytest.mark.parametrize("field", ["backoff", "qos.max_mean_delay", "population"])
+    def test_integer_past_float_range_exits_2(self, capsys, tmp_path, field, command):
+        # each used to end in OverflowError: int too large to convert to float
+        path = self._cell(tmp_path, field, 10**400)
+        assert main([command, path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: class 1: {field} must be finite and > 0\n"
+
+    def test_number_problems_reported_together(self, capsys, tmp_path):
+        path = write_class(tmp_path, 100, ra_density=0, backoff=10**400, group_size=2.5)
+        assert main(["analyze", path]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: class 1: ra_density must be finite and > 0\n"
+            "error: class 1: group_size must be an integer, got 2.5\n"
+            "error: class 1: backoff must be finite and > 0\n"
+        )
+
+    @pytest.mark.parametrize("command", [
+        ["optimize"], ["compare", "--strategies", "reserve_and_divide"],
+    ], ids=["optimize", "compare"])
+    @pytest.mark.parametrize("density, rate", [(1.0e300, 1.0e-10), (5.0, 1.0e-320)],
+                             ids=["huge-density", "tiny-rate"])
+    def test_infinite_reservation_is_an_overload(self, capsys, tmp_path, command, density, rate):
+        # math.ceil of the infinite need used to raise OverflowError
+        path = write_class(tmp_path, 100, ra_density=density, special=True,
+                           qos={"kind": "max_collision_rate", "max_collision_rate": rate})
+        assert main([command[0], path, *command[1:]]) == EXIT_OVERLOAD
+        assert capsys.readouterr().err == (
+            f"error: RACH resource overload: class 1 at {density} Hz needs more RAOs "
+            f"than the float range holds to keep its collision rate at {rate}\n"
+        )
+
+    @pytest.mark.parametrize("level", ["scenario", "classes[0]"])
+    def test_unknown_keys_of_mixed_types_named(self, capsys, tmp_path, level):
+        # sorting 2 against 'foo' used to raise TypeError
+        record = {"id": 1, "ra_density": 5.0}
+        document = {"total_raos": 100, "strategy": "full_sharing", "classes": [record]}
+        (document if level == "scenario" else record).update({"foo": 1, 2: 3})
+        path = tmp_path / "mixed.yaml"
+        path.write_text(yaml.safe_dump(document))
+        assert main(["analyze", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {level}: unknown fields [2, 'foo']\n"

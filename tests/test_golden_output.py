@@ -2,7 +2,7 @@
 
 ``test_golden_reports.py`` pins the report numbers within a tolerance; this
 module pins the bytes a user sees: each command's text and ``--json``
-reports, the ``simulate`` and ``sweep`` CSV files, and four error exits, all
+reports, the ``simulate`` and ``sweep`` CSV files, and five error exits, all
 at tiny sizes with fixed seeds. Floats are compared as printed, so a change
 that moves a number by one rounding step, reorders a parameter or renames a
 field shows up here. The CSV path is written as ``<csv>`` in the
@@ -62,6 +62,13 @@ classes:
     special: true
     qos: {kind: max_collision_rate, max_collision_rate: 0.02}
 """,
+    # a backoff that YAML reads as an int past the float range
+    "huge_backoff": f"""\
+total_raos: 100
+strategy: full_sharing
+classes:
+  - {{id: 1, ra_density: 5.0, backoff: 1{"0" * 400}}}
+""",
 }
 TOPOLOGY = "1:0-3599;2:1800-7199;3:3600-10799"
 SIM = ["--iterations", "3", "--seed", "5"]
@@ -96,6 +103,7 @@ CASES = {
     "error-compare-bogus": (["compare", DC12, "--strategies", "bogus"], 2),
     "error-unwritable-csv": (["simulate", DC12, *SIM, "--csv", "{csv}/missing/out.csv"], 2),
     "error-topology-on-dedication": (["analyze", DC12, "--topology", "1:0-99;2:100-199"], 2),
+    "error-huge-backoff": (["analyze", "{huge_backoff}"], 2),
 }
 # every successful case in both output modes
 RUNS = [

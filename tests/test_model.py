@@ -206,6 +206,31 @@ class TestValidateScenario:
         with pytest.raises(ScenarioError, match="class 5: ra_density must be finite"):
             scenario_from_dict(data)
 
+    @pytest.mark.parametrize("field", [
+        "population", "per_device_rate", "group_size", "backoff",
+        "qos.max_collision_rate", "qos.max_mean_delay",
+    ])
+    def test_every_class_number_within_the_float_range(self, field):
+        # the rule ra_density follows above: group_size too, though only
+        # integer division reads it, since a group past the float range
+        # outnumbers any population that the rule admits
+        record = {"id": 1, "population": 3000, "per_device_rate": 0.5}
+        if field.startswith("qos."):
+            name = field.removeprefix("qos.")
+            record["qos"] = {"kind": name, name: 10**400}
+        else:
+            record[field] = 10**400
+        data = {"total_raos": 100, "strategy": "full_sharing", "classes": [record]}
+        with pytest.raises(ScenarioError, match=rf"^class 1: {field} must be finite and > 0$"):
+            scenario_from_dict(data)
+
+    def test_derived_density_past_float_range_rejected(self):
+        # every factor is in range, but their product is not
+        data = {"total_raos": 100, "strategy": "full_sharing",
+                "classes": [{"id": 5, "population": 10**300, "per_device_rate": 1.0e+10}]}
+        with pytest.raises(ScenarioError, match="^class 5: ra_density must be finite and > 0$"):
+            scenario_from_dict(data)
+
     @pytest.mark.parametrize("value", ["no", "false", 1, 0, None])
     def test_non_bool_special_rejected(self, value):
         # "no" in quotes is a string, and used to make the class special
@@ -252,7 +277,7 @@ class TestQosValidation:
     @pytest.mark.parametrize("bound", [math.inf, math.nan])
     def test_delay_bound_must_be_finite(self, bound):
         qos = QosTarget(kind=QosKind.MAX_MEAN_DELAY, max_mean_delay=bound)
-        with pytest.raises(ScenarioError, match="class 1: qos max_mean_delay must be finite"):
+        with pytest.raises(ScenarioError, match="class 1: qos.max_mean_delay must be finite"):
             validate_scenario(self._with_qos(qos))
 
     def test_bound_must_match_kind(self):
@@ -471,6 +496,22 @@ class TestSerialization:
         )
         data["classes"][0]["qos"]["jitter"] = 1
         with pytest.raises(ScenarioError, match="unknown fields.*jitter"):
+            scenario_from_dict(data)
+
+    def test_absent_fields_take_the_dataclass_defaults(self):
+        data = {"total_raos": 10, "strategy": "full_sharing", "classes": [
+            {"id": 1, "ra_density": 5.0},
+            {"id": 2, "ra_density": 5.0, "special": True,
+             "qos": {"kind": "max_mean_delay", "max_mean_delay": 2.0}},
+        ]}
+        special, normal = scenario_from_dict(data).classes
+        assert normal == DeviceClass(id=1, ra_density=5.0)
+        assert special.qos == QosTarget(kind=QosKind.MAX_MEAN_DELAY, max_mean_delay=2.0)
+
+    def test_missing_qos_kind_named(self):
+        data = scenario_to_dict(make_scenario((1,)))
+        data["classes"][0]["qos"] = {"max_collision_rate": 0.02}
+        with pytest.raises(ScenarioError, match=r"classes\[0\]\.qos: unknown kind None"):
             scenario_from_dict(data)
 
     def test_unknown_strategy_rejected(self):
