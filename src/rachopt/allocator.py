@@ -124,8 +124,15 @@ def minimum_raos_for_rate(ra_density: float, max_rate: float) -> float:
 
 
 def reserve_for_collision_rate(ra_density: float, max_rate: float) -> int:
-    """Smallest whole RAO count meeting a collision-rate bound (>= 1)."""
-    return max(1, math.ceil(minimum_raos_for_rate(ra_density, max_rate)))
+    """Smallest whole RAO count meeting a collision-rate bound (>= 1).
+    Raises OverloadError when the real-valued need is past the float range."""
+    need = minimum_raos_for_rate(ra_density, max_rate)
+    if math.isinf(need):
+        raise OverloadError(
+            f"{ra_density} Hz needs more RAOs than the float range holds to keep "
+            f"its collision rate at {max_rate}"
+        )
+    return max(1, math.ceil(need))
 
 
 def _reservation(cls: DeviceClass) -> int:
@@ -142,11 +149,9 @@ def _reservation(cls: DeviceClass) -> int:
             )
     try:
         return reserve_for_collision_rate(cls.ra_density, max_rate)
-    except OverflowError:  # the real-valued need is past the float range
+    except OverloadError as err:
         raise OverloadError(
-            f"RACH resource overload: class {cls.id} at {cls.ra_density} Hz needs more "
-            f"RAOs than the float range holds to keep its collision rate at {max_rate}",
-            class_id=cls.id,
+            f"RACH resource overload: class {cls.id} at {err}", class_id=cls.id
         ) from None
 
 

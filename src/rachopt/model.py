@@ -305,7 +305,8 @@ def derive_ra_density(population: int, per_device_rate: float, group_size: int =
     """Aggregate RA request density (Hz) of a grouped device population.
 
     Only one coordinator per group performs RA, and a partial final group
-    still needs its own coordinator, hence the ceiling.
+    still needs its own coordinator, hence the ceiling. Raises ScenarioError
+    when the coordinators' count is past the float range.
     """
     if population < 1:
         raise ScenarioError(["population must be >= 1"])
@@ -313,7 +314,10 @@ def derive_ra_density(population: int, per_device_rate: float, group_size: int =
         raise ScenarioError(["per_device_rate must be > 0"])
     if group_size < 1:
         raise ScenarioError(["group_size must be >= 1"])
-    return -(-population // group_size) * per_device_rate
+    coordinators = -(-population // group_size)
+    if coordinators > sys.float_info.max:
+        raise ScenarioError(["ceil(population/group_size) is past the float range"])
+    return coordinators * per_device_rate
 
 
 def _exponent_hint(value: Any) -> str:

@@ -35,26 +35,29 @@ depend on whether delays are measured; and delays depend on which slot keys
 collided, not on the order of the requests.
 
 Delay measurement retries collided requests after the class backoff until
-success or the attempt cap, on any pool layout: the collided requests of
-every class in a chunk retry together, ``RETRY_KEYS`` at a time, and once
-few are pending each step tries a window of attempts per request and keeps
-the first free one. Retries probe the occupancy
-made by fresh arrivals but do not add to it: the closed-form delay model
-gives every attempt the fresh-traffic collision probability, and feeding
-retries back into the load would make the simulator unstable at high rates.
-A retry's RAO comes from a uniform hashed from (seed, iteration, class,
-first slot key, rank among the class's requests with that key, attempt).
-Inside the horizon, the retry looks its slot key up in the chunk's sorted
-tagged keys. Past it, no traffic is drawn: the slot is occupied when a
-uniform hashed from (seed, iteration, slot key) falls below the chance that
-fresh arrivals fill it, ``1 - exp(-sum gamma_j / L_j)`` under Poisson
-arrivals and ``1 - prod (1 - q_j / L_j) ** N_j`` under per-device Bernoulli
-arrivals, over the classes j whose ranges hold the RAO. Poisson arrivals
-fill slots independently, so this is exact. Under Bernoulli arrivals each
-slot's marginal is exact, but the joint distribution of the slots within one
-second is not, since one coordinator's request fills only one of them.
-A class whose usable slots are all filled for sure stops retrying once its
-retries are all past the horizon; they are censored.
+success or the attempt cap, on any pool layout; the collided requests of
+every class in a chunk are handled together, ``RETRY_KEYS`` at a time.
+Retries probe the occupancy made by fresh arrivals but do not add to it:
+the closed-form delay model gives every attempt the fresh-traffic collision
+probability, and feeding retries back into the load would make the
+simulator unstable at high rates. Attempt k of a request lands at
+``t0 + (k - 1) * backoff``, where the first attempt's time ``t0`` is its
+second plus ``(position + 0.5) / size`` for its RAO's position in the pool.
+Inside the horizon, the attempt's RAO comes from a uniform hashed from
+(seed, class, iteration, first slot key, rank among the requests with that
+tagged key, attempt), and the attempt looks its slot key up in the chunk's
+sorted tagged keys. Past the horizon no traffic is drawn: each attempt
+there is busy with the class's mean busy chance ``p`` over its usable RAOs,
+where a RAO is free with chance ``exp(-sum gamma_j / L_j)`` under Poisson
+arrivals and ``prod (1 - q_j / L_j) ** N_j`` under per-device Bernoulli
+arrivals, over the classes j whose ranges hold it. So a request whose first
+attempt past the horizon is a0 succeeds on attempt
+``a0 + floor(log u / log p)``, for one uniform u in (0, 1] hashed from the
+fields of its picks and the attempt number 1, which no retry uses; it is
+censored past the attempt cap, and at once when ``p`` is 1. Each request's
+delay has the distribution of independent attempts at ``p``; only the
+coupling of two retries that land in one slot past the horizon is lost,
+which the closed form ignores too.
 """
 
 from __future__ import annotations
@@ -101,21 +104,15 @@ CHUNK_KEYS = 2**16
 # array of np.compress and the cells and repeats of the collided requests.
 PIECE_KEYS = 2**16
 
-# Collided requests of one chunk, of every class, that the delay meter retries
-# together, each with 144 bytes of retry state (160 when retries can land
-# inside the horizon): a column in each of two blocks of 8 or 9 rows, a cell
-# and an outcome. Each slice runs its own attempt loop, so larger slices make
-# fewer numpy calls per retry; 2**14 keeps the state near 2.3 MB.
+# Collided requests of one chunk, of every class, that the delay meter
+# handles together. tracemalloc puts a slice's arrays at about 110 bytes per
+# request, or 220 when retries can land inside the horizon, so 2**14 keeps
+# them below 1.8 and 3.6 MB.
 RETRY_KEYS = 2**14
-
-# Attempts that one step of the retry loop evaluates at most, once fewer
-# requests than this are pending: each then tries RETRY_WINDOW // pending
-# attempts in one step, so the tail of few pending requests takes few steps.
-RETRY_WINDOW = 2**12
 
 # Names the random-number layout described in the module docstring; a seed
 # reproduces a report's numbers only under the same layout.
-RNG_LAYOUT = "pcg64-block4096-splitmix64-v2"
+RNG_LAYOUT = "pcg64-block4096-splitmix64-v3"
 
 
 class SimulationError(RuntimeError):
@@ -233,7 +230,7 @@ def _hash(key: np.ndarray, *fields: np.ndarray | int) -> np.ndarray:
     one at a time with SplitMix64's step (see ``_mix``)."""
     h = key
     for field in fields:
-        h = h ^ np.asarray(field).astype(np.uint64, copy=False)
+        h = np.bitwise_xor(h, field, dtype=np.uint64, casting="unsafe")
         _mix(h, np.empty_like(h))
     return h
 
@@ -382,7 +379,7 @@ def run(
             collided, events, hits = _collisions(tagged, len(classes), span, hi - lo, scratch)
             tally.collided[:, chunk], tally.events[chunk] = collided, events
             if measure is not None:
-                measure(hits, tagged, chunk, tally, scratch)
+                measure(hits, tagged, chunk, tally)
     return _summarize(classes, config, tally)
 
 
@@ -546,35 +543,26 @@ def _collisions(
     return collided.T, events, hits
 
 
-# Rows of the delay meter's state block, one column per pending request: the
-# pick's and the occupancy's hashes of every field but the attempt and the slot
-# key, the first attempt's time, the class's backoff, pool scale (size / 2**53),
-# RAO offset and occupancy bound, the request's position in its slice and,
-# when retries can land inside the horizon, its iteration's first key.
-PICK, OCCUPANCY, T0, BACKOFF, SCALE, OFFSET, BOUND, ROW, BASE = range(9)
-
-
 def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig):
     """The delay measurement of one run, as a function that retries every
     collided request of one chunk, given the chunk's collided and all its
-    tagged values, sorted, the tally and the run's scratch. It fills the
-    chunk's delay sums, successes and censored requests in the tally; a
-    success on attempt k took k backoff periods.
+    tagged values, sorted, and the tally. It fills the chunk's delay sums,
+    successes and censored requests in the tally; a success on attempt k
+    took k backoff periods.
 
-    The collided requests of every class retry together, in slices of
-    ``RETRY_KEYS`` values, so that the retry state does not grow with the
-    chunk; a request's rank among equal values counts over the whole chunk,
-    so the slices change no number. The pending requests are the columns of
-    a state block (see ``PICK``), which one ``np.take`` compacts after each
-    step. A step evaluates one attempt of each pending request or, once
-    fewer than ``RETRY_WINDOW`` are pending, a window of attempts, of which
-    the first free one counts; every draw hashes its attempt, so windows
-    change no number either."""
+    The collided requests of every class are handled together, in slices of
+    ``RETRY_KEYS`` values, so that no array grows with the chunk; a
+    request's rank among equal values counts over the whole chunk, so the
+    slices change no number. Attempts inside the horizon probe the chunk's
+    tagged values one step at a time (``retry``). From a request's first
+    attempt past the horizon on, its busy attempts are one geometric draw
+    at its class's mean busy chance (``tail``)."""
     horizon, total_slots, classes = config.horizon, scenario.total_raos, scenario.classes
     span, n_classes = horizon * total_slots, len(classes)
     tag_bits = (n_classes - 1).bit_length()
     sizes = [layout.size(c.id) for c in classes]
-    # per run of RAOs between range ends, the log of the chance that it is free
+    # per run of RAOs between range ends, the log of the chance that fresh
+    # arrivals leave one of its slots free
     if config.arrival_mode == ArrivalMode.POISSON_AGGREGATE:
         log_free = {c.id: -c.ra_density / size for c, size in zip(classes, sizes)}
     else:
@@ -583,194 +571,100 @@ def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig)
                 c.id: c.coordinators * np.log1p(-c.per_device_rate / size)
                 for c, size in zip(classes, sizes)
             }
-    run_starts, _, covered, log_free_run = layout.segments(log_free)
-    # a hashed uniform m * 2**-53 falls below the chance c that fresh arrivals
-    # fill the slot exactly when the integer m falls below ceil(c * 2**53)
-    run_bounds = np.ceil(-np.expm1(log_free_run) * 2.0**53).astype(np.uint64)
-    class_bounds = [set(run_bounds[covered[c.id]].tolist()) for c in classes]
-    per_run = any(len(bounds) > 1 for bounds in class_bounds)
-    # past the horizon, a class whose slots are all filled for sure never succeeds
-    saturated = any(bounds == {2**53} for bounds in class_bounds)
-    min_backoff = min(c.backoff for c in classes)
-    inside_possible = min_backoff < horizon  # t0 >= 0: a retry lands at t0 + backoff or later
-    rows = BASE + 1 if inside_possible else ROW + 1
-    # a pick's position plus its class's offset is its RAO, for a class of one
-    # range; a class of several ranges takes offsets past total_slots, and
-    # each of its ranges shifts its positions back onto its RAOs
-    offsets, remaps, virtual = [], [], total_slots
-    for cls in classes:
-        spans = layout.ranges[cls.id]
-        if len(spans) == 1:
-            offsets.append(spans[0][0])
-            continue
-        offsets.append(virtual)
-        for first, last in spans:
-            remaps.append((virtual, first - virtual))
-            virtual += last - first + 1
-    remaps.reverse()  # a shifted position falls below every start
-    multi = [pos for pos, cls in enumerate(classes) if len(layout.ranges[cls.id]) > 1]
-    # per class, rows T0 to ROW of its requests' columns: T0 and ROW hold its
-    # first RAO and pool size until the requests' own values replace them
-    table = np.zeros((ROW + 1, n_classes), dtype=np.uint64)
-    table.view(np.int64)[T0] = [layout.ranges[c.id][0][0] for c in classes]
-    table.view(np.float64)[BACKOFF] = [c.backoff for c in classes]
-    table.view(np.float64)[SCALE] = [size * 2.0**-53 for size in sizes]  # exact
-    table.view(np.int64)[OFFSET] = offsets
-    table[BOUND] = [min(bounds) for bounds in class_bounds]
-    table.view(np.float64)[ROW] = sizes
-    table = table[T0:]
+    _, widths, covered, log_free_run = layout.segments(log_free)
+    free = np.exp(log_free_run)
+    # per class, log p = log1p(-mean free chance), exact near saturation;
+    # a class whose slots are all busy for sure gets -0.0
+    log_busy = np.log1p(
+        [-(widths[covered[c.id]] @ free[covered[c.id]]) / size for c, size in zip(classes, sizes)]
+    )
+    # every class's ranges laid end to end, in class order, so that a class
+    # starts at class_starts[pos]: position v of the range that starts at
+    # starts[r] there is RAO v + shifts[r], and range_keys[r] is the range's
+    # class position times total_slots plus its first RAO
+    spans = np.array([(pos, first, last) for pos, c in enumerate(classes)
+                      for first, last in layout.ranges[c.id]], dtype=np.int64)
+    lengths = spans[:, 2] - spans[:, 1] + 1
+    starts = np.cumsum(lengths) - lengths
+    shifts = spans[:, 1] - starts
+    range_keys = spans[:, 0] * total_slots + spans[:, 1]
+    class_starts = np.cumsum(sizes) - sizes
+    pools = np.array(sizes, dtype=np.float64)
+    scales = pools * 2.0**-53  # exact
     backoffs = np.array([c.backoff for c in classes])
-    occupancy_key = _hash_key(config.seed, 1)
+    inside_possible = backoffs.min() < horizon  # t0 >= 0: a retry lands at t0 + backoff or later
+    attempt_cap = float(min(config.max_attempts, 2**63))  # max_attempts may pass the floats
     pick_keys = np.concatenate([_hash_key(config.seed, 1, c.id) for c in classes])
 
-    def first_attempts(part, lo, hits, pick_heads, occupancy_heads, state, work):
-        """Fill ``state`` for the requests whose first tagged values are
-        ``part``, from position ``lo`` of ``hits``, and their (class,
-        iteration) cells; five rows of the spare block are temporaries."""
-        m, ints, floats = part.size, state.view(np.int64), state.view(np.float64)
-        pos, first_key, iteration, index, spare = work.other[: 5 * m].view(np.int64).reshape(5, m)
-        base = ints[BASE] if inside_possible else index
-        cells = work.cells[:m]
-        np.bitwise_and(part, (1 << tag_bits) - 1, out=pos)
-        np.right_shift(part, tag_bits, out=first_key)
-        # the iteration in the chunk, and the key in it; divmod would not use libdivide
-        np.floor_divide(first_key, span, out=iteration)
-        np.multiply(iteration, span, out=base)
-        first_key -= base
-        np.multiply(pos, occupancy_heads.size, out=cells)
-        cells += iteration
-        np.take(occupancy_heads, iteration, out=state[OCCUPANCY], mode="clip")
-        pick = state[PICK]
-        np.take(pick_heads, cells, out=pick, mode="clip")
-        np.bitwise_xor(pick, first_key.view(np.uint64), out=pick)
-        _mix(pick, spare.view(np.uint64))
-        np.take(table, pos, axis=1, out=state[T0 : ROW + 1], mode="clip")
+    def retry(pick, tags, keys, within, tagged):
+        """Retry the requests inside the horizon, one attempt of each per
+        step. Return each one's successful attempt, or 0, and its first
+        attempt past the horizon, or inf when it succeeds or reaches the
+        attempt cap before it."""
+        m = pick.size
+        second = within // total_slots
+        rao = within - second * total_slots
         # the time within a second follows the first RAO's position in the pool
-        second = iteration
-        np.floor_divide(first_key, total_slots, out=second)
-        np.multiply(second, total_slots, out=index)
-        np.subtract(first_key, index, out=index)  # the first RAO
-        rao = index.copy() if multi else None
-        index -= ints[T0]
-        for p in multi:
-            among = pos == p
-            index[among] = layout.index_of(classes[p].id, rao[among])
-        t0 = floats[T0]
-        np.add(index, 0.5, out=t0)
-        np.divide(t0, floats[ROW], out=t0)
-        np.add(second, t0, out=t0)
-        # the rank counts the class's requests in the whole chunk with this first key
-        order, rank = ints[ROW], iteration
-        order[:] = np.arange(m)
-        np.not_equal(part[1:], part[:-1], out=work.flags[1:m])
-        rank[0] = 0
-        np.multiply(work.flags[1:m], order[1:], out=rank[1:])
-        np.maximum.accumulate(rank, out=rank)
-        np.subtract(order, rank, out=rank)
-        carry = lo - int(np.searchsorted(hits, part[0]))
-        if carry:
-            rank[: np.searchsorted(part, part[0], "right")] += carry
-        np.bitwise_xor(pick, rank.view(np.uint64), out=pick)
-        _mix(pick, spare.view(np.uint64))
+        at = range_keys.searchsorted(tags * total_slots + rao, "right") - 1
+        t0 = second + (rao - shifts[at] - class_starts[tags] + 0.5) / pools[tags]
+        done, first_past = np.zeros(m), np.full(m, np.inf)
+        base = keys - within  # the iteration's first key in the chunk
+        pending, attempt = np.arange(m), 2
+        while pending.size and attempt <= config.max_attempts:
+            time = backoffs[tags[pending]] * float(attempt - 1) + t0[pending]
+            past = time >= horizon
+            first_past[pending[past]] = attempt
+            pending, time = pending[~past], time[~past]
+            position = (_hash(pick[pending], attempt) >> 11) * scales[tags[pending]]
+            virtual = position.astype(np.int64) + class_starts[tags[pending]]
+            picked = virtual + shifts[starts.searchsorted(virtual, "right") - 1]
+            probe = time.astype(np.int64) * total_slots + picked + base[pending]
+            # the slot is busy when a tagged value holds its key; a retry into
+            # its own first slot finds it busy without counting itself, since
+            # only collided requests retry, so another request holds it too
+            found = tagged.searchsorted((probe << tag_bits).astype(tagged.dtype))
+            busy = tagged.take(found, mode="clip") >> tag_bits == probe
+            done[pending[~busy]] = attempt
+            pending = pending[busy]
+            attempt += 1
+        return done, first_past
 
-    def retry(state, tagged, done, work):
-        """Retry the requests of ``state`` until success or the attempt cap;
-        write each one's successful attempt, or 0, to ``done``. A step's
-        arrays are views of the block that does not hold the state."""
-        attempt, capacity = 2, work.flags.size // 2
-        while state.shape[1] and attempt <= config.max_attempts:
-            k = state.shape[1]
-            width = min(config.max_attempts + 1 - attempt, max(1, RETRY_WINDOW // k))
-            shape, size = (width, k), width * k
-            floats, ints = state.view(np.float64), state.view(np.int64)
-            key = work.other[:size].view(np.int64).reshape(shape)
-            h = work.other[size : 2 * size].reshape(shape)
-            spare = work.other[2 * size : 3 * size].reshape(shape)
-            time = h.view(np.float64)
-            # the seconds of the window's attempts; casting floors them, being >= 0
-            steps = np.arange(attempt - 1, attempt - 1 + width, dtype=np.float64)[:, None]
-            np.multiply(floats[BACKOFF], steps, out=time)
-            time += floats[T0]
-            np.copyto(key, time, casting="unsafe")
-            inside = None
-            if inside_possible and (attempt - 1) * min_backoff < horizon:
-                inside = work.flags[capacity : capacity + size].reshape(shape)
-                np.less(key, horizon, out=inside)
-                if not inside.any():
-                    inside = None
-            if saturated:
-                dead = (state[BOUND] == 2**53) & (key[-1] >= horizon)
-            key *= total_slots
-            attempts = np.arange(attempt, attempt + width, dtype=np.uint64)[:, None]
-            np.bitwise_xor(state[PICK], attempts, out=h)
-            _mix(h, spare)
-            h >>= 11
-            position = spare.view(np.float64)
-            np.copyto(position, h.view(np.int64), casting="unsafe")  # exact below 2**53
-            position *= floats[SCALE]
-            rao = h.view(np.int64)
-            np.copyto(rao, position, casting="unsafe")
-            rao += ints[OFFSET]
-            for start, shift in remaps:
-                np.add(rao, shift, out=rao, where=rao >= start)
-            key += rao
-            free = work.flags[:size].reshape(shape)
-            if inside is None or not inside.all():
-                if per_run:
-                    bounds = run_bounds[np.searchsorted(run_starts, rao, "right") - 1]
-                else:
-                    bounds = state[BOUND]
-                np.bitwise_xor(state[OCCUPANCY], key.view(np.uint64), out=h)
-                _mix(h, spare)
-                h >>= 11
-                np.greater_equal(h, bounds, out=free)
-            if inside is not None:
-                # look the slot key up in the chunk's sorted tagged values: it is
-                # busy when a request holds it; a retry into the slot of its own
-                # first attempt finds it busy without counting itself, since
-                # only collided requests retry, so another request holds it too
-                at = inside.ravel().nonzero()[0]
-                probe = key.ravel()[at] + ints[BASE][at % k]
-                found = np.searchsorted(tagged, (probe << tag_bits).astype(tagged.dtype))
-                held = found < tagged.size
-                np.minimum(found, tagged.size - 1, out=found)
-                held &= (tagged[found] >> tag_bits) == probe
-                free.ravel()[at] = ~held
-            # each request's first free attempt of the window, or 0
-            first = spare[0].view(np.int64)
-            if width == 1:
-                np.multiply(free[0], attempt, out=first)
-            else:
-                # the window's earlier free attempts score higher, busy ones 0
-                score = np.multiply(free, np.arange(width, 0, -1)[:, None]).max(axis=0)
-                np.subtract(attempt + width, score, out=first)
-                first *= score > 0
-            done[ints[ROW]] = first
-            pending = np.equal(first, 0, out=work.flags[capacity : capacity + k])
-            if saturated:
-                pending &= ~dead
-            keep = pending.nonzero()[0]
-            compacted = work.other[: rows * keep.size].reshape(rows, keep.size)
-            np.take(state, keep, axis=1, out=compacted, mode="clip")
-            work.state, work.other, state = work.other, work.state, compacted
-            attempt += width
+    def tail(pick, tags, first_past, done):
+        """Each request's successful attempt from ``first_past`` on, where
+        it has one before the cap: ``first_past + floor(log u / log p)``
+        for a uniform u in (0, 1] hashed from the pick's fields and 1, a
+        field that no retry hashes, since attempt 1 is the fresh one."""
+        u = ((_hash(pick, 1) >> 11) + 1) * 2.0**-53
+        with np.errstate(divide="ignore", invalid="ignore"):  # log p = -0.0: inf or NaN, censored
+            attempts = first_past + np.floor(np.log(u) / log_busy[tags])
+        return np.where(attempts <= attempt_cap, attempts, done)
 
-    def measure(hits, tagged, chunk, tally, scratch):
+    def measure(hits, tagged, chunk, tally):
         n = chunk.stop - chunk.start
-        iterations = np.arange(chunk.start, chunk.stop)
-        # the hashes' first fields, (class,) iteration: _hash(k, a, b) == _hash(_hash(k, a), b)
-        pick_heads = _hash(pick_keys[:, None], iterations).ravel()
-        occupancy_heads = _hash(occupancy_key, iterations)
+        # the pick hashes' first fields, class and iteration, folded once:
+        # _hash(k, a, b) == _hash(_hash(k, a), b)
+        pick_heads = _hash(pick_keys[:, None], np.arange(chunk.start, chunk.stop)).ravel()
         sums = np.zeros(n_classes * n)
         successes = np.zeros(n_classes * n, dtype=np.int64)
         for lo in range(0, hits.size, RETRY_KEYS):
             part = hits[lo : lo + RETRY_KEYS]
-            work = _RetryWork(scratch, rows, part.size)
-            state = work.state[: rows * part.size].reshape(rows, part.size)
-            first_attempts(part, lo, hits, pick_heads, occupancy_heads, state, work)
-            cells, done = work.cells[: part.size], work.done[: part.size]
-            done[:] = 0
-            retry(state, tagged, done, work)
+            tags = (part & ((1 << tag_bits) - 1)).astype(np.int64)
+            keys = (part >> tag_bits).astype(np.int64)
+            iteration = keys // span
+            within = keys - iteration * span
+            cells = tags * n + iteration
+            # the rank counts the requests in the whole chunk with this tagged
+            # value: its position less that of the first of them
+            index = np.arange(lo, lo + part.size)
+            first = np.where(np.r_[True, part[1:] != part[:-1]], index, 0)
+            first[0] = hits.searchsorted(part[0])
+            rank = index - np.maximum.accumulate(first)
+            pick = _hash(pick_heads[cells], within, rank)
+            if inside_possible:
+                done, first_past = retry(pick, tags, keys, within, tagged)
+            else:
+                done, first_past = np.zeros(part.size), 2.0
+            done = tail(pick, tags, first_past, done)
             sums += np.bincount(cells, weights=done, minlength=sums.size)  # whole numbers
             successes += np.bincount(cells[done > 0], minlength=successes.size)
         sums, successes = sums.reshape(n_classes, n), successes.reshape(n_classes, n)
@@ -781,23 +675,6 @@ def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig)
         tally.censored[:, chunk] = collided - successes
 
     return measure
-
-
-class _RetryWork:
-    """The arrays that the delay meter retries a slice of ``size`` requests
-    in, views of the run's scratch: two blocks, one holding the state
-    (``rows`` rows) and the other a step's three arrays, which trade places
-    after each step; per request its cell and successful attempt; and two
-    masks per evaluated attempt."""
-
-    def __init__(self, scratch: _Scratch, rows: int, size: int) -> None:
-        capacity = max(size, RETRY_WINDOW)
-        length = max(rows * size, 3 * capacity)
-        self.state = scratch.take("retry_state", np.uint64, length)
-        self.other = scratch.take("retry_other", np.uint64, length)
-        self.cells = scratch.take("retry_cells", np.int64, size)
-        self.done = scratch.take("retry_done", np.int64, size)
-        self.flags = scratch.take("retry_flags", bool, 2 * capacity)
 
 
 def sweep_dedication(

@@ -206,6 +206,11 @@ class TestRateReservation:
         with pytest.raises(AllocationError):
             reserve_for_collision_rate(50.0, bad)
 
+    def test_need_past_the_float_range_is_an_overload(self):
+        # math.ceil of the infinite need used to raise a raw OverflowError
+        with pytest.raises(OverloadError, match="more RAOs than the float range holds"):
+            reserve_for_collision_rate(1e300, 1e-10)
+
     @given(gamma=st.floats(0.5, 5000.0), max_rate=st.floats(1e-4, 0.9))
     @settings(max_examples=100)
     def test_ceil_is_tight(self, gamma, max_rate):

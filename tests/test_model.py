@@ -51,6 +51,11 @@ class TestDeriveRaDensity:
         with pytest.raises(ScenarioError):
             derive_ra_density(population, rate, group)
 
+    def test_coordinators_past_the_float_range_rejected(self):
+        # the int-times-float product used to raise a raw OverflowError
+        with pytest.raises(ScenarioError, match="past the float range"):
+            derive_ra_density(10**400, 1e-300)
+
     @given(
         population=st.integers(1, 10**6),
         rate=st.floats(1e-6, 10.0),

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import time
@@ -258,9 +259,10 @@ def reference_run(scenario, allocation, config):
     return simulator._summarize(classes, config, tally)
 
 
-def busy_chance(scenario, slots, rao, mode):
-    """Chance that fresh arrivals occupy one slot of RAO ``rao`` in a second,
-    summed over the classes whose slot arrays hold it, in class order."""
+def log_free_chance(scenario, slots, rao, mode):
+    """Log of the chance that fresh arrivals leave one slot of RAO ``rao``
+    free in a second, summed over the classes whose slot arrays hold it, in
+    class order."""
     log_free = 0.0
     for cls in scenario.classes:
         if rao in slots[cls.id]:
@@ -269,37 +271,46 @@ def busy_chance(scenario, slots, rao, mode):
                 log_free += -cls.ra_density / size
             else:
                 log_free += cls.coordinators * np.log1p(-cls.per_device_rate / size)
-    return -np.expm1(log_free)
+    return log_free
 
 
 def reference_delays(scenario, cls, slots, occupancy, firsts, config, iteration):
     """Retries of one class's collided requests in one iteration, one
-    request at a time, in request order. Returns the summed attempts of the
-    successes, their number and the censored count."""
+    request at a time, in request order. Inside the horizon each attempt
+    looks its slot up in the dense occupancy; from the first attempt past
+    it, the busy attempts before the success are one geometric draw at the
+    class's busy chance averaged over its slots. Returns the summed attempts
+    of the successes, their number and the censored count."""
     total, horizon = scenario.total_raos, config.horizon
     pool = slots[cls.id]
-    occupancy_key = simulator._hash_key(config.seed, 1)
+    with np.errstate(divide="ignore"):
+        log_free = [log_free_chance(scenario, slots, rao, config.arrival_mode) for rao in pool]
+    log_busy = np.log1p(-np.exp(log_free).mean())
     pick_key = simulator._hash_key(config.seed, 1, cls.id)
     attempt_sum = done = censored = 0
     for n, k0 in enumerate(firsts.tolist()):
         rank = firsts[:n].tolist().count(k0)
         t0 = k0 // total + (np.searchsorted(pool, k0 % total) + 0.5) / pool.size
         pick = simulator._hash(pick_key, iteration, k0, rank)
+        success = None
         for attempt in range(2, config.max_attempts + 1):
-            second = math.floor(t0 + (attempt - 1) * cls.backoff)
-            rao = int(pool[int(uniform(pick, attempt)[0] * pool.size)])
-            key = second * total + rao
-            if second < horizon:
-                busy = occupancy[key] - (key == k0) >= 1
-            else:
-                u = uniform(occupancy_key, iteration, key)[0]
-                busy = u < busy_chance(scenario, slots, rao, config.arrival_mode)
-            if not busy:
-                attempt_sum += attempt
-                done += 1
+            when = t0 + (attempt - 1) * cls.backoff
+            if when >= horizon:
+                u = uniform(pick, 1) + 2.0**-53  # in (0, 1]
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    last = attempt + np.floor(np.log(u) / log_busy)[0]
+                success = last if last <= config.max_attempts else None
                 break
-        else:
+            rao = int(pool[int(uniform(pick, attempt)[0] * pool.size)])
+            key = math.floor(when) * total + rao
+            if occupancy[key] - (key == k0) == 0:
+                success = attempt
+                break
+        if success is None:
             censored += 1
+        else:
+            attempt_sum += success
+            done += 1
     return attempt_sum, done, censored
 
 
@@ -357,7 +368,7 @@ REFERENCE_CASES = {
         SimConfig(iterations=40, seed=6, measure_delay=True, max_attempts=3),
     ),
     # few coordinators on 5-RAO pools, so (1 - q/L)^N is far from
-    # exp(-N q/L), and most retries probe hashed slots past the horizon
+    # exp(-N q/L), and most retries draw their busy attempts past the horizon
     "delay-bernoulli-partial": lambda: (
         validate_scenario(
             Scenario(
@@ -393,8 +404,8 @@ REFERENCE_CASES = {
         SharingTopology.from_ranges({1: [(0, 4), (20, 24)], 2: [(3, 19)], 3: [(10, 29)]}),
         SimConfig(iterations=30, seed=9, horizon=3, measure_delay=True, max_attempts=6),
     ),
-    # 60 Hz on one RAO fills it for sure, so class 1 stops once its retries
-    # are past the horizon, while class 2 beside it keeps retrying
+    # 60 Hz on one RAO fills it for sure, so class 1's retries past the
+    # horizon are censored at once, while class 2 beside it keeps retrying
     "delay-saturated-beside-free": lambda: (
         validate_scenario(
             Scenario(
@@ -572,6 +583,30 @@ class TestMemory:
         assert cls.censored == cls.collided == cls.attempts > 0.99 * requests
         assert peak / cls.attempts < 14
 
+    def test_past_horizon_retries_add_nothing_to_the_peak(self):
+        # the cell above, whose retries all land past the horizon: their
+        # geometric draws take no retry state, so delays leave run()'s peak
+        # within 0.05 bytes per request of that of the fresh keys' build;
+        # the retry blocks of the attempt-by-attempt loop added 0.16. A
+        # small run first makes the one-time allocations of the first run.
+        requests = 1_000_000
+        scenario = single_class_scenario(gamma=float(requests), total=requests // 30)
+        plan = AllocationPlan({1: requests // 30})
+        run(scenario, plan, SimConfig(iterations=1, measure_delay=True, max_attempts=3))
+        peaks = []
+        for measure_delay in (False, True):
+            config = SimConfig(iterations=1, seed=1, measure_delay=measure_delay, max_attempts=3)
+            tracemalloc.start()
+            try:
+                stats = run(scenario, plan, config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        cls = stats.per_class[1]
+        assert cls.censored == cls.collided == cls.attempts > 0.99 * requests
+        assert peaks[0] < 13 * cls.attempts
+        assert peaks[1] - peaks[0] < 0.05 * cls.attempts
+
     def test_attempt_cap_costs_nothing_without_collisions(self):
         # a cell that draws no request: no retry loop runs, and nothing is
         # sized by max_attempts * backoff
@@ -592,6 +627,18 @@ class TestMemory:
         assert time.perf_counter() - start < 1.0
         assert stats.per_class[1].attempts > 0
         assert stats.per_class[1].censored == stats.per_class[1].attempts
+
+    def test_nearly_saturated_retries_cost_one_draw(self):
+        # 6.9 requests per RAO: a retry succeeds with chance e**-6.9, so a
+        # request retried attempt by attempt would take about 1 000 steps;
+        # past the horizon each request draws its busy attempts at once
+        scenario = single_class_scenario(gamma=69.0, total=10)
+        config = SimConfig(iterations=2000, seed=1, measure_delay=True, max_attempts=10**4)
+        start = time.perf_counter()
+        stats = run(scenario, AllocationPlan({1: 10}), config)
+        assert time.perf_counter() - start < 1.0
+        s = stats.per_class[1]
+        assert abs(s.mean_delay - math.exp(6.9)) < 4 * s.delay_stderr
 
     def test_saturated_stop_holds_for_many_requests(self):
         # 20 000 requests fill one RAO: the stop must come per request, not
@@ -735,7 +782,62 @@ class TestIsolation:
         assert burst.per_class[1].collision_rate > 5 * base.per_class[1].collision_rate
 
 
+def bernoulli_past_horizon_delay(scenario, layout, cls, max_attempts):
+    """Mean inclusive delay over the successes of a per-device Bernoulli
+    class whose retries all land past the horizon, read slot by slot: its
+    first attempt collides when one of the other coordinators picks its
+    slot, and each retry is busy when any coordinator does, each chance
+    averaged over the class's RAOs."""
+    pools = {c.id: [rao for first, last in layout.ranges[c.id] for rao in range(first, last + 1)]
+             for c in scenario.classes}
+
+    def free(rao, own):
+        chance = 1.0
+        for c in scenario.classes:
+            if rao in pools[c.id]:
+                others = c.coordinators - (c is own)
+                chance *= (1 - c.per_device_rate / len(pools[c.id])) ** others
+        return chance
+
+    first = 1 - np.mean([free(rao, cls) for rao in pools[cls.id]])
+    busy = 1 - np.mean([free(rao, None) for rao in pools[cls.id]])
+    attempts = np.arange(2, max_attempts + 1)
+    succeed = first * busy ** (attempts - 2) * (1 - busy)
+    return cls.backoff * ((1 - first) + attempts @ succeed) / ((1 - first) + succeed.sum())
+
+
 class TestDelayMeasurement:
+    def test_past_horizon_delays_are_calibrated_over_seeds(self):
+        # z of each seed's mean delay against its expectation, over 200
+        # seeds: both classes of a light Poisson cell on the overlapping
+        # layout, against layout_metrics, and class 2 of the
+        # delay-bernoulli-partial cell (class 1's 0.5 s backoff retries
+        # inside the horizon), against the slot-by-slot expectation with its
+        # attempt cap. Every class's pool holds runs of different busy
+        # chances. Runs of a few hundred seconds keep the skew of each
+        # seed's t-statistic small.
+        light = _light_cell(Strategy.PARTIAL_DEDICATION, backoffs=(5.0, 5.0))
+        metrics = layout_metrics(light, pool_layout(light, OVERLAP))
+        bernoulli, topology, config = REFERENCE_CASES["delay-bernoulli-partial"]()
+        cases = [
+            (light, OVERLAP, SimConfig(iterations=400, horizon=5, measure_delay=True),
+             {cid: m.mean_delay for cid, m in metrics.items()}),
+            (bernoulli, topology, dataclasses.replace(config, iterations=100, horizon=3),
+             {2: bernoulli_past_horizon_delay(bernoulli, topology, bernoulli.classes[1],
+                                              config.max_attempts)}),
+        ]
+        for scenario, layout, config, expected in cases:
+            z = {cid: [] for cid in expected}
+            for seed in range(200):
+                stats = run(scenario, layout, dataclasses.replace(config, seed=seed))
+                for cid, delay in expected.items():
+                    s = stats.per_class[cid]
+                    z[cid].append((s.mean_delay - delay) / s.delay_stderr)
+            for cid, values in z.items():
+                sd = np.std(values, ddof=1)
+                assert 0.85 <= sd <= 1.15, (cid, sd)
+                assert abs(np.mean(values)) <= 3 * sd / math.sqrt(len(values)), (cid, values)
+
     def test_no_retries_means_one_backoff(self):
         scenario = single_class_scenario(gamma=5.0, total=100000, backoff=2.0)
         stats = run(
