@@ -17,6 +17,7 @@ import numbers
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
+from functools import cached_property
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -178,7 +179,8 @@ class SharingTopology:
     dedication gives each class its own contiguous block (``from_plan``),
     and partial dedication lets ranges of different classes overlap. Build
     one with ``from_ranges``, ``fully_shared`` or ``from_plan``. No slot
-    array is built: ``rao_at`` and ``index_of`` read the range ends.
+    array is built: ``rao_at`` and ``index_of`` read the range ends; they
+    name a class by its position in ``ranges``, or an int64 array of them.
     """
 
     ranges: Mapping[int, tuple[tuple[int, int], ...]]
@@ -187,25 +189,35 @@ class SharingTopology:
         return sum(last - first + 1 for first, last in self.ranges[class_id])
 
     def rao_at(
-        self, class_id: int, index: np.ndarray, out: np.ndarray | None = None
+        self, pos: int | np.ndarray, index: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """The RAOs at positions ``index`` (integers) of the class's usable
-        RAOs, counted from 0 in ascending order, in ``out`` if given (it may
-        be ``index``); each range past the first adds its gap to the
-        positions it holds."""
-        spans = self.ranges[class_id]
-        rao = np.add(index, spans[0][0], out=out)
-        for (_, before), (first, _) in zip(spans, spans[1:]):
-            rao[rao > before] += first - before - 1
-        return rao
+        """The RAOs at positions ``index`` (integers, from 0 in ascending
+        order) of the usable RAOs of the classes at ``pos``, in ``out`` if
+        given (it may be ``index``); one class of one range costs one add."""
+        if not isinstance(pos, np.ndarray) and len(spans := tuple(self.ranges.values())[pos]) == 1:
+            return np.add(index, spans[0][0], out=out)
+        index_keys, _, shifts, stride = self._laid_out
+        at = index_keys.searchsorted(np.int64(pos) * stride + index, "right") - 1
+        return np.add(index, shifts[at], out=out, casting="unsafe")  # out holds every RAO
 
-    def index_of(self, class_id: int, rao: np.ndarray) -> np.ndarray:
-        """The positions of usable RAOs ``rao`` (int64); inverts ``rao_at``."""
-        spans = self.ranges[class_id]
-        index = rao - spans[0][0]
-        for (_, before), (first, _) in zip(spans, spans[1:]):
-            index[rao >= first] -= first - before - 1
-        return index
+    def index_of(self, pos: int | np.ndarray, rao: np.ndarray) -> np.ndarray:
+        """The positions (int64) of usable RAOs ``rao`` in the pools of the
+        classes at ``pos``; inverts ``rao_at``."""
+        _, rao_keys, shifts, stride = self._laid_out
+        at = rao_keys.searchsorted(np.int64(pos) * stride + rao, "right") - 1
+        return rao - shifts[at]
+
+    @cached_property
+    def _laid_out(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """Per range of every class, in the order of ``ranges``: its class
+        position times ``stride``, which passes every RAO, plus its first
+        position, and plus its first RAO; and the shift from one to the other."""
+        rows = [(c, *span) for c, spans in enumerate(self.ranges.values()) for span in spans]
+        pos, firsts, lasts = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+        starts = np.cumsum(np.append(0, lasts - firsts + 1))[:-1]  # laid end to end
+        starts -= starts[pos.searchsorted(pos)]  # from the first of the class's ranges
+        stride = int(lasts.max(initial=-1)) + 1
+        return pos * stride + starts, pos * stride + firsts, firsts - starts, stride
 
     def segments(
         self, weights: Mapping[int, float]

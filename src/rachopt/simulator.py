@@ -15,8 +15,7 @@ one in-place sort of these values, in uint32 when they fit and int64
 otherwise, covers a chunk of consecutive iterations holding about
 ``CHUNK_KEYS`` requests (at least one iteration). A run builds, sorts and
 scans every chunk in the same few arrays, which only grow, so that no chunk
-faults fresh memory in. Before drawing, ``run`` refuses an iteration over
-``MAX_ITEMS_PER_ITERATION``, and keys past int64.
+faults fresh memory in; ``run`` refuses inputs past its limits before that.
 
 Random numbers follow one layout, named by ``RNG_LAYOUT``. Iterations are
 grouped into blocks of ``max(1, BLOCK_SECONDS // horizon)``. Fresh arrivals
@@ -35,34 +34,32 @@ depend on whether delays are measured; and delays depend on which slot keys
 collided, not on the order of the requests.
 
 Delay measurement retries collided requests after the class backoff until
-success or the attempt cap, on any pool layout; the collided requests of
-every class in a chunk are handled together, ``RETRY_KEYS`` at a time.
-Retries probe the occupancy made by fresh arrivals but do not add to it:
-the closed-form delay model gives every attempt the fresh-traffic collision
-probability, and feeding retries back into the load would make the
-simulator unstable at high rates. Attempt k of a request lands at
-``t0 + (k - 1) * backoff``, where the first attempt's time ``t0`` is its
-second plus ``(position + 0.5) / size`` for its RAO's position in the pool.
-Inside the horizon, the attempt's RAO comes from a uniform hashed from
+success or the attempt cap, on any pool layout. Retries probe the occupancy
+made by fresh arrivals but do not add to it: the closed-form delay model
+gives every attempt the fresh-traffic collision probability, and feeding
+retries back into the load would make the simulator unstable at high
+rates. Attempt k of a request lands at ``t0 + (k - 1) * backoff``, where
+``t0`` is its second plus ``(position + 0.5) / size`` for its RAO's
+position in the pool, so only a class whose backoff is below the horizon
+retries inside it. There, an attempt's RAO comes from a uniform hashed from
 (seed, class, iteration, first slot key, rank among the requests with that
-tagged key, attempt), and the attempt looks its slot key up in the chunk's
-sorted tagged keys. Past the horizon no traffic is drawn: each attempt
-there is busy with the class's mean busy chance ``p`` over its usable RAOs,
-where a RAO is free with chance ``exp(-sum gamma_j / L_j)`` under Poisson
-arrivals and ``prod (1 - q_j / L_j) ** N_j`` under per-device Bernoulli
-arrivals, over the classes j whose ranges hold it. So a request whose first
-attempt past the horizon is a0 succeeds on attempt
-``a0 + floor(log u / log p)``, for one uniform u in (0, 1] hashed from the
-fields of its picks and the attempt number 1, which no retry uses; it is
-censored past the attempt cap, and at once when ``p`` is 1. Each request's
-delay has the distribution of independent attempts at ``p``; only the
-coupling of two retries that land in one slot past the horizon is lost,
-which the closed form ignores too.
+tagged key, attempt), and it looks its slot key up in the chunk's sorted
+tagged keys. Past the horizon no slot key is formed and no traffic is
+drawn: each attempt there is busy with the class's mean busy chance ``p``
+over its usable RAOs, where a RAO is free with chance
+``exp(-sum gamma_j / L_j)`` under Poisson arrivals and
+``prod (1 - q_j / L_j) ** N_j`` under per-device Bernoulli arrivals, over
+the classes j whose ranges hold it. So a request's busy attempts from its
+first one past the horizon on are one geometric draw at ``p``, censored
+past the attempt cap and at once when ``p`` is 1; only the coupling of two
+retries that land in one slot past the horizon is lost, which the closed
+form ignores too.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -282,17 +279,24 @@ def _check_inputs(scenario: Scenario, config: SimConfig) -> None:
             f"counts per iteration, over the simulator's limit of "
             f"{MAX_ITEMS_PER_ITERATION}; lower the horizon"
         )
-    # a chunk's tagged keys span at most a block; no (untagged) retry lands later
-    # (floats round monotonically). Passing implies total_raos < 2**51, so picks are exact.
+    # a chunk's tagged keys span at most a block, and a retry probes only keys
+    # inside the horizon. Passing implies total_raos < 2**51, so picks are exact.
     seconds = max(horizon, BLOCK_SECONDS) << (len(scenario.classes) - 1).bit_length()
-    if config.measure_delay:
-        slowest = max(cls.backoff for cls in scenario.classes)
-        attempts = min(config.max_attempts - 1, 2**63)  # so that it converts to a float
-        seconds = max(seconds, math.floor(horizon + attempts * slowest) + 1)
     if seconds * scenario.total_raos >= 2**63:
         raise SimulationError(
             f"slot keys up to {seconds} x {scenario.total_raos}, class tag included, do not "
-            f"fit in 64 bits; lower total_raos, the horizon, the backoff or max_attempts"
+            f"fit in 64 bits; lower total_raos or the horizon"
+        )
+    # A counted delay is k <= min(max_attempts, 2**63) backoffs, so per-iteration means lie
+    # in [0, longest]; iterations * longest**2 within half the float range keeps _mean_stderr's
+    # sums of them and their squared deviations finite, as is any delay sum, <= 2**63 * longest.
+    longest = float(min(config.max_attempts, 2**63)) * max(c.backoff for c in scenario.classes)
+    limit = math.sqrt(sys.float_info.max / 2 / config.iterations)
+    if config.measure_delay and longest > limit:
+        raise SimulationError(
+            f"delays up to {longest:.3g} s, max_attempts times the slowest backoff, pass the "
+            f"{limit:.3g} s that the delay tallies of {config.iterations} iterations hold; "
+            f"lower the backoff, max_attempts or iterations"
         )
 
 
@@ -348,13 +352,15 @@ def run(
     is not read. With ``config.measure_delay`` set, per-class mean inclusive
     access delays are tracked as well, on every layout. Raises
     SimulationError before any draw when one iteration would exceed
-    ``MAX_ITEMS_PER_ITERATION`` or a slot key would not fit in int64.
+    ``MAX_ITEMS_PER_ITERATION``, the tallies ``MAX_TALLY_BYTES``, a slot key
+    int64, or max_attempts backoffs what the delay tallies hold finite.
     """
     config.validate()
-    layout = pool_layout(scenario, allocation)
+    ranges = pool_layout(scenario, allocation).ranges
     _check_inputs(scenario, config)
 
     classes = scenario.classes
+    layout = SharingTopology({c.id: ranges[c.id] for c in classes})  # positions as in the tags
     iters, horizon = config.iterations, config.horizon
     total_slots = scenario.total_raos
     span = horizon * total_slots  # slot keys per iteration
@@ -448,7 +454,7 @@ def _fresh_keys(
     # _collisions overwrites the spare array next
     uniforms = scratch.take("spare", np.float64, max(1, keys.nbytes // 8))
     end = 0
-    for cls, rng, size in zip(classes, rngs, sizes):
+    for pos, (cls, rng, size) in enumerate(zip(classes, rngs, sizes)):
         picks, pool = keys[end : end + size], layout.size(cls.id)
         # doubles convert to int32 twice as fast as to uint32
         index = picks.view(np.int32) if dtype == np.uint32 and pool <= 2**31 else picks
@@ -457,7 +463,7 @@ def _fresh_keys(
             u = rng.random(out=uniforms[: part.size])
             u *= pool  # below 2**53, u * pool rounds below pool
             np.copyto(part, u, casting="unsafe")
-        layout.rao_at(cls.id, picks, out=picks)
+        layout.rao_at(pos, picks, out=picks)
         end += size
     keys <<= tag_bits
     tags = np.arange(len(classes), dtype=dtype)[:, None]
@@ -548,15 +554,11 @@ def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig)
     collided request of one chunk, given the chunk's collided and all its
     tagged values, sorted, and the tally. It fills the chunk's delay sums,
     successes and censored requests in the tally; a success on attempt k
-    took k backoff periods.
-
-    The collided requests of every class are handled together, in slices of
-    ``RETRY_KEYS`` values, so that no array grows with the chunk; a
-    request's rank among equal values counts over the whole chunk, so the
-    slices change no number. Attempts inside the horizon probe the chunk's
-    tagged values one step at a time (``retry``). From a request's first
-    attempt past the horizon on, its busy attempts are one geometric draw
-    at its class's mean busy chance (``tail``)."""
+    took k backoff periods. The collided requests of every class are
+    handled together, in slices of ``RETRY_KEYS`` values, so that no array
+    grows with the chunk; a request's rank among equal values counts over
+    the whole chunk, so the slices change no number. ``retry`` steps the
+    attempts inside the horizon, and ``tail`` draws the rest at once."""
     horizon, total_slots, classes = config.horizon, scenario.total_raos, scenario.classes
     span, n_classes = horizon * total_slots, len(classes)
     tag_bits = (n_classes - 1).bit_length()
@@ -578,46 +580,30 @@ def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig)
     log_busy = np.log1p(
         [-(widths[covered[c.id]] @ free[covered[c.id]]) / size for c, size in zip(classes, sizes)]
     )
-    # every class's ranges laid end to end, in class order, so that a class
-    # starts at class_starts[pos]: position v of the range that starts at
-    # starts[r] there is RAO v + shifts[r], and range_keys[r] is the range's
-    # class position times total_slots plus its first RAO
-    spans = np.array([(pos, first, last) for pos, c in enumerate(classes)
-                      for first, last in layout.ranges[c.id]], dtype=np.int64)
-    lengths = spans[:, 2] - spans[:, 1] + 1
-    starts = np.cumsum(lengths) - lengths
-    shifts = spans[:, 1] - starts
-    range_keys = spans[:, 0] * total_slots + spans[:, 1]
-    class_starts = np.cumsum(sizes) - sizes
     pools = np.array(sizes, dtype=np.float64)
     scales = pools * 2.0**-53  # exact
     backoffs = np.array([c.backoff for c in classes])
-    inside_possible = backoffs.min() < horizon  # t0 >= 0: a retry lands at t0 + backoff or later
+    steps = backoffs < horizon  # t0 >= 0: only these classes retry inside the horizon
     attempt_cap = float(min(config.max_attempts, 2**63))  # max_attempts may pass the floats
     pick_keys = np.concatenate([_hash_key(config.seed, 1, c.id) for c in classes])
 
     def retry(pick, tags, keys, within, tagged):
-        """Retry the requests inside the horizon, one attempt of each per
-        step. Return each one's successful attempt, or 0, and its first
-        attempt past the horizon, or inf when it succeeds or reaches the
-        attempt cap before it."""
-        m = pick.size
-        second = within // total_slots
-        rao = within - second * total_slots
+        """Each request's successful attempt, or 0: one attempt of each per
+        step inside the horizon, then ``tail`` from its first attempt past
+        it, unless it succeeds or reaches the attempt cap before that."""
+        second, rao = within // total_slots, within % total_slots
         # the time within a second follows the first RAO's position in the pool
-        at = range_keys.searchsorted(tags * total_slots + rao, "right") - 1
-        t0 = second + (rao - shifts[at] - class_starts[tags] + 0.5) / pools[tags]
-        done, first_past = np.zeros(m), np.full(m, np.inf)
+        t0 = second + (layout.index_of(tags, rao) + 0.5) / pools[tags]
+        done, first_past = np.zeros(pick.size), np.full(pick.size, np.inf)
         base = keys - within  # the iteration's first key in the chunk
-        pending, attempt = np.arange(m), 2
+        pending, attempt = np.arange(pick.size), 2
         while pending.size and attempt <= config.max_attempts:
             time = backoffs[tags[pending]] * float(attempt - 1) + t0[pending]
             past = time >= horizon
             first_past[pending[past]] = attempt
             pending, time = pending[~past], time[~past]
             position = (_hash(pick[pending], attempt) >> 11) * scales[tags[pending]]
-            virtual = position.astype(np.int64) + class_starts[tags[pending]]
-            picked = virtual + shifts[starts.searchsorted(virtual, "right") - 1]
+            picked = layout.rao_at(tags[pending], position.astype(np.int64))
             probe = time.astype(np.int64) * total_slots + picked + base[pending]
             # the slot is busy when a tagged value holds its key; a retry into
             # its own first slot finds it busy without counting itself, since
@@ -627,9 +613,9 @@ def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig)
             done[pending[~busy]] = attempt
             pending = pending[busy]
             attempt += 1
-        return done, first_past
+        return tail(pick, tags, done, first_past)
 
-    def tail(pick, tags, first_past, done):
+    def tail(pick, tags, done, first_past):
         """Each request's successful attempt from ``first_past`` on, where
         it has one before the cap: ``first_past + floor(log u / log p)``
         for a uniform u in (0, 1] hashed from the pick's fields and 1, a
@@ -660,11 +646,12 @@ def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig)
             first[0] = hits.searchsorted(part[0])
             rank = index - np.maximum.accumulate(first)
             pick = _hash(pick_heads[cells], within, rank)
-            if inside_possible:
-                done, first_past = retry(pick, tags, keys, within, tagged)
-            else:
-                done, first_past = np.zeros(part.size), 2.0
-            done = tail(pick, tags, first_past, done)
+            done = tail(pick, tags, 0.0, 2.0)  # attempt 2 is past the horizon ...
+            inside = np.flatnonzero(steps[tags])  # ... save in classes with a shorter backoff
+            if inside.size:
+                done[inside] = retry(
+                    pick[inside], tags[inside], keys[inside], within[inside], tagged
+                )
             sums += np.bincount(cells, weights=done, minlength=sums.size)  # whole numbers
             successes += np.bincount(cells[done > 0], minlength=successes.size)
         sums, successes = sums.reshape(n_classes, n), successes.reshape(n_classes, n)

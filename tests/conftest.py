@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 import rachopt
 from rachopt.model import (
     DeviceClass,
@@ -16,6 +18,10 @@ from rachopt.model import (
     Strategy,
     validate_scenario,
 )
+
+# every run draws the same examples, so that a failure reproduces in a fresh checkout
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 # reference device-class populations used across the experiment suite:
 # (population, attempts per device per second, aggregate RA density in Hz)

@@ -3,11 +3,14 @@ import json
 import math
 import os
 import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rachopt import model, simulator
 from rachopt.cli import (
@@ -352,17 +355,49 @@ class TestSimulate:
         assert code == EXIT_OK
         assert peak < 10 * 2**20
 
-    def test_backoff_past_64_bit_keys_exits_before_drawing(self, capsys, tmp_path):
+    def test_backoff_past_64_bit_keys_runs_in_small_memory(self, capsys, tmp_path):
+        # retries past the horizon form no slot key, so 25 backoffs of 1e18 s
+        # on 100 RAOs need none past 64 bits
         path = write_class(tmp_path, 100, ra_density=5.0, backoff=1e18)
-        code, peak = self._simulate_peak(path)
-        assert code == EXIT_SIMULATION
-        assert "do not fit in 64 bits" in capsys.readouterr().err
+        code, peak = self._simulate_peak(path, "--json")
+        assert code == EXIT_OK
         assert peak < 10 * 2**20
+        stats = strict_json(capsys.readouterr().out)["results"]["simulated"]["per_class"]["1"]
+        assert stats["mean_delay"] >= 1e18
 
-    def test_attempt_cap_past_floats_exits_before_drawing(self, capsys):
+    def test_attempt_cap_past_floats_runs(self, capsys):
         code, _ = self._simulate_peak(DC12, "--max-attempts", str(10**400))
+        assert code == EXIT_OK
+
+    @staticmethod
+    def _largest_accepted_backoff(attempts, iterations):
+        # the delay tallies keep iterations * (attempts * backoff)**2 within
+        # half the float range
+        limit = math.sqrt(sys.float_info.max / 2 / iterations)
+        backoff = limit / attempts
+        while attempts * backoff > limit:
+            backoff = math.nextafter(backoff, 0.0)
+        while attempts * math.nextafter(backoff, math.inf) <= limit:
+            backoff = math.nextafter(backoff, math.inf)
+        return backoff
+
+    @pytest.mark.parametrize("max_attempts", [25, 10**400])
+    def test_largest_delays_the_tallies_hold_stay_finite(self, capsys, tmp_path, max_attempts):
+        # a loaded cell, so that delays spread over many attempts
+        attempts = float(min(max_attempts, 2**63))
+        backoff = self._largest_accepted_backoff(attempts, 2)
+        path = write_class(tmp_path, 100, ra_density=50.0, backoff=backoff)
+        code, _ = self._simulate_peak(path, "--max-attempts", str(max_attempts), "--json")
+        assert code == EXIT_OK
+        stats = strict_json(capsys.readouterr().out)["results"]["simulated"]["per_class"]["1"]
+        assert stats["collided"] > 0
+        assert backoff <= stats["mean_delay"] <= attempts * backoff
+
+        path = write_class(tmp_path, 100, ra_density=50.0, backoff=math.nextafter(backoff, math.inf))
+        code, peak = self._simulate_peak(path, "--max-attempts", str(max_attempts))
         assert code == EXIT_SIMULATION
-        assert "do not fit in 64 bits" in capsys.readouterr().err
+        assert "that the delay tallies of 2 iterations hold" in capsys.readouterr().err
+        assert peak < 10 * 2**20
 
     def test_huge_pool_runs_in_small_memory(self, capsys, tmp_path):
         # 1e11 RAOs: no per-class slot array exists, so nothing grows with them
@@ -460,6 +495,57 @@ class TestIterationLimit:
         assert f"iterations {argv[-1]} need" in err
         assert f"limit of {limit} iterations" in err
         assert peak < 16 * 2**20
+
+
+class TestDelayInputs:
+    # any backoff, attempt cap and horizon either runs to strict JSON or is
+    # refused before drawing by the bound of the delay tallies
+    CELLS = {
+        "one class": ("full_dedication", [{"id": 1, "ra_density": 50.0}]),
+        "two shared classes": (
+            "full_sharing", [{"id": 1, "ra_density": 20.0}, {"id": 2, "ra_density": 30.0}]
+        ),
+    }
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        cell=st.sampled_from(sorted(CELLS)),
+        exponents=st.lists(st.floats(-3.0, 308.0), min_size=2, max_size=2),
+        max_attempts=st.one_of(st.integers(1, 60), st.integers(0, 400).map(lambda e: 10**e)),
+        horizon=st.integers(1, 8),
+    )
+    def test_delay_runs_end_in_json_or_the_tally_bound(
+        self, capsys, tmp_path, cell, exponents, max_attempts, horizon
+    ):
+        strategy, classes = self.CELLS[cell]
+        backoffs = [10.0**e for e in exponents]  # log-uniform over [1e-3, 1e308]
+        path = tmp_path / "cell.yaml"
+        path.write_text(yaml.safe_dump({
+            "total_raos": 100,
+            "strategy": strategy,
+            "classes": [{**c, "backoff": b} for c, b in zip(classes, backoffs)],
+        }))
+        argv = ["simulate", str(path), "--iterations", "2", "--seed", "1", "--measure-delay",
+                "--horizon", str(horizon), "--max-attempts", str(max_attempts), "--json"]
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_SIMULATION), err
+        if code == EXIT_OK:
+            per_class = strict_json(out)["results"]["simulated"]["per_class"]
+            assert len(per_class) == len(classes)
+        else:
+            assert "that the delay tallies of 2 iterations hold" in err
+        assert peak < 10 * 2**20
 
 
 class TestSweep:

@@ -333,16 +333,38 @@ class TestSharingTopology:
         assert topo.size(1) == 21
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 12)), min_size=1, max_size=6))
-    def test_range_map_matches_slot_array(self, spans):
-        # positions map to RAOs, and back, as indexing the concatenated
-        # aranges of the merged ranges would
-        topo = SharingTopology.from_ranges({1: [(a, a + w) for a, w in spans]})
-        slots = np.concatenate([np.arange(a, b + 1) for a, b in topo.ranges[1]])
-        index = np.arange(slots.size)
-        assert topo.size(1) == slots.size
-        assert topo.rao_at(1, index).tolist() == slots.tolist()
-        assert topo.index_of(1, slots).tolist() == index.tolist()
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.integers(0, 60), st.integers(0, 12)), min_size=1, max_size=6),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_range_map_matches_slot_array(self, classes, seed):
+        # positions map to RAOs, and back, as indexing each class's
+        # concatenated aranges of its merged ranges would; a class is named by
+        # its position in ``ranges``, whatever its id
+        topo = SharingTopology.from_ranges(
+            {10 - c: [(a, a + w) for a, w in spans] for c, spans in enumerate(classes)}
+        )
+        slots = [np.concatenate([np.arange(a, b + 1) for a, b in spans])
+                 for spans in topo.ranges.values()]
+        for pos, (cid, rao) in enumerate(zip(topo.ranges, slots)):
+            index = np.arange(rao.size)
+            assert topo.size(cid) == rao.size
+            assert topo.rao_at(pos, index).tolist() == rao.tolist()
+            assert topo.index_of(pos, rao).tolist() == index.tolist()
+            in_place = index.astype(np.int32)
+            assert topo.rao_at(pos, in_place, out=in_place) is in_place
+            assert in_place.tolist() == rao.tolist()
+        # every class at once, its requests mixed with the others'
+        order = np.random.default_rng(seed).permutation(sum(s.size for s in slots))
+        pos = np.repeat(np.arange(len(slots)), [s.size for s in slots])[order]
+        index = np.concatenate([np.arange(s.size) for s in slots])[order]
+        rao = np.concatenate(slots)[order]
+        assert topo.rao_at(pos, index).tolist() == rao.tolist()
+        assert topo.index_of(pos, rao).tolist() == index.tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(
