@@ -16,6 +16,10 @@ otherwise, covers a chunk of consecutive iterations holding about
 ``CHUNK_KEYS`` requests (at least one iteration). A run builds, sorts and
 scans every chunk in the same few arrays, which only grow, so that no chunk
 faults fresh memory in; ``run`` refuses inputs past its limits before that.
+A sweep's splits each dedicate one block per class, in class order, and
+share their passes: a chunk's picks are drawn and sorted once, by second,
+class and value, which orders the keys of every split, so each split only
+maps the sorted picks to its keys and scans them.
 
 Random numbers follow one layout, named by ``RNG_LAYOUT``. Iterations are
 grouped into blocks of ``max(1, BLOCK_SECONDS // horizon)``. Fresh arrivals
@@ -27,11 +31,11 @@ their uniforms hashes the seed with what it decides, as counter-based
 generators do (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC 2011), mixed by SplitMix64's finaliser (Steele, Lea and Flood, OOPSLA
 2014). So results are bitwise reproducible from the seed, whatever the
-chunking; a class's fresh draws do not depend on other classes; sweeps over
-plans reuse identical arrivals (common random numbers); the first N
-iterations of a longer run equal an N-iteration run; fresh statistics do not
-depend on whether delays are measured; and delays depend on which slot keys
-collided, not on the order of the requests.
+chunking; a class's fresh draws do not depend on other classes; the
+arrivals of a sweep over plans are drawn once (common random numbers);
+the first N iterations of a longer run equal an N-iteration run; fresh
+statistics do not depend on whether delays are measured; and delays
+depend on which slot keys collided, not on the order of the requests.
 
 Delay measurement retries collided requests after the class backoff until
 success or the attempt cap, on any pool layout. Retries probe the occupancy
@@ -62,7 +66,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,6 +89,7 @@ MAX_ITEMS_PER_ITERATION = 50_000_000
 # Largest tally that run() accepts, in bytes, checked before it is allocated:
 # iterations times _Tally.bytes_per_iteration (88 with two classes, so about
 # 12 M iterations). _summarize adds a few arrays of one class's iterations.
+# A pass of several layouts holds as many tallies as fit in this together.
 MAX_TALLY_BYTES = 2**30
 
 # Seconds of fresh arrivals that one block stream serves: a block is
@@ -95,6 +100,8 @@ BLOCK_SECONDS = 4096
 # Requests sorted together in one collision chunk; at least one iteration.
 # A run reuses its chunk arrays (see _Scratch), so larger chunks cost fewer
 # numpy calls per request without faulting fresh pages in for every chunk.
+# A pass shared by layouts (see _pass) also holds each request's uniform and
+# pick, about twice the bytes per request, so its chunks hold half as many.
 CHUNK_KEYS = 2**16
 
 # Longest piece of a chunk that _collisions' temporaries cover: the index
@@ -251,7 +258,8 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def _check_inputs(scenario: Scenario, config: SimConfig) -> None:
+def _check_inputs(scenario: Scenario, config: SimConfig) -> float:
+    config.validate()
     horizon = config.horizon
     if config.arrival_mode == ArrivalMode.PER_DEVICE_BERNOULLI:
         for cls in scenario.classes:
@@ -298,6 +306,7 @@ def _check_inputs(scenario: Scenario, config: SimConfig) -> None:
             f"{limit:.3g} s that the delay tallies of {config.iterations} iterations hold; "
             f"lower the backoff, max_attempts or iterations"
         )
+    return fresh  # items of one iteration's working set
 
 
 def _draw_counts(
@@ -356,18 +365,44 @@ def run(
     int64, or max_attempts backoffs what the delay tallies hold finite.
     """
     config.validate()
-    ranges = pool_layout(scenario, allocation).ranges
-    _check_inputs(scenario, config)
+    return _simulate(scenario, [pool_layout(scenario, allocation)], config)[0]
 
+
+def _simulate(scenario: Scenario, layouts: Sequence[SharingTopology],
+              config: SimConfig) -> list[SimStats]:
+    """Simulate the scenario once per layout, on the same arrivals. Layouts
+    dedicated in tag order (see _shared_keys) share passes, as many as
+    MAX_TALLY_BYTES holds the tallies of; any other has a pass of its own."""
+    fresh = _check_inputs(scenario, config)
     classes = scenario.classes
-    layout = SharingTopology({c.id: ranges[c.id] for c in classes})  # positions as in the tags
+    # positions as in the tags
+    layouts = [SharingTopology({c.id: lay.ranges[c.id] for c in classes}) for lay in layouts]
+    # a shared pass holds twice the bytes per request of a lone one (see
+    # CHUNK_KEYS), and a sort key at most 11 bits of second and tag
+    shared = fresh <= MAX_ITEMS_PER_ITERATION // 2 and len(classes) <= 2**11
+    spans = [[r[0] for r in lay.ranges.values() if len(r) == 1] for lay in layouts]
+    ordered = [k for k, s in enumerate(spans) if shared and len(s) == len(classes)
+               and all(a[1] < b[0] for a, b in zip(s, s[1:]))]  # dedicated in tag order
+    per_pass = MAX_TALLY_BYTES // (config.iterations * _Tally.bytes_per_iteration(len(classes)))
+    passes = [ordered[lo : lo + per_pass] for lo in range(0, len(ordered), per_pass)]
+    stats = {}
+    for group in passes + [[k] for k in range(len(layouts)) if k not in ordered]:
+        stats.update(zip(group, _pass(scenario, [layouts[k] for k in group], config)))
+    return [stats[k] for k in range(len(layouts))]
+
+
+def _pass(scenario: Scenario, layouts: list[SharingTopology], config: SimConfig) -> list[SimStats]:
+    """One pass over the arrivals with a tally per layout: a lone layout draws
+    and sorts its keys, several share the draws and their sort per chunk."""
+    classes = scenario.classes
     iters, horizon = config.iterations, config.horizon
     total_slots = scenario.total_raos
     span = horizon * total_slots  # slot keys per iteration
-    tally = _Tally.zeros(len(classes), iters)
-    measure = _delay_meter(scenario, layout, config) if config.measure_delay else None
+    tallies = [_Tally.zeros(len(classes), iters) for _ in layouts]
+    meters = [config.measure_delay and _delay_meter(scenario, lay, config) for lay in layouts]
     scratch = _Scratch()
     per_block = max(1, BLOCK_SECONDS // horizon)
+    limit = CHUNK_KEYS if len(layouts) == 1 else CHUNK_KEYS // 2
     for first in range(0, iters, per_block):
         n = min(per_block, iters - first)
         rngs = [_block_stream(config.seed, first // per_block, cls.id) for cls in classes]
@@ -377,16 +412,24 @@ def run(
             for cls, rng in zip(classes, rngs)
         ]
         block = slice(first, first + n)
-        tally.attempts[:, block] = [c.reshape(n, horizon).sum(axis=1) for c in counts]
-        for lo, hi in _chunks(tally.attempts[:, block].sum(axis=0)):
+        for tally in tallies:
+            tally.attempts[:, block] = [c.reshape(n, horizon).sum(axis=1) for c in counts]
+        for lo, hi in _chunks(tallies[0].attempts[:, block].sum(axis=0), limit):
             chunk = slice(first + lo, first + hi)
             chunk_counts = [c[lo * horizon : hi * horizon] for c in counts]
-            tagged = _fresh_keys(layout, classes, rngs, chunk_counts, total_slots, scratch)
-            collided, events, hits = _collisions(tagged, len(classes), span, hi - lo, scratch)
-            tally.collided[:, chunk], tally.events[chunk] = collided, events
-            if measure is not None:
-                measure(hits, tagged, chunk, tally)
-    return _summarize(classes, config, tally)
+            if len(layouts) == 1:
+                tagged = _fresh_keys(layouts[0], classes, rngs, chunk_counts, total_slots, scratch)
+                tagged.sort()
+            else:
+                keys_of = _shared_keys(rngs, chunk_counts, total_slots, scratch)
+            for layout, tally, measure in zip(layouts, tallies, meters):
+                if len(layouts) > 1:
+                    tagged = keys_of(layout)
+                collided, events, hits = _collisions(tagged, len(classes), span, hi - lo, scratch)
+                tally.collided[:, chunk], tally.events[chunk] = collided, events
+                if measure:
+                    measure(hits, tagged, chunk, tally)
+    return [_summarize(classes, config, tally) for tally in tallies]
 
 
 def _summarize(classes: Sequence[DeviceClass], config: SimConfig, tally: _Tally) -> SimStats:
@@ -471,6 +514,55 @@ def _fresh_keys(
     return keys
 
 
+def _shared_keys(rngs: Sequence[np.random.Generator], counts: Sequence[np.ndarray],
+                 total_slots: int, scratch: _Scratch) -> Callable[[SharingTopology], np.ndarray]:
+    """Draw a chunk's uniforms once for a pass, given each class's counts per
+    second, and sort them by (second, class position, u): in a layout
+    dedicated in tag order, whose classes' single ranges ascend in class
+    order, ``floor(u * size)`` plus a first RAO is monotone in u, so its
+    tagged keys ascend too. Return the function that makes them, in the
+    scratch's keys. Runs of ``2**11 >> tag_bits`` seconds are drawn class
+    after class and sorted on ``(second << tag_bits | position) << 53 | u * 2**53``."""
+    counts = np.stack(counts)
+    n_classes, seconds = counts.shape
+    tag_bits = (n_classes - 1).bit_length()
+    uniforms = scratch.take("uniforms", np.float64, int(counts.sum()))
+    tags = np.arange(n_classes, dtype=np.uint64)[:, None]
+    step, end = 2**11 >> tag_bits, 0
+    for lo in range(0, seconds, step):
+        group = counts[:, lo : lo + step]
+        u = uniforms[end : end + group.sum()]
+        for rng, size in zip(rngs, group.sum(axis=1)):
+            rng.random(out=uniforms[end : end + size])
+            end += size
+        order = np.arange(group.shape[1], dtype=np.uint64) << tag_bits | tags
+        order = np.repeat(order << 53, group.ravel())
+        u *= 2.0**53  # exact: numpy's doubles are multiples of 2**-53
+        np.add(order, u, out=order, dtype=np.uint64, casting="unsafe")
+        order.sort()
+        order &= 2**53 - 1
+        np.multiply(order, 2.0**-53, out=u, dtype=np.float64)
+    stride = total_slots << tag_bits
+    dtype = np.uint32 if seconds * stride < 2**32 else np.int64
+    runs = counts.T.ravel()  # of one (second, class) each
+    base = np.arange(seconds, dtype=dtype)[:, None] * stride + np.arange(n_classes, dtype=dtype)
+
+    def keys_of(layout: SharingTopology) -> np.ndarray:
+        firsts, lasts = np.array([r[0] for r in layout.ranges.values()]).T
+        keys = scratch.take("keys", dtype, uniforms.size)
+        picks = np.repeat(np.tile(lasts - firsts + 1.0, seconds), runs)
+        picks *= uniforms
+        # doubles convert to int32 twice as fast as to uint32
+        index = keys.view(np.int32) if dtype == np.uint32 and max(lasts - firsts) < 2**31 else keys
+        np.copyto(index, picks, casting="unsafe")
+        del picks
+        keys <<= tag_bits
+        keys += np.repeat(base + (firsts << tag_bits).astype(dtype), runs)
+        return keys
+
+    return keys_of
+
+
 class _Scratch:
     """Arrays that one run reuses from chunk to chunk, so that no chunk
     faults fresh pages in. ``take`` returns a view of the first ``size``
@@ -492,14 +584,14 @@ class _Scratch:
         return buffer[:nbytes].view(dtype)
 
 
-def _chunks(sizes: np.ndarray) -> Iterator[tuple[int, int]]:
+def _chunks(sizes: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:
     """Split consecutive iterations, holding ``sizes`` requests each, into
-    (lo, hi) runs of about ``CHUNK_KEYS`` requests and at least one iteration."""
+    (lo, hi) runs of about ``limit`` requests and at least one iteration."""
     ends = np.cumsum(sizes)
     lo = 0
     while lo < sizes.size:
         before = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, before + CHUNK_KEYS, "right")))
+        hi = max(lo + 1, int(np.searchsorted(ends, before + limit, "right")))
         yield lo, hi
         lo = hi
 
@@ -507,16 +599,15 @@ def _chunks(sizes: np.ndarray) -> Iterator[tuple[int, int]]:
 def _collisions(
     tagged: np.ndarray, n_classes: int, span: int, iterations: int, scratch: _Scratch
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort a chunk's tagged slot keys in place. Count per (class, iteration)
-    the requests whose key another request of any class shares, and per
-    iteration the slots holding two or more requests; return both and the
-    tagged values of the collided requests, ascending. Sorting puts equal
-    keys next to each other, so the work grows with the number of requests,
-    not with the number of slots they pick from. The arrays as long as the
-    chunk are the scratch's, and the collided values are a view of one of
-    them; every other temporary holds at most ``PIECE_KEYS`` items."""
+    """Given a chunk's tagged slot keys, ascending, count per (class,
+    iteration) the requests whose key another request of any class shares,
+    and per iteration the slots holding two or more requests; return both
+    and the tagged values of the collided requests, ascending. Sorting puts
+    equal keys next to each other, so the work grows with the number of
+    requests, not with the number of slots they pick from. The arrays as
+    long as the chunk are the scratch's, and the collided values are a view
+    of one of them; every other temporary holds at most ``PIECE_KEYS`` items."""
     tag_bits, size = (n_classes - 1).bit_length(), tagged.size
-    tagged.sort()
     spare = scratch.take("spare", tagged.dtype, size)
     keys = np.right_shift(tagged, tag_bits, out=spare)
     hit = scratch.take("hit", bool, size)
@@ -676,7 +767,8 @@ def sweep_dedication(
     the remainder), whatever strategy the scenario names; each point
     carries its simulated stats next to the closed-form densities, and the
     split with the lowest simulated total density is reported as the
-    empirical optimum.
+    empirical optimum. The arrivals are drawn once for every split, so each
+    point's stats equal those of ``run`` on its plan.
     """
     if len(scenario.classes) != 2:
         raise SimulationError("dedication sweep supports exactly 2 device classes")
@@ -686,22 +778,18 @@ def sweep_dedication(
         raise SimulationError("dedication sweep needs at least one swept value")
     swept, other = scenario.classes[class_index], scenario.classes[1 - class_index]
     total = scenario.total_raos
-    points = []
     for value in l_values:
         if not 1 <= value <= total - 1:
             raise SimulationError(f"swept value {value} outside [1, {total - 1}]")
-        plan = AllocationPlan({swept.id: value, other.id: total - value})
-        stats = run(scenario, plan, config)
-        metrics = analytics.layout_metrics(scenario, pool_layout(scenario, plan))
+    plans = [AllocationPlan({swept.id: value, other.id: total - value}) for value in l_values]
+    layouts = [pool_layout(scenario, plan) for plan in plans]
+    points = []
+    for value, plan, layout, stats in zip(
+        l_values, plans, layouts, _simulate(scenario, layouts, config)
+    ):
+        metrics = analytics.layout_metrics(scenario, layout)
         analytic = {cid: m.collision_density for cid, m in metrics.items()}
-        points.append(
-            SweepPoint(
-                l_value=value,
-                plan=plan,
-                stats=stats,
-                analytic_density=analytic,
-                analytic_total=math.fsum(analytic.values()),
-            )
-        )
+        points.append(SweepPoint(l_value=value, plan=plan, stats=stats, analytic_density=analytic,
+                                 analytic_total=math.fsum(analytic.values())))
     best = min(points, key=lambda p: p.stats.total_density)
     return SweepResult(class_id=swept.id, points=tuple(points), empirical_optimum=best.l_value)

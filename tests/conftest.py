@@ -5,9 +5,19 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 from hypothesis import settings
+
+# hypothesis's pytest plugin imports this module to report a failing example,
+# and it imports a deprecated mypy_extensions name: under filterwarnings =
+# error that warning would abort the session, so it is imported here first
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", message="mypy_extensions.TypedDict is deprecated", category=DeprecationWarning
+    )
+    import hypothesis.extra._patching  # noqa: F401
 
 import rachopt
 from rachopt.model import (

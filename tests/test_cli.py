@@ -222,8 +222,8 @@ class TestUnwritableCsv:
         def not_reached(*args, **kwargs):
             raise AssertionError("simulated before checking the --csv path")
 
-        # sweep_dedication calls run through the module, so this covers both
-        monkeypatch.setattr(simulator, "run", not_reached)
+        # run and sweep_dedication call _simulate through the module, so this covers both
+        monkeypatch.setattr(simulator, "_simulate", not_reached)
         out = tmp_path / "missing" / "x.csv"
         assert main(argv + ["--csv", str(out)]) == EXIT_VALIDATION
         captured = capsys.readouterr()

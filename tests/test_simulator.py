@@ -123,9 +123,10 @@ class TestCollisionKernel:
         dense_flags, _ = dense_collisions(keys_by_class)
         for dtype in (np.uint32, np.int64):
             tagged = np.concatenate([(k << tag_bits) | p for p, k in enumerate(keys_by_class)])
-            tagged = tagged[::-1].astype(dtype)  # the order of the requests does not matter
+            # the kernel takes the keys ascending, whatever the order of the requests
+            tagged = np.sort(tagged[::-1].astype(dtype))
             output = _collisions(tagged, len(keys_by_class), SPAN, 4, _Scratch())
-            assert tagged.tolist() == sorted(tagged.tolist())  # sorted in place
+            assert tagged.tolist() == sorted(tagged.tolist())  # and leaves them so
             assert_kernel_output(keys_by_class, dense_flags, SPAN, 4, output)
 
     @pytest.mark.parametrize("n_classes", [1, 2, 3])
@@ -152,6 +153,7 @@ class TestCollisionKernel:
         values, occupancy = np.unique(np.concatenate(keys_by_class), return_counts=True)
         flags_by_class = [np.isin(keys, values[occupancy >= 2]) for keys in keys_by_class]
         assert any(f.any() for f in flags_by_class)
+        tagged.sort()
         output = _collisions(tagged, n_classes, total, 2, scratch)
         assert_kernel_output(keys_by_class, flags_by_class, total, 2, output)
 
@@ -564,6 +566,26 @@ class TestMemory:
         assert dtypes == {np.dtype(dtype)}
         assert collided == attempts if saturated else collided < 0.03 * attempts
         assert peak / attempts < (13 if dtype == np.uint32 else 25)
+
+    def test_sweep_peak_stays_near_one_run(self):
+        # a sweep's pass holds every split's tally and a shared chunk's
+        # uniforms beside the keys, in chunks half as long as a run's: on
+        # dc1_dc2 at 200 s its peak over 17 splits measured 1.06 times that
+        # of one run. A first sweep makes the one-time allocations.
+        scenario = make_scenario((1, 2))
+        config = SimConfig(iterations=20, seed=5, horizon=200)
+        values = list(range(600, 10201, 600))
+        sweep_dedication(scenario, 0, values, config)
+        peaks = []
+        for call in (lambda: run(scenario, AllocationPlan({1: 3600, 2: 7200}), config),
+                     lambda: sweep_dedication(scenario, 0, values, config)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
 
     def test_retry_state_does_not_grow_with_the_chunk(self):
         # 30 requests per RAO: all of one 1 M-request iteration, which one
@@ -1060,6 +1082,113 @@ class TestSweep:
     def test_rejects_empty_values(self):
         with pytest.raises(SimulationError, match="at least one swept value"):
             sweep_dedication(make_scenario((1, 2)), 0, [], SimConfig(iterations=1, seed=0))
+
+    @staticmethod
+    def assert_points_equal_runs(scenario, class_index, values, config):
+        result = sweep_dedication(scenario, class_index, values, config)
+        for point in result.points:
+            assert point.stats == run(scenario, point.plan, config), point.l_value
+
+    @pytest.mark.parametrize(
+        "class_index, config",
+        [
+            (0, SimConfig(iterations=20, seed=41, horizon=3)),
+            (1, SimConfig(iterations=20, seed=42, horizon=3)),
+            (0, SimConfig(iterations=20, seed=43, horizon=3,
+                          arrival_mode=ArrivalMode.PER_DEVICE_BERNOULLI)),
+            # a 1 s backoff retries inside the 3 s horizon, probing the sorted keys
+            (0, SimConfig(iterations=20, seed=44, horizon=3, measure_delay=True)),
+        ],
+        ids=["class-0", "class-1", "bernoulli", "delay"],
+    )
+    def test_every_point_equals_its_run(self, class_index, config):
+        self.assert_points_equal_runs(make_scenario((1, 2)), class_index, [600, 3600, 7200, 10200],
+                                      config)
+
+    # light classes at 350 s, about 3 500 requests per iteration, 11 iterations
+    # per block: a shared pass's half chunk of 14 000 keys holds one iteration or
+    # two, and chunks of a whole block span several sort runs of 1 024 seconds
+    @pytest.mark.parametrize("chunk_keys", [1, 14_000, simulator.CHUNK_KEYS, 2**62],
+                             ids=["per-iteration", "uneven", "default", "per-block"])
+    def test_chunkings_equal_runs(self, monkeypatch, chunk_keys):
+        monkeypatch.setattr(simulator, "CHUNK_KEYS", chunk_keys)
+        config = SimConfig(iterations=17, seed=45, horizon=350, measure_delay=True)
+        self.assert_points_equal_runs(
+            _light_cell(Strategy.FULL_DEDICATION, backoffs=(0.5, 3.0)), 0, [5, 15, 25, 35], config
+        )
+
+    def test_pieces_split_shared_chunks(self, monkeypatch):
+        monkeypatch.setattr(simulator, "PIECE_KEYS", 97)
+        scenario = _light_cell(Strategy.FULL_DEDICATION)
+        config = SimConfig(iterations=17, seed=46, horizon=350)
+        self.assert_points_equal_runs(scenario, 1, [5, 20, 35], config)
+
+    @pytest.mark.parametrize("total, dtype", [(40, np.uint32), (2**22, np.int64)],
+                             ids=["uint32", "int64"])
+    def test_key_dtypes_equal_runs(self, monkeypatch, total, dtype):
+        # on 2**22 RAOs a chunk of one 350 s iteration spans over 2**32 tagged values
+        dtypes = set()
+
+        def spy(tagged, *args):
+            dtypes.add(tagged.dtype)
+            return _collisions(tagged, *args)
+
+        monkeypatch.setattr(simulator, "_collisions", spy)
+        scenario = _light_cell(Strategy.FULL_DEDICATION, total=total)
+        config = SimConfig(iterations=6, seed=47, horizon=350)
+        self.assert_points_equal_runs(scenario, 0, [1, total // 2, total - 1], config)
+        assert dtypes == {np.dtype(dtype)}
+
+    def test_sort_splits_chunks_past_the_key_bits(self, monkeypatch):
+        # one 5 000 s iteration per chunk: (second << 1 | class) << 53 holds only
+        # 1 024 seconds, so the shared sort runs over five spans of seconds
+        spans = []
+
+        def spy(rngs, counts, *args):
+            spans.append(counts[0].size)
+            return shared_keys(rngs, counts, *args)
+
+        shared_keys = simulator._shared_keys
+        monkeypatch.setattr(simulator, "_shared_keys", spy)
+        scenario = _light_cell(Strategy.FULL_DEDICATION)
+        config = SimConfig(iterations=3, seed=48, horizon=5000)
+        self.assert_points_equal_runs(scenario, 0, [3, 20, 37], config)
+        assert spans == [5000] * 3
+
+    def test_mixed_layouts_in_one_call(self):
+        # only the two plans' layouts are dedicated in tag order and share a
+        # pass; the others, one with its blocks in reverse class order, run alone
+        scenario = _light_cell(Strategy.PARTIAL_DEDICATION, backoffs=(0.5, 3.0))
+        layouts = [
+            SharingTopology.fully_shared(scenario),
+            pool_layout(scenario, AllocationPlan({1: 10, 2: 30})),
+            OVERLAP,
+            SharingTopology.from_ranges({1: [(0, 4), (20, 24)], 2: [(5, 19), (25, 39)]}),
+            SharingTopology.from_ranges({1: [(25, 39)], 2: [(0, 24)]}),
+            pool_layout(scenario, AllocationPlan({1: 30, 2: 10})),
+        ]
+        config = SimConfig(iterations=17, seed=49, horizon=350, measure_delay=True)
+        stats = simulator._simulate(scenario, layouts, config)
+        assert stats == [run(scenario, layout, config) for layout in layouts]
+
+    def test_tallies_past_the_budget_split_passes(self, monkeypatch):
+        scenario = make_scenario((1, 2))
+        config = SimConfig(iterations=10, seed=50, horizon=2)
+        values = [600, 3000, 5400, 7800, 10200]
+        whole = sweep_dedication(scenario, 0, values, config)
+        passes = []
+
+        def spy(scenario, layouts, config):
+            passes.append(len(layouts))
+            return simulator_pass(scenario, layouts, config)
+
+        simulator_pass = simulator._pass
+        monkeypatch.setattr(simulator, "_pass", spy)
+        # two tallies fit, so five splits take passes of two, two and one
+        per_iteration = simulator._Tally.bytes_per_iteration(2)
+        monkeypatch.setattr(simulator, "MAX_TALLY_BYTES", 2 * config.iterations * per_iteration)
+        assert sweep_dedication(scenario, 0, values, config) == whole
+        assert passes == [2, 2, 1]
 
 
 class TestHorizonSemantics:
