@@ -324,19 +324,19 @@ def _print_compare_table(scenario: Scenario, columns: dict[str, dict]) -> None:
     line("cell", "total density (Hz)", (c["total_density_hz"] for c in columns.values()), floats)
 
 
-def _predicted(scenario: Scenario, layout: SharingTopology,
-               columns: Sequence[str]) -> tuple[dict, dict]:
-    """Closed-form predictions on a layout: per class the fields named by
-    ``columns``, in that order, and the cell's total density and
-    any-collision probability. A saturated class's delays are None."""
-    metrics = analytics.layout_metrics(scenario, layout)
+def _predicted(scenario: Scenario, layout: SharingTopology, columns: Sequence[str],
+               mode=simulator.ArrivalMode.POISSON_AGGREGATE) -> tuple[dict, dict]:
+    """Closed-form predictions on a layout under arrival ``mode``: per class
+    the fields named by ``columns``, in order, and the cell's total density
+    and any-collision probability. A saturated class's delays are None."""
+    metrics = analytics.layout_metrics(scenario, layout, mode)
     per_class = {}
     for cls in scenario.classes:
         m = metrics[cls.id]
         saturated = not math.isfinite(m.mean_delay)
-        # backoff * p / (1 - p) equals inclusive - backoff but does not
-        # cancel at light load, where p is tiny
-        excl = None if saturated else cls.backoff * m.collision_rate / m.success_rate
+        # backoff * p / success equals inclusive - backoff but does not cancel
+        # at light load, where p is tiny; p is 0 when success is and delays finite
+        excl = None if saturated else cls.backoff * m.collision_rate / (m.success_rate or 1.0)
         fields = {
             "raos": layout.size(cls.id),
             "ra_density_hz": cls.ra_density,
@@ -416,7 +416,7 @@ def cmd_simulate(args: argparse.Namespace, scenario: Scenario) -> tuple:
     if args.csv:
         _check_csv_writable(args.csv)
     stats = simulator.run(scenario, allocation, config)
-    analytic, cell = _predicted(scenario, layout, ("collision_rate",))
+    analytic, cell = _predicted(scenario, layout, ("collision_rate",), config.arrival_mode)
     parameters = _sim_parameters(
         config,
         arrival_mode=config.arrival_mode.value,

@@ -41,6 +41,24 @@ class QosKind(str, Enum):
     MAX_MEAN_DELAY = "max_mean_delay"
 
 
+class ArrivalMode(str, Enum):
+    """A class's requests of one second: an aggregate Poisson count at
+    ``ra_density``, or a Bernoulli trial per group coordinator."""
+
+    POISSON_AGGREGATE = "poisson_aggregate"
+    PER_DEVICE_BERNOULLI = "per_device_bernoulli"
+
+
+def arrival_issues(scenario: Scenario, mode: ArrivalMode) -> list[str]:
+    """Why the scenario's classes cannot arrive in ``mode``, class by class."""
+    return [] if mode == ArrivalMode.POISSON_AGGREGATE else [
+        f"class {c.id}: per-device mode needs population and per_device_rate"
+        if c.coordinators is None
+        else f"class {c.id}: per-device attempt probability {c.per_device_rate}/s exceeds 1"
+        for c in scenario.classes if c.coordinators is None or c.per_device_rate > 1.0
+    ]
+
+
 class ScenarioError(ValueError):
     """Raised when a scenario violates one or more model invariants.
 

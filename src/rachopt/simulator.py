@@ -49,15 +49,12 @@ retries inside it. There, an attempt's RAO comes from a uniform hashed from
 (seed, class, iteration, first slot key, rank among the requests with that
 tagged key, attempt), and it looks its slot key up in the chunk's sorted
 tagged keys. Past the horizon no slot key is formed and no traffic is
-drawn: each attempt there is busy with the class's mean busy chance ``p``
-over its usable RAOs, where a RAO is free with chance
-``exp(-sum gamma_j / L_j)`` under Poisson arrivals and
-``prod (1 - q_j / L_j) ** N_j`` under per-device Bernoulli arrivals, over
-the classes j whose ranges hold it. So a request's busy attempts from its
-first one past the horizon on are one geometric draw at ``p``, censored
-past the attempt cap and at once when ``p`` is 1; only the coupling of two
-retries that land in one slot past the horizon is lost, which the closed
-form ignores too.
+drawn: each attempt there is busy with the class's mean busy chance
+``p = 1 - success_rate`` of ``analytics.layout_metrics`` under the run's
+arrival mode. So a request's busy attempts from its first one past the
+horizon on are one geometric draw at ``p``, censored past the attempt cap
+and at once when ``p`` is 1; only the coupling of two retries that land in
+one slot past the horizon is lost, which the closed form ignores too.
 """
 
 from __future__ import annotations
@@ -65,13 +62,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import analytics
-from .model import AllocationPlan, DeviceClass, Scenario, SharingTopology, pool_layout
+from .model import (AllocationPlan, ArrivalMode, DeviceClass, Scenario, SharingTopology,
+                    arrival_issues, pool_layout)
 
 
 # Largest per-iteration working set that run() accepts, in array items,
@@ -121,11 +118,6 @@ RNG_LAYOUT = "pcg64-block4096-splitmix64-v3"
 
 class SimulationError(RuntimeError):
     """The simulation request is inconsistent with the scenario or config."""
-
-
-class ArrivalMode(str, Enum):
-    POISSON_AGGREGATE = "poisson_aggregate"
-    PER_DEVICE_BERNOULLI = "per_device_bernoulli"
 
 
 @dataclass(frozen=True)
@@ -261,18 +253,8 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
 def _check_inputs(scenario: Scenario, config: SimConfig) -> float:
     config.validate()
     horizon = config.horizon
-    if config.arrival_mode == ArrivalMode.PER_DEVICE_BERNOULLI:
-        for cls in scenario.classes:
-            if cls.coordinators is None:
-                raise SimulationError(
-                    f"class {cls.id}: per-device mode needs population and "
-                    f"per_device_rate"
-                )
-            if cls.per_device_rate > 1.0:
-                raise SimulationError(
-                    f"class {cls.id}: per-device attempt probability "
-                    f"{cls.per_device_rate}/s exceeds 1"
-                )
+    if issues := arrival_issues(scenario, config.arrival_mode):
+        raise SimulationError(issues[0])
     per_iteration = _Tally.bytes_per_iteration(len(scenario.classes))
     if config.iterations * per_iteration > MAX_TALLY_BYTES:
         raise SimulationError(
@@ -429,6 +411,8 @@ def _pass(scenario: Scenario, layouts: list[SharingTopology], config: SimConfig)
                 tally.collided[:, chunk], tally.events[chunk] = collided, events
                 if measure:
                     measure(hits, tagged, chunk, tally)
+                del tagged, hits  # views that would pin old buffers while take grows them
+            keys_of = None  # as would the uniforms it holds
     return [_summarize(classes, config, tally) for tally in tallies]
 
 
@@ -653,25 +637,10 @@ def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig)
     horizon, total_slots, classes = config.horizon, scenario.total_raos, scenario.classes
     span, n_classes = horizon * total_slots, len(classes)
     tag_bits = (n_classes - 1).bit_length()
-    sizes = [layout.size(c.id) for c in classes]
-    # per run of RAOs between range ends, the log of the chance that fresh
-    # arrivals leave one of its slots free
-    if config.arrival_mode == ArrivalMode.POISSON_AGGREGATE:
-        log_free = {c.id: -c.ra_density / size for c, size in zip(classes, sizes)}
-    else:
-        with np.errstate(divide="ignore"):  # q = L = 1 fills the slot
-            log_free = {
-                c.id: c.coordinators * np.log1p(-c.per_device_rate / size)
-                for c, size in zip(classes, sizes)
-            }
-    _, widths, covered, log_free_run = layout.segments(log_free)
-    free = np.exp(log_free_run)
-    # per class, log p = log1p(-mean free chance), exact near saturation;
-    # a class whose slots are all busy for sure gets -0.0
-    log_busy = np.log1p(
-        [-(widths[covered[c.id]] @ free[covered[c.id]]) / size for c, size in zip(classes, sizes)]
-    )
-    pools = np.array(sizes, dtype=np.float64)
+    metrics = analytics.layout_metrics(scenario, layout, config.arrival_mode)
+    # per class, log p = log1p(-success): exact near saturation, -0.0 when all busy
+    log_busy = np.log1p([-metrics[c.id].success_rate for c in classes])
+    pools = np.array([layout.size(c.id) for c in classes], dtype=np.float64)
     scales = pools * 2.0**-53  # exact
     backoffs = np.array([c.backoff for c in classes])
     steps = backoffs < horizon  # t0 >= 0: only these classes retry inside the horizon
@@ -787,7 +756,7 @@ def sweep_dedication(
     for value, plan, layout, stats in zip(
         l_values, plans, layouts, _simulate(scenario, layouts, config)
     ):
-        metrics = analytics.layout_metrics(scenario, layout)
+        metrics = analytics.layout_metrics(scenario, layout, config.arrival_mode)
         analytic = {cid: m.collision_density for cid, m in metrics.items()}
         points.append(SweepPoint(l_value=value, plan=plan, stats=stats, analytic_density=analytic,
                                  analytic_total=math.fsum(analytic.values())))

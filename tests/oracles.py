@@ -5,7 +5,8 @@ No command reads these; they live beside the tests that use them:
 - single-pool closed forms (``simple_collision_rate``, ``mean_access_delay``
   and ``cell_collision_density``), which ``analytics.layout_metrics`` must
   reproduce on one pool per class, and which give the allocator's density
-  objective;
+  objective, and their per-device Bernoulli forms
+  (``bernoulli_collision_rate``, ``bernoulli_access_delay``);
 - the delay reservation (``minimum_raos_for_delay``, ``reserve_for_delay``)
   and the per-budget min-plus oracle for the allocator;
 - ``uniform``, the hashed retry draws as doubles, for the simulator's
@@ -73,6 +74,23 @@ def mean_access_delay(ra_density: float, raos: float, backoff: float) -> AccessD
     except OverflowError:
         exclusive = math.inf
     return AccessDelay(inclusive=backoff + exclusive, exclusive=exclusive)
+
+
+def bernoulli_collision_rate(coordinators: int, rate: float, raos: float) -> float:
+    """Per-attempt collision probability of a fresh request in one pool of
+    ``raos`` slots, where each of the class's coordinators attempts with
+    chance ``rate`` per second: the other ``coordinators - 1`` leave its slot
+    free with chance ``(1 - rate/raos) ** (coordinators - 1)``."""
+    return 1.0 - (1.0 - rate / raos) ** (coordinators - 1)
+
+
+def bernoulli_access_delay(coordinators: int, rate: float, raos: float, backoff: float) -> float:
+    """Mean inclusive access delay in one pool under per-device Bernoulli
+    arrivals: the first attempt collides with ``bernoulli_collision_rate``,
+    and every retry sees all the coordinators, so it is busy with chance
+    ``1 - (1 - rate/raos) ** coordinators``."""
+    retry_busy = 1.0 - (1.0 - rate / raos) ** coordinators
+    return backoff * (1.0 + bernoulli_collision_rate(coordinators, rate, raos) / (1.0 - retry_busy))
 
 
 def uniform(key: np.ndarray, *fields: np.ndarray | int) -> np.ndarray:

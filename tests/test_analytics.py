@@ -7,14 +7,24 @@ from hypothesis import strategies as st
 from rachopt.analytics import any_collision_probability, layout_metrics
 from rachopt.model import (
     AllocationPlan,
+    ArrivalMode,
+    DeviceClass,
+    Scenario,
     ScenarioError,
     SharingTopology,
     Strategy,
     pool_layout,
+    validate_scenario,
 )
 
 from conftest import make_scenario
-from oracles import cell_collision_density, mean_access_delay, simple_collision_rate
+from oracles import (
+    bernoulli_access_delay,
+    bernoulli_collision_rate,
+    cell_collision_density,
+    mean_access_delay,
+    simple_collision_rate,
+)
 
 densities = st.floats(1e-3, 1e5)
 pools = st.floats(1.0, 1e7)
@@ -386,3 +396,89 @@ class TestAccessDelay:
 class TestClassMetrics:
     def test_any_collision_probability_empty_is_zero(self):
         assert any_collision_probability([]) == 0.0
+
+
+def device_scenario(*classes, total, strategy=Strategy.FULL_DEDICATION):
+    """Classes given as (coordinators, per-device rate) pairs, group size 1,
+    with ids from 1 and backoffs of 1.5 s."""
+    return validate_scenario(Scenario(
+        classes=tuple(DeviceClass(id=i, population=n, per_device_rate=q, backoff=1.5)
+                      for i, (n, q) in enumerate(classes, start=1)),
+        total_raos=total, strategy=strategy,
+    ))
+
+
+class TestBernoulliMetrics:
+    """layout_metrics under per-device Bernoulli arrivals: a fresh request
+    sees the other N_i - 1 coordinators of its class, a retry all N_i."""
+
+    BERNOULLI = ArrivalMode.PER_DEVICE_BERNOULLI
+
+    @pytest.mark.parametrize("allocation", [None, AllocationPlan({1: 20, 2: 48})],
+                             ids=["full-sharing", "dedicated"])
+    def test_matches_single_pool_reference(self, allocation):
+        if allocation is None:
+            scenario = device_scenario((40, 0.5), total=20, strategy=Strategy.FULL_SHARING)
+        else:
+            scenario = device_scenario((40, 0.5), (100, 0.3), total=68)
+        layout = pool_layout(scenario, allocation)
+        metrics = layout_metrics(scenario, layout, self.BERNOULLI)
+        for cls in scenario.classes:
+            m, raos = metrics[cls.id], layout.size(cls.id)
+            n, q = cls.coordinators, cls.per_device_rate
+            assert m.collision_rate == pytest.approx(
+                bernoulli_collision_rate(n, q, raos), rel=1e-12, abs=0)
+            assert m.success_rate == pytest.approx((1 - q / raos) ** n, rel=1e-12, abs=0)
+            assert m.mean_delay == pytest.approx(
+                bernoulli_access_delay(n, q, raos, cls.backoff), rel=1e-12, abs=0)
+            assert m.collision_density == cls.ra_density * m.collision_rate
+
+    def test_poisson_is_the_default_mode(self):
+        scenario = make_scenario((1, 2, 3), strategy=Strategy.PARTIAL_DEDICATION)
+        topology = SharingTopology.from_ranges(
+            {1: [(0, 3599)], 2: [(1800, 7199)], 3: [(3600, 10799), (0, 99)]}
+        )
+        assert layout_metrics(scenario, topology) == layout_metrics(
+            scenario, topology, ArrivalMode.POISSON_AGGREGATE)
+
+    def test_lone_coordinator_filling_its_rao_never_collides(self):
+        # q / L = 1 with N_i = 1: no other request can share its RAO, so no
+        # attempt is retried, though a retry would find the RAO busy for
+        # sure; the naive (N_i - 1) * log1p(-1) would be 0 * -inf = NaN
+        scenario = device_scenario((1, 1.0), (40, 0.5), total=21)
+        metrics = layout_metrics(scenario, pool_layout(scenario, AllocationPlan({1: 1, 2: 20})),
+                                 self.BERNOULLI)
+        assert (metrics[1].collision_rate, metrics[1].success_rate) == (0.0, 0.0)
+        assert metrics[1].mean_delay == 1.5
+        assert metrics[2].collision_rate == pytest.approx(bernoulli_collision_rate(40, 0.5, 20))
+
+    def test_filled_rao_saturates_the_class_and_its_sharers(self):
+        # q / L = 1 with N_i = 2, and a class sharing that RAO: every attempt
+        # of both collides, so both are saturated
+        scenario = device_scenario((2, 1.0), (3, 0.5), total=1, strategy=Strategy.FULL_SHARING)
+        for m in layout_metrics(scenario, pool_layout(scenario, None), self.BERNOULLI).values():
+            assert (m.collision_rate, m.success_rate, m.mean_delay) == (1.0, 0.0, math.inf)
+
+    def test_lone_filler_sees_only_its_sharers(self):
+        # q / L = 1 with N_i = 1 on a RAO that another class shares: its
+        # fresh request collides when one of that class's coordinators picks
+        # the RAO, its retries always do
+        scenario = device_scenario((1, 1.0), (3, 0.5), total=1, strategy=Strategy.FULL_SHARING)
+        metrics = layout_metrics(scenario, pool_layout(scenario, None), self.BERNOULLI)
+        assert metrics[1].collision_rate == pytest.approx(1 - 0.5**3, rel=1e-15)
+        assert metrics[1].mean_delay == math.inf
+        assert metrics[2].collision_rate == 1.0
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"ra_density": 50.0}, "class 1: per-device mode needs population and per_device_rate"),
+        ({"population": 10, "per_device_rate": 1.5},
+         "class 1: per-device attempt probability 1.5/s exceeds 1"),
+    ], ids=["no-population", "rate-above-one"])
+    def test_classes_that_cannot_arrive_per_device_are_refused(self, fields, message):
+        scenario = validate_scenario(Scenario(classes=(DeviceClass(id=1, **fields),),
+                                              total_raos=100, strategy=Strategy.FULL_SHARING))
+        layout = pool_layout(scenario, None)
+        layout_metrics(scenario, layout)  # Poisson needs only the density
+        with pytest.raises(ScenarioError) as info:
+            layout_metrics(scenario, layout, self.BERNOULLI)
+        assert info.value.issues == [message]

@@ -440,6 +440,25 @@ class TestSimulate:
         assert code == EXIT_OK
         assert report["results"]["simulated"]["per_class"][str(10**30)]["mean_delay"] > 1.0
 
+    def test_device_mode_rejects_rates_above_one(self, capsys, tmp_path):
+        path = write_class(tmp_path, 100, population=10, per_device_rate=1.5)
+        argv = ["simulate", path, "--iterations", "5", "--arrival-mode", "per_device_bernoulli"]
+        assert main(argv) == EXIT_SIMULATION
+        assert capsys.readouterr().err == (
+            "error: class 1: per-device attempt probability 1.5/s exceeds 1\n"
+        )
+
+    def test_device_mode_predicts_per_device_arrivals(self, capsys, tmp_path):
+        # a lone coordinator attempting every second on its own RAO: under
+        # the Poisson form it would collide with chance 1 - 1/e
+        path = write_class(tmp_path, 1, population=1, per_device_rate=1.0)
+        code, report = run_json(capsys, ["simulate", path, "--iterations", "5", "--measure-delay",
+                                         "--arrival-mode", "per_device_bernoulli"])
+        assert code == EXIT_OK
+        assert report["results"]["analytic"]["1"]["collision_rate"] == 0.0
+        simulated = report["results"]["simulated"]["per_class"]["1"]
+        assert (simulated["collided"], simulated["mean_delay"]) == (0, 1.0)
+
     def test_device_mode_needs_population(self, capsys, tmp_path):
         path = tmp_path / "nopop.yaml"
         path.write_text(

@@ -67,6 +67,13 @@ def test_exports_are_the_public_surface():
     assert set(rachopt.__all__) == PUBLIC
 
 
+def test_arrival_mode_is_one_object():
+    # defined in model, re-exported by the simulator and the package
+    from rachopt import model, simulator
+
+    assert rachopt.ArrivalMode is simulator.ArrivalMode is model.ArrivalMode
+
+
 def test_every_export_resolves():
     for name in rachopt.__all__:
         assert getattr(rachopt, name) is not None
