@@ -3,13 +3,15 @@ reserve-and-divide procedure, plus an exact integer oracle.
 
 The proportional rule dedicates RAOs so every class sees the same load
 ``gamma_i / L_i``. That split minimizes the cell collision probability at
-any load, and the colliding-request density as well up to one request per
-RAO (the exact oracle confirms both numerically). Past that load the
-density objective instead favors starving a nearly-saturated class to
-relieve the others: to first order, starving a class that carries a share
-eps of the total density Gamma changes the cell density by
-``Gamma * exp(-x) * (1 - x) * eps`` with ``x = Gamma / L``, a gain only for
-``x > 1``. So the proportional plan stops being density-optimal there.
+any load, its exponent ``sum(gamma_i**2 / L_i)`` being separable and convex
+(Federgruen and Groenevelt, Oper. Res. 34(6), 1986), and the
+colliding-request density as well up to one request per RAO, which the
+exact oracle, a density minimizer, confirms. Past that load the density
+instead favors starving a nearly-saturated class to relieve the others: to
+first order, starving a class that carries a share eps of the total density
+Gamma changes the cell density by ``Gamma * exp(-x) * (1 - x) * eps`` with
+``x = Gamma / L``, a gain only for ``x > 1``. So the proportional plan
+stops being density-optimal there.
 
 Integer plans come from largest-remainder apportionment over exact rational
 quotas, so results are reproducible and invariant under common rescaling of
@@ -193,15 +195,6 @@ def reserve_and_divide(scenario: Scenario) -> AllocationOutcome:
     )
 
 
-def _class_costs(gamma: float, shares: np.ndarray, objective: str) -> np.ndarray:
-    """One class's colliding-request density at each share L, or gamma**2 / L
-    for the probability objective."""
-    if objective == "density":
-        return gamma * -np.expm1(-gamma / shares)
-    # 1 - exp(-sum(g^2/L)) is monotone in this sum; minimizing it suffices
-    return gamma * gamma / shares
-
-
 def _min_plus_fill(cost: np.ndarray, after: np.ndarray, rest: int, top: int) -> np.ndarray:
     """``best[b] = min over s >= 1 of cost[s - 1] + after[b - s]`` for every
     budget ``b`` from ``rest + 1`` to ``top``, +inf below.
@@ -233,17 +226,17 @@ def _min_plus_fill(cost: np.ndarray, after: np.ndarray, rest: int, top: int) -> 
     return best
 
 
-def brute_force_optimal(scenario: Scenario, objective: str = "density") -> AllocationPlan:
+def brute_force_optimal(scenario: Scenario) -> AllocationPlan:
     """Exact, not exhaustive, integer optimum over full-dedication plans.
 
     Verification oracle for proportional_allocation: among all plans with at
     least one RAO per class it returns one minimizing the cell collision
-    density (or the collision probability with ``objective="probability"``).
-    Plans within a relative 1e-12 of the optimum count as tied (the band
-    absorbs the rounding of equal sums added in another order), and the tie
-    goes to the lexicographically smallest shares.
+    density ``sum(gamma_i * (1 - exp(-gamma_i / L_i)))``. Plans within a
+    relative 1e-12 of the optimum count as tied (the band absorbs the
+    rounding of equal sums added in another order), and the tie goes to the
+    lexicographically smallest shares.
 
-    The objective is a sum of per-class costs, so a min-plus recursion over
+    The density is a sum of per-class costs, so a min-plus recursion over
     the classes finds the optimum without enumerating plans. ``best[k][b]``,
     the least cost of classes ``k..n-1`` on ``b`` RAOs, is built from the
     last class, which takes the remainder. Each table is filled a block of
@@ -263,8 +256,6 @@ def brute_force_optimal(scenario: Scenario, objective: str = "density") -> Alloc
     total = scenario.total_raos
     if total < n:
         raise AllocationError(f"insufficient RAOs: {total} for {n} classes")
-    if objective not in ("density", "probability"):
-        raise AllocationError(f"unknown objective {objective!r}")
     sums = (n - 2) * total * total // 2
     if sums > MAX_COST_SUMS:
         raise AllocationError(
@@ -275,7 +266,7 @@ def brute_force_optimal(scenario: Scenario, objective: str = "density") -> Alloc
         return AllocationPlan.from_counts(scenario, [total])
 
     shares = np.arange(1.0, total - n + 2)  # every share one class can get
-    costs = [_class_costs(g, shares, objective) for g in gammas]
+    costs = [g * -np.expm1(-g / shares) for g in gammas]  # each class's density
     best = [np.empty(0)] * n
     best[-1] = np.concatenate(([np.inf], costs[-1]))  # indexed by budget
     for k in range(n - 2, 0, -1):

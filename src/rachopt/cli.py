@@ -488,7 +488,9 @@ def cmd_sweep(args: argparse.Namespace, scenario: Scenario) -> tuple:
             raise ScenarioError([f"--range: could not parse {args.sweep_range!r}"]) from None
         if args.step < 1:
             raise ScenarioError(["--step must be >= 1"])
-        values = list(range(lo, hi + 1, args.step))
+        # the sweep fails at its first value outside [1, total_raos - 1]: stop there
+        last = scenario.total_raos - 1 + args.step if 1 <= lo < scenario.total_raos else lo
+        values = list(range(lo, min(hi, last) + 1, args.step))
     if not values:
         source = f"--values {args.values!r}" if args.values else f"--range {args.sweep_range!r}"
         raise ScenarioError([f"{source}: the list of swept values is empty"])

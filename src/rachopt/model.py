@@ -115,14 +115,12 @@ class Scenario:
     The strategy names the scenario file's default allocation; the layout a
     run or report uses comes from the allocation handed to ``pool_layout``.
     After validation, special classes precede normal ones, and every report
-    follows that order; ``source_order`` records the class ids in the order
-    they were originally supplied, which ``scenario_to_dict`` restores.
+    and ``scenario_to_dict`` follow that order.
     """
 
     classes: tuple[DeviceClass, ...]
     total_raos: int
     strategy: Strategy
-    source_order: tuple[int, ...] | None = None
 
     @property
     def class_ids(self) -> tuple[int, ...]:
@@ -392,9 +390,13 @@ def _number_issues(cls: DeviceClass) -> list[str]:
     return issues
 
 
+def _valid_id(class_id: Any) -> bool:
+    return isinstance(class_id, int) and not isinstance(class_id, bool) and class_id >= 0
+
+
 def _resolve_class(cls: DeviceClass, issues: list[str]) -> DeviceClass:
     label = f"class {cls.id}"
-    if isinstance(cls.id, bool) or not isinstance(cls.id, int) or cls.id < 0:
+    if not _valid_id(cls.id):
         issues.append(f"{label}: id must be a non-negative integer")
         return cls
     if not isinstance(cls.special, bool):
@@ -457,9 +459,8 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     """Check every model invariant and return the validated scenario.
 
     The result has every ra_density resolved to a concrete value and special
-    classes moved ahead of normal ones (stable within each group); the
-    original id order is recorded in ``source_order``. Raises ScenarioError
-    listing all violations at once.
+    classes moved ahead of normal ones (stable within each group). Raises
+    ScenarioError listing all violations at once.
     """
     issues: list[str] = []
     if not scenario.classes:
@@ -475,7 +476,8 @@ def validate_scenario(scenario: Scenario) -> Scenario:
         if not math.isfinite(total):
             issues.append(f"scenario: the classes' ra_density sum to {total}, past the float range")
 
-    ids = [cls.id for cls in resolved]
+    # a bad id is named already, and ids of mixed types do not compare
+    ids = [cls.id for cls in resolved if _valid_id(cls.id)]
     dupes = sorted({i for i in ids if ids.count(i) > 1})
     if dupes:
         issues.append(f"scenario: duplicate class ids {dupes}")
@@ -492,8 +494,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
         raise ScenarioError(issues)
 
     ordered = tuple(sorted(resolved, key=lambda c: not c.special))
-    order = scenario.source_order or tuple(ids)
-    return replace(scenario, classes=ordered, source_order=order)
+    return replace(scenario, classes=ordered)
 
 
 # --- serialization -----------------------------------------------------------
@@ -561,12 +562,9 @@ def _class_from_dict(rec: Mapping[str, Any], idx: int) -> DeviceClass:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
-    """Serialize back to the file format, restoring the original class order."""
-    by_id = {cls.id: cls for cls in scenario.classes}
-    order = scenario.source_order or scenario.class_ids
+    """Serialize back to the file format, classes in validated order."""
     records = []
-    for cid in order:
-        cls = by_id[cid]
+    for cls in scenario.classes:
         rec: dict[str, Any] = {"id": cls.id, "ra_density": cls.ra_density}
         if cls.population is not None:
             rec["population"] = cls.population
@@ -638,7 +636,7 @@ def load_scenario(path: str) -> Scenario:
 
 def scenario_fingerprint(scenario: Scenario) -> str:
     """Content hash of the validated scenario; input class order does not matter."""
-    by_id = tuple(sorted(scenario.class_ids))
-    canonical = scenario_to_dict(replace(scenario, source_order=by_id))
+    canonical = scenario_to_dict(scenario)
+    canonical["classes"].sort(key=lambda rec: rec["id"])
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

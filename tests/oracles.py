@@ -7,8 +7,9 @@ No command reads these; they live beside the tests that use them:
   reproduce on one pool per class, and which give the allocator's density
   objective, and their per-device Bernoulli forms
   (``bernoulli_collision_rate``, ``bernoulli_access_delay``);
-- the delay reservation (``minimum_raos_for_delay``, ``reserve_for_delay``)
-  and the per-budget min-plus oracle for the allocator;
+- the delay reservation (``minimum_raos_for_delay``, ``reserve_for_delay``),
+  the per-budget min-plus oracle for the allocator's density optimum, and
+  the two-class optimum of the collision probability;
 - ``uniform``, the hashed retry draws as doubles, for the simulator's
   reference engine;
 - ``save_scenario``, the YAML writer that round-trips ``load_scenario``.
@@ -124,18 +125,15 @@ def reserve_for_delay(ra_density: float, backoff: float, max_delay: float) -> in
     return max(1, math.ceil(minimum_raos_for_delay(ra_density, backoff, max_delay)))
 
 
-def per_budget_optimum(gammas: list[float], total: int, objective: str) -> list[int]:
-    """The min-plus oracle with one ``min`` call per budget: ``best[k][b]``,
-    the least cost of classes ``k..n-1`` on ``b`` RAOs, is filled budget by
-    budget from the last class, then the walk takes at each class the
-    smallest share whose best completion stays within 1e-12 of the optimum.
-    Needs at least two classes."""
+def per_budget_optimum(gammas: list[float], total: int) -> list[int]:
+    """The min-plus density oracle with one ``min`` call per budget:
+    ``best[k][b]``, the least density of classes ``k..n-1`` on ``b`` RAOs,
+    is filled budget by budget from the last class, then the walk takes at
+    each class the smallest share whose best completion stays within 1e-12
+    of the optimum. Needs at least two classes."""
     n = len(gammas)
     shares = np.arange(1.0, total - n + 2)
-    if objective == "density":
-        costs = [g * -np.expm1(-g / shares) for g in gammas]
-    else:
-        costs = [g * g / shares for g in gammas]
+    costs = [g * -np.expm1(-g / shares) for g in gammas]
     best = [np.empty(0)] * n
     best[-1] = np.concatenate(([np.inf], costs[-1]))
 
@@ -158,3 +156,15 @@ def per_budget_optimum(gammas: list[float], total: int, objective: str) -> list[
         budget -= share
     plan.append(budget)
     return plan
+
+
+def two_class_probability_optimum(g1: float, g2: float, total: int) -> int:
+    """The first class's share of ``total`` RAOs that minimizes the cell
+    collision probability of two dedicated classes, whose exponent is
+    ``g1**2 / L + g2**2 / (total - L)``. The exponent is convex in L with
+    its real minimum at ``total * g1 / (g1 + g2)``, so the better of that
+    point's floor and ceiling, each kept within [1, total - 1], is the
+    integer optimum; a tie goes to the smaller share."""
+    real = total * g1 / (g1 + g2)
+    shares = sorted({min(max(s, 1), total - 1) for s in (math.floor(real), math.ceil(real))})
+    return min(shares, key=lambda share: g1 * g1 / share + g2 * g2 / (total - share))

@@ -13,7 +13,10 @@ density objective rewards starving a small class: to first order, starving
 a class that carries a share eps of the total density Gamma changes the
 cell density by Gamma*exp(-x)*(1 - x)*eps relative to the equal-load split,
 with x = Gamma/L, and that is a gain only for x > 1. The density gap of the
-overloaded draws is reported, not asserted.
+overloaded draws is reported, not asserted. The density optimum comes from
+``brute_force_optimal``; the probability optimum of two classes is the
+floor or the ceiling of L1 = L*g1/(g1 + g2), the real minimizer of the
+convex exponent g1^2/L1 + g2^2/(L - L1) (``tests/oracles.py``).
 """
 
 import math
@@ -41,7 +44,12 @@ from rachopt.model import (
 from rachopt.simulator import SimConfig, run, sweep_dedication
 
 from conftest import RATE_QOS, make_scenario
-from oracles import cell_collision_density, minimum_raos_for_delay, simple_collision_rate
+from oracles import (
+    cell_collision_density,
+    minimum_raos_for_delay,
+    simple_collision_rate,
+    two_class_probability_optimum,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -128,9 +136,8 @@ class TestCriterion2:
             rounded = cell_collision_density(scenario, plan)
             assert exact <= rounded + 1e-12  # enumeration is never beaten
             gap = (rounded - exact) / exact
-            best = collision_exponent(
-                scenario, brute_force_optimal(scenario, objective="probability")
-            )
+            l1 = two_class_probability_optimum(float(g1), float(g2), total)
+            best = collision_exponent(scenario, AllocationPlan({1: l1, 2: total - l1}))
             probability_gap = (collision_exponent(scenario, plan) - best) / best
             if not probability_gap < 1e-3:
                 violations.append(

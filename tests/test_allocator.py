@@ -38,6 +38,7 @@ from oracles import (
     per_budget_optimum,
     reserve_for_delay,
     simple_collision_rate,
+    two_class_probability_optimum,
 )
 
 
@@ -65,17 +66,15 @@ def shares_of(plan):
     return list(plan.raos.values())
 
 
-def class_cost(gamma, raos, objective):
-    if objective == "density":
-        return gamma * -np.expm1(-gamma / raos)
-    return gamma * gamma / raos
+def class_cost(gamma, raos):
+    return gamma * -np.expm1(-gamma / raos)
 
 
-def plan_cost(gammas, shares, objective):
-    return math.fsum(float(class_cost(g, l, objective)) for g, l in zip(gammas, shares))
+def plan_cost(gammas, shares):
+    return math.fsum(float(class_cost(g, l)) for g, l in zip(gammas, shares))
 
 
-def scan_optimum(gammas, total, objective):
+def scan_optimum(gammas, total):
     """Reference oracle: score every plan with at least one RAO per class,
     in lexicographic order, and take the first within 1e-12 of the best.
     With two classes it is the plain vectorised 2-class scan."""
@@ -84,20 +83,20 @@ def scan_optimum(gammas, total, objective):
     plans = np.diff(np.array(cuts).reshape(len(cuts), n - 1), prepend=0, append=total, axis=1)
     values = np.zeros(len(plans))
     for gamma, raos in zip(gammas, plans.T):
-        values += class_cost(gamma, raos, objective)
+        values += class_cost(gamma, raos)
     first = np.flatnonzero(values <= values.min() * (1 + 1e-12))[0]
     return [int(v) for v in plans[first]]
 
 
-def greedy_marginal(gammas, total, objective):
-    """Fox's marginal allocation: from a start where every cost is convex
-    (L > gamma / 2 for the density), hand each further RAO to the class
-    whose cost falls most. Exact while the optimum lies in that region."""
-    shares = [int(g // 2) + 1 if objective == "density" else 1 for g in gammas]
+def greedy_marginal(gammas, total):
+    """Fox's marginal allocation: from a start where every density is convex
+    (L > gamma / 2), hand each further RAO to the class whose density falls
+    most. Exact while the optimum lies in that region."""
+    shares = [int(g // 2) + 1 for g in gammas]
 
     def gain(i):
         raos = shares[i]
-        return class_cost(gammas[i], raos + 1, objective) - class_cost(gammas[i], raos, objective)
+        return class_cost(gammas[i], raos + 1) - class_cost(gammas[i], raos)
 
     heap = [(gain(i), i) for i in range(len(gammas))]
     heapq.heapify(heap)
@@ -352,12 +351,11 @@ class TestBruteForce:
         assert plan.get(1) == expected_l1
 
     def test_probability_objective_same_argmin(self):
+        # below 1 request per RAO the density plan is also the collision
+        # probability's two-class optimum
         for g2 in (100.0, 500.0, 1000.0):
-            scenario = two_class_scenario(50.0, g2)
-            assert (
-                brute_force_optimal(scenario, objective="probability").raos
-                == brute_force_optimal(scenario, objective="density").raos
-            )
+            plan = brute_force_optimal(two_class_scenario(50.0, g2))
+            assert plan.get(1) == two_class_probability_optimum(50.0, g2, 10800)
 
     def test_two_unit_budget(self):
         assert brute_force_optimal(two_class_scenario(1.0, 1.0, total=2)).raos == {
@@ -400,57 +398,46 @@ class TestBruteForce:
         assert time.perf_counter() - start < 1.0
         assert shares_of(plan) == [3600] * 3
 
-    @pytest.mark.parametrize(
-        "gammas,total,objective,expected",
-        [
-            # [1, 9, 1] and [1, 1, 9] tie to one ulp, by summation order
-            ([22.057323053831862] * 3, 11, "density", [1, 1, 9]),
-            ([24.106737285628803] * 4, 19, "probability", [4, 5, 5, 5]),
-        ],
-    )
-    def test_permuted_ties_go_to_smallest_shares(self, gammas, total, objective, expected):
-        plan = brute_force_optimal(dedicated(gammas, total), objective=objective)
-        assert shares_of(plan) == expected
+    def test_permuted_ties_go_to_smallest_shares(self):
+        # [1, 9, 1] and [1, 1, 9] tie to one ulp, by summation order
+        plan = brute_force_optimal(dedicated([22.057323053831862] * 3, 11))
+        assert shares_of(plan) == [1, 1, 9]
 
     @given(
         gammas=st.lists(st.floats(0.1, 100.0), min_size=1, max_size=4),
         spare=st.integers(0, 36),
         equal=st.booleans(),
-        objective=st.sampled_from(["density", "probability"]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_composition_scan(self, gammas, spare, equal, objective):
+    def test_matches_composition_scan(self, gammas, spare, equal):
         if equal:
             gammas = [gammas[0]] * len(gammas)
         total = len(gammas) + spare
-        plan = brute_force_optimal(dedicated(gammas, total), objective=objective)
-        assert shares_of(plan) == scan_optimum(gammas, total, objective)
+        plan = brute_force_optimal(dedicated(gammas, total))
+        assert shares_of(plan) == scan_optimum(gammas, total)
 
     @given(
         weights=st.lists(st.floats(1.0, 10.0), min_size=3, max_size=5),
         total=st.integers(5, 300),
         load=st.floats(0.01, 3.0),
         equal=st.booleans(),
-        objective=st.sampled_from(["density", "probability"]),
     )
     # with 2**16 sums per block the table fill splits into two blocks from
     # L = 259 (3 classes), 260 (4) and 261 (5); one block just below
-    @example(weights=[1.0, 2.0, 5.0], total=258, load=0.9, equal=False, objective="density")
-    @example(weights=[1.0, 2.0, 5.0], total=259, load=0.9, equal=False, objective="density")
-    @example(weights=[3.0] * 4, total=259, load=2.5, equal=True, objective="probability")
-    @example(weights=[1.0, 7.0, 2.0, 9.0], total=260, load=2.5, equal=False, objective="density")
-    @example(weights=[1.0, 7.0, 2.0, 9.0, 4.0], total=260, load=0.5, equal=False,
-             objective="probability")
-    @example(weights=[1.0, 7.0, 2.0, 9.0, 4.0], total=261, load=3.0, equal=False,
-             objective="density")
+    @example(weights=[1.0, 2.0, 5.0], total=258, load=0.9, equal=False)
+    @example(weights=[1.0, 2.0, 5.0], total=259, load=0.9, equal=False)
+    @example(weights=[3.0] * 4, total=259, load=2.5, equal=True)
+    @example(weights=[1.0, 7.0, 2.0, 9.0], total=260, load=2.5, equal=False)
+    @example(weights=[1.0, 7.0, 2.0, 9.0, 4.0], total=260, load=0.5, equal=False)
+    @example(weights=[1.0, 7.0, 2.0, 9.0, 4.0], total=261, load=3.0, equal=False)
     @settings(max_examples=150, deadline=None)
-    def test_matches_per_budget_recursion(self, weights, total, load, equal, objective):
+    def test_matches_per_budget_recursion(self, weights, total, load, equal):
         if equal:
             weights = [weights[0]] * len(weights)
         scale = load * total / math.fsum(weights)
         gammas = [w * scale for w in weights]
-        plan = brute_force_optimal(dedicated(gammas, total), objective=objective)
-        assert shares_of(plan) == per_budget_optimum(gammas, total, objective)
+        plan = brute_force_optimal(dedicated(gammas, total))
+        assert shares_of(plan) == per_budget_optimum(gammas, total)
 
     @pytest.mark.parametrize("block_sums", [1, 2, 7, 64, 1000])
     def test_any_block_size_gives_the_per_budget_plan(self, monkeypatch, block_sums):
@@ -463,48 +450,40 @@ class TestBruteForce:
             total = int(rng.integers(n, 120))
             gammas = [float(g) for g in rng.uniform(1.0, 10.0, size=n)]
             gammas = [g * rng.uniform(0.05, 3.0) * total / sum(gammas) for g in gammas]
-            for objective in ("density", "probability"):
-                plan = brute_force_optimal(dedicated(gammas, total), objective=objective)
-                assert shares_of(plan) == per_budget_optimum(gammas, total, objective)
+            plan = brute_force_optimal(dedicated(gammas, total))
+            assert shares_of(plan) == per_budget_optimum(gammas, total)
 
-    @pytest.mark.parametrize("objective", ["density", "probability"])
-    def test_memory_stays_linear_in_the_budget(self, objective):
+    def test_memory_stays_linear_in_the_budget(self):
         # a full L x L table at L = 10 800 would be about 930 MB; the tables,
         # the padded copy and one block buffer take about 1.4 MB
         scenario = dedicated([50.0, 100.0, 500.0], 10800)
         tracemalloc.start()
         try:
-            brute_force_optimal(scenario, objective=objective)
+            brute_force_optimal(scenario)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 3_000_000
 
-    @pytest.mark.parametrize("objective", ["density", "probability"])
-    def test_matches_two_class_scan_on_criterion2_budgets(self, objective):
+    def test_matches_two_class_scan_on_criterion2_budgets(self):
         rng = np.random.default_rng(20240817)
         for total in [*rng.integers(100, 20001, size=15), 20000]:
             gammas = [float(g) for g in rng.uniform(1.0, 2000.0, size=2)]
-            plan = brute_force_optimal(dedicated(gammas, int(total)), objective=objective)
-            assert shares_of(plan) == scan_optimum(gammas, int(total), objective)
+            plan = brute_force_optimal(dedicated(gammas, int(total)))
+            assert shares_of(plan) == scan_optimum(gammas, int(total))
 
-    @pytest.mark.parametrize("objective", ["density", "probability"])
-    def test_matches_greedy_marginal_in_convex_regime(self, objective):
+    def test_matches_greedy_marginal_in_convex_regime(self):
         # densities of at most 2000 Hz each keep 3 classes on 10800 RAOs
         # below 1 request per RAO, where the optimum gives every class
         # L_i > gamma_i / 2 and greedy marginal allocation is exact
         rng = np.random.default_rng(1966)
         for _ in range(3):
             gammas = [float(g) for g in rng.uniform(1.0, 2000.0, size=3)]
-            exact = shares_of(brute_force_optimal(dedicated(gammas, 10800), objective))
-            greedy = greedy_marginal(gammas, 10800, objective)
-            assert plan_cost(gammas, exact, objective) == pytest.approx(
-                plan_cost(gammas, greedy, objective), rel=1e-12, abs=0
+            exact = shares_of(brute_force_optimal(dedicated(gammas, 10800)))
+            greedy = greedy_marginal(gammas, 10800)
+            assert plan_cost(gammas, exact) == pytest.approx(
+                plan_cost(gammas, greedy), rel=1e-12, abs=0
             )
-
-    def test_unknown_objective_rejected(self):
-        with pytest.raises(AllocationError, match="objective"):
-            brute_force_optimal(two_class_scenario(1.0, 1.0), objective="delay")
 
     def test_brute_force_never_beaten(self):
         # holds at any load: the enumeration is the exact integer optimum

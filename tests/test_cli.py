@@ -602,6 +602,22 @@ class TestSweep:
         assert code == EXIT_OK
         assert [p["l_swept"] for p in report["results"]["points"]] == [600, 1200, 1800]
 
+    @pytest.mark.parametrize(
+        "sweep_range, step, first_outside",
+        [("1:1000000000000000000000000000000", "10801", 10802),
+         ("1:1000000000000000000000", "600", 10801)],
+        ids=["past-ssize_t", "past-memory"],
+    )
+    def test_huge_range_fails_at_its_first_value_past_the_pool(
+        self, capsys, sweep_range, step, first_outside
+    ):
+        # the whole list used to be built first: an OverflowError, a MemoryError
+        argv = ["sweep", DC12, "--range", sweep_range, "--step", step, "--iterations", "5"]
+        assert main(argv) == EXIT_SIMULATION
+        assert capsys.readouterr().err == (
+            f"error: swept value {first_outside} outside [1, 10799]\n"
+        )
+
     def test_needs_range_or_values(self, capsys):
         assert main(["sweep", DC12, "--iterations", "5"]) == EXIT_VALIDATION
 
@@ -739,6 +755,23 @@ class TestDiagnostics:
         assert capsys.readouterr().err == (
             f"error: {path}:6: key 'ra_density' given again (first on line 5)\n"
         )
+
+    @pytest.mark.parametrize(
+        "ids, issues",
+        [(["a", "a", 1, 1], ["class a: id must be a non-negative integer"] * 2
+          + ["scenario: duplicate class ids [1]"]),
+         ([[1], [1]], ["class [1]: id must be a non-negative integer"] * 2)],
+        ids=["mixed-types", "unhashable"],
+    )
+    def test_repeated_bad_ids_listed(self, capsys, tmp_path, ids, issues):
+        # repeats were sorted and hashed over every id: a TypeError traceback
+        path = tmp_path / "ids.yaml"
+        classes = [{"id": i, "ra_density": 1.0} for i in ids]
+        path.write_text(
+            yaml.safe_dump({"total_raos": 100, "strategy": "full_sharing", "classes": classes})
+        )
+        assert main(["analyze", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "".join(f"error: {issue}\n" for issue in issues)
 
     @pytest.mark.parametrize("command", ["analyze", "optimize"])
     def test_non_bool_special_named(self, capsys, tmp_path, command):

@@ -162,10 +162,10 @@ class TestValidateScenario:
         with pytest.raises(ScenarioError, match="backoff"):
             validate_scenario(bad)
 
-    def test_specials_sorted_first_and_source_order_kept(self):
+    def test_specials_sorted_first_and_written_in_that_order(self):
         scenario = make_scenario((2, 3, 1), special_ids=(1,))
         assert scenario.class_ids == (1, 2, 3)
-        assert scenario.source_order == (2, 3, 1)
+        assert [rec["id"] for rec in scenario_to_dict(scenario)["classes"]] == [1, 2, 3]
 
     def test_bool_total_raos_rejected(self):
         # YAML's true is an int subclass in Python, not a count of RAOs

@@ -5,13 +5,15 @@ The single-pool references and the scenario writer live in
 ``tests/oracles.py``; no library module may define them again.
 """
 
+import dataclasses
 import importlib
 import inspect
 
 import pytest
 
 import rachopt
-from rachopt.allocator import largest_remainder
+from rachopt.allocator import brute_force_optimal, largest_remainder
+from rachopt.model import Scenario
 
 PUBLIC = {
     "AllocationError",
@@ -89,3 +91,11 @@ def test_test_references_are_not_in_the_library(module):
 
 def test_apportionment_floor_is_fixed():
     assert list(inspect.signature(largest_remainder).parameters) == ["weights", "total"]
+
+
+def test_exact_oracle_minimizes_the_density_alone():
+    assert list(inspect.signature(brute_force_optimal).parameters) == ["scenario"]
+
+
+def test_scenario_keeps_one_class_order():
+    assert [f.name for f in dataclasses.fields(Scenario)] == ["classes", "total_raos", "strategy"]
