@@ -16,7 +16,6 @@ from .analytics import (
 )
 from .allocator import (
     AllocationError,
-    AllocationOutcome,
     OverloadError,
     brute_force_optimal,
     largest_remainder,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllocationError",
-    "AllocationOutcome",
     "AllocationPlan",
     "ArrivalMode",
     "ClassMetrics",

@@ -13,6 +13,11 @@ Gamma changes the cell density by ``Gamma * exp(-x) * (1 - x) * eps`` with
 ``x = Gamma / L``, a gain only for ``x > 1``. So the proportional plan
 stops being density-optimal there.
 
+Reserve-and-divide gives each special class exactly the RAOs its QoS bound
+needs and splits the rest proportionally among the normal classes. Every
+allocator returns a plain AllocationPlan; under reserve-and-divide its
+special-class counts are the reservations.
+
 Integer plans come from largest-remainder apportionment over exact rational
 quotas, so results are reproducible and invariant under common rescaling of
 the densities.
@@ -21,7 +26,6 @@ the densities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -44,25 +48,7 @@ class AllocationError(ValueError):
 
 
 class OverloadError(AllocationError):
-    """RACH resource overload: reservations exceed the RAO budget.
-
-    ``class_id`` names the class at which the running budget was exhausted
-    (None when the post-reservation residual cannot cover the normal
-    classes).
-    """
-
-    def __init__(self, message: str, class_id: int | None = None):
-        super().__init__(message)
-        self.class_id = class_id
-
-
-@dataclass(frozen=True)
-class AllocationOutcome:
-    """Result of reserve_and_divide: the full plan plus how it was formed."""
-
-    plan: AllocationPlan
-    reserved: dict[int, int]
-    residual: int
+    """RACH resource overload: reservations exceed the RAO budget."""
 
 
 def largest_remainder(weights: Sequence[float], total: int) -> list[int]:
@@ -120,8 +106,6 @@ def minimum_raos_for_rate(ra_density: float, max_rate: float) -> float:
     at or below ``max_rate``."""
     if not 0 < max_rate < 1:
         raise AllocationError(f"max_rate must lie in (0, 1), got {max_rate}")
-    if ra_density <= 0:
-        raise AllocationError(f"ra_density must be > 0, got {ra_density}")
     return ra_density / -math.log1p(-max_rate)
 
 
@@ -129,70 +113,77 @@ def reserve_for_collision_rate(ra_density: float, max_rate: float) -> int:
     """Smallest whole RAO count meeting a collision-rate bound (>= 1).
     Raises OverloadError when the real-valued need is past the float range."""
     need = minimum_raos_for_rate(ra_density, max_rate)
+    return _whole_raos(need, ra_density, f"collision rate at {max_rate}")
+
+
+def _whole_raos(need: float, ra_density: float, bound: str) -> int:
+    """Round the real-valued RAO need of ``ra_density`` up, to at least one
+    RAO. A need past the float range is an OverloadError naming the density
+    and its ``bound``."""
+    if ra_density <= 0:
+        raise AllocationError(f"ra_density must be > 0, got {ra_density}")
     if math.isinf(need):
         raise OverloadError(
-            f"{ra_density} Hz needs more RAOs than the float range holds to keep "
-            f"its collision rate at {max_rate}"
+            f"{ra_density} Hz needs more RAOs than the float range holds to keep its {bound}"
         )
     return max(1, math.ceil(need))
 
 
 def _reservation(cls: DeviceClass) -> int:
+    """RAOs a special class needs for its QoS bound: ``ceil(gamma / -ln(1 - p))``
+    for a collision rate ``p``, and ``ceil(gamma / ln(D / b))`` for a mean
+    delay ``D`` at backoff ``b``, at least one either way. The delay form
+    takes ``ln(D / b)`` as ``log1p((D - b) / b)``, which keeps its precision
+    at every ratio, where the rate ``1 - b / D`` would round to 1 beyond
+    about 1e16 backoffs."""
     if cls.qos is None:
         raise AllocationError(f"special class {cls.id} carries no QoS target")
-    max_rate = cls.qos.max_collision_rate
-    if cls.qos.kind == QosKind.MAX_MEAN_DELAY:
-        # delay bounds normalize to the equivalent collision-rate bound
-        max_rate = 1.0 - cls.backoff / cls.qos.max_mean_delay
-        if not 0 < max_rate < 1:
-            raise AllocationError(
-                f"class {cls.id}: delay bound {cls.qos.max_mean_delay} does not "
-                f"exceed the backoff {cls.backoff}"
-            )
     try:
-        return reserve_for_collision_rate(cls.ra_density, max_rate)
+        if cls.qos.kind != QosKind.MAX_MEAN_DELAY:
+            return reserve_for_collision_rate(cls.ra_density, cls.qos.max_collision_rate)
+        delay, backoff = cls.qos.max_mean_delay, cls.backoff
+        if not 0 < backoff < delay:
+            raise AllocationError(
+                f"class {cls.id}: delay bound {delay} does not exceed the backoff {backoff}"
+            )
+        need = cls.ra_density / math.log1p((delay - backoff) / backoff)
+        return _whole_raos(need, cls.ra_density, f"mean delay at {delay}")
     except OverloadError as err:
-        raise OverloadError(
-            f"RACH resource overload: class {cls.id} at {err}", class_id=cls.id
-        ) from None
+        raise OverloadError(f"RACH resource overload: class {cls.id} at {err}") from None
 
 
-def reserve_and_divide(scenario: Scenario) -> AllocationOutcome:
+def reserve_and_divide(scenario: Scenario) -> AllocationPlan:
     """Reserve QoS-sufficient RAOs for special classes, then divide the rest
     proportionally among normal classes.
 
-    Special classes receive exactly their reservation (rounded up, so the
-    QoS bound holds after integralization). Raises OverloadError when the
-    running budget goes negative during reservation or the residual cannot
-    give every normal class at least one RAO.
+    Each special class's count in the plan is exactly its reservation (see
+    ``_reservation``; rounded up, so the QoS bound holds after
+    integralization), and the normal classes split the residual
+    ``total_raos`` minus those counts by largest remainder. Raises
+    OverloadError when the running budget goes negative during reservation
+    or the residual cannot give every normal class at least one RAO.
     """
-    specials = scenario.special_classes
     normals = scenario.normal_classes
     budget = scenario.total_raos
-    reserved: dict[int, int] = {}
-    for cls in specials:
+    raos: dict[int, int] = {}
+    for cls in scenario.special_classes:
         need = _reservation(cls)
-        reserved[cls.id] = need
+        raos[cls.id] = need
         budget -= need
         if budget < 0:
             raise OverloadError(
                 f"RACH resource overload: reserving {need} RAOs for class "
-                f"{cls.id} exceeds the remaining budget by {-budget}",
-                class_id=cls.id,
+                f"{cls.id} exceeds the remaining budget by {-budget}"
             )
-    residual = budget
-    shares: dict[int, int] = {}
     if normals:
-        if residual < len(normals):
+        if budget < len(normals):
             raise OverloadError(
-                f"RACH resource overload: residual {residual} RAOs cannot give "
+                f"RACH resource overload: residual {budget} RAOs cannot give "
                 f"{len(normals)} normal classes one RAO each"
             )
-        counts = largest_remainder([cls.ra_density for cls in normals], residual)
-        shares = dict(zip((cls.id for cls in normals), counts))
-    return AllocationOutcome(
-        plan=AllocationPlan({**reserved, **shares}), reserved=reserved, residual=residual
-    )
+        counts = largest_remainder([cls.ra_density for cls in normals], budget)
+        raos.update(zip((cls.id for cls in normals), counts))
+    return AllocationPlan(raos)
 
 
 def _min_plus_fill(cost: np.ndarray, after: np.ndarray, rest: int, top: int) -> np.ndarray:

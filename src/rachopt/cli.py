@@ -182,12 +182,13 @@ def _parse_plan(spec: str, scenario: Scenario) -> AllocationPlan:
     if any(keyed) and not all(keyed):
         raise ScenarioError(["--plan: mix of 'id=count' and bare counts"])
     try:
-        if not all(keyed):
-            return AllocationPlan.from_counts(scenario, [int(e) for e in entries])
-        pairs = [entry.partition("=") for entry in entries]
-        ids, counts = [int(cid) for cid, _, _ in pairs], [int(count) for _, _, count in pairs]
+        pairs = [entry.rpartition("=") for entry in entries]
+        counts = [int(count) for _, _, count in pairs]
+        ids = [int(cid) for cid, _, _ in pairs] if all(keyed) else None
     except ValueError:
         raise ScenarioError([f"--plan: could not parse {spec!r}"]) from None
+    if ids is None:
+        return AllocationPlan.from_counts(scenario, counts)
     _reject_repeated("--plan: class", ids)
     return AllocationPlan(dict(zip(ids, counts)))
 
@@ -281,21 +282,17 @@ def _emit(args: argparse.Namespace, scenario: Scenario, command: str, parameters
     _print_tree(results, indent=1)
 
 
-def _print_tree(node: Any, indent: int) -> None:
+def _print_tree(node: dict, indent: int) -> None:
+    """Print a report's mappings one key a line; the items of a list, all
+    mappings, follow one another under its key."""
     pad = "  " * indent
-    if isinstance(node, dict):
-        for key, value in node.items():
-            if isinstance(value, (dict, list)):
-                print(f"{pad}{key}:")
-                _print_tree(value, indent + 1)
-            else:
-                print(f"{pad}{key}: {_fmt(value)}")
-    elif isinstance(node, list):
-        for value in node:
-            if isinstance(value, (dict, list)):
-                _print_tree(value, indent)
-            else:
-                print(f"{pad}- {_fmt(value)}")
+    for key, value in node.items():
+        if isinstance(value, (dict, list)):
+            print(f"{pad}{key}:")
+            for item in value if isinstance(value, list) else [value]:
+                _print_tree(item, indent + 1)
+        else:
+            print(f"{pad}{key}: {_fmt(value)}")
 
 
 def _fmt(value: Any) -> str:
@@ -386,8 +383,9 @@ def cmd_optimize(args: argparse.Namespace, scenario: Scenario) -> tuple:
         reserved: dict[int, int] = {}
         residual = None
     else:
-        outcome = allocator.reserve_and_divide(scenario)
-        plan, reserved, residual = outcome.plan, outcome.reserved, outcome.residual
+        plan = allocator.reserve_and_divide(scenario)
+        reserved = {cls.id: plan.get(cls.id) for cls in scenario.special_classes}
+        residual = scenario.total_raos - sum(reserved.values())
     predicted, cell = _predicted(
         scenario,
         pool_layout(scenario, plan),
@@ -547,7 +545,7 @@ def cmd_sweep(args: argparse.Namespace, scenario: Scenario) -> tuple:
 _COMPARE_ALLOCATIONS = {
     "full_sharing": lambda scenario: None,
     "full_dedication": allocator.proportional_allocation,
-    "reserve_and_divide": lambda scenario: allocator.reserve_and_divide(scenario).plan,
+    "reserve_and_divide": allocator.reserve_and_divide,
 }
 
 

@@ -255,10 +255,10 @@ class TestCriterion5:
         simulated rate stays within 3 standard errors of it."""
         t0 = time.perf_counter()
         scenario = make_scenario((1, 2, 3), special_ids=(1,), qos_for={1: RATE_QOS})
-        outcome = reserve_and_divide(scenario)
-        layout = pool_layout(scenario, outcome.plan)
+        plan = reserve_and_divide(scenario)
+        layout = pool_layout(scenario, plan)
         analytic_p1 = layout_metrics(scenario, layout)[1].collision_rate
-        stats = run(scenario, outcome.plan, SimConfig(iterations=10000, seed=501))
+        stats = run(scenario, plan, SimConfig(iterations=10000, seed=501))
         s1 = stats.per_class[1]
         elapsed = time.perf_counter() - t0
         ok = (
@@ -269,7 +269,7 @@ class TestCriterion5:
         report(
             "criterion 5 (reserve-and-divide guarantee)",
             ok,
-            f"reserved L1={outcome.reserved[1]}, analytic p1={analytic_p1:.6f} <= 0.02, "
+            f"reserved L1={plan.get(1)}, analytic p1={analytic_p1:.6f} <= 0.02, "
             f"empirical {s1.collision_rate:.6f} <= 0.02 + 3*{s1.rate_stderr:.6f} "
             f"at 10000 iterations; {elapsed:.1f} s (< 2 min)",
         )

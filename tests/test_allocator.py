@@ -126,6 +126,10 @@ class TestLargestRemainder:
         with pytest.raises(AllocationError, match="positive"):
             largest_remainder([1.0, 0.0], 10)
 
+    def test_rejects_zero_classes(self):
+        with pytest.raises(AllocationError, match="^cannot apportion among zero classes$"):
+            largest_remainder([], 5)
+
     @given(
         weights=st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=8),
         total=st.integers(8, 10**6),
@@ -205,6 +209,11 @@ class TestRateReservation:
         with pytest.raises(AllocationError):
             reserve_for_collision_rate(50.0, bad)
 
+    @pytest.mark.parametrize("density", [0.0, -1.0])
+    def test_rejects_non_positive_density(self, density):
+        with pytest.raises(AllocationError, match=f"^ra_density must be > 0, got {density}$"):
+            reserve_for_collision_rate(density, 0.02)
+
     def test_need_past_the_float_range_is_an_overload(self):
         # math.ceil of the infinite need used to raise a raw OverflowError
         with pytest.raises(OverloadError, match="more RAOs than the float range holds"):
@@ -256,12 +265,10 @@ class TestDelayReservation:
 class TestReserveAndDivide:
     def test_reference_walkthrough(self):
         scenario = make_scenario((1, 2, 3), special_ids=(1,), qos_for={1: RATE_QOS})
-        outcome = reserve_and_divide(scenario)
-        assert outcome.reserved == {1: 2475}
-        assert outcome.residual == 8325
-        assert outcome.plan.raos == {1: 2475, 2: 1388, 3: 6937}
-        assert outcome.plan.total == 10800
-        predicted = layout_metrics(scenario, pool_layout(scenario, outcome.plan))
+        plan = reserve_and_divide(scenario)
+        assert plan.raos == {1: 2475, 2: 1388, 3: 6937}
+        assert plan.total == 10800
+        predicted = layout_metrics(scenario, pool_layout(scenario, plan))
         assert predicted[1].collision_rate <= 0.02
         assert predicted[2].collision_rate == pytest.approx(
             0.06951200952334086, rel=1e-12, abs=0
@@ -272,23 +279,24 @@ class TestReserveAndDivide:
 
     def test_no_specials_reduces_to_proportional(self):
         scenario = make_scenario((1, 2))
-        outcome = reserve_and_divide(scenario)
-        assert outcome.plan.raos == proportional_allocation(scenario).raos
-        assert outcome.reserved == {}
-        assert outcome.residual == 10800
+        plan = reserve_and_divide(scenario)
+        assert plan.raos == proportional_allocation(scenario).raos
+        assert plan.total == 10800
 
     def test_delay_target_normalizes_to_rate_bound(self):
         qos = QosTarget(kind=QosKind.MAX_MEAN_DELAY, max_mean_delay=1 / 0.98)
         scenario = make_scenario((1, 2, 3), special_ids=(1,), qos_for={1: qos})
-        outcome = reserve_and_divide(scenario)
-        assert outcome.reserved == {1: 2475}
+        assert reserve_and_divide(scenario).raos[1] == 2475
 
     def test_reservation_overload_names_class(self):
         qos = QosTarget(kind=QosKind.MAX_COLLISION_RATE, max_collision_rate=1e-9)
         scenario = make_scenario((1, 2, 3), special_ids=(1,), qos_for={1: qos})
         with pytest.raises(OverloadError, match="overload") as err:
             reserve_and_divide(scenario)
-        assert err.value.class_id == 1
+        assert str(err.value) == (
+            "RACH resource overload: reserving 49999999975 RAOs for class 1 exceeds the "
+            "remaining budget by 49999989175"
+        )
 
     def test_residual_too_small_for_normals(self):
         # reservation fits (2475 of 2476) but leaves one RAO for two classes
@@ -297,6 +305,42 @@ class TestReserveAndDivide:
         )
         with pytest.raises(OverloadError, match="overload"):
             reserve_and_divide(scenario)
+
+    @pytest.mark.parametrize(
+        "ra_density, backoff, message",
+        [(50.0, 2.0, "class 1: delay bound 1.0 does not exceed the backoff 2.0"),
+         (0.0, 0.5, "ra_density must be > 0, got 0.0")],
+        ids=["bound-not-above-backoff", "no-density"],
+    )
+    def test_unvalidated_delay_bound_rejected(self, ra_density, backoff, message):
+        qos = QosTarget(kind=QosKind.MAX_MEAN_DELAY, max_mean_delay=1.0)
+        special = DeviceClass(id=1, ra_density=ra_density, backoff=backoff, special=True, qos=qos)
+        scenario = Scenario(classes=(special,), total_raos=100, strategy=Strategy.FULL_DEDICATION)
+        with pytest.raises(AllocationError) as err:
+            reserve_and_divide(scenario)
+        assert str(err.value) == message
+
+    @given(
+        gamma=st.floats(0.5, 500.0),
+        backoff=st.floats(0.01, 100.0),
+        log10_ratio=st.floats(math.log10(1.01), 300.0),
+    )
+    def test_delay_reservation_exact_at_any_ratio(self, gamma, backoff, log10_ratio):
+        # the rate 1 - backoff / max_mean_delay rounded to 1 past about 1e16
+        # backoffs and lost digits well before
+        max_delay = backoff * 10.0**log10_ratio
+        exact = minimum_raos_for_delay(gamma, backoff, max_delay)
+        assume(abs(exact - round(exact)) > 1e-9)
+        qos = QosTarget(kind=QosKind.MAX_MEAN_DELAY, max_mean_delay=max_delay)
+        special = DeviceClass(id=1, ra_density=gamma, backoff=backoff, special=True, qos=qos)
+        scenario = validate_scenario(
+            Scenario(
+                classes=(special, DeviceClass(id=2, ra_density=100.0)),
+                total_raos=10**6,
+                strategy=Strategy.FULL_DEDICATION,
+            )
+        )
+        assert reserve_and_divide(scenario).raos[1] == reserve_for_delay(gamma, backoff, max_delay)
 
     def test_special_without_qos_rejected(self):
         scenario = make_scenario((1, 2), special_ids=(1,))
@@ -307,10 +351,10 @@ class TestReserveAndDivide:
         scenario = make_scenario(
             (1, 2), special_ids=(1, 2), qos_for={1: RATE_QOS, 2: RATE_QOS}
         )
-        outcome = reserve_and_divide(scenario)
-        assert outcome.plan.raos == outcome.reserved
-        assert outcome.residual == 10800 - sum(outcome.reserved.values())
-        assert outcome.residual >= 0
+        plan = reserve_and_divide(scenario)
+        # 50 Hz and 100 Hz at a 2 % bound: 2475 + 4950 of the 10800 RAOs
+        assert plan.raos == {1: 2475, 2: 4950}
+        assert plan.total == 7425
 
     @given(
         g_special=st.floats(1.0, 200.0),
@@ -335,9 +379,9 @@ class TestReserveAndDivide:
                 strategy=Strategy.FULL_DEDICATION,
             )
         )
-        outcome = reserve_and_divide(scenario)
-        assert outcome.plan.total == 50000
-        bound_rate = simple_collision_rate(g_special, outcome.reserved[0])
+        plan = reserve_and_divide(scenario)
+        assert plan.total == 50000
+        bound_rate = simple_collision_rate(g_special, plan.raos[0])
         assert bound_rate <= max_rate
 
 
@@ -381,6 +425,11 @@ class TestBruteForce:
             )
         )
         assert brute_force_optimal(scenario).raos == {0: 10, 1: 20, 2: 30}
+
+    def test_refuses_fewer_raos_than_classes(self):
+        scenario = make_scenario((1, 2), strategy=Strategy.FULL_SHARING, total_raos=1)
+        with pytest.raises(AllocationError, match="^insufficient RAOs: 1 for 2 classes$"):
+            brute_force_optimal(scenario)
 
     def test_refuses_oversized_enumeration(self):
         # 3 classes on 10**5 RAOs would need 5e9 cost sums; the refusal is

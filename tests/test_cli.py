@@ -117,6 +117,12 @@ class TestAnalyze:
         assert report["results"]["per_class"]["1"]["collision_rate"] == pytest.approx(
             0.015294873819897137, rel=1e-10
         )
+        # an empty entry, such as after a trailing ';', is skipped
+        code, trailing = run_json(
+            capsys, ["analyze", str(path), "--topology", "1:0-5399;2:2700-10799;"]
+        )
+        assert code == EXIT_OK
+        assert trailing["results"] == report["results"]
 
 
     def test_out_of_range_topology_rejected_before_slots_are_built(self, capsys, tmp_path):
@@ -199,6 +205,11 @@ class TestOptimize:
             assert main([command, str(path)]) == EXIT_VALIDATION
             assert "qos.max_mean_delay must be finite" in capsys.readouterr().err
 
+    def test_special_class_without_qos_exits_2(self, capsys, tmp_path):
+        path = write_class(tmp_path, 100, ra_density=50.0, special=True)
+        assert main(["optimize", path]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", "error: special class 1 carries no QoS target\n")
+
     def test_overload_exit_code(self, capsys, tmp_path):
         data = yaml.safe_load(Path(QOS123).read_text())
         data["classes"][0]["qos"]["max_collision_rate"] = 1e-9
@@ -209,13 +220,12 @@ class TestOptimize:
 
 
 class TestUnwritableCsv:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["simulate", DC12, "--iterations", "2", "--seed", "1"],
-            ["sweep", DC12, "--values", "3600", "--iterations", "2", "--seed", "1"],
-        ],
-    )
+    ARGVS = [
+        ["simulate", DC12, "--iterations", "2", "--seed", "1"],
+        ["sweep", DC12, "--values", "3600", "--iterations", "2", "--seed", "1"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS)
     def test_exits_with_validation_error_naming_the_path(
         self, capsys, tmp_path, monkeypatch, argv
     ):
@@ -229,6 +239,23 @@ class TestUnwritableCsv:
         captured = capsys.readouterr()
         assert f"error: --csv {out}: " in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=["simulate", "sweep"])
+    def test_write_failing_after_the_check_exits_2(self, capsys, tmp_path, monkeypatch, argv):
+        # the directory goes away while the simulation runs
+        folder = tmp_path / "gone"
+        folder.mkdir()
+        out = folder / "x.csv"
+        simulate = simulator._simulate
+
+        def remove_folder_then_simulate(*args, **kwargs):
+            out.unlink(missing_ok=True)
+            folder.rmdir()
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_simulate", remove_folder_then_simulate)
+        assert main(argv + ["--csv", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: --csv {out}: No such file or directory\n")
 
 
 @pytest.mark.parametrize(
@@ -634,6 +661,19 @@ class TestSweep:
         assert main(["sweep", DC12, *option, "--iterations", "5", "--seed", "1"]) == EXIT_VALIDATION
         assert "list of swept values is empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--values", "x"], "--values: could not parse 'x'"),
+            (["--range", "a:b"], "--range: could not parse 'a:b'"),
+            (["--range", "600:1200", "--step", "0"], "--step must be >= 1"),
+        ],
+        ids=["values", "range", "step"],
+    )
+    def test_unparsable_sweep_option_named(self, capsys, option, message):
+        assert main(["sweep", DC12, *option, "--iterations", "5", "--seed", "1"]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_class_index_out_of_range_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "/nonexistent/file.yaml", "--values", "100", "--class-index", "5"])
@@ -812,8 +852,83 @@ class TestDiagnostics:
         assert main(["analyze", str(path)]) == EXIT_VALIDATION
         assert "color" in capsys.readouterr().err
 
-    def test_invalid_plan_spec(self, capsys):
-        assert main(["analyze", DC12, "--plan", "abc"]) == EXIT_VALIDATION
+    @pytest.mark.parametrize(
+        "spec, issues",
+        [
+            ("abc", ["--plan: could not parse 'abc'"]),
+            (",", ["--plan: no entries given"]),
+            ("1=3600,7200", ["--plan: mix of 'id=count' and bare counts"]),
+            ("3600", ["plan lists 1 counts for 2 classes"]),
+            ("0,10800", ["class 1: allocated 0 RAOs, need >= 1"]),
+            ("1=3600,3=7200",
+             ["class 2: missing from allocation plan", "plan covers unknown class ids [3]"]),
+        ],
+        ids=["unparsable", "empty", "mixed", "count-short", "zero-raos", "unknown-id"],
+    )
+    def test_invalid_plan_spec(self, capsys, spec, issues):
+        # a wrong count of bare counts used to read as "could not parse"
+        assert main(["analyze", DC12, "--plan", spec]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", "".join(f"error: {issue}\n" for issue in issues))
+
+    @pytest.mark.parametrize(
+        "strategy, option, message",
+        [
+            ("partial_dedication", ["--plan", "3600,7200"],
+             "--plan is only valid for full dedication"),
+            ("full_sharing", ["--plan", "3600,7200"],
+             "full sharing takes neither --plan nor --topology"),
+            ("full_sharing", ["--topology", "1:0-5399"],
+             "full sharing takes neither --plan nor --topology"),
+            ("partial_dedication", ["--topology", "1:a-b"], "--topology: could not parse '1:a-b'"),
+            ("partial_dedication", ["--topology", "1:0-5399;2:2700-10799;3:0-99"],
+             "topology covers unknown class ids [3]"),
+        ],
+        ids=["plan-on-partial", "plan-on-sharing", "topology-on-sharing",
+             "topology-unparsable", "topology-unknown-id"],
+    )
+    def test_allocation_option_refused(self, capsys, tmp_path, strategy, option, message):
+        path = write_cell(tmp_path, strategy, 10800, [50.0, 100.0])
+        assert main(["analyze", path, *option]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    SHARED = {"total_raos": 100, "strategy": "full_sharing"}
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ([1, 2], "scenario document must be a mapping"),
+            ({"classes": [{"id": 1, "ra_density": 5.0}]},
+             "scenario: missing fields ['strategy', 'total_raos']"),
+            ({**SHARED, "classes": {"id": 1}},
+             "scenario: classes must be a list of class records"),
+            ({**SHARED, "classes": []}, "scenario: needs at least one device class"),
+            ({**SHARED, "classes": [5]}, "classes[0]: class record must be a mapping"),
+            ({**SHARED, "classes": [{"ra_density": 5.0}]}, "classes[0]: missing id"),
+            ({**SHARED, "classes": [{"id": 1}]},
+             "class 1: ra_density missing (give it or population/per_device_rate)"),
+            ({**SHARED, "classes": [{"id": 1, "ra_density": 5.0, "qos": 0.02}]},
+             "classes[0]: qos must be a mapping"),
+            ({**SHARED, "classes": [{"id": 1, "ra_density": 5.0,
+                                     "qos": {"kind": "max_collision_rate"}}]},
+             "class 1: qos.max_collision_rate missing"),
+            ({**SHARED, "classes": [{"id": 1, "ra_density": 5.0,
+                                     "qos": {"kind": "max_mean_delay"}}]},
+             "class 1: qos.max_mean_delay missing"),
+            ({**SHARED, "classes": [{"id": 1, "ra_density": 5.0, "qos": {
+                "kind": "max_mean_delay", "max_mean_delay": 2.0, "max_collision_rate": 0.02}}]},
+             "class 1: qos.kind is max_mean_delay but qos.max_collision_rate is set"),
+            ({**SHARED, "classes": [{"id": 1, "ra_density": "free"}]},
+             "class 1: ra_density must be a number, got 'free'"),
+        ],
+        ids=["list", "missing-fields", "classes-mapping", "no-classes", "record-scalar",
+             "no-id", "only-id", "qos-scalar", "rate-without-bound", "delay-without-bound",
+             "rate-beside-delay", "word-with-an-e"],
+    )
+    def test_malformed_document_named(self, capsys, tmp_path, document, message):
+        path = tmp_path / "malformed.yaml"
+        path.write_text(yaml.safe_dump(document))
+        assert main(["analyze", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_repeated_plan_id_named(self, capsys):
         assert main(["analyze", DC12, "--plan", "1=100,1=200,2=300"]) == EXIT_VALIDATION
@@ -918,6 +1033,27 @@ class TestDiagnostics:
             )
         finally:
             os.close(write_end)
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == b""
+
+    def test_reader_closing_mid_report_ends_quietly(self):
+        # about 120 KB of JSON, twice a 64 KiB pipe buffer, into a reader
+        # that takes 10 bytes and exits, as with `| head -c 10`
+        read_end, write_end = os.pipe()
+        reader = subprocess.Popen([sys.executable, "-c", "import os; os.read(0, 10)"],
+                                  stdin=read_end)
+        os.close(read_end)
+        try:
+            proc = run_fresh(
+                "from rachopt.cli import entry; entry()",
+                "sweep", DC12, "--range", "1:10799", "--step", "20", "--iterations", "1",
+                "--seed", "1", "--json",
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+            reader.wait(timeout=60)
         assert proc.returncode == EXIT_OK
         assert proc.stderr == b""
 
@@ -1034,6 +1170,36 @@ class TestClassNumbers:
         assert capsys.readouterr().err == (
             f"error: RACH resource overload: class 1 at {density} Hz needs more RAOs "
             f"than the float range holds to keep its collision rate at {rate}\n"
+        )
+
+    @pytest.mark.parametrize("command", [
+        ["optimize"], ["compare", "--strategies", "reserve_and_divide", "--iterations", "2"],
+    ], ids=["optimize", "compare"])
+    def test_delay_bound_far_past_the_backoff_reserves(self, capsys, tmp_path, command):
+        # 1 - backoff / max_mean_delay rounds to 1 here, and the bound used to
+        # be refused as not exceeding the backoff; ceil(50 / ln(1e17)) = 2
+        path = write_class(tmp_path, 100, ra_density=50.0, special=True, backoff=1.0,
+                           qos={"kind": "max_mean_delay", "max_mean_delay": 1.0e17})
+        code, report = run_json(capsys, [command[0], path, *command[1:]])
+        assert code == EXIT_OK
+        results = report["results"]
+        if command[0] == "optimize":
+            assert results["reserved"] == results["plan"] == {"1": 2}
+            assert results["residual_after_reservation"] == 98
+        else:
+            assert results["strategies"]["reserve_and_divide"]["plan"] == {"1": 2}
+
+    @pytest.mark.parametrize("command", [
+        ["optimize"], ["compare", "--strategies", "reserve_and_divide"],
+    ], ids=["optimize", "compare"])
+    def test_infinite_delay_reservation_names_the_delay_bound(self, capsys, tmp_path, command):
+        # 1e300 / ln(1 + 1e-10) is past the float range
+        path = write_class(tmp_path, 100, ra_density=1.0e300, special=True, backoff=1.0,
+                           qos={"kind": "max_mean_delay", "max_mean_delay": 1.0000000001})
+        assert main([command[0], path, *command[1:]]) == EXIT_OVERLOAD
+        assert capsys.readouterr().err == (
+            "error: RACH resource overload: class 1 at 1e+300 Hz needs more RAOs than the "
+            "float range holds to keep its mean delay at 1.0000000001\n"
         )
 
     @pytest.mark.parametrize("level", ["scenario", "classes[0]"])

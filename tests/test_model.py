@@ -641,3 +641,16 @@ class TestFingerprint:
         a = make_scenario((1, 2))
         b = make_scenario((1, 2), total_raos=10801)
         assert scenario_fingerprint(a) != scenario_fingerprint(b)
+
+    def test_group_size_is_part_of_the_content(self):
+        def one_class(**fields):
+            return validate_scenario(Scenario(
+                classes=(DeviceClass(id=1, ra_density=5.0, **fields),),
+                total_raos=100,
+                strategy=Strategy.FULL_SHARING,
+            ))
+
+        grouped = one_class(group_size=2)
+        assert scenario_to_dict(grouped)["classes"][0]["group_size"] == 2
+        assert scenario_from_dict(scenario_to_dict(grouped)) == grouped
+        assert scenario_fingerprint(grouped) != scenario_fingerprint(one_class())

@@ -12,12 +12,16 @@ import inspect
 import pytest
 
 import rachopt
-from rachopt.allocator import brute_force_optimal, largest_remainder
+from rachopt.allocator import (
+    brute_force_optimal,
+    largest_remainder,
+    proportional_allocation,
+    reserve_and_divide,
+)
 from rachopt.model import Scenario
 
 PUBLIC = {
     "AllocationError",
-    "AllocationOutcome",
     "AllocationPlan",
     "ArrivalMode",
     "ClassMetrics",
@@ -99,3 +103,9 @@ def test_exact_oracle_minimizes_the_density_alone():
 
 def test_scenario_keeps_one_class_order():
     assert [f.name for f in dataclasses.fields(Scenario)] == ["classes", "total_raos", "strategy"]
+
+
+@pytest.mark.parametrize("allocate", [proportional_allocation, reserve_and_divide,
+                                      brute_force_optimal], ids=lambda f: f.__name__)
+def test_every_allocator_returns_a_plain_plan(allocate):
+    assert inspect.signature(allocate).return_annotation == "AllocationPlan"
