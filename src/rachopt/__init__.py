@@ -46,10 +46,8 @@ from .simulator import (
     SimConfig,
     SimStats,
     SimulationError,
-    SweepPoint,
-    SweepResult,
     run,
-    sweep_dedication,
+    run_many,
 )
 
 __version__ = "0.1.0"
@@ -71,8 +69,6 @@ __all__ = [
     "SimStats",
     "SimulationError",
     "Strategy",
-    "SweepPoint",
-    "SweepResult",
     "any_collision_probability",
     "brute_force_optimal",
     "derive_ra_density",
@@ -84,9 +80,9 @@ __all__ = [
     "reserve_and_divide",
     "reserve_for_collision_rate",
     "run",
+    "run_many",
     "scenario_fingerprint",
     "scenario_from_dict",
     "scenario_to_dict",
-    "sweep_dedication",
     "validate_scenario",
 ]

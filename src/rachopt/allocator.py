@@ -129,6 +129,12 @@ def _whole_raos(need: float, ra_density: float, bound: str) -> int:
     return max(1, math.ceil(need))
 
 
+def _count(n: int) -> str:
+    """A count for a message: exact up to 2**53, and in ``.6g`` form past it,
+    where the float need it was rounded up from has no integer digits left."""
+    return str(n) if n <= 2**53 else f"{n:.6g}"
+
+
 def _reservation(cls: DeviceClass) -> int:
     """RAOs a special class needs for its QoS bound: ``ceil(gamma / -ln(1 - p))``
     for a collision rate ``p``, and ``ceil(gamma / ln(D / b))`` for a mean
@@ -172,8 +178,8 @@ def reserve_and_divide(scenario: Scenario) -> AllocationPlan:
         budget -= need
         if budget < 0:
             raise OverloadError(
-                f"RACH resource overload: reserving {need} RAOs for class "
-                f"{cls.id} exceeds the remaining budget by {-budget}"
+                f"RACH resource overload: reserving {_count(need)} RAOs for class "
+                f"{cls.id} exceeds the remaining budget by {_count(-budget)}"
             )
     if normals:
         if budget < len(normals):

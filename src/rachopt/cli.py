@@ -48,6 +48,11 @@ EXIT_SIMULATION = 4
 
 _FLOAT_DIGITS = 6  # human-readable precision; CSV/JSON carry full precision
 
+# Most splits one sweep simulates, counted before any value, plan or layout is
+# built. tracemalloc puts main's peak at 3.0-4.1 KB per split at one
+# iteration, so a sweep within the limit stays below about 140 MB.
+MAX_SWEEP_POINTS = 2**15
+
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
@@ -471,6 +476,7 @@ def cmd_simulate(args: argparse.Namespace, scenario: Scenario) -> tuple:
 
 
 def cmd_sweep(args: argparse.Namespace, scenario: Scenario) -> tuple:
+    total = scenario.total_raos
     if args.values:
         try:
             values = [int(v) for v in args.values.split(",") if v.strip()]
@@ -487,38 +493,53 @@ def cmd_sweep(args: argparse.Namespace, scenario: Scenario) -> tuple:
         if args.step < 1:
             raise ScenarioError(["--step must be >= 1"])
         # the sweep fails at its first value outside [1, total_raos - 1]: stop there
-        last = scenario.total_raos - 1 + args.step if 1 <= lo < scenario.total_raos else lo
-        values = list(range(lo, min(hi, last) + 1, args.step))
+        last = total - 1 + args.step if 1 <= lo < total else lo
+        values = range(lo, min(hi, last) + 1, args.step)  # counted before it is listed
     if not values:
         source = f"--values {args.values!r}" if args.values else f"--range {args.sweep_range!r}"
         raise ScenarioError([f"{source}: the list of swept values is empty"])
+    if values[MAX_SWEEP_POINTS:]:
+        raise simulator.SimulationError(
+            f"the sweep lists more than {MAX_SWEEP_POINTS} swept values, its limit; "
+            f"raise --step or sweep fewer values"
+        )
+    if len(scenario.classes) != 2:
+        raise simulator.SimulationError("dedication sweep supports exactly 2 device classes")
+    for value in values:
+        if not 1 <= value <= total - 1:
+            raise simulator.SimulationError(f"swept value {value} outside [1, {total - 1}]")
+    swept, other = scenario.classes[args.class_index], scenario.classes[1 - args.class_index]
+    # the other class gets the remainder, whatever strategy the scenario names
+    plans = [AllocationPlan({swept.id: value, other.id: total - value}) for value in values]
     config = _sim_config(args)
     if args.csv:
         _check_csv_writable(args.csv)
-    result = simulator.sweep_dedication(scenario, args.class_index, values, config)
+    ids = [cls.id for cls in scenario.classes]
+    points, rows = [], []
+    for value, plan, stats in zip(values, plans, simulator.run_many(scenario, plans, config)):
+        metrics = analytics.layout_metrics(scenario, pool_layout(scenario, plan))
+        analytic = [metrics[cid].collision_density for cid in ids]
+        analytic_total = math.fsum(analytic)
+        points.append({
+            "l_swept": value,
+            "simulated": {str(cid): s.collision_density for cid, s in stats.per_class.items()},
+            "total_density_hz": stats.total_density,
+            "total_stderr": stats.total_density_stderr,
+            "analytic_total_hz": analytic_total,
+        })
+        rows.append((value, *(stats.per_class[cid].collision_density for cid in ids),
+                     stats.total_density, stats.total_density_stderr, *analytic, analytic_total))
     parameters = {
         "class_index": args.class_index,
         "values": ",".join(str(v) for v in values),
         **_sim_parameters(config),
     }
-    points = [
-        {
-            "l_swept": point.l_value,
-            "simulated": {
-                str(cid): s.collision_density for cid, s in point.stats.per_class.items()
-            },
-            "total_density_hz": point.stats.total_density,
-            "total_stderr": point.stats.total_density_stderr,
-            "analytic_total_hz": point.analytic_total,
-        }
-        for point in result.points
-    ]
     results = {
-        "swept_class": result.class_id,
-        "empirical_optimum": result.empirical_optimum,
+        "swept_class": swept.id,
+        # the first split of lowest simulated total density
+        "empirical_optimum": min(points, key=lambda p: p["total_density_hz"])["l_swept"],
         "points": points,
     }
-    ids = [cls.id for cls in scenario.classes]
     header = (
         "l_swept",
         *(f"density_{cid}_hz" for cid in ids),
@@ -527,17 +548,6 @@ def cmd_sweep(args: argparse.Namespace, scenario: Scenario) -> tuple:
         *(f"analytic_{cid}_hz" for cid in ids),
         "analytic_total_hz",
     )
-    rows = [
-        (
-            point.l_value,
-            *(point.stats.per_class[cid].collision_density for cid in ids),
-            point.stats.total_density,
-            point.stats.total_density_stderr,
-            *(point.analytic_density[cid] for cid in ids),
-            point.analytic_total,
-        )
-        for point in result.points
-    ]
     return "sweep", parameters, results, (header, rows)
 
 
@@ -561,10 +571,11 @@ def cmd_compare(args: argparse.Namespace, scenario: Scenario) -> tuple:
         )
     _reject_repeated("--strategies:", names)
     config = _sim_config(args)
+    allocations = [_COMPARE_ALLOCATIONS[name](scenario) for name in names]
     columns: dict[str, dict] = {}
-    for name in names:
-        allocation = _COMPARE_ALLOCATIONS[name](scenario)
-        stats = simulator.run(scenario, allocation, config)
+    for name, allocation, stats in zip(
+        names, allocations, simulator.run_many(scenario, allocations, config)
+    ):
         metrics = analytics.layout_metrics(scenario, pool_layout(scenario, allocation))
         columns[name] = {
             "plan": None

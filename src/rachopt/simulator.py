@@ -15,11 +15,14 @@ one in-place sort of these values, in uint32 when they fit and int64
 otherwise, covers a chunk of consecutive iterations holding about
 ``CHUNK_KEYS`` requests (at least one iteration). A run builds, sorts and
 scans every chunk in the same few arrays, which only grow, so that no chunk
-faults fresh memory in; ``run`` refuses inputs past its limits before that.
-A sweep's splits each dedicate one block per class, in class order, and
-share their passes: a chunk's picks are drawn and sorted once, by second,
-class and value, which orders the keys of every split, so each split only
-maps the sorted picks to its keys and scans them.
+faults fresh memory in; ``run_many`` refuses inputs past its limits before
+that. ``run_many`` simulates several layouts on the same arrivals, and
+``run`` is its one-layout case. Layouts that each dedicate one block per
+class, in class order, share their passes when at least
+``SHARED_PASS_LAYOUTS`` of them are in one call: a chunk's picks are drawn
+and sorted once, by second, class and value, which orders the keys of every
+such layout, so each one only maps the sorted picks to its keys and scans
+them.
 
 Random numbers follow one layout, named by ``RNG_LAYOUT``. Iterations are
 grouped into blocks of ``max(1, BLOCK_SECONDS // horizon)``. Fresh arrivals
@@ -31,8 +34,9 @@ their uniforms hashes the seed with what it decides, as counter-based
 generators do (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC 2011), mixed by SplitMix64's finaliser (Steele, Lea and Flood, OOPSLA
 2014). So results are bitwise reproducible from the seed, whatever the
-chunking; a class's fresh draws do not depend on other classes; the
-arrivals of a sweep over plans are drawn once (common random numbers);
+chunking; a class's fresh draws do not depend on other classes; every
+layout of a ``run_many`` call sees the same arrivals (common random
+numbers), and its stats equal those of ``run`` on that layout alone;
 the first N iterations of a longer run equal an N-iteration run; fresh
 statistics do not depend on whether delays are measured; and delays
 depend on which slot keys collided, not on the order of the requests.
@@ -71,7 +75,7 @@ from .model import (AllocationPlan, ArrivalMode, DeviceClass, Scenario, SharingT
                     arrival_issues, pool_layout)
 
 
-# Largest per-iteration working set that run() accepts, in array items,
+# Largest per-iteration working set that run_many() accepts, in array items,
 # checked before any draw: the per-second counts plus the expected fresh
 # requests. A chunk holds its tagged keys and a spare array of their dtype
 # (the picks' uniforms, then the shifted keys, then the collided ones), the
@@ -83,7 +87,7 @@ from .model import (AllocationPlan, ArrivalMode, DeviceClass, Scenario, SharingT
 # instead of failing inside numpy or swapping.
 MAX_ITEMS_PER_ITERATION = 50_000_000
 
-# Largest tally that run() accepts, in bytes, checked before it is allocated:
+# Largest tally that run_many() accepts, in bytes, checked before it is allocated:
 # iterations times _Tally.bytes_per_iteration (88 with two classes, so about
 # 12 M iterations). _summarize adds a few arrays of one class's iterations.
 # A pass of several layouts holds as many tallies as fit in this together.
@@ -95,7 +99,7 @@ MAX_TALLY_BYTES = 2**30
 BLOCK_SECONDS = 4096
 
 # Requests sorted together in one collision chunk; at least one iteration.
-# A run reuses its chunk arrays (see _Scratch), so larger chunks cost fewer
+# A call reuses its chunk arrays (see _Scratch), so larger chunks cost fewer
 # numpy calls per request without faulting fresh pages in for every chunk.
 # A pass shared by layouts (see _pass) also holds each request's uniform and
 # pick, about twice the bytes per request, so its chunks hold half as many.
@@ -110,6 +114,13 @@ PIECE_KEYS = 2**16
 # request, or 220 when retries can land inside the horizon, so 2**14 keeps
 # them below 1.8 and 3.6 MB.
 RETRY_KEYS = 2**14
+
+# Fewest layouts dedicated in tag order (see _shared_keys) that share a pass
+# in one call. A shared pass costs more per layout set-up (a 64-bit sort of
+# the uniforms) and less per layout: on dc1_dc2 at horizon 200, 20
+# iterations, two splits took 0.0142 s in lone passes and 0.0161 s in a
+# shared one, three 0.0198 s and 0.0178 s, four 0.0269 s and 0.0201 s.
+SHARED_PASS_LAYOUTS = 3
 
 # Names the random-number layout described in the module docstring; a seed
 # reproduces a report's numbers only under the same layout.
@@ -192,22 +203,6 @@ class SimStats:
     seed: int
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    l_value: int
-    plan: AllocationPlan
-    stats: SimStats
-    analytic_density: dict[int, float]
-    analytic_total: float
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    class_id: int
-    points: tuple[SweepPoint, ...]
-    empirical_optimum: int
-
-
 def _block_stream(seed: int, block: int, class_id: int) -> np.random.Generator:
     """Fresh arrivals of one class over one block of iterations."""
     return np.random.default_rng(
@@ -251,7 +246,6 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
 
 
 def _check_inputs(scenario: Scenario, config: SimConfig) -> float:
-    config.validate()
     horizon = config.horizon
     if issues := arrival_issues(scenario, config.arrival_mode):
         raise SimulationError(issues[0])
@@ -335,54 +329,66 @@ def run(
     allocation: AllocationPlan | SharingTopology | None,
     config: SimConfig,
 ) -> SimStats:
-    """Simulate the scenario and measure collision statistics.
+    """Simulate the scenario on one allocation: ``run_many`` on it alone."""
+    return run_many(scenario, [allocation], config)[0]
 
-    The allocation alone decides the pool layout, as in ``pool_layout``:
+
+def run_many(
+    scenario: Scenario,
+    allocations: Sequence[AllocationPlan | SharingTopology | None],
+    config: SimConfig,
+) -> list[SimStats]:
+    """Simulate the scenario once per allocation, on the same arrivals, and
+    measure collision statistics.
+
+    Each allocation alone decides its pool layout, as in ``pool_layout``:
     None shares the whole pool, an AllocationPlan dedicates one block per
     class and a SharingTopology is used as given; the scenario's strategy
     is not read. With ``config.measure_delay`` set, per-class mean inclusive
-    access delays are tracked as well, on every layout. Raises
-    SimulationError before any draw when one iteration would exceed
-    ``MAX_ITEMS_PER_ITERATION``, the tallies ``MAX_TALLY_BYTES``, a slot key
-    int64, or max_attempts backoffs what the delay tallies hold finite.
+    access delays are tracked as well, on every layout. Each layout's stats
+    equal those of ``run`` on it alone, bitwise. Layouts dedicated in tag
+    order share passes when at least ``SHARED_PASS_LAYOUTS`` of them are
+    given, as many per pass as ``MAX_TALLY_BYTES`` holds the tallies of; any
+    other has a pass of its own. Raises SimulationError before any draw when
+    one iteration would exceed ``MAX_ITEMS_PER_ITERATION``, a pass's tallies
+    ``MAX_TALLY_BYTES``, a slot key int64, or max_attempts backoffs what the
+    delay tallies hold finite.
     """
     config.validate()
-    return _simulate(scenario, [pool_layout(scenario, allocation)], config)[0]
-
-
-def _simulate(scenario: Scenario, layouts: Sequence[SharingTopology],
-              config: SimConfig) -> list[SimStats]:
-    """Simulate the scenario once per layout, on the same arrivals. Layouts
-    dedicated in tag order (see _shared_keys) share passes, as many as
-    MAX_TALLY_BYTES holds the tallies of; any other has a pass of its own."""
+    layouts = [pool_layout(scenario, allocation) for allocation in allocations]
     fresh = _check_inputs(scenario, config)
     classes = scenario.classes
     # positions as in the tags
     layouts = [SharingTopology({c.id: lay.ranges[c.id] for c in classes}) for lay in layouts]
+    spans = [[r[0] for r in lay.ranges.values() if len(r) == 1] for lay in layouts]
+    ordered = [k for k, s in enumerate(spans) if len(s) == len(classes)
+               and all(a[1] < b[0] for a, b in zip(s, s[1:]))]  # dedicated in tag order
     # a shared pass holds twice the bytes per request of a lone one (see
     # CHUNK_KEYS), and a sort key at most 11 bits of second and tag
-    shared = fresh <= MAX_ITEMS_PER_ITERATION // 2 and len(classes) <= 2**11
-    spans = [[r[0] for r in lay.ranges.values() if len(r) == 1] for lay in layouts]
-    ordered = [k for k, s in enumerate(spans) if shared and len(s) == len(classes)
-               and all(a[1] < b[0] for a, b in zip(s, s[1:]))]  # dedicated in tag order
+    if (len(ordered) < SHARED_PASS_LAYOUTS or fresh > MAX_ITEMS_PER_ITERATION // 2
+            or len(classes) > 2**11):
+        ordered = []
     per_pass = MAX_TALLY_BYTES // (config.iterations * _Tally.bytes_per_iteration(len(classes)))
     passes = [ordered[lo : lo + per_pass] for lo in range(0, len(ordered), per_pass)]
+    lone = set(range(len(layouts))).difference(ordered)
+    scratch = _Scratch()
     stats = {}
-    for group in passes + [[k] for k in range(len(layouts)) if k not in ordered]:
-        stats.update(zip(group, _pass(scenario, [layouts[k] for k in group], config)))
+    for group in passes + [[k] for k in sorted(lone)]:
+        stats.update(zip(group, _pass(scenario, [layouts[k] for k in group], config, scratch)))
     return [stats[k] for k in range(len(layouts))]
 
 
-def _pass(scenario: Scenario, layouts: list[SharingTopology], config: SimConfig) -> list[SimStats]:
-    """One pass over the arrivals with a tally per layout: a lone layout draws
-    and sorts its keys, several share the draws and their sort per chunk."""
+def _pass(scenario: Scenario, layouts: list[SharingTopology], config: SimConfig,
+          scratch: _Scratch) -> list[SimStats]:
+    """One pass over the arrivals with a tally per layout, in the caller's
+    scratch arrays: a lone layout draws and sorts its keys, several share the
+    draws and their sort per chunk."""
     classes = scenario.classes
     iters, horizon = config.iterations, config.horizon
     total_slots = scenario.total_raos
     span = horizon * total_slots  # slot keys per iteration
     tallies = [_Tally.zeros(len(classes), iters) for _ in layouts]
     meters = [config.measure_delay and _delay_meter(scenario, lay, config) for lay in layouts]
-    scratch = _Scratch()
     per_block = max(1, BLOCK_SECONDS // horizon)
     limit = CHUNK_KEYS if len(layouts) == 1 else CHUNK_KEYS // 2
     for first in range(0, iters, per_block):
@@ -548,10 +554,11 @@ def _shared_keys(rngs: Sequence[np.random.Generator], counts: Sequence[np.ndarra
 
 
 class _Scratch:
-    """Arrays that one run reuses from chunk to chunk, so that no chunk
-    faults fresh pages in. ``take`` returns a view of the first ``size``
-    items of a named buffer in ``dtype``. A buffer only grows, by at least
-    an eighth, so that chunks of about the same size share it."""
+    """Arrays that one ``run_many`` call reuses from chunk to chunk and from
+    pass to pass, so that no chunk faults fresh pages in. ``take`` returns a
+    view of the first ``size`` items of a named buffer in ``dtype``. A buffer
+    only grows, by at least an eighth, so that chunks of about the same size
+    share it."""
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
@@ -722,43 +729,3 @@ def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig)
         tally.censored[:, chunk] = collided - successes
 
     return measure
-
-
-def sweep_dedication(
-    scenario: Scenario,
-    class_index: int,
-    l_values: Sequence[int],
-    config: SimConfig,
-) -> SweepResult:
-    """Simulate a two-class scenario across dedication splits.
-
-    ``l_values`` are RAO counts for the swept class (the other class gets
-    the remainder), whatever strategy the scenario names; each point
-    carries its simulated stats next to the closed-form densities, and the
-    split with the lowest simulated total density is reported as the
-    empirical optimum. The arrivals are drawn once for every split, so each
-    point's stats equal those of ``run`` on its plan.
-    """
-    if len(scenario.classes) != 2:
-        raise SimulationError("dedication sweep supports exactly 2 device classes")
-    if class_index not in (0, 1):
-        raise SimulationError("class_index must be 0 or 1")
-    if len(l_values) == 0:
-        raise SimulationError("dedication sweep needs at least one swept value")
-    swept, other = scenario.classes[class_index], scenario.classes[1 - class_index]
-    total = scenario.total_raos
-    for value in l_values:
-        if not 1 <= value <= total - 1:
-            raise SimulationError(f"swept value {value} outside [1, {total - 1}]")
-    plans = [AllocationPlan({swept.id: value, other.id: total - value}) for value in l_values]
-    layouts = [pool_layout(scenario, plan) for plan in plans]
-    points = []
-    for value, plan, layout, stats in zip(
-        l_values, plans, layouts, _simulate(scenario, layouts, config)
-    ):
-        metrics = analytics.layout_metrics(scenario, layout, config.arrival_mode)
-        analytic = {cid: m.collision_density for cid, m in metrics.items()}
-        points.append(SweepPoint(l_value=value, plan=plan, stats=stats, analytic_density=analytic,
-                                 analytic_total=math.fsum(analytic.values())))
-    best = min(points, key=lambda p: p.stats.total_density)
-    return SweepResult(class_id=swept.id, points=tuple(points), empirical_optimum=best.l_value)

@@ -41,7 +41,7 @@ from rachopt.model import (
     pool_layout,
     validate_scenario,
 )
-from rachopt.simulator import SimConfig, run, sweep_dedication
+from rachopt.simulator import SimConfig, run, run_many
 
 from conftest import RATE_QOS, make_scenario
 from oracles import (
@@ -219,17 +219,17 @@ class TestCriterion4:
         t0 = time.perf_counter()
         scenario = two_class(50.0, 100.0)
         grid = list(range(600, 10201, 600))
-        result = sweep_dedication(
-            scenario, 0, grid, SimConfig(iterations=200, seed=12345, horizon=200)
-        )
-        optimum = result.empirical_optimum
+        plans = [AllocationPlan({1: l1, 2: scenario.total_raos - l1}) for l1 in grid]
+        stats = run_many(scenario, plans, SimConfig(iterations=200, seed=12345, horizon=200))
+        # the first split of lowest simulated total density
+        optimum = grid[min(range(len(grid)), key=lambda k: stats[k].total_density)]
         failures = []
         if not 3240 <= optimum <= 3960:
             failures.append(f"argmin {optimum} outside 3600 +- 10%")
         if optimum in (grid[0], grid[-1]):
             failures.append(f"minimum {optimum} is not interior")
-        d1 = [p.stats.per_class[1] for p in result.points]
-        d2 = [p.stats.per_class[2] for p in result.points]
+        d1 = [s.per_class[1] for s in stats]
+        d2 = [s.per_class[2] for s in stats]
         for k in range(len(grid) - 1):
             noise1 = 3 * math.hypot(d1[k].density_stderr, d1[k + 1].density_stderr)
             if d1[k + 1].collision_density > d1[k].collision_density + noise1:

@@ -12,7 +12,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rachopt import model, simulator
+from rachopt import cli, model, simulator
 from rachopt.cli import (
     EXIT_OK,
     EXIT_OVERLOAD,
@@ -22,6 +22,7 @@ from rachopt.cli import (
     main,
 )
 from conftest import run_fresh
+from oracles import simple_collision_rate
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 DC12 = str(SCENARIOS / "dc1_dc2.yaml")
@@ -232,8 +233,8 @@ class TestUnwritableCsv:
         def not_reached(*args, **kwargs):
             raise AssertionError("simulated before checking the --csv path")
 
-        # run and sweep_dedication call _simulate through the module, so this covers both
-        monkeypatch.setattr(simulator, "_simulate", not_reached)
+        # run calls run_many through the module, so this covers both commands
+        monkeypatch.setattr(simulator, "run_many", not_reached)
         out = tmp_path / "missing" / "x.csv"
         assert main(argv + ["--csv", str(out)]) == EXIT_VALIDATION
         captured = capsys.readouterr()
@@ -246,14 +247,14 @@ class TestUnwritableCsv:
         folder = tmp_path / "gone"
         folder.mkdir()
         out = folder / "x.csv"
-        simulate = simulator._simulate
+        simulate = simulator.run_many
 
         def remove_folder_then_simulate(*args, **kwargs):
             out.unlink(missing_ok=True)
             folder.rmdir()
             return simulate(*args, **kwargs)
 
-        monkeypatch.setattr(simulator, "_simulate", remove_folder_then_simulate)
+        monkeypatch.setattr(simulator, "run_many", remove_folder_then_simulate)
         assert main(argv + ["--csv", str(out)]) == EXIT_VALIDATION
         assert capsys.readouterr() == ("", f"error: --csv {out}: No such file or directory\n")
 
@@ -652,6 +653,73 @@ class TestSweep:
         assert (
             main(["sweep", QOS123, "--values", "100", "--iterations", "5", "--seed", "1"])
             == EXIT_SIMULATION
+        )
+        assert capsys.readouterr() == (
+            "", "error: dedication sweep supports exactly 2 device classes\n"
+        )
+
+    def test_value_past_the_pool_rejected(self, capsys):
+        assert main(["sweep", DC12, "--values", "600,10800", "--iterations", "5"]) == EXIT_SIMULATION
+        assert capsys.readouterr() == ("", "error: swept value 10800 outside [1, 10799]\n")
+
+    @pytest.mark.parametrize("values, code", [("600,1200,1800", EXIT_OK),
+                                              ("600,1200,1800,2400", EXIT_SIMULATION)],
+                             ids=["at-the-limit", "past-it"])
+    def test_point_count_limit(self, capsys, monkeypatch, values, code):
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 3)
+        assert main(["sweep", DC12, "--values", values, "--iterations", "2", "--seed", "1"]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == EXIT_OK else "error: the sweep lists more than 3 swept "
+                       "values, its limit; raise --step or sweep fewer values\n")
+
+    def test_oversize_sweep_refused_before_building_it(self, tmp_path):
+        # 10**8 splits in range used to be listed, planned and laid out before
+        # any limit was read; under a 512 MB address-space cap that fails fast
+        # with a MemoryError instead of swapping
+        path = write_cell(tmp_path, "full_dedication", 10**9, [50.0, 100.0])
+        probe = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
+            "from rachopt.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = run_fresh(probe, "sweep", path, "--range", "1:100000000", "--step", "1",
+                         "--iterations", "1", "--seed", "1", capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (EXIT_SIMULATION, "")
+        assert proc.stderr == (
+            f"error: the sweep lists more than {cli.MAX_SWEEP_POINTS} swept values, its "
+            f"limit; raise --step or sweep fewer values\n"
+        )
+
+    @pytest.mark.parametrize("class_index, value, swept", [(0, 3600, 1), (1, 7200, 2)],
+                             ids=["class-0", "class-1"])
+    def test_single_value_equals_simulate(self, capsys, class_index, value, swept):
+        # the swept class gets the value and the other one the rest of the pool
+        tiny = ["--iterations", "50", "--seed", "31"]
+        code, sweep = run_json(capsys, ["sweep", DC12, "--values", str(value),
+                                        "--class-index", str(class_index), *tiny])
+        assert code == EXIT_OK
+        _, simulate = run_json(capsys, ["simulate", DC12, "--plan", "1=3600,2=7200", *tiny])
+        results, direct = sweep["results"], simulate["results"]["simulated"]
+        assert (results["swept_class"], results["empirical_optimum"]) == (swept, value)
+        [point] = results["points"]
+        assert point["simulated"] == {
+            cid: s["collision_density"] for cid, s in direct["per_class"].items()
+        }
+        assert point["total_density_hz"] == direct["total_density_hz"]
+        assert point["total_stderr"] == direct["total_density_stderr"]
+
+    def test_analytic_columns_present(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", DC12, "--values", "600,3600", "--iterations", "20", "--seed", "1"]
+        assert main(argv + ["--csv", str(out)]) == EXIT_OK
+        with out.open() as fh:
+            row = next(csv.DictReader(fh))
+        assert float(row["analytic_1_hz"]) == pytest.approx(
+            50 * simple_collision_rate(50, 600), rel=1e-12
+        )
+        assert float(row["analytic_total_hz"]) == pytest.approx(
+            float(row["analytic_1_hz"]) + float(row["analytic_2_hz"]), rel=1e-12
         )
 
     @pytest.mark.parametrize(
@@ -1170,6 +1238,20 @@ class TestClassNumbers:
         assert capsys.readouterr().err == (
             f"error: RACH resource overload: class 1 at {density} Hz needs more RAOs "
             f"than the float range holds to keep its collision rate at {rate}\n"
+        )
+
+    @pytest.mark.parametrize("qos, count", [
+        ({"kind": "max_collision_rate", "max_collision_rate": 0.5}, "1.4427e+300"),
+        ({"kind": "max_mean_delay", "max_mean_delay": 1.000001}, "1e+306"),
+    ], ids=["rate", "delay"])
+    def test_overload_past_2_53_prints_a_bounded_count(self, capsys, tmp_path, qos, count):
+        # past 2**53 the float need has no integer digits left to show; the
+        # exact counts ran to 301 and 307 digits, each printed twice
+        path = write_class(tmp_path, 100, ra_density=1.0e300, special=True, backoff=1.0, qos=qos)
+        assert main(["optimize", path]) == EXIT_OVERLOAD
+        assert capsys.readouterr().err == (
+            f"error: RACH resource overload: reserving {count} RAOs for class 1 exceeds the "
+            f"remaining budget by {count}\n"
         )
 
     @pytest.mark.parametrize("command", [

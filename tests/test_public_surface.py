@@ -37,8 +37,6 @@ PUBLIC = {
     "SimStats",
     "SimulationError",
     "Strategy",
-    "SweepPoint",
-    "SweepResult",
     "any_collision_probability",
     "brute_force_optimal",
     "derive_ra_density",
@@ -50,10 +48,10 @@ PUBLIC = {
     "reserve_and_divide",
     "reserve_for_collision_rate",
     "run",
+    "run_many",
     "scenario_fingerprint",
     "scenario_from_dict",
     "scenario_to_dict",
-    "sweep_dedication",
     "validate_scenario",
 }
 

@@ -28,7 +28,7 @@ from rachopt.simulator import (
     _fresh_keys,
     _Scratch,
     run,
-    sweep_dedication,
+    run_many,
 )
 
 from conftest import make_scenario
@@ -335,6 +335,14 @@ def _light_cell(strategy, backoffs=(1.0, 1.0), populations=None, total=40):
 
 OVERLAP = SharingTopology.from_ranges({1: [(0, 24)], 2: [(15, 39)]})
 
+
+def _splits(scenario, class_index, values):
+    """Plans of a two-class sweep: the swept class gets each value, the other
+    class the rest of the pool."""
+    swept, other = scenario.classes[class_index], scenario.classes[1 - class_index]
+    return [AllocationPlan({swept.id: v, other.id: scenario.total_raos - v}) for v in values]
+
+
 # 17 iterations of 700 s: blocks of five iterations, and the run ends two
 # iterations into its fourth block
 REFERENCE_CASES = {
@@ -591,11 +599,11 @@ class TestMemory:
         # of one run. A first sweep makes the one-time allocations.
         scenario = make_scenario((1, 2))
         config = SimConfig(iterations=20, seed=5, horizon=200)
-        values = list(range(600, 10201, 600))
-        sweep_dedication(scenario, 0, values, config)
+        plans = _splits(scenario, 0, range(600, 10201, 600))
+        run_many(scenario, plans, config)
         peaks = []
         for call in (lambda: run(scenario, AllocationPlan({1: 3600, 2: 7200}), config),
-                     lambda: sweep_dedication(scenario, 0, values, config)):
+                     lambda: run_many(scenario, plans, config)):
             tracemalloc.start()
             try:
                 call()
@@ -1072,60 +1080,14 @@ class TestInputChecking:
 
 
 class TestSweep:
-    def test_single_point_equals_plain_run(self):
-        scenario = make_scenario((1, 2))
-        config = SimConfig(iterations=50, seed=31)
-        result = sweep_dedication(scenario, 0, [3600], config)
-        direct = run(scenario, AllocationPlan({1: 3600, 2: 7200}), config)
-        assert result.points[0].stats == direct
-        assert result.empirical_optimum == 3600
-
-    def test_analytic_columns_present(self):
-        scenario = make_scenario((1, 2))
-        result = sweep_dedication(scenario, 0, [600, 3600], SimConfig(iterations=20, seed=1))
-        point = result.points[0]
-        assert point.analytic_density[1] == pytest.approx(
-            50 * simple_collision_rate(50, 600), rel=1e-12
-        )
-        assert point.analytic_total == pytest.approx(
-            sum(point.analytic_density.values()), rel=1e-12
-        )
-
-    def test_sweeping_second_class(self):
-        scenario = make_scenario((1, 2))
-        result = sweep_dedication(scenario, 1, [7200], SimConfig(iterations=20, seed=1))
-        assert result.class_id == 2
-        assert result.points[0].plan.raos == {2: 7200, 1: 3600}
-
-    def test_rejects_non_pair_scenarios(self):
-        with pytest.raises(SimulationError, match="exactly 2"):
-            sweep_dedication(make_scenario((1, 2, 3)), 0, [100], SimConfig(iterations=1, seed=0))
-
-    def test_rejects_out_of_range_values(self):
-        with pytest.raises(SimulationError, match="outside"):
-            sweep_dedication(make_scenario((1, 2)), 0, [10800], SimConfig(iterations=1, seed=0))
-
-    def test_rejects_bad_class_index(self):
-        with pytest.raises(SimulationError, match="class_index"):
-            sweep_dedication(make_scenario((1, 2)), 2, [100], SimConfig(iterations=1, seed=0))
-
-    def test_ignores_scenario_strategy(self):
-        config = SimConfig(iterations=10, seed=4)
-        sharing = make_scenario((1, 2), strategy=Strategy.FULL_SHARING)
-        dedication = make_scenario((1, 2), strategy=Strategy.FULL_DEDICATION)
-        assert sweep_dedication(sharing, 0, [600, 3600], config) == sweep_dedication(
-            dedication, 0, [600, 3600], config
-        )
-
-    def test_rejects_empty_values(self):
-        with pytest.raises(SimulationError, match="at least one swept value"):
-            sweep_dedication(make_scenario((1, 2)), 0, [], SimConfig(iterations=1, seed=0))
+    """Two-class dedication splits through ``run_many``: every split's stats
+    equal ``run`` on its plan, however the passes are shared and chunked."""
 
     @staticmethod
     def assert_points_equal_runs(scenario, class_index, values, config):
-        result = sweep_dedication(scenario, class_index, values, config)
-        for point in result.points:
-            assert point.stats == run(scenario, point.plan, config), point.l_value
+        plans = _splits(scenario, class_index, values)
+        for plan, stats in zip(plans, run_many(scenario, plans, config)):
+            assert stats == run(scenario, plan, config), plan
 
     @pytest.mark.parametrize(
         "class_index, config",
@@ -1193,40 +1155,56 @@ class TestSweep:
         self.assert_points_equal_runs(scenario, 0, [3, 20, 37], config)
         assert spans == [5000] * 3
 
-    def test_mixed_layouts_in_one_call(self):
-        # only the two plans' layouts are dedicated in tag order and share a
-        # pass; the others, one with its blocks in reverse class order, run alone
+    @staticmethod
+    def spy_on_passes(monkeypatch):
+        """The layout count and scratch of each pass that follows, in order."""
+        passes = []
+
+        def spy(scenario, layouts, config, scratch):
+            passes.append((len(layouts), scratch))
+            return simulator_pass(scenario, layouts, config, scratch)
+
+        simulator_pass = simulator._pass
+        monkeypatch.setattr(simulator, "_pass", spy)
+        return passes
+
+    @pytest.mark.parametrize("plans, passes", [
+        ([{1: 10, 2: 30}, {1: 30, 2: 10}], [1] * 6),
+        ([{1: 10, 2: 30}, {1: 30, 2: 10}, {1: 20, 2: 20}], [3] + [1] * 4),
+    ], ids=["two-ordered", "three-ordered"])
+    def test_mixed_layouts_in_one_call(self, monkeypatch, plans, passes):
+        # only the plans' layouts are dedicated in tag order, and they share a
+        # pass only when at least three are in the call; the others, one with
+        # its blocks in reverse class order, run alone. All passes of the call
+        # reuse one set of chunk arrays.
         scenario = _light_cell(Strategy.PARTIAL_DEDICATION, backoffs=(0.5, 3.0))
+        first, *rest = (pool_layout(scenario, AllocationPlan(plan)) for plan in plans)
         layouts = [
             SharingTopology.fully_shared(scenario),
-            pool_layout(scenario, AllocationPlan({1: 10, 2: 30})),
+            first,
             OVERLAP,
             SharingTopology.from_ranges({1: [(0, 4), (20, 24)], 2: [(5, 19), (25, 39)]}),
             SharingTopology.from_ranges({1: [(25, 39)], 2: [(0, 24)]}),
-            pool_layout(scenario, AllocationPlan({1: 30, 2: 10})),
+            *rest,
         ]
         config = SimConfig(iterations=17, seed=49, horizon=350, measure_delay=True)
-        stats = simulator._simulate(scenario, layouts, config)
+        calls = self.spy_on_passes(monkeypatch)
+        stats = run_many(scenario, layouts, config)
+        assert [size for size, _ in calls] == passes
+        assert len({id(scratch) for _, scratch in calls}) == 1
         assert stats == [run(scenario, layout, config) for layout in layouts]
 
     def test_tallies_past_the_budget_split_passes(self, monkeypatch):
         scenario = make_scenario((1, 2))
         config = SimConfig(iterations=10, seed=50, horizon=2)
-        values = [600, 3000, 5400, 7800, 10200]
-        whole = sweep_dedication(scenario, 0, values, config)
-        passes = []
-
-        def spy(scenario, layouts, config):
-            passes.append(len(layouts))
-            return simulator_pass(scenario, layouts, config)
-
-        simulator_pass = simulator._pass
-        monkeypatch.setattr(simulator, "_pass", spy)
+        plans = _splits(scenario, 0, [600, 3000, 5400, 7800, 10200])
+        whole = run_many(scenario, plans, config)
+        passes = self.spy_on_passes(monkeypatch)
         # two tallies fit, so five splits take passes of two, two and one
         per_iteration = simulator._Tally.bytes_per_iteration(2)
         monkeypatch.setattr(simulator, "MAX_TALLY_BYTES", 2 * config.iterations * per_iteration)
-        assert sweep_dedication(scenario, 0, values, config) == whole
-        assert passes == [2, 2, 1]
+        assert run_many(scenario, plans, config) == whole
+        assert [size for size, _ in passes] == [2, 2, 1]
 
 
 class TestHorizonSemantics:
