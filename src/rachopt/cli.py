@@ -510,14 +510,16 @@ def cmd_sweep(args: argparse.Namespace, scenario: Scenario) -> tuple:
             raise simulator.SimulationError(f"swept value {value} outside [1, {total - 1}]")
     swept, other = scenario.classes[args.class_index], scenario.classes[1 - args.class_index]
     # the other class gets the remainder, whatever strategy the scenario names
-    plans = [AllocationPlan({swept.id: value, other.id: total - value}) for value in values]
+    layouts = [pool_layout(scenario, AllocationPlan({swept.id: value, other.id: total - value}))
+               for value in values]
     config = _sim_config(args)
     if args.csv:
         _check_csv_writable(args.csv)
     ids = [cls.id for cls in scenario.classes]
     points, rows = [], []
-    for value, plan, stats in zip(values, plans, simulator.run_many(scenario, plans, config)):
-        metrics = analytics.layout_metrics(scenario, pool_layout(scenario, plan))
+    runs = simulator.run_many(scenario, layouts, config)
+    for value, layout, stats in zip(values, layouts, runs):
+        metrics = analytics.layout_metrics(scenario, layout)
         analytic = [metrics[cid].collision_density for cid in ids]
         analytic_total = math.fsum(analytic)
         points.append({
@@ -572,11 +574,12 @@ def cmd_compare(args: argparse.Namespace, scenario: Scenario) -> tuple:
     _reject_repeated("--strategies:", names)
     config = _sim_config(args)
     allocations = [_COMPARE_ALLOCATIONS[name](scenario) for name in names]
+    layouts = [pool_layout(scenario, allocation) for allocation in allocations]
     columns: dict[str, dict] = {}
-    for name, allocation, stats in zip(
-        names, allocations, simulator.run_many(scenario, allocations, config)
+    for name, allocation, layout, stats in zip(
+        names, allocations, layouts, simulator.run_many(scenario, layouts, config)
     ):
-        metrics = analytics.layout_metrics(scenario, pool_layout(scenario, allocation))
+        metrics = analytics.layout_metrics(scenario, layout)
         columns[name] = {
             "plan": None
             if allocation is None

@@ -19,10 +19,15 @@ faults fresh memory in; ``run_many`` refuses inputs past its limits before
 that. ``run_many`` simulates several layouts on the same arrivals, and
 ``run`` is its one-layout case. Layouts that each dedicate one block per
 class, in class order, share their passes when at least
-``SHARED_PASS_LAYOUTS`` of them are in one call: a chunk's picks are drawn
-and sorted once, by second, class and value, which orders the keys of every
-such layout, so each one only maps the sorted picks to its keys and scans
-them.
+``SHARED_PASS_LAYOUTS`` of them are in one call and no delays are measured.
+A shared pass forms no slot keys: a chunk's picks are drawn once and sorted
+by class, second and value, and in such a layout two requests collide
+exactly when they are neighbours in one (class, second) run whose
+``floor(u * size)`` is equal. So each chunk keeps the neighbours close
+enough to collide in the pass's smallest pool, and each layout compares
+their floors alone and counts its equal pairs and chain starts. A run that
+measures delays gives every layout a pass of its own, since retries look
+slot keys up.
 
 Random numbers follow one layout, named by ``RNG_LAYOUT``. Iterations are
 grouped into blocks of ``max(1, BLOCK_SECONDS // horizon)``. Fresh arrivals
@@ -66,7 +71,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -101,8 +106,11 @@ BLOCK_SECONDS = 4096
 # Requests sorted together in one collision chunk; at least one iteration.
 # A call reuses its chunk arrays (see _Scratch), so larger chunks cost fewer
 # numpy calls per request without faulting fresh pages in for every chunk.
-# A pass shared by layouts (see _pass) also holds each request's uniform and
-# pick, about twice the bytes per request, so its chunks hold half as many.
+# A pass shared by layouts (see _pass) holds each request's uniform in float64,
+# the sort keys of one class's draws and the candidate pairs of _pairs:
+# tracemalloc puts a 17-split sweep on dc1_dc2 at 200 s at 1.58 times the
+# peak of one run with chunks of CHUNK_KEYS, and 0.86 times with half as many,
+# which its chunks hold.
 CHUNK_KEYS = 2**16
 
 # Longest piece of a chunk that _collisions' temporaries cover: the index
@@ -115,11 +123,14 @@ PIECE_KEYS = 2**16
 # them below 1.8 and 3.6 MB.
 RETRY_KEYS = 2**14
 
-# Fewest layouts dedicated in tag order (see _shared_keys) that share a pass
-# in one call. A shared pass costs more per layout set-up (a 64-bit sort of
-# the uniforms) and less per layout: on dc1_dc2 at horizon 200, 20
-# iterations, two splits took 0.0142 s in lone passes and 0.0161 s in a
-# shared one, three 0.0198 s and 0.0178 s, four 0.0269 s and 0.0201 s.
+# Fewest layouts dedicated in class order (see _pairs) that share a pass in
+# one call. A shared pass costs more per chunk (a 64-bit sort of the uniforms
+# and the candidate pairs) and less per layout (its floors on the candidates),
+# in half-size chunks. In process, median of 9 calls after 4 warm-ups: on
+# dc1_dc2 at horizon 200, 20 iterations, two splits took 0.0164 s in lone
+# passes and 0.0163 s in a shared one, three 0.0231 s and 0.0174 s, four
+# 0.0308 s and 0.0189 s; dc123_qos's two dedicated plans, 3 000 iterations,
+# 0.049 s and 0.077 s.
 SHARED_PASS_LAYOUTS = 3
 
 # Names the random-number layout described in the module docstring; a seed
@@ -346,13 +357,15 @@ def run_many(
     class and a SharingTopology is used as given; the scenario's strategy
     is not read. With ``config.measure_delay`` set, per-class mean inclusive
     access delays are tracked as well, on every layout. Each layout's stats
-    equal those of ``run`` on it alone, bitwise. Layouts dedicated in tag
-    order share passes when at least ``SHARED_PASS_LAYOUTS`` of them are
-    given, as many per pass as ``MAX_TALLY_BYTES`` holds the tallies of; any
-    other has a pass of its own. Raises SimulationError before any draw when
-    one iteration would exceed ``MAX_ITEMS_PER_ITERATION``, a pass's tallies
-    ``MAX_TALLY_BYTES``, a slot key int64, or max_attempts backoffs what the
-    delay tallies hold finite.
+    equal those of ``run`` on it alone, bitwise. Without delays, layouts
+    dedicated in class order share passes when at least
+    ``SHARED_PASS_LAYOUTS`` of them are given, as many per pass as
+    ``MAX_TALLY_BYTES`` holds the tallies of; any other layout, and every
+    layout of a call that measures delays, has a pass of its own. Raises
+    SimulationError before any draw when one iteration would exceed
+    ``MAX_ITEMS_PER_ITERATION``, a pass's tallies ``MAX_TALLY_BYTES``, a
+    slot key int64, or max_attempts backoffs what the delay tallies hold
+    finite.
     """
     config.validate()
     layouts = [pool_layout(scenario, allocation) for allocation in allocations]
@@ -362,11 +375,14 @@ def run_many(
     layouts = [SharingTopology({c.id: lay.ranges[c.id] for c in classes}) for lay in layouts]
     spans = [[r[0] for r in lay.ranges.values() if len(r) == 1] for lay in layouts]
     ordered = [k for k, s in enumerate(spans) if len(s) == len(classes)
-               and all(a[1] < b[0] for a, b in zip(s, s[1:]))]  # dedicated in tag order
-    # a shared pass holds twice the bytes per request of a lone one (see
-    # CHUNK_KEYS), and a sort key at most 11 bits of second and tag
-    if (len(ordered) < SHARED_PASS_LAYOUTS or fresh > MAX_ITEMS_PER_ITERATION // 2
-            or len(classes) > 2**11):
+               and all(a[1] < b[0] for a, b in zip(s, s[1:]))]  # dedicated in class order
+    # a shared pass measures no delays. On one iteration, which a chunk holds
+    # whole, it holds the picks' uniforms and, per candidate pair (see _pairs),
+    # both uniforms and a cell: tracemalloc puts its peak below 52 bytes per
+    # fresh request when every pair is one, four times run()'s 13, so an
+    # iteration past a quarter of MAX_ITEMS_PER_ITERATION runs alone.
+    if (config.measure_delay or len(ordered) < SHARED_PASS_LAYOUTS
+            or fresh > MAX_ITEMS_PER_ITERATION // 4):
         ordered = []
     per_pass = MAX_TALLY_BYTES // (config.iterations * _Tally.bytes_per_iteration(len(classes)))
     passes = [ordered[lo : lo + per_pass] for lo in range(0, len(ordered), per_pass)]
@@ -381,14 +397,17 @@ def run_many(
 def _pass(scenario: Scenario, layouts: list[SharingTopology], config: SimConfig,
           scratch: _Scratch) -> list[SimStats]:
     """One pass over the arrivals with a tally per layout, in the caller's
-    scratch arrays: a lone layout draws and sorts its keys, several share the
-    draws and their sort per chunk."""
+    scratch arrays: a lone layout draws, sorts and scans its keys, and
+    measures delays if asked; several, all dedicated in class order, share
+    each chunk's sorted picks and their candidate pairs (see _pairs)."""
     classes = scenario.classes
     iters, horizon = config.iterations, config.horizon
     total_slots = scenario.total_raos
     span = horizon * total_slots  # slot keys per iteration
     tallies = [_Tally.zeros(len(classes), iters) for _ in layouts]
-    meters = [config.measure_delay and _delay_meter(scenario, lay, config) for lay in layouts]
+    pools = [np.array([lay.size(c.id) for c in classes], dtype=np.float64) for lay in layouts]
+    smallest = min(pool.min() for pool in pools)
+    measure = config.measure_delay and _delay_meter(scenario, layouts[0], config)
     per_block = max(1, BLOCK_SECONDS // horizon)
     limit = CHUNK_KEYS if len(layouts) == 1 else CHUNK_KEYS // 2
     for first in range(0, iters, per_block):
@@ -405,20 +424,22 @@ def _pass(scenario: Scenario, layouts: list[SharingTopology], config: SimConfig,
         for lo, hi in _chunks(tallies[0].attempts[:, block].sum(axis=0), limit):
             chunk = slice(first + lo, first + hi)
             chunk_counts = [c[lo * horizon : hi * horizon] for c in counts]
-            if len(layouts) == 1:
+            if len(layouts) > 1:
+                uniforms = _sorted_picks(rngs, chunk_counts, scratch)
+                pairs = _pairs(uniforms, chunk_counts, horizon, smallest, scratch)
+                for tally, pool in zip(tallies, pools):
+                    tally.collided[:, chunk], tally.events[chunk] = _pair_collisions(
+                        pairs, pool, hi - lo)
+                del uniforms, pairs  # freed before the next chunk's draws
+            else:
+                tally = tallies[0]
                 tagged = _fresh_keys(layouts[0], classes, rngs, chunk_counts, total_slots, scratch)
                 tagged.sort()
-            else:
-                keys_of = _shared_keys(rngs, chunk_counts, total_slots, scratch)
-            for layout, tally, measure in zip(layouts, tallies, meters):
-                if len(layouts) > 1:
-                    tagged = keys_of(layout)
                 collided, events, hits = _collisions(tagged, len(classes), span, hi - lo, scratch)
                 tally.collided[:, chunk], tally.events[chunk] = collided, events
                 if measure:
                     measure(hits, tagged, chunk, tally)
                 del tagged, hits  # views that would pin old buffers while take grows them
-            keys_of = None  # as would the uniforms it holds
     return [_summarize(classes, config, tally) for tally in tallies]
 
 
@@ -504,53 +525,80 @@ def _fresh_keys(
     return keys
 
 
-def _shared_keys(rngs: Sequence[np.random.Generator], counts: Sequence[np.ndarray],
-                 total_slots: int, scratch: _Scratch) -> Callable[[SharingTopology], np.ndarray]:
+def _sorted_picks(rngs: Sequence[np.random.Generator], counts: Sequence[np.ndarray],
+                  scratch: _Scratch) -> np.ndarray:
     """Draw a chunk's uniforms once for a pass, given each class's counts per
-    second, and sort them by (second, class position, u): in a layout
-    dedicated in tag order, whose classes' single ranges ascend in class
-    order, ``floor(u * size)`` plus a first RAO is monotone in u, so its
-    tagged keys ascend too. Return the function that makes them, in the
-    scratch's keys. Runs of ``2**11 >> tag_bits`` seconds are drawn class
-    after class and sorted on ``(second << tag_bits | position) << 53 | u * 2**53``."""
-    counts = np.stack(counts)
-    n_classes, seconds = counts.shape
-    tag_bits = (n_classes - 1).bit_length()
-    uniforms = scratch.take("uniforms", np.float64, int(counts.sum()))
-    tags = np.arange(n_classes, dtype=np.uint64)[:, None]
-    step, end = 2**11 >> tag_bits, 0
-    for lo in range(0, seconds, step):
-        group = counts[:, lo : lo + step]
-        u = uniforms[end : end + group.sum()]
-        for rng, size in zip(rngs, group.sum(axis=1)):
-            rng.random(out=uniforms[end : end + size])
-            end += size
-        order = np.arange(group.shape[1], dtype=np.uint64) << tag_bits | tags
-        order = np.repeat(order << 53, group.ravel())
-        u *= 2.0**53  # exact: numpy's doubles are multiples of 2**-53
-        np.add(order, u, out=order, dtype=np.uint64, casting="unsafe")
-        order.sort()
-        order &= 2**53 - 1
-        np.multiply(order, 2.0**-53, out=u, dtype=np.float64)
-    stride = total_slots << tag_bits
-    dtype = np.uint32 if seconds * stride < 2**32 else np.int64
-    runs = counts.T.ravel()  # of one (second, class) each
-    base = np.arange(seconds, dtype=dtype)[:, None] * stride + np.arange(n_classes, dtype=dtype)
+    second, continuing the classes' block streams, and sort them by (class
+    position, second, u), in the scratch's uniforms. Runs of ``2**11``
+    seconds of a class are sorted on ``second << 53 | u * 2**53``."""
+    uniforms = scratch.take("uniforms", np.float64, sum(int(c.sum()) for c in counts))
+    end = 0
+    for rng, per_second in zip(rngs, counts):
+        for lo in range(0, per_second.size, 2**11):
+            group = per_second[lo : lo + 2**11]
+            u = rng.random(out=uniforms[end : end + group.sum()])
+            end += u.size
+            order = np.repeat(np.arange(group.size, dtype=np.uint64) << 53, group)
+            u *= 2.0**53  # exact: numpy's doubles are multiples of 2**-53
+            np.add(order, u, out=order, dtype=np.uint64, casting="unsafe")
+            order.sort()
+            order &= 2**53 - 1
+            np.multiply(order, 2.0**-53, out=u, dtype=np.float64)
+    return uniforms
 
-    def keys_of(layout: SharingTopology) -> np.ndarray:
-        firsts, lasts = np.array([r[0] for r in layout.ranges.values()]).T
-        keys = scratch.take("keys", dtype, uniforms.size)
-        picks = np.repeat(np.tile(lasts - firsts + 1.0, seconds), runs)
-        picks *= uniforms
-        # doubles convert to int32 twice as fast as to uint32
-        index = keys.view(np.int32) if dtype == np.uint32 and max(lasts - firsts) < 2**31 else keys
-        np.copyto(index, picks, casting="unsafe")
-        del picks
-        keys <<= tag_bits
-        keys += np.repeat(base + (firsts << tag_bits).astype(dtype), runs)
-        return keys
 
-    return keys_of
+def _pairs(uniforms: np.ndarray, counts: Sequence[np.ndarray], horizon: int, smallest: float,
+           scratch: _Scratch) -> tuple[np.ndarray, ...]:
+    """The candidate pairs of a chunk's sorted picks (see ``_sorted_picks``)
+    for layouts dedicated in class order whose smallest pool is
+    ``smallest``: the neighbours in one (class, second) run whose gap is
+    below ``2 / smallest``. Return their lower and upper uniforms, their
+    (class, iteration) cells, ``class * iterations + iteration``, whether
+    each pair but the first follows the one before it (whose upper pick is
+    its lower one), and how many pairs each class has.
+
+    In such a layout a class's picks take the RAOs ``first + floor(u * S)``
+    of its pool of S, so two requests collide exactly when they are of one
+    class and one second and their floors are equal; sorted by u, those are
+    neighbours. Equal floors of the rounded products ``fl(u S) <= fl(v S)``
+    differ by below 1, and each product is within ``2**-53 S`` of the exact
+    one, so ``(v - u) S < 1 + 2**-52 S``: the gap is below
+    ``1 / S + 2**-52``, which is at most ``2 / S`` for any ``S < 2**51``, as
+    _check_inputs keeps every pool. The gap of two multiples of ``2**-53``
+    is exact, and ``2 / smallest`` rounds down by less than the margin."""
+    ends = np.cumsum(np.concatenate(counts))  # of each (class, second) run
+    close = scratch.take("hit", bool, max(0, uniforms.size - 1))
+    np.less(np.subtract(uniforms[1:], uniforms[:-1]), 2.0 / smallest, out=close)
+    close[ends[(ends > 0) & (ends < uniforms.size)] - 1] = False  # pairs across runs
+    lower = np.flatnonzero(close)
+    follows = lower[1:] == lower[:-1] + 1
+    cells = np.searchsorted(ends[horizon - 1 :: horizon], lower, "right")
+    iterations = counts[0].size // horizon
+    sizes = np.diff(np.searchsorted(cells, np.arange(len(counts) + 1) * iterations))
+    return uniforms[lower], uniforms[1:][lower], cells, follows, sizes
+
+
+def _pair_collisions(pairs: tuple[np.ndarray, ...], pools: np.ndarray,
+                     iterations: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per (class, iteration) the collided requests, and per iteration the
+    slots holding two or more, of one layout dedicated in class order, whose
+    classes' pools are ``pools``, from a chunk's candidate pairs (see
+    ``_pairs``). A pair collides when its picks' floors are equal; a slot of
+    m requests holds m - 1 such pairs, of which one, its chain start, does
+    not follow another of them, so its collided requests are its colliding
+    pairs plus its chain start."""
+    lower, upper, cells, follows, sizes = pairs
+    scale = np.repeat(pools, sizes)
+    top = upper * scale
+    # fl(lower * S) <= fl(upper * S), so their floors are equal when the
+    # upper one's is at most the lower product
+    equal = np.floor(top, out=top) <= np.multiply(lower, scale, out=scale)
+    del top, scale  # freed before the counts' temporaries
+    starts = equal.copy()
+    np.greater(equal[1:], equal[:-1] & follows, out=starts[1:])
+    chains = np.bincount(cells[starts], minlength=pools.size * iterations)
+    collided = np.bincount(cells[equal], minlength=chains.size) + chains
+    return collided.reshape(pools.size, iterations), chains.reshape(pools.size, -1).sum(axis=0)
 
 
 class _Scratch:

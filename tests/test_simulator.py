@@ -575,6 +575,35 @@ class TestMemory:
         assert collided == attempts if saturated else collided < 0.03 * attempts
         assert peak / attempts < (13 if dtype == np.uint32 else 25)
 
+    @pytest.mark.parametrize("saturated", [False, True], ids=["sparse", "saturated"])
+    def test_shared_peak_bytes_per_request(self, monkeypatch, saturated):
+        # the per-request peak of a shared pass that run_many's comment states,
+        # on one 1.5 M-request iteration of three classes in three dedicated
+        # layouts: with one or two RAOs per class every pair of neighbours in
+        # one second is a candidate, and on 2**24 RAOs about 6 % of them
+        requests = 1_500_000
+        classes = tuple(DeviceClass(id=pos + 1, ra_density=requests / 3) for pos in range(3))
+        sizes = ([(1, 1, 1), (1, 2, 1), (2, 1, 1)] if saturated
+                 else [(2**24 - k, 2**24, 2**24) for k in range(3)])
+        scenario = validate_scenario(Scenario(
+            classes=classes, total_raos=3 * 2**24, strategy=Strategy.PARTIAL_DEDICATION
+        ))
+        layouts = [SharingTopology.from_ranges(
+            {1: [(0, a - 1)], 2: [(a, a + b - 1)], 3: [(a + b, a + b + c - 1)]}
+        ) for a, b, c in sizes]
+        passes = TestSweep.spy_on_passes(monkeypatch)
+        tracemalloc.start()
+        try:
+            stats = run_many(scenario, layouts, SimConfig(iterations=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        attempts = sum(s.attempts for s in stats[0].per_class.values())
+        collided = sum(s.collided for s in stats[0].per_class.values())
+        assert [size for size, _ in passes] == [3]
+        assert collided == attempts if saturated else collided < 0.05 * attempts
+        assert peak / attempts < 52
+
     def test_run_peak_holds_no_buffer_twice(self):
         # a chunk's views of the scratch's buffers are released before the
         # next chunk grows them: on dc1_dc2 at 200 s, run's peak measured
@@ -1098,8 +1127,10 @@ class TestSweep:
                           arrival_mode=ArrivalMode.PER_DEVICE_BERNOULLI)),
             # a 1 s backoff retries inside the 3 s horizon, probing the sorted keys
             (0, SimConfig(iterations=20, seed=44, horizon=3, measure_delay=True)),
+            # the same grid and seed without delays, in one shared pass
+            (0, SimConfig(iterations=20, seed=44, horizon=3)),
         ],
-        ids=["class-0", "class-1", "bernoulli", "delay"],
+        ids=["class-0", "class-1", "bernoulli", "delay", "delay-grid-fresh"],
     )
     def test_every_point_equals_its_run(self, class_index, config):
         self.assert_points_equal_runs(make_scenario((1, 2)), class_index, [600, 3600, 7200, 10200],
@@ -1112,10 +1143,13 @@ class TestSweep:
                              ids=["per-iteration", "uneven", "default", "per-block"])
     def test_chunkings_equal_runs(self, monkeypatch, chunk_keys):
         monkeypatch.setattr(simulator, "CHUNK_KEYS", chunk_keys)
-        config = SimConfig(iterations=17, seed=45, horizon=350, measure_delay=True)
-        self.assert_points_equal_runs(
-            _light_cell(Strategy.FULL_DEDICATION, backoffs=(0.5, 3.0)), 0, [5, 15, 25, 35], config
-        )
+        # with delays every split runs alone; without, the four share a pass
+        for measure_delay in (True, False):
+            config = SimConfig(iterations=17, seed=45, horizon=350, measure_delay=measure_delay)
+            self.assert_points_equal_runs(
+                _light_cell(Strategy.FULL_DEDICATION, backoffs=(0.5, 3.0)), 0, [5, 15, 25, 35],
+                config
+            )
 
     def test_pieces_split_shared_chunks(self, monkeypatch):
         monkeypatch.setattr(simulator, "PIECE_KEYS", 97)
@@ -1134,22 +1168,25 @@ class TestSweep:
             return _collisions(tagged, *args)
 
         monkeypatch.setattr(simulator, "_collisions", spy)
+        passes = self.spy_on_passes(monkeypatch)
         scenario = _light_cell(Strategy.FULL_DEDICATION, total=total)
         config = SimConfig(iterations=6, seed=47, horizon=350)
         self.assert_points_equal_runs(scenario, 0, [1, total // 2, total - 1], config)
+        # the lone runs form the keys; the shared pass counts on its sorted picks
         assert dtypes == {np.dtype(dtype)}
+        assert [size for size, _ in passes] == [3, 1, 1, 1]
 
     def test_sort_splits_chunks_past_the_key_bits(self, monkeypatch):
-        # one 5 000 s iteration per chunk: (second << 1 | class) << 53 holds only
-        # 1 024 seconds, so the shared sort runs over five spans of seconds
+        # one 5 000 s iteration per chunk: second << 53 holds only 2 048
+        # seconds, so each class's shared sort runs over three spans of seconds
         spans = []
 
         def spy(rngs, counts, *args):
             spans.append(counts[0].size)
-            return shared_keys(rngs, counts, *args)
+            return sorted_picks(rngs, counts, *args)
 
-        shared_keys = simulator._shared_keys
-        monkeypatch.setattr(simulator, "_shared_keys", spy)
+        sorted_picks = simulator._sorted_picks
+        monkeypatch.setattr(simulator, "_sorted_picks", spy)
         scenario = _light_cell(Strategy.FULL_DEDICATION)
         config = SimConfig(iterations=3, seed=48, horizon=5000)
         self.assert_points_equal_runs(scenario, 0, [3, 20, 37], config)
@@ -1168,15 +1205,16 @@ class TestSweep:
         monkeypatch.setattr(simulator, "_pass", spy)
         return passes
 
-    @pytest.mark.parametrize("plans, passes", [
-        ([{1: 10, 2: 30}, {1: 30, 2: 10}], [1] * 6),
-        ([{1: 10, 2: 30}, {1: 30, 2: 10}, {1: 20, 2: 20}], [3] + [1] * 4),
-    ], ids=["two-ordered", "three-ordered"])
-    def test_mixed_layouts_in_one_call(self, monkeypatch, plans, passes):
-        # only the plans' layouts are dedicated in tag order, and they share a
-        # pass only when at least three are in the call; the others, one with
-        # its blocks in reverse class order, run alone. All passes of the call
-        # reuse one set of chunk arrays.
+    @pytest.mark.parametrize("plans, measure_delay, passes", [
+        ([{1: 10, 2: 30}, {1: 30, 2: 10}], True, [1] * 6),
+        ([{1: 10, 2: 30}, {1: 30, 2: 10}, {1: 20, 2: 20}], True, [1] * 7),
+        ([{1: 10, 2: 30}, {1: 30, 2: 10}, {1: 20, 2: 20}], False, [3] + [1] * 4),
+    ], ids=["two-ordered", "three-ordered", "three-ordered-fresh"])
+    def test_mixed_layouts_in_one_call(self, monkeypatch, plans, measure_delay, passes):
+        # only the plans' layouts are dedicated in class order, and they share
+        # a pass only when at least three are in the call and no delays are
+        # measured; the others, one with its blocks in reverse class order, run
+        # alone. All passes of the call reuse one set of chunk arrays.
         scenario = _light_cell(Strategy.PARTIAL_DEDICATION, backoffs=(0.5, 3.0))
         first, *rest = (pool_layout(scenario, AllocationPlan(plan)) for plan in plans)
         layouts = [
@@ -1187,12 +1225,51 @@ class TestSweep:
             SharingTopology.from_ranges({1: [(25, 39)], 2: [(0, 24)]}),
             *rest,
         ]
-        config = SimConfig(iterations=17, seed=49, horizon=350, measure_delay=True)
+        config = SimConfig(iterations=17, seed=49, horizon=350, measure_delay=measure_delay)
         calls = self.spy_on_passes(monkeypatch)
         stats = run_many(scenario, layouts, config)
         assert [size for size, _ in calls] == passes
         assert len({id(scratch) for _, scratch in calls}) == 1
         assert stats == [run(scenario, layout, config) for layout in layouts]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_shared_pass_equals_runs_on_random_cells(self, data):
+        # 2-5 classes on pools from one RAO to about 3e5, at 0.01-20 requests
+        # per RAO, over horizons on both sides of the sort's 2 048-second runs,
+        # under both arrival modes: three dedicated splits share a pass
+        n_classes = data.draw(st.integers(2, 5), label="classes")
+        horizon = data.draw(st.sampled_from([1, 3, 200, 2047, 2049, 2500]), label="horizon")
+        load = data.draw(st.floats(0.01, 20.0), label="requests per RAO")
+        per_second = 3000 / horizon
+        total = data.draw(st.integers(n_classes, max(n_classes, int(per_second / load))),
+                          label="total_raos")
+        weights = data.draw(st.lists(st.floats(0.05, 1.0), min_size=n_classes,
+                                     max_size=n_classes), label="weights")
+        bernoulli = data.draw(st.booleans(), label="bernoulli")
+        densities = [load * total * w / sum(weights) for w in weights]
+        classes = tuple(
+            DeviceClass(id=pos + 1, population=math.ceil(2 * d) + 1,
+                        per_device_rate=d / (math.ceil(2 * d) + 1))
+            if bernoulli else DeviceClass(id=pos + 1, ra_density=d)
+            for pos, d in enumerate(densities)
+        )
+        scenario = validate_scenario(
+            Scenario(classes=classes, total_raos=total, strategy=Strategy.FULL_DEDICATION)
+        )
+        cut_points = st.lists(st.integers(1, total - 1), min_size=n_classes - 1,
+                              max_size=n_classes - 1, unique=True).map(sorted)
+        plans = []
+        for _ in range(simulator.SHARED_PASS_LAYOUTS):
+            cuts = [0, *data.draw(cut_points, label="cuts"), total]
+            plans.append(AllocationPlan(
+                {c.id: hi - lo for c, lo, hi in zip(classes, cuts, cuts[1:])}
+            ))
+        mode = ArrivalMode.PER_DEVICE_BERNOULLI if bernoulli else ArrivalMode.POISSON_AGGREGATE
+        config = SimConfig(iterations=data.draw(st.integers(1, 3), label="iterations"),
+                           seed=data.draw(st.integers(0, 2**32), label="seed"),
+                           horizon=horizon, arrival_mode=mode)
+        assert run_many(scenario, plans, config) == [run(scenario, p, config) for p in plans]
 
     def test_tallies_past_the_budget_split_passes(self, monkeypatch):
         scenario = make_scenario((1, 2))
