@@ -20,14 +20,15 @@ that. ``run_many`` simulates several layouts on the same arrivals, and
 ``run`` is its one-layout case. Layouts that each dedicate one block per
 class, in class order, share their passes when at least
 ``SHARED_PASS_LAYOUTS`` of them are in one call and no delays are measured.
-A shared pass forms no slot keys: a chunk's picks are drawn once and sorted
-by class, second and value, and in such a layout two requests collide
-exactly when they are neighbours in one (class, second) run whose
-``floor(u * size)`` is equal. So each chunk keeps the neighbours close
-enough to collide in the pass's smallest pool, and each layout compares
-their floors alone and counts its equal pairs and chain starts. A run that
-measures delays gives every layout a pass of its own, since retries look
-slot keys up.
+A shared pass forms no slot keys: a chunk's picks are drawn once, as the
+53-bit integers that the uniforms scale, and sorted by class, second and
+value, and in such a layout two requests collide exactly when they are
+neighbours in one (class, second) run whose ``floor(u * size)`` is equal.
+So each chunk keeps the neighbours close enough to collide in the class's
+smallest pool of the pass, and notes where each (class, iteration) cell's
+pairs start; each layout compares their floors alone and sums its equal
+pairs and chain starts per cell. A run that measures delays gives every
+layout a pass of its own, since retries look slot keys up.
 
 Random numbers follow one layout, named by ``RNG_LAYOUT``. Iterations are
 grouped into blocks of ``max(1, BLOCK_SECONDS // horizon)``. Fresh arrivals
@@ -106,15 +107,16 @@ BLOCK_SECONDS = 4096
 # Requests sorted together in one collision chunk; at least one iteration.
 # A call reuses its chunk arrays (see _Scratch), so larger chunks cost fewer
 # numpy calls per request without faulting fresh pages in for every chunk.
-# A pass shared by layouts (see _pass) holds each request's uniform in float64,
-# the sort keys of one class's draws and the candidate pairs of _pairs:
-# tracemalloc puts a 17-split sweep on dc1_dc2 at 200 s at 1.58 times the
-# peak of one run with chunks of CHUNK_KEYS, and 0.86 times with half as many,
+# A pass shared by layouts (see _pass) holds each request's pick, which is
+# its sort key, and the gaps between them, then the candidate pairs of _pairs:
+# tracemalloc puts a 17-split sweep on dc1_dc2 at 200 s at 1.31 times the
+# peak of one run with chunks of CHUNK_KEYS, and 0.73 times with half as many,
 # which its chunks hold.
 CHUNK_KEYS = 2**16
 
 # Longest piece of a chunk that _collisions' temporaries cover: the index
-# array of np.compress and the cells and repeats of the collided requests.
+# array of np.compress and the cells and repeats of the collided requests;
+# and the raw draws of _sorted_picks.
 PIECE_KEYS = 2**16
 
 # Collided requests of one chunk, of every class, that the delay meter
@@ -124,14 +126,15 @@ PIECE_KEYS = 2**16
 RETRY_KEYS = 2**14
 
 # Fewest layouts dedicated in class order (see _pairs) that share a pass in
-# one call. A shared pass costs more per chunk (a 64-bit sort of the uniforms
+# one call. A shared pass costs more per chunk (a 64-bit sort of the picks
 # and the candidate pairs) and less per layout (its floors on the candidates),
-# in half-size chunks. In process, median of 9 calls after 4 warm-ups: on
-# dc1_dc2 at horizon 200, 20 iterations, two splits took 0.0164 s in lone
-# passes and 0.0163 s in a shared one, three 0.0231 s and 0.0174 s, four
-# 0.0308 s and 0.0189 s; dc123_qos's two dedicated plans, 3 000 iterations,
-# 0.049 s and 0.077 s.
-SHARED_PASS_LAYOUTS = 3
+# in half-size chunks. In process, median of 9 calls after 4 warm-ups, median
+# of three alternations: on dc1_dc2 at horizon 200, 20 iterations, two splits
+# took 14.2 ms in lone passes and 11.5 ms in a shared one, three 20.7 ms and
+# 11.3 ms, four 30.5 ms and 11.4 ms; dc123_qos's two dedicated plans, 3 000
+# iterations, 47.6 ms and 37.4 ms. One split forced into a pass of the shared
+# kind took 10.5 ms against 7.5 ms alone.
+SHARED_PASS_LAYOUTS = 2
 
 # Names the random-number layout described in the module docstring; a seed
 # reproduces a report's numbers only under the same layout.
@@ -377,10 +380,11 @@ def run_many(
     ordered = [k for k, s in enumerate(spans) if len(s) == len(classes)
                and all(a[1] < b[0] for a, b in zip(s, s[1:]))]  # dedicated in class order
     # a shared pass measures no delays. On one iteration, which a chunk holds
-    # whole, it holds the picks' uniforms and, per candidate pair (see _pairs),
-    # both uniforms and a cell: tracemalloc puts its peak below 52 bytes per
-    # fresh request when every pair is one, four times run()'s 13, so an
-    # iteration past a quarter of MAX_ITEMS_PER_ITERATION runs alone.
+    # whole, it holds the picks and, per candidate pair (see _pairs), both
+    # picks as doubles and each layout's products: tracemalloc puts its peak at
+    # 44 bytes per fresh request when every pair is one, below four times
+    # run()'s 13, so an iteration past a quarter of MAX_ITEMS_PER_ITERATION
+    # runs alone.
     if (config.measure_delay or len(ordered) < SHARED_PASS_LAYOUTS
             or fresh > MAX_ITEMS_PER_ITERATION // 4):
         ordered = []
@@ -405,8 +409,9 @@ def _pass(scenario: Scenario, layouts: list[SharingTopology], config: SimConfig,
     total_slots = scenario.total_raos
     span = horizon * total_slots  # slot keys per iteration
     tallies = [_Tally.zeros(len(classes), iters) for _ in layouts]
-    pools = [np.array([lay.size(c.id) for c in classes], dtype=np.float64) for lay in layouts]
-    smallest = min(pool.min() for pool in pools)
+    pools = [[lay.size(c.id) for c in classes] for lay in layouts]
+    smallest = [min(sizes) for sizes in zip(*pools)]  # per class
+    scales = [np.array(pool, dtype=np.float64) * 2.0**-53 for pool in pools]
     measure = config.measure_delay and _delay_meter(scenario, layouts[0], config)
     per_block = max(1, BLOCK_SECONDS // horizon)
     limit = CHUNK_KEYS if len(layouts) == 1 else CHUNK_KEYS // 2
@@ -425,12 +430,12 @@ def _pass(scenario: Scenario, layouts: list[SharingTopology], config: SimConfig,
             chunk = slice(first + lo, first + hi)
             chunk_counts = [c[lo * horizon : hi * horizon] for c in counts]
             if len(layouts) > 1:
-                uniforms = _sorted_picks(rngs, chunk_counts, scratch)
-                pairs = _pairs(uniforms, chunk_counts, horizon, smallest, scratch)
-                for tally, pool in zip(tallies, pools):
+                picks = _sorted_picks(rngs, chunk_counts, scratch)
+                pairs = _pairs(picks, chunk_counts, horizon, smallest, scratch)
+                for tally, scale in zip(tallies, scales):
                     tally.collided[:, chunk], tally.events[chunk] = _pair_collisions(
-                        pairs, pool, hi - lo)
-                del uniforms, pairs  # freed before the next chunk's draws
+                        pairs, scale, hi - lo)
+                del picks, pairs  # freed before the next chunk's draws
             else:
                 tally = tallies[0]
                 tagged = _fresh_keys(layouts[0], classes, rngs, chunk_counts, total_slots, scratch)
@@ -527,78 +532,107 @@ def _fresh_keys(
 
 def _sorted_picks(rngs: Sequence[np.random.Generator], counts: Sequence[np.ndarray],
                   scratch: _Scratch) -> np.ndarray:
-    """Draw a chunk's uniforms once for a pass, given each class's counts per
+    """Draw a chunk's picks once for a pass, given each class's counts per
     second, continuing the classes' block streams, and sort them by (class
-    position, second, u), in the scratch's uniforms. Runs of ``2**11``
-    seconds of a class are sorted on ``second << 53 | u * 2**53``."""
-    uniforms = scratch.take("uniforms", np.float64, sum(int(c.sum()) for c in counts))
+    position, second, pick) in the scratch's keys, which a lone pass of the
+    call reuses. A pick is the 53-bit integer ``a`` that ``Generator.random``
+    scales to ``u = a * 2**-53``: ``random_raw() >> 11`` is the same number
+    and leaves the stream where ``random`` would. Runs of ``2**11`` seconds
+    of a class are sorted on ``second << 53 | a``, which the picks keep."""
+    picks = scratch.take("keys", np.uint64, sum(int(c.sum()) for c in counts))
     end = 0
     for rng, per_second in zip(rngs, counts):
+        raw = rng.bit_generator.random_raw
         for lo in range(0, per_second.size, 2**11):
             group = per_second[lo : lo + 2**11]
-            u = rng.random(out=uniforms[end : end + group.sum()])
-            end += u.size
-            order = np.repeat(np.arange(group.size, dtype=np.uint64) << 53, group)
-            u *= 2.0**53  # exact: numpy's doubles are multiples of 2**-53
-            np.add(order, u, out=order, dtype=np.uint64, casting="unsafe")
-            order.sort()
-            order &= 2**53 - 1
-            np.multiply(order, 2.0**-53, out=u, dtype=np.float64)
-    return uniforms
+            run = picks[end : end + group.sum()]
+            end += run.size
+            for piece in range(0, run.size, PIECE_KEYS):  # random_raw takes no out=
+                part = run[piece : piece + PIECE_KEYS]
+                np.right_shift(raw(part.size), 11, out=part)
+            run |= np.repeat(np.arange(group.size, dtype=np.uint64) << 53, group)
+            run.sort()
+    return picks
 
 
-def _pairs(uniforms: np.ndarray, counts: Sequence[np.ndarray], horizon: int, smallest: float,
-           scratch: _Scratch) -> tuple[np.ndarray, ...]:
+def _pairs(picks: np.ndarray, counts: Sequence[np.ndarray], horizon: int,
+           smallest: Sequence[int], scratch: _Scratch) -> tuple[np.ndarray, ...]:
     """The candidate pairs of a chunk's sorted picks (see ``_sorted_picks``)
-    for layouts dedicated in class order whose smallest pool is
-    ``smallest``: the neighbours in one (class, second) run whose gap is
-    below ``2 / smallest``. Return their lower and upper uniforms, their
-    (class, iteration) cells, ``class * iterations + iteration``, whether
-    each pair but the first follows the one before it (whose upper pick is
-    its lower one), and how many pairs each class has.
+    for layouts dedicated in class order whose smallest pool of the class at
+    position c is ``smallest[c]``: the neighbours in one (class, second) run
+    whose picks differ by at most ``(2**53 - 1) // S`` for that pool S.
+    Return their lower and upper picks as doubles, whether each pair but the
+    first follows the one before it (whose upper pick is its lower one), how
+    many pairs each class has, and the non-empty (class, iteration) cells,
+    ``class * iterations + iteration``, with the index of each one's first
+    pair.
 
-    In such a layout a class's picks take the RAOs ``first + floor(u * S)``
+    In such a layout a class's picks take the RAOs ``first + floor(fl(u S))``
     of its pool of S, so two requests collide exactly when they are of one
     class and one second and their floors are equal; sorted by u, those are
-    neighbours. Equal floors of the rounded products ``fl(u S) <= fl(v S)``
-    differ by below 1, and each product is within ``2**-53 S`` of the exact
-    one, so ``(v - u) S < 1 + 2**-52 S``: the gap is below
-    ``1 / S + 2**-52``, which is at most ``2 / S`` for any ``S < 2**51``, as
-    _check_inputs keeps every pool. The gap of two multiples of ``2**-53``
-    is exact, and ``2 / smallest`` rounds down by less than the margin."""
+    neighbours. If ``fl(u S)`` and ``fl(v S)``, for ``u <= v``, have one
+    floor k, then ``v S - u S < 1``. Round-to-nearest puts u S at least
+    halfway from k's predecessor p up to k, and v S at most halfway from
+    k + 1's predecessor q up to k + 1, so ``v S - u S <= (1 + q - p) / 2 <=
+    1``, as the doubles below k + 1 lie at least as far apart as those below
+    k. Equality needs equal spacings s there, and ties that round up to k
+    and down to q, so both even under ties-to-even; but then k and q lie in
+    one binade and differ by 1 - s, an odd number of spacings for the
+    ``k < S < 2**51`` that _check_inputs keeps. So the picks a and b of u
+    and v have ``(b - a) S < 2**53``, which is ``b - a <= (2**53 - 1) // S``:
+    a colliding pair can be that far apart, as when its lower product rounds
+    up onto k."""
     ends = np.cumsum(np.concatenate(counts))  # of each (class, second) run
-    close = scratch.take("hit", bool, max(0, uniforms.size - 1))
-    np.less(np.subtract(uniforms[1:], uniforms[:-1]), 2.0 / smallest, out=close)
-    close[ends[(ends > 0) & (ends < uniforms.size)] - 1] = False  # pairs across runs
+    seconds, size = counts[0].size, picks.size
+    iterations = seconds // horizon
+    close = scratch.take("hit", bool, max(0, size - 1))
+    gaps = np.subtract(picks[1:], picks[:-1])  # wraps across runs, which are dropped
+    lo = 0
+    for hi, pool in zip(ends[seconds - 1 :: seconds], smallest):  # each class's picks
+        np.less_equal(gaps[lo:hi], (2**53 - 1) // pool, out=close[lo:hi])
+        lo = hi
+    del gaps  # freed before the pairs are gathered
+    close[ends[(ends > 0) & (ends < size)] - 1] = False  # pairs across runs
     lower = np.flatnonzero(close)
     follows = lower[1:] == lower[:-1] + 1
-    cells = np.searchsorted(ends[horizon - 1 :: horizon], lower, "right")
-    iterations = counts[0].size // horizon
-    sizes = np.diff(np.searchsorted(cells, np.arange(len(counts) + 1) * iterations))
-    return uniforms[lower], uniforms[1:][lower], cells, follows, sizes
+    # per (class, iteration) cell, the index of the first pair past its requests;
+    # np.add.reduceat would give an empty cell the next cell's first pair
+    stops = np.searchsorted(lower, ends[horizon - 1 :: horizon])
+    firsts = np.concatenate(([0], stops[:-1]))
+    cells = np.flatnonzero(stops > firsts)
+    by_class = np.diff(stops[iterations - 1 :: iterations], prepend=0)
+    low, high = (np.bitwise_and(picks[k:].take(lower), 2**53 - 1).astype(np.float64)
+                 for k in (0, 1))
+    return low, high, follows, by_class, cells, firsts[cells]
 
 
-def _pair_collisions(pairs: tuple[np.ndarray, ...], pools: np.ndarray,
+def _pair_collisions(pairs: tuple[np.ndarray, ...], scales: np.ndarray,
                      iterations: int) -> tuple[np.ndarray, np.ndarray]:
     """Per (class, iteration) the collided requests, and per iteration the
     slots holding two or more, of one layout dedicated in class order, whose
-    classes' pools are ``pools``, from a chunk's candidate pairs (see
-    ``_pairs``). A pair collides when its picks' floors are equal; a slot of
-    m requests holds m - 1 such pairs, of which one, its chain start, does
-    not follow another of them, so its collided requests are its colliding
-    pairs plus its chain start."""
-    lower, upper, cells, follows, sizes = pairs
-    scale = np.repeat(pools, sizes)
-    top = upper * scale
-    # fl(lower * S) <= fl(upper * S), so their floors are equal when the
+    classes' pools times ``2**-53`` are ``scales``, from a chunk's candidate
+    pairs (see ``_pairs``). A pair collides when its picks' floors are
+    equal; a slot of m requests holds m - 1 such pairs, of which one, its
+    chain start, does not follow another of them, so its collided requests
+    are its colliding pairs plus its chain start. Both masks are summed per
+    non-empty cell, as bytes."""
+    low, high, follows, by_class, cells, firsts = pairs
+    scale = np.repeat(scales, by_class)
+    top = high * scale  # fl(a * S 2**-53) == fl(u * S): both scalings are exact
+    masks = np.empty((2, low.size), dtype=bool)
+    equal, starts = masks
+    # fl(low * S) <= fl(high * S), so their floors are equal when the
     # upper one's is at most the lower product
-    equal = np.floor(top, out=top) <= np.multiply(lower, scale, out=scale)
-    del top, scale  # freed before the counts' temporaries
-    starts = equal.copy()
-    np.greater(equal[1:], equal[:-1] & follows, out=starts[1:])
-    chains = np.bincount(cells[starts], minlength=pools.size * iterations)
-    collided = np.bincount(cells[equal], minlength=chains.size) + chains
-    return collided.reshape(pools.size, iterations), chains.reshape(pools.size, -1).sum(axis=0)
+    np.less_equal(np.floor(top, out=top), np.multiply(low, scale, out=scale), out=equal)
+    del top, scale  # freed before the sums' temporaries
+    # a chain start is an equal pair that does not follow an equal one
+    starts[:1] = False
+    np.logical_and(equal[:-1], follows, out=starts[1:])
+    np.greater(equal, starts, out=starts)
+    sums = np.zeros((2, scales.size * iterations), dtype=np.int64)
+    sums[:, cells] = np.add.reduceat(masks.view(np.uint8), firsts, axis=1, dtype=np.int64)
+    equal, chains = sums.reshape(2, scales.size, iterations)
+    return equal + chains, chains.sum(axis=0)
 
 
 class _Scratch:

@@ -216,6 +216,47 @@ class TestCollisionKernel:
         assert all(s.collided > 0 and s.mean_delay > 0.3 for s in stats["wide"].per_class.values())
 
 
+class TestPairKernel:
+    """The shared pass's kernel (``_sorted_picks``, ``_pairs`` and
+    ``_pair_collisions``) on hand-built integer picks."""
+
+    # (pool, a): a * 2**-53 * pool rounds up onto a slot edge k
+    EDGE_PICKS = [(3, 6004799503160661), (600, 345275971431738), (10799, 45874243819868),
+                  (2**20 + 1, 70377266995264)]
+
+    def test_bound_keeps_a_pair_rounded_onto_a_slot_edge(self):
+        # one class per pool, each with two picks in one second, (2**53 - 1) // pool
+        # apart: the farthest two picks that can share a slot. They share slot k
+        # because the lower product rounds up onto k, so a bound one smaller
+        # loses the pair
+        pools = [pool for pool, _ in self.EDGE_PICKS]
+        picks = []
+        for pool, a in self.EDGE_PICKS:
+            b = a + (2**53 - 1) // pool
+            k = -(-a * pool // 2**53)
+            assert a * pool < k * 2**53  # the exact product lies below the edge
+            products = [np.float64(pick) * 2.0**-53 * pool for pick in (a, b)]
+            assert products[0] == k and math.floor(products[1]) == k
+            picks += [a, b]
+        counts = [np.array([2]) for _ in pools]
+        pairs = simulator._pairs(np.array(picks, dtype=np.uint64), counts, 1, pools, _Scratch())
+        scales = np.array(pools, dtype=np.float64) * 2.0**-53
+        collided, events = simulator._pair_collisions(pairs, scales, 1)
+        assert pairs[0].size == len(pools)
+        assert collided.ravel().tolist() == [2] * len(pools)
+        assert events.tolist() == [len(pools)]
+
+    def test_integer_picks_continue_the_stream(self):
+        # _sorted_picks draws random_raw() >> 11, the integers that random()
+        # scales by 2**-53, and the stream must go on as after random(): a numpy
+        # that broke either would change the picks of RNG_LAYOUT
+        raw, scaled = (simulator._block_stream(7, 3, 2) for _ in range(2))
+        assert raw.poisson(5.0, size=11).tolist() == scaled.poisson(5.0, size=11).tolist()
+        picks = raw.bit_generator.random_raw(1001) >> 11
+        assert picks.tolist() == (scaled.random(1001) * 2.0**53).astype(np.uint64).tolist()
+        assert raw.poisson(5.0, size=50).tolist() == scaled.poisson(5.0, size=50).tolist()
+
+
 def reference_run(scenario, allocation, config):
     """Plain per-iteration, per-request engine over the simulator's random
     streams and hash helpers: each iteration slices its seconds out of its
@@ -1157,6 +1198,31 @@ class TestSweep:
         config = SimConfig(iterations=17, seed=46, horizon=350)
         self.assert_points_equal_runs(scenario, 1, [5, 20, 35], config)
 
+    def test_empty_cells_equal_runs(self, monkeypatch):
+        # 3 and 1 requests per second at horizon 1: one chunk holds all 40
+        # iterations, and many of its (class, iteration) cells in both classes,
+        # the last one among them, hold no candidate pair. np.add.reduceat
+        # gives an empty cell the next cell's first pair, and clipping the
+        # empty last cell's start loses the chunk's last pair
+        chunks = []
+
+        def spy(picks, counts, horizon, *args):
+            pairs = simulator_pairs(picks, counts, horizon, *args)
+            chunks.append((len(counts) * (counts[0].size // horizon), pairs[4]))
+            return pairs
+
+        simulator_pairs = simulator._pairs
+        monkeypatch.setattr(simulator, "_pairs", spy)
+        classes = (DeviceClass(id=1, ra_density=3.0), DeviceClass(id=2, ra_density=1.0))
+        scenario = validate_scenario(
+            Scenario(classes=classes, total_raos=40, strategy=Strategy.FULL_DEDICATION)
+        )
+        config = SimConfig(iterations=40, seed=51, horizon=1)
+        self.assert_points_equal_runs(scenario, 0, [5, 20, 35], config)
+        [(n_cells, cells)] = chunks
+        # both classes have non-empty cells, at most 60 of the 80 are, and the last is empty
+        assert n_cells == 80 and cells.size < 60 and cells[0] < 40 <= cells[-1] < n_cells - 1
+
     @pytest.mark.parametrize("total, dtype", [(40, np.uint32), (2**22, np.int64)],
                              ids=["uint32", "int64"])
     def test_key_dtypes_equal_runs(self, monkeypatch, total, dtype):
@@ -1207,12 +1273,13 @@ class TestSweep:
 
     @pytest.mark.parametrize("plans, measure_delay, passes", [
         ([{1: 10, 2: 30}, {1: 30, 2: 10}], True, [1] * 6),
+        ([{1: 10, 2: 30}, {1: 30, 2: 10}], False, [2] + [1] * 4),
         ([{1: 10, 2: 30}, {1: 30, 2: 10}, {1: 20, 2: 20}], True, [1] * 7),
         ([{1: 10, 2: 30}, {1: 30, 2: 10}, {1: 20, 2: 20}], False, [3] + [1] * 4),
-    ], ids=["two-ordered", "three-ordered", "three-ordered-fresh"])
+    ], ids=["two-ordered", "two-ordered-fresh", "three-ordered", "three-ordered-fresh"])
     def test_mixed_layouts_in_one_call(self, monkeypatch, plans, measure_delay, passes):
         # only the plans' layouts are dedicated in class order, and they share
-        # a pass only when at least three are in the call and no delays are
+        # a pass only when at least two are in the call and no delays are
         # measured; the others, one with its blocks in reverse class order, run
         # alone. All passes of the call reuse one set of chunk arrays.
         scenario = _light_cell(Strategy.PARTIAL_DEDICATION, backoffs=(0.5, 3.0))
@@ -1260,7 +1327,7 @@ class TestSweep:
         cut_points = st.lists(st.integers(1, total - 1), min_size=n_classes - 1,
                               max_size=n_classes - 1, unique=True).map(sorted)
         plans = []
-        for _ in range(simulator.SHARED_PASS_LAYOUTS):
+        for _ in range(max(3, simulator.SHARED_PASS_LAYOUTS)):
             cuts = [0, *data.draw(cut_points, label="cuts"), total]
             plans.append(AllocationPlan(
                 {c.id: hi - lo for c, lo, hi in zip(classes, cuts, cuts[1:])}
