@@ -21,6 +21,13 @@ special-class counts are the reservations.
 Integer plans come from largest-remainder apportionment over exact rational
 quotas, so results are reproducible and invariant under common rescaling of
 the densities.
+
+The exact oracle, brute_force_optimal, solves a min-plus recursion over the
+classes and uses the shape of the density to skip most of its tables: each
+class's density is concave below ``L = gamma / 2`` and convex above, so the
+greedy merge of the steps of every class's lower convex envelope bounds the
+least density of any set of classes on any budget, and a table entry whose
+bounds already exceed a known plan's density is never filled.
 """
 
 from __future__ import annotations
@@ -33,14 +40,24 @@ import numpy as np
 
 from .model import AllocationPlan, DeviceClass, QosKind, Scenario
 
-# Largest search brute_force_optimal makes, in cost sums (n - 2) * L**2 / 2:
-# 3 classes up to 20 000 RAOs, 4 classes up to 14 142. Either takes about
-# 0.21-0.23 s at the limit on a 2-vCPU Xeon guest (median of 3 calls).
-MAX_COST_SUMS = 200_000_000
-# Cost sums per block of budgets in brute_force_optimal's table fill, which
-# sizes its float64 block buffer (512 KB). At 10 800 RAOs, 2**14 leaves one
-# budget per block and was slower than a per-budget loop; 2**16 fills 6.
-BLOCK_SUMS = 1 << 16
+# Largest class count times RAO budget brute_force_optimal takes for three or
+# more classes; it holds the tables and the envelope steps to O(n * L) floats.
+# Where the shape bounds prune nothing, an overloaded cell, the tables take
+# up to (n - 2) * L**2 / 2 cost sums: the slowest admitted shape found, 4
+# classes on 21 600 RAOs at 3 requests per RAO, takes 0.45-0.47 s on a
+# 2-vCPU Xeon guest (6 classes on 14 400 and 8 on 10 800 take up to 0.41 s).
+MAX_CLASS_RAOS = 86_400
+# Slack of brute_force_optimal's pruning, relative to a known plan's density
+# plus the density at one RAO per class (the largest partial sum of any
+# bound); it covers the rounding of the bounds, below 1e-11 of the latter.
+PRUNE_SLACK = 1e-9
+# Cost sums per block of budgets in a table fill, which sizes its float64
+# block buffer (512 KB).
+FILL_BLOCK = 1 << 16
+# Rough cost of the shape bounds per class, in cost sums of a table fill:
+# 60-130 us for 3 classes and 150-570 us for 8 on 300-2 000 RAOs, at
+# 1.2-2.7 ns per sum.
+BOUND_SUMS = 1 << 14
 
 
 class AllocationError(ValueError):
@@ -192,35 +209,108 @@ def reserve_and_divide(scenario: Scenario) -> AllocationPlan:
     return AllocationPlan(raos)
 
 
-def _min_plus_fill(cost: np.ndarray, after: np.ndarray, rest: int, top: int) -> np.ndarray:
-    """``best[b] = min over s >= 1 of cost[s - 1] + after[b - s]`` for every
-    budget ``b`` from ``rest + 1`` to ``top``, +inf below.
+def _envelope_steps(costs: np.ndarray) -> np.ndarray:
+    """Steps between consecutive shares 1, 2, ... of the lower convex
+    envelope of each row of ``costs``: the chord from share 1 to the share
+    its steepest chord reaches, then the row's own steps. A class's density
+    is concave below ``L = gamma / 2`` and convex above, so the envelope
+    leaves it only along that chord."""
+    steps = costs[:, 1:] - costs[:, :-1]
+    chords = (costs[:, 1:] - costs[:, :1]) / np.arange(1, costs.shape[1])
+    for row, reach in enumerate(chords.argmin(axis=1).tolist()):
+        steps[row, : reach + 1] = chords[row, reach]
+    return steps
 
-    ``after`` holds the best cost of the ``rest`` later classes on each
-    budget and is +inf below ``rest``. Budget ``b``'s completions pair
-    ``cost[j]`` with ``after[b - 1 - j]``, which is ``rev[len(after) - b + j]``
-    in the reversed copy of ``after``, so the completions of consecutive
-    budgets are rows of one sliding window over ``rev``. Padding ``rev`` with
-    +inf lets every row of a block be as wide as its largest budget's: the
-    extra sums are +inf and never the minimum, so each entry is the minimum
-    of the same float sums as a per-budget loop would take. Blocks are
-    filled from the top budget down, at most ``BLOCK_SUMS`` sums each.
+
+def _envelope_bounds(steps: np.ndarray, leads: np.ndarray, classes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``i``: the least envelope density of the first ``i + 2`` of
+    ``classes`` on ``j`` RAOs past one each, for every ``j`` up to the row
+    length of ``steps``; and the first steps of all of them, merged.
+
+    The greedy merge is exact for separable convex costs (Federgruen and
+    Groenevelt), so a bound is the set's density at one RAO each plus its
+    ``j`` smallest envelope steps. Each class added merges its sorted steps
+    into the set's, of which the bounds read only the first row length."""
+    size = steps.shape[1]
+    bounds = np.zeros((len(classes) - 1, size + 1))
+    merged = steps[classes[0]]
+    for row, k in enumerate(classes[1:]):
+        merged = np.sort(np.concatenate((merged, steps[k])))[: size + 1]
+        bounds[row, 1:] = merged[:size]
+    np.cumsum(bounds, axis=1, out=bounds)
+    bounds += np.cumsum(leads[classes])[1:, None]
+    return bounds, merged
+
+
+def _budget_ranges(costs: np.ndarray) -> list[tuple[int, int]]:
+    """For each class ``k >= 1``: the least and largest budget, less
+    ``n - k``, that classes ``k..n-1`` can take in a plan within the
+    pruning slack of the density of a known plan.
+
+    A budget ``b`` is kept while the least envelope density of classes
+    ``0..k-1`` on the other RAOs plus that of classes ``k..n-1`` on ``b`` is
+    within the slack; a lone class on either side takes its exact density.
+    The known plan gives class 0 each share in turn, each class past 1 the
+    RAOs of its steps below the next step of the greedy merge of classes
+    1.., and class 1 the rest. The slack is ``PRUNE_SLACK`` of that plan's
+    density plus the density at one RAO each, the largest partial sum of
+    any bound, so it covers their rounding.
     """
-    m, widest = len(after), top - rest
-    rev = np.full(m + widest, np.inf)
-    rev[:m] = after[::-1]
-    window = np.lib.stride_tricks.sliding_window_view(rev, widest)
-    buf = np.empty(max(widest, min(BLOCK_SUMS, widest * widest)))
-    best = np.full(top + 1, np.inf)
-    high = top
-    while high > rest:
-        width = high - rest
-        low = max(rest + 1, high - max(1, BLOCK_SUMS // width) + 1)
-        rows = buf[: (high - low + 1) * width].reshape(-1, width)
-        np.add(cost[:width], window[m - high : m - low + 1, :width], out=rows)
-        best[low : high + 1] = rows.min(axis=1)[::-1]
+    n, width = costs.shape
+    steps = _envelope_steps(costs)
+    leads = costs[:, 0]
+    later, merged = _envelope_bounds(steps, leads, list(range(n - 1, 0, -1)))
+    earlier, _ = _envelope_bounds(steps, leads, list(range(n - 1)))
+    steps.sort(axis=1)
+    rest = np.arange(width)  # RAOs past one each of classes 1.., by j
+    upper = np.zeros(width)
+    for k in range(2, n):
+        count = np.searchsorted(steps[k], merged)
+        upper += costs[k][count]
+        rest -= count
+    upper += costs[1][rest]
+    upper = (costs[0] + upper[::-1]).min()
+    cap = upper + PRUNE_SLACK * (upper + leads.sum())
+    # row k - 1: classes k.. on j RAOs past one each, and classes 0..k-1 on the rest
+    bounds = np.concatenate((later[::-1], costs[-1:])) + np.concatenate((costs[:1], earlier))[:, ::-1]
+    kept = bounds <= cap
+    low = kept.argmax(axis=1)
+    high = width - 1 - kept[:, ::-1].argmax(axis=1)
+    return list(zip(low.tolist(), high.tolist()))
+
+
+def _fill(cost: np.ndarray, after: np.ndarray, rows: tuple[int, int], cols: tuple[int, int]) -> np.ndarray:
+    """``least[j] = min over i in cols, i <= j, of cost[j - i] + after[i]``
+    for each ``j`` in the inclusive range ``rows``, +inf where no ``i`` fits.
+
+    Pairs with the same ``j - i`` share a cost, so the sums of consecutive
+    ``j`` are rows of one sliding window over the costs, reversed and padded
+    with +inf where ``i > j``. Blocks of rows are filled from the top down,
+    each as wide as its top row reaches and at most ``FILL_BLOCK`` sums, by
+    one ``np.add`` into a reused buffer and one row-wise ``min``.
+    """
+    (r0, r1), (c0, c1) = rows, cols
+    least = np.full(max(r1 - r0 + 1, 0), np.inf)
+    if r1 < c0:
+        return least
+    d1, d0 = r1 - c0, max(r0 - c1, 0)  # cost offsets the pairs use, +inf below 0
+    padded = np.full(r1 - r0 + c1 - c0 + 1, np.inf)
+    padded[: d1 - d0 + 1] = cost[d0 : d1 + 1][::-1]
+    step = padded.strides[0]
+    window = np.lib.stride_tricks.as_strided(
+        padded, (r1 - r0 + 1, c1 - c0 + 1), (step, step), writeable=False
+    )
+    widest = min(c1, r1) - c0 + 1
+    buf = np.empty(max(widest, min(FILL_BLOCK, widest * (r1 - r0 + 1))))
+    high = r1
+    while high >= max(r0, c0):
+        width = min(c1, high) - c0 + 1
+        low = max(r0, high - max(1, FILL_BLOCK // width) + 1)
+        block = buf[: (high - low + 1) * width].reshape(-1, width)
+        np.add(window[r1 - high : r1 - low + 1, :width], after[c0 : c0 + width], out=block)
+        least[low - r0 : high - r0 + 1] = block.min(axis=1)[::-1]
         high = low - 1
-    return best
+    return least
 
 
 def brute_force_optimal(scenario: Scenario) -> AllocationPlan:
@@ -235,39 +325,69 @@ def brute_force_optimal(scenario: Scenario) -> AllocationPlan:
 
     The density is a sum of per-class costs, so a min-plus recursion over
     the classes finds the optimum without enumerating plans. ``best[k][b]``,
-    the least cost of classes ``k..n-1`` on ``b`` RAOs, is built from the
-    last class, which takes the remainder. Each table is filled a block of
-    consecutive budgets at a time: the block's completions are rows of a
-    sliding window over the next table, reversed and padded with +inf once
-    per class, so one ``np.add`` into a reused buffer and one row-wise
-    ``min`` fill the whole block (see ``_min_plus_fill``). A walk from the
-    first class then takes at each class the smallest share whose best
-    completion stays within the tie band. The recursion makes about
-    ``(n - 2) * L**2 / 2`` cost sums for ``n`` classes and ``L`` RAOs and is
-    refused above ``MAX_COST_SUMS``; one or two classes cost O(L). Memory
-    stays O(n * L + BLOCK_SUMS): the tables, one padded copy and the
-    block buffer, never an L x L array.
+    the least cost of classes ``k..n-1`` on ``b`` RAOs, is the least
+    ``cost_k[s] + best[k+1][b - s]`` over shares ``s``, built from the last
+    class, which takes the remainder. A walk from the first class then takes
+    at each class the smallest share whose best completion stays within the
+    tie band. In full the tables take about ``(n - 2) * L**2 / 2`` cost sums
+    for ``n`` classes and ``L`` RAOs; one or two classes cost O(L).
+
+    The shape of the cost prunes them. The greedy merge of the classes'
+    envelope steps bounds the least density of classes ``0..k-1`` and of
+    classes ``k..n-1`` on every budget, and ``best[k][b]`` is filled only
+    while the two bounds around ``b`` stay within ``PRUNE_SLACK`` of a known
+    plan's density (see ``_budget_ranges``); the rest stay +inf. A filled
+    entry is the least of some of the full tables' float sums, among them
+    every sum on a plan within the tie band, so it is exact wherever such a
+    plan passes and elsewhere can only come out larger. So the optimum, the
+    tie band and the walk give the full tables' plan bit for bit. The slack
+    is far wider than the bounds' rounding and the 1e-12 band, so no
+    rounding cuts a plan within the band.
+
+    Below one request per RAO every class of the optimum sits where the
+    envelope is the cost, the bounds are tight, and the tables keep a few
+    budgets each. Above it the greedy merge mostly stops inside some class's
+    chord, so even its own plan lies above the bound (on 4 000 random cells
+    of 3-8 classes on 200-2 000 RAOs: none of 2 632 at or below one request
+    per RAO, 1 197 of 1 368 above it), and an overloaded cell, whose optimum
+    starves classes, can keep most of its tables. The bounds cost about
+    ``BOUND_SUMS`` fill sums per class: they are built only for larger
+    tables, and above one request per RAO only if they cost at most half a
+    fill block or 1/64 of the full fill (see ``FILL_BLOCK``). Three or more
+    classes on more than ``MAX_CLASS_RAOS`` class-RAOs are refused before
+    anything is built. Memory stays O(n * L + FILL_BLOCK), never an L x L
+    array.
     """
     gammas = [cls.ra_density for cls in scenario.classes]
     n = len(gammas)
     total = scenario.total_raos
     if total < n:
         raise AllocationError(f"insufficient RAOs: {total} for {n} classes")
-    sums = (n - 2) * total * total // 2
-    if sums > MAX_COST_SUMS:
+    if n > 2 and n * total > MAX_CLASS_RAOS:
         raise AllocationError(
-            f"exact search refused: {n} classes on {total} RAOs need about "
-            f"{sums} cost sums, over the limit of {MAX_COST_SUMS}"
+            f"exact search refused: {n} classes on {total} RAOs make {n * total} "
+            f"class-RAOs, over the limit of {MAX_CLASS_RAOS}"
         )
-    if n == 1:
-        return AllocationPlan.from_counts(scenario, [total])
+    if n == 1 or total == n:
+        return AllocationPlan.from_counts(scenario, [total - n + 1] * n)
 
     shares = np.arange(1.0, total - n + 2)  # every share one class can get
     costs = [g * -np.expm1(-g / shares) for g in gammas]  # each class's density
-    best = [np.empty(0)] * n
-    best[-1] = np.concatenate(([np.inf], costs[-1]))  # indexed by budget
-    for k in range(n - 2, 0, -1):
-        best[k] = _min_plus_fill(costs[k], best[k + 1], n - k - 1, total - k)
+    best = [np.empty(0)] * n  # least density of classes k..n-1, by budget
+    best[-1] = np.concatenate(([np.inf], costs[-1]))
+    if n > 2:
+        width = total - n + 1
+        ranges = [(0, width - 1)] * (n - 1)
+        fill, bounds = (n - 2) * width * width // 2, (n - 1) * BOUND_SUMS  # sums either costs
+        cheap = bounds <= max(FILL_BLOCK // 2, fill // 64)
+        if fill > bounds and (cheap or sum(gammas) <= total):
+            ranges = _budget_ranges(np.array(costs))
+        for k in range(n - 2, 0, -1):
+            low, high = ranges[k - 1]
+            best[k] = np.full(total - k + 1, np.inf)
+            best[k][n - k + low : n - k + high + 1] = _fill(
+                costs[k], best[k + 1][n - k - 1 :], ranges[k - 1], ranges[k]
+            )
 
     def completions(k: int, budget: int) -> np.ndarray:
         """Cost of shares 1, 2, ... for class k plus the best completion."""

@@ -432,8 +432,8 @@ class TestBruteForce:
             brute_force_optimal(scenario)
 
     def test_refuses_oversized_enumeration(self):
-        # 3 classes on 10**5 RAOs would need 5e9 cost sums; the refusal is
-        # decided from the sizes before any table is built
+        # 3 classes on 10**5 RAOs make 3e5 class-RAOs, past MAX_CLASS_RAOS;
+        # the refusal is decided from the sizes before any table is built
         scenario = dedicated([5.0] * 3, 100_000)
         start = time.perf_counter()
         with pytest.raises(AllocationError, match="refused"):
@@ -488,12 +488,41 @@ class TestBruteForce:
         plan = brute_force_optimal(dedicated(gammas, total))
         assert shares_of(plan) == per_budget_optimum(gammas, total)
 
-    @pytest.mark.parametrize("block_sums", [1, 2, 7, 64, 1000])
-    def test_any_block_size_gives_the_per_budget_plan(self, monkeypatch, block_sums):
+    @given(
+        weights=st.lists(st.floats(1.0, 10.0), min_size=2, max_size=6),
+        total=st.integers(6, 300),
+        load=st.floats(0.01, 10.0),
+        equal=st.booleans(),
+        pruned=st.booleans(),
+    )
+    # the overloaded cells the shape bounds prune least, scaled to 1/100
+    @example(weights=[1.0, 7.0, 2.0, 9.0], total=140, load=5.0, equal=False, pruned=True)
+    @example(weights=[1.0, 7.0, 2.0, 9.0, 4.0], total=110, load=3.0, equal=False, pruned=True)
+    @example(weights=[3.0, 7.0, 2.0, 9.0, 4.0, 6.0], total=100, load=3.0, equal=False, pruned=True)
+    @example(weights=[3.0, 7.0, 2.0, 9.0, 4.0, 6.0], total=100, load=1.1, equal=False, pruned=True)
+    @example(weights=[5.0] * 6, total=100, load=1.1, equal=True, pruned=True)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_budget_optimum(self, weights, total, load, equal, pruned):
+        # pruned: the shape bounds are built on every table, however small
+        # or loose; otherwise the table size and the load decide, as in any call
+        if equal:
+            weights = [weights[0]] * len(weights)
+        scale = load * total / math.fsum(weights)
+        gammas = [w * scale for w in weights]
+        with pytest.MonkeyPatch.context() as patch:
+            if pruned:
+                patch.setattr(allocator, "BOUND_SUMS", 0)
+            plan = brute_force_optimal(dedicated(gammas, total))
+        assert shares_of(plan) == per_budget_optimum(gammas, total)
+
+    @pytest.mark.parametrize("bound_sums", [0, allocator.BOUND_SUMS])
+    @pytest.mark.parametrize("fill_block", [1, 2, 7, 64, 1000])
+    def test_any_block_size_gives_the_per_budget_plan(self, monkeypatch, fill_block, bound_sums):
         # small blocks put block edges at every kind of budget, down to one
-        # budget per block
-        monkeypatch.setattr(allocator, "BLOCK_SUMS", block_sums)
-        rng = np.random.default_rng(block_sums)
+        # budget per block, in full tables and in pruned ones
+        monkeypatch.setattr(allocator, "FILL_BLOCK", fill_block)
+        monkeypatch.setattr(allocator, "BOUND_SUMS", bound_sums)
+        rng = np.random.default_rng(fill_block)
         for _ in range(12):
             n = int(rng.integers(3, 6))
             total = int(rng.integers(n, 120))
@@ -502,9 +531,47 @@ class TestBruteForce:
             plan = brute_force_optimal(dedicated(gammas, total))
             assert shares_of(plan) == per_budget_optimum(gammas, total)
 
+    def test_light_cell_keeps_one_budget_per_table(self):
+        # below one request per RAO the greedy plan meets its envelope bound,
+        # so each pruned table keeps the optimum's budget alone
+        shares = np.arange(1.0, 1000 - 3 + 2)
+        costs = np.array([g * -np.expm1(-g / shares) for g in [50.0, 100.0, 500.0]])
+        assert allocator._budget_ranges(costs) == [(921, 921), (768, 768)]
+
+    @pytest.mark.parametrize(
+        "total, load, built", [(600, 0.5, True), (600, 3.0, False), (2000, 3.0, True)]
+    )
+    def test_bounds_are_built_by_size_and_load(self, monkeypatch, total, load, built):
+        # above one request per RAO the bounds are mostly loose: a mid-sized
+        # table skips them, and a table 64 times their cost builds them
+        calls = []
+        budget_ranges = allocator._budget_ranges
+        monkeypatch.setattr(
+            allocator, "_budget_ranges", lambda costs: calls.append(1) or budget_ranges(costs)
+        )
+        weights = [1.0, 7.0, 2.0, 9.0]
+        gammas = [w * load * total / sum(weights) for w in weights]
+        plan = brute_force_optimal(dedicated(gammas, total))
+        assert bool(calls) == built
+        assert shares_of(plan) == per_budget_optimum(gammas, total)
+
+    def test_solves_the_slowest_admitted_shape(self):
+        # 4 classes on 21 600 RAOs, the most MAX_CLASS_RAOS admits, at 3
+        # requests per RAO: the bounds prune little and the tables take about
+        # 4.7e8 cost sums, 0.45-0.47 s on the 2-vCPU guest of the limit's note
+        weights = [6.6, 7.7, 8.2, 9.5]
+        gammas = [w * 3 * 21_600 / sum(weights) for w in weights]
+        scenario = dedicated(gammas, 21_600)
+        assert 4 * 21_600 == allocator.MAX_CLASS_RAOS
+        start = time.perf_counter()
+        plan = brute_force_optimal(scenario)
+        assert time.perf_counter() - start < 2.0
+        assert sum(shares_of(plan)) == 21_600 and min(shares_of(plan)) >= 1
+
     def test_memory_stays_linear_in_the_budget(self):
         # a full L x L table at L = 10 800 would be about 930 MB; the tables,
-        # the padded copy and one block buffer take about 1.4 MB
+        # the shape bounds, the padded copy and one block buffer peak at
+        # about 2.2 MB
         scenario = dedicated([50.0, 100.0, 500.0], 10800)
         tracemalloc.start()
         try:

@@ -664,9 +664,9 @@ class TestMemory:
 
     def test_sweep_peak_stays_near_one_run(self):
         # a sweep's pass holds every split's tally and a shared chunk's
-        # uniforms beside the keys, in chunks half as long as a run's: on
-        # dc1_dc2 at 200 s its peak over 17 splits measured 1.06 times that
-        # of one run. A first sweep makes the one-time allocations.
+        # integer picks, with no slot keys, in chunks half as long as a
+        # run's: on dc1_dc2 at 200 s its peak over 17 splits measured 0.73
+        # times that of one run. A first sweep makes the one-time allocations.
         scenario = make_scenario((1, 2))
         config = SimConfig(iterations=20, seed=5, horizon=200)
         plans = _splits(scenario, 0, range(600, 10201, 600))
