@@ -55,8 +55,8 @@ PRUNE_SLACK = 1e-9
 # block buffer (512 KB).
 FILL_BLOCK = 1 << 16
 # Rough cost of the shape bounds per class, in cost sums of a table fill:
-# 60-130 us for 3 classes and 150-570 us for 8 on 300-2 000 RAOs, at
-# 1.2-2.7 ns per sum.
+# 50-160 us for 3 classes and 170-780 us for 8 on 300-2 000 RAOs, at
+# 1.2-2.5 ns per sum.
 BOUND_SUMS = 1 << 14
 
 
@@ -216,30 +216,11 @@ def _envelope_steps(costs: np.ndarray) -> np.ndarray:
     is concave below ``L = gamma / 2`` and convex above, so the envelope
     leaves it only along that chord."""
     steps = costs[:, 1:] - costs[:, :-1]
-    chords = (costs[:, 1:] - costs[:, :1]) / np.arange(1, costs.shape[1])
+    chords = costs[:, 1:] - costs[:, :1]
+    chords /= np.arange(1, costs.shape[1])
     for row, reach in enumerate(chords.argmin(axis=1).tolist()):
         steps[row, : reach + 1] = chords[row, reach]
     return steps
-
-
-def _envelope_bounds(steps: np.ndarray, leads: np.ndarray, classes: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Row ``i``: the least envelope density of the first ``i + 2`` of
-    ``classes`` on ``j`` RAOs past one each, for every ``j`` up to the row
-    length of ``steps``; and the first steps of all of them, merged.
-
-    The greedy merge is exact for separable convex costs (Federgruen and
-    Groenevelt), so a bound is the set's density at one RAO each plus its
-    ``j`` smallest envelope steps. Each class added merges its sorted steps
-    into the set's, of which the bounds read only the first row length."""
-    size = steps.shape[1]
-    bounds = np.zeros((len(classes) - 1, size + 1))
-    merged = steps[classes[0]]
-    for row, k in enumerate(classes[1:]):
-        merged = np.sort(np.concatenate((merged, steps[k])))[: size + 1]
-        bounds[row, 1:] = merged[:size]
-    np.cumsum(bounds, axis=1, out=bounds)
-    bounds += np.cumsum(leads[classes])[1:, None]
-    return bounds, merged
 
 
 def _budget_ranges(costs: np.ndarray) -> list[tuple[int, int]]:
@@ -250,6 +231,13 @@ def _budget_ranges(costs: np.ndarray) -> list[tuple[int, int]]:
     A budget ``b`` is kept while the least envelope density of classes
     ``0..k-1`` on the other RAOs plus that of classes ``k..n-1`` on ``b`` is
     within the slack; a lone class on either side takes its exact density.
+    The greedy merge is exact for separable convex costs (Federgruen and
+    Groenevelt), so a set's least envelope density on ``j`` RAOs past one
+    each is its density at one RAO each plus its ``j`` smallest envelope
+    steps. One table holds the sums: merging classes ``n-1`` down to 1 writes
+    row ``k - 1`` when class ``k`` joins, and merging classes 0 up to ``n - 2``
+    adds its bound, reversed, into row ``k - 1`` when class ``k - 1`` joins.
+
     The known plan gives class 0 each share in turn, each class past 1 the
     RAOs of its steps below the next step of the greedy merge of classes
     1.., and class 1 the rest. The slack is ``PRUNE_SLACK`` of that plan's
@@ -258,9 +246,20 @@ def _budget_ranges(costs: np.ndarray) -> list[tuple[int, int]]:
     """
     n, width = costs.shape
     steps = _envelope_steps(costs)
-    leads = costs[:, 0]
-    later, merged = _envelope_bounds(steps, leads, list(range(n - 1, 0, -1)))
-    earlier, _ = _envelope_bounds(steps, leads, list(range(n - 1)))
+    # row k - 1: classes k.. on j RAOs past one each, plus classes 0..k-1 on the rest
+    bounds = np.empty((n - 1, width))
+    bounds[-1] = costs[-1]
+    merged, lead = steps[-1], costs[-1, 0]
+    for k in range(n - 2, 0, -1):
+        merged = np.sort(np.concatenate((merged, steps[k])))[:width]
+        lead += costs[k, 0]
+        bounds[k - 1] = np.concatenate(([lead], lead + merged[: width - 1].cumsum()))
+    bounds[0] += costs[0][::-1]
+    earlier, lead = steps[0], costs[0, 0]
+    for k in range(2, n):
+        earlier = np.sort(np.concatenate((earlier, steps[k - 1])))[:width]
+        lead += costs[k - 1, 0]
+        bounds[k - 1] += np.concatenate(([lead], lead + earlier[: width - 1].cumsum()))[::-1]
     steps.sort(axis=1)
     rest = np.arange(width)  # RAOs past one each of classes 1.., by j
     upper = np.zeros(width)
@@ -270,9 +269,7 @@ def _budget_ranges(costs: np.ndarray) -> list[tuple[int, int]]:
         rest -= count
     upper += costs[1][rest]
     upper = (costs[0] + upper[::-1]).min()
-    cap = upper + PRUNE_SLACK * (upper + leads.sum())
-    # row k - 1: classes k.. on j RAOs past one each, and classes 0..k-1 on the rest
-    bounds = np.concatenate((later[::-1], costs[-1:])) + np.concatenate((costs[:1], earlier))[:, ::-1]
+    cap = upper + PRUNE_SLACK * (upper + costs[:, 0].sum())
     kept = bounds <= cap
     low = kept.argmax(axis=1)
     high = width - 1 - kept[:, ::-1].argmax(axis=1)
@@ -355,8 +352,9 @@ def brute_force_optimal(scenario: Scenario) -> AllocationPlan:
     tables, and above one request per RAO only if they cost at most half a
     fill block or 1/64 of the full fill (see ``FILL_BLOCK``). Three or more
     classes on more than ``MAX_CLASS_RAOS`` class-RAOs are refused before
-    anything is built. Memory stays O(n * L + FILL_BLOCK), never an L x L
-    array.
+    anything is built. Memory stays O(n * L + FILL_BLOCK): the cost matrix,
+    the tables, and the envelope steps and one bound table or one fill block,
+    about 1.6 MB for 3 classes on 10 800 RAOs and 2.1 MB for 8 on 8 000.
     """
     gammas = [cls.ra_density for cls in scenario.classes]
     n = len(gammas)
@@ -372,7 +370,8 @@ def brute_force_optimal(scenario: Scenario) -> AllocationPlan:
         return AllocationPlan.from_counts(scenario, [total - n + 1] * n)
 
     shares = np.arange(1.0, total - n + 2)  # every share one class can get
-    costs = [g * -np.expm1(-g / shares) for g in gammas]  # each class's density
+    g = np.array(gammas)[:, None]
+    costs = g * -np.expm1(-g / shares)  # row k: class k's density, by share
     best = [np.empty(0)] * n  # least density of classes k..n-1, by budget
     best[-1] = np.concatenate(([np.inf], costs[-1]))
     if n > 2:
@@ -381,7 +380,7 @@ def brute_force_optimal(scenario: Scenario) -> AllocationPlan:
         fill, bounds = (n - 2) * width * width // 2, (n - 1) * BOUND_SUMS  # sums either costs
         cheap = bounds <= max(FILL_BLOCK // 2, fill // 64)
         if fill > bounds and (cheap or sum(gammas) <= total):
-            ranges = _budget_ranges(np.array(costs))
+            ranges = _budget_ranges(costs)
         for k in range(n - 2, 0, -1):
             low, high = ranges[k - 1]
             best[k] = np.full(total - k + 1, np.inf)

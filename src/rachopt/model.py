@@ -499,7 +499,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
 
 # --- serialization -----------------------------------------------------------
 
-_SCENARIO_KEYS = {"total_raos", "strategy", "classes"}
+_SCENARIO_KEYS = {f.name for f in fields(Scenario)}
 
 
 def _reject_unknown(mapping: Mapping[Any, Any], allowed: set[str], where: str) -> None:
@@ -561,31 +561,26 @@ def _class_from_dict(rec: Mapping[str, Any], idx: int) -> DeviceClass:
     return DeviceClass(**values)
 
 
+def _record(item: DeviceClass | QosTarget) -> dict[str, Any]:
+    """The file-format record of a class or its qos: each field away from its
+    default, and a class's backoff always; an enum by its value, the qos by
+    its own record."""
+    rec: dict[str, Any] = {}
+    for f in fields(item):
+        value = getattr(item, f.name)
+        if value != f.default or f.name == "backoff":
+            rec[f.name] = value.value if isinstance(value, Enum) else (
+                _record(value) if isinstance(value, QosTarget) else value
+            )
+    return rec
+
+
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     """Serialize back to the file format, classes in validated order."""
-    records = []
-    for cls in scenario.classes:
-        rec: dict[str, Any] = {"id": cls.id, "ra_density": cls.ra_density}
-        if cls.population is not None:
-            rec["population"] = cls.population
-            rec["per_device_rate"] = cls.per_device_rate
-        if cls.group_size != 1:
-            rec["group_size"] = cls.group_size
-        rec["backoff"] = cls.backoff
-        if cls.special:
-            rec["special"] = True
-        if cls.qos is not None:
-            qos_rec: dict[str, Any] = {"kind": cls.qos.kind.value}
-            if cls.qos.max_collision_rate is not None:
-                qos_rec["max_collision_rate"] = cls.qos.max_collision_rate
-            if cls.qos.max_mean_delay is not None:
-                qos_rec["max_mean_delay"] = cls.qos.max_mean_delay
-            rec["qos"] = qos_rec
-        records.append(rec)
     return {
         "total_raos": scenario.total_raos,
         "strategy": scenario.strategy.value,
-        "classes": records,
+        "classes": [_record(cls) for cls in scenario.classes],
     }
 
 

@@ -569,9 +569,8 @@ class TestBruteForce:
         assert sum(shares_of(plan)) == 21_600 and min(shares_of(plan)) >= 1
 
     def test_memory_stays_linear_in_the_budget(self):
-        # a full L x L table at L = 10 800 would be about 930 MB; the tables,
-        # the shape bounds, the padded copy and one block buffer peak at
-        # about 2.2 MB
+        # a full L x L table at L = 10 800 would be about 930 MB; the costs,
+        # the tables and the shape bounds peak at about 1.6 MB
         scenario = dedicated([50.0, 100.0, 500.0], 10800)
         tracemalloc.start()
         try:
@@ -580,6 +579,21 @@ class TestBruteForce:
         finally:
             tracemalloc.stop()
         assert peak < 3_000_000
+
+    def test_memory_holds_each_bound_table_once(self):
+        # 8 classes on 8 000 RAOs at 0.5 requests per RAO build the bounds:
+        # the cost matrix, the envelope steps and one bound table peak at
+        # about 2.1 MB, against 3.7 MB with a bound table per merge and
+        # reversed, concatenated copies of both
+        weights = np.random.default_rng(8).uniform(0.1, 1.0, size=8)
+        scenario = dedicated([float(w) for w in weights / weights.sum() * 4_000], 8_000)
+        tracemalloc.start()
+        try:
+            brute_force_optimal(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_600_000
 
     def test_matches_two_class_scan_on_criterion2_budgets(self):
         rng = np.random.default_rng(20240817)

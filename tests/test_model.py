@@ -654,3 +654,38 @@ class TestFingerprint:
         assert scenario_to_dict(grouped)["classes"][0]["group_size"] == 2
         assert scenario_from_dict(scenario_to_dict(grouped)) == grouped
         assert scenario_fingerprint(grouped) != scenario_fingerprint(one_class())
+
+    def test_every_field_is_part_of_the_content(self):
+        # per field of a class or its qos: a valid value away from the base's,
+        # with the fields it needs; a field added to either dataclass needs one
+        class_values = {
+            "id": {"id": 2},
+            "ra_density": {"ra_density": 6.0},
+            "population": {"population": 250, "per_device_rate": 0.02},
+            "per_device_rate": {"population": 250, "per_device_rate": 0.02},
+            "group_size": {"group_size": 2},
+            "backoff": {"backoff": 0.5},
+            "qos": {"qos": RATE_QOS},
+            "special": {"special": True},
+        }
+        delay_qos = {"kind": QosKind.MAX_MEAN_DELAY, "max_collision_rate": None,
+                     "max_mean_delay": 3.0}
+        qos_values = {"kind": delay_qos, "max_collision_rate": {"max_collision_rate": 0.05},
+                      "max_mean_delay": delay_qos}
+
+        def one_class(cls):
+            return validate_scenario(
+                Scenario(classes=(cls,), total_raos=100, strategy=Strategy.FULL_SHARING)
+            )
+
+        plain = DeviceClass(id=1, ra_density=5.0)
+        with_qos = dataclasses.replace(plain, qos=RATE_QOS)
+        cases = [(plain, class_values[f.name]) for f in dataclasses.fields(DeviceClass)]
+        cases += [
+            (with_qos, {"qos": dataclasses.replace(RATE_QOS, **qos_values[f.name])})
+            for f in dataclasses.fields(QosTarget)
+        ]
+        for base, changes in cases:
+            scenario = one_class(dataclasses.replace(base, **changes))
+            assert scenario_from_dict(scenario_to_dict(scenario)) == scenario, changes
+            assert scenario_fingerprint(scenario) != scenario_fingerprint(one_class(base)), changes

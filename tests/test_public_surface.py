@@ -8,6 +8,8 @@ The single-pool references and the scenario writer live in
 import dataclasses
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -107,3 +109,23 @@ def test_scenario_keeps_one_class_order():
                                       brute_force_optimal], ids=lambda f: f.__name__)
 def test_every_allocator_returns_a_plain_plan(allocate):
     assert inspect.signature(allocate).return_annotation == "AllocationPlan"
+
+
+@pytest.mark.parametrize("module, name", [
+    ("allocator", "MAX_CLASS_RAOS"),
+    ("simulator", "SHARED_PASS_LAYOUTS"),
+    ("simulator", "RETRY_KEYS"),
+    ("simulator", "MAX_ITEMS_PER_ITERATION"),
+    ("simulator", "MAX_TALLY_BYTES"),
+    ("cli", "MAX_SWEEP_POINTS"),
+])
+def test_readme_quotes_the_constants(module, name):
+    # every `NAME` (value) and `NAME` = value in the README, the digits
+    # grouped by spaces and followed by an optional unit
+    text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    units = {"": 1, "M items": 10**6, "GiB": 2**30}
+    quoted = re.findall(
+        rf"`(?:{module}\.)?{name}`(?: = | \()(\d+(?: \d{{3}})*)(?: (M items|GiB))?", text
+    )
+    value = getattr(importlib.import_module(f"rachopt.{module}"), name)
+    assert {int(digits.replace(" ", "")) * units[unit] for digits, unit in quoted} == {value}
