@@ -16,7 +16,7 @@ stops being density-optimal there.
 Reserve-and-divide gives each special class exactly the RAOs its QoS bound
 needs and splits the rest proportionally among the normal classes. Every
 allocator returns a plain AllocationPlan; under reserve-and-divide its
-special-class counts are the reservations.
+special-class counts are the reservations. ``METHODS`` names them all.
 
 Integer plans come from largest-remainder apportionment over exact rational
 quotas, so results are reproducible and invariant under common rescaling of
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,9 +54,10 @@ PRUNE_SLACK = 1e-9
 # Cost sums per block of budgets in a table fill, which sizes its float64
 # block buffer (512 KB).
 FILL_BLOCK = 1 << 16
-# Rough cost of the shape bounds per class, in cost sums of a table fill:
-# 50-160 us for 3 classes and 170-780 us for 8 on 300-2 000 RAOs, at
-# 1.2-2.5 ns per sum.
+# Modelled cost of the shape bounds per class, in fill sums of 1.2-2.5 ns
+# (20-41 us). The merges in _budget_ranges sort, so the true cost grows as
+# n * L log L: 25-45 / 75-125 / 390-700 us per class on 300 / 2 000 / 10 000
+# RAOs for 3 or 8 classes at 0.5 requests per RAO. The fill grows as L**2.
 BOUND_SUMS = 1 << 14
 
 
@@ -347,8 +348,8 @@ def brute_force_optimal(scenario: Scenario) -> AllocationPlan:
     chord, so even its own plan lies above the bound (on 4 000 random cells
     of 3-8 classes on 200-2 000 RAOs: none of 2 632 at or below one request
     per RAO, 1 197 of 1 368 above it), and an overloaded cell, whose optimum
-    starves classes, can keep most of its tables. The bounds cost about
-    ``BOUND_SUMS`` fill sums per class: they are built only for larger
+    starves classes, can keep most of its tables. The bounds are modelled
+    at ``BOUND_SUMS`` fill sums per class: they are built only for larger
     tables, and above one request per RAO only if they cost at most half a
     fill block or 1/64 of the full fill (see ``FILL_BLOCK``). Three or more
     classes on more than ``MAX_CLASS_RAOS`` class-RAOs are refused before
@@ -403,3 +404,15 @@ def brute_force_optimal(scenario: Scenario) -> AllocationPlan:
         budget -= share
     plan.append(budget)
     return AllocationPlan.from_counts(scenario, plan)
+
+
+# Allocation methods by name, in report order: a function from a scenario to
+# its plan, or None for one shared pool. exact ignores QoS bounds.
+METHODS: dict[str, Callable[[Scenario], AllocationPlan] | None] = {
+    "full_sharing": None,
+    "full_dedication": proportional_allocation,
+    "reserve_and_divide": reserve_and_divide,
+    "exact": brute_force_optimal,
+}
+# optimize's earlier names for two of them, which it still takes and prints
+SPELLINGS = {"proportional": "full_dedication", "reserve-and-divide": "reserve_and_divide"}

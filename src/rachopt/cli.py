@@ -101,12 +101,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="compute an allocation plan")
     _add_common(p)
-    p.add_argument(
-        "--method",
-        choices=["proportional", "reserve-and-divide"],
-        default=None,
-        help="default: reserve-and-divide when special classes exist, else proportional",
-    )
+    plans = [name for name, allocate in allocator.METHODS.items() if allocate]
+    p.add_argument("--method", choices=[*allocator.SPELLINGS, *plans],
+                   help="default: reserve-and-divide when special classes exist, else "
+                   "proportional; exact ignores QoS bounds")
     p.set_defaults(handler=cmd_optimize)
 
     p = sub.add_parser("simulate", help="Monte-Carlo collision/delay measurement")
@@ -138,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strategies",
         default="full_sharing,full_dedication",
-        help="comma-separated subset of full_sharing, full_dedication, reserve_and_divide",
+        help=f"comma-separated subset of {', '.join(allocator.METHODS)}",
     )
     p.set_defaults(handler=cmd_compare)
     return parser
@@ -217,24 +215,27 @@ def _parse_topology(spec: str) -> SharingTopology:
     return SharingTopology.from_ranges(dict(pairs))
 
 
+def _allocate(method: str, scenario: Scenario) -> AllocationPlan | None:
+    allocate = allocator.METHODS[method]
+    return None if allocate is None else allocate(scenario)
+
+
 def _resolve_allocation(
     args: argparse.Namespace, scenario: Scenario
 ) -> AllocationPlan | SharingTopology | None:
-    if scenario.strategy == Strategy.FULL_DEDICATION:
-        if args.topology:
-            raise ScenarioError(["--topology is only valid for partial dedication"])
-        if args.plan:
-            return _parse_plan(args.plan, scenario)
-        return allocator.proportional_allocation(scenario)
-    if scenario.strategy == Strategy.PARTIAL_DEDICATION:
+    """``--plan`` or ``--topology``, else the method the strategy names."""
+    strategy = scenario.strategy
+    if strategy == Strategy.PARTIAL_DEDICATION:
         if args.plan:
             raise ScenarioError(["--plan is only valid for full dedication"])
         if not args.topology:
             raise ScenarioError(["partial dedication requires --topology"])
         return _parse_topology(args.topology)
-    if args.plan or args.topology:
+    if strategy == Strategy.FULL_SHARING and (args.plan or args.topology):
         raise ScenarioError(["full sharing takes neither --plan nor --topology"])
-    return None
+    if args.topology:
+        raise ScenarioError(["--topology is only valid for partial dedication"])
+    return _parse_plan(args.plan, scenario) if args.plan else _allocate(strategy.value, scenario)
 
 
 def _sim_config(args: argparse.Namespace, **overrides: Any) -> simulator.SimConfig:
@@ -380,17 +381,12 @@ def cmd_analyze(args: argparse.Namespace, scenario: Scenario) -> tuple:
 
 
 def cmd_optimize(args: argparse.Namespace, scenario: Scenario) -> tuple:
-    method = args.method
-    if method is None:
-        method = "reserve-and-divide" if scenario.special_classes else "proportional"
-    if method == "proportional":
-        plan = allocator.proportional_allocation(scenario)
-        reserved: dict[int, int] = {}
-        residual = None
-    else:
-        plan = allocator.reserve_and_divide(scenario)
-        reserved = {cls.id: plan.get(cls.id) for cls in scenario.special_classes}
-        residual = scenario.total_raos - sum(reserved.values())
+    method = args.method or ("reserve-and-divide" if scenario.special_classes else "proportional")
+    name = allocator.SPELLINGS.get(method, method)
+    plan = allocator.METHODS[name](scenario)
+    reserves = name == "reserve_and_divide"
+    reserved = {str(c.id): plan.get(c.id) for c in scenario.special_classes if reserves}
+    residual = scenario.total_raos - sum(reserved.values()) if reserves else None
     predicted, cell = _predicted(
         scenario,
         pool_layout(scenario, plan),
@@ -399,7 +395,7 @@ def cmd_optimize(args: argparse.Namespace, scenario: Scenario) -> tuple:
     results = {
         "method": method,
         "plan": {str(cls.id): plan.get(cls.id) for cls in scenario.classes},
-        "reserved": {str(cid): count for cid, count in reserved.items()},
+        "reserved": reserved,
         "residual_after_reservation": residual,
         "predicted": predicted,
         "cell": cell,
@@ -553,27 +549,17 @@ def cmd_sweep(args: argparse.Namespace, scenario: Scenario) -> tuple:
     return "sweep", parameters, results, (header, rows)
 
 
-# each compared strategy is an allocation of the unmodified scenario
-_COMPARE_ALLOCATIONS = {
-    "full_sharing": lambda scenario: None,
-    "full_dedication": allocator.proportional_allocation,
-    "reserve_and_divide": allocator.reserve_and_divide,
-}
-
-
 def cmd_compare(args: argparse.Namespace, scenario: Scenario) -> tuple:
     names = [name.strip() for name in args.strategies.split(",") if name.strip()]
-    unknown = [name for name in names if name not in _COMPARE_ALLOCATIONS]
+    unknown = [name for name in names if name not in allocator.METHODS]
     if unknown or not names:
         raise ScenarioError(
-            [
-                f"--strategies: choose from {', '.join(_COMPARE_ALLOCATIONS)} "
-                f"(got {args.strategies!r})"
-            ]
+            [f"--strategies: choose from {', '.join(allocator.METHODS)} (got {args.strategies!r})"]
         )
     _reject_repeated("--strategies:", names)
     config = _sim_config(args)
-    allocations = [_COMPARE_ALLOCATIONS[name](scenario) for name in names]
+    # each compared strategy is an allocation of the unmodified scenario
+    allocations = [_allocate(name, scenario) for name in names]
     layouts = [pool_layout(scenario, allocation) for allocation in allocations]
     columns: dict[str, dict] = {}
     for name, allocation, layout, stats in zip(

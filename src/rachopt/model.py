@@ -112,10 +112,10 @@ class DeviceClass:
 class Scenario:
     """Device classes plus the RAO budget and allocation strategy.
 
-    The strategy names the scenario file's default allocation; the layout a
-    run or report uses comes from the allocation handed to ``pool_layout``.
-    After validation, special classes precede normal ones, and every report
-    and ``scenario_to_dict`` follow that order.
+    The strategy, an entry of ``allocator.METHODS`` or ``partial_dedication``,
+    names the default allocation; a run or report's layout comes from the
+    allocation handed to ``pool_layout``. After validation, special classes
+    precede normal ones, and every report and ``scenario_to_dict`` follow it.
     """
 
     classes: tuple[DeviceClass, ...]

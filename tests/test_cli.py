@@ -12,7 +12,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rachopt import cli, model, simulator
+from rachopt import allocator, cli, model, simulator
 from rachopt.cli import (
     EXIT_OK,
     EXIT_OVERLOAD,
@@ -823,6 +823,89 @@ class TestCompare:
         code = main(["compare", DC12, "--strategies", "full_sharing,full_dedication,full_sharing"])
         assert code == EXIT_VALIDATION
         assert "full_sharing given more than once" in capsys.readouterr().err
+
+
+class TestMethodTable:
+    """optimize, compare and the scenario default all read allocator.METHODS."""
+
+    PLAN_METHODS = [name for name, allocate in allocator.METHODS.items() if allocate]
+
+    @pytest.mark.parametrize("name", list(allocator.METHODS))
+    def test_compare_takes_every_method(self, capsys, name):
+        code, report = run_json(
+            capsys, ["compare", QOS123, "--strategies", name, "--iterations", "2", "--seed", "1"]
+        )
+        assert code == EXIT_OK
+        allocate = allocator.METHODS[name]
+        scenario = model.load_scenario(QOS123)
+        expected = None if allocate is None else {
+            str(cid): count for cid, count in allocate(scenario).raos.items()
+        }
+        assert report["results"]["strategies"][name]["plan"] == expected
+
+    @pytest.mark.parametrize("method", [*allocator.SPELLINGS, *PLAN_METHODS])
+    def test_optimize_takes_every_plan_method_as_spelled(self, capsys, method):
+        code, report = run_json(capsys, ["optimize", QOS123, "--method", method])
+        assert code == EXIT_OK
+        assert report["parameters"] == {"method": method}
+        assert report["results"]["method"] == method
+        plan = allocator.METHODS[allocator.SPELLINGS.get(method, method)](
+            model.load_scenario(QOS123)
+        )
+        assert report["results"]["plan"] == {str(cid): n for cid, n in plan.raos.items()}
+
+    def test_optimize_refuses_the_shared_pool(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", DC12, "--method", "full_sharing"])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "invalid choice: 'full_sharing'" in capsys.readouterr().err
+
+    def test_refusal_lists_the_table(self, capsys):
+        assert main(["compare", DC12, "--strategies", "bogus"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        listed = err.partition("choose from ")[2].partition(" (got")[0]
+        assert listed.split(", ") == list(allocator.METHODS)
+
+    @pytest.mark.parametrize(
+        "scenario, plan",
+        [
+            ("dc1_dc2", {"1": 3600, "2": 7200}),
+            ("dc1_dc3", {"1": 982, "3": 9818}),
+            ("dc1_dc4", {"1": 514, "4": 10286}),
+            # proportional gives {1: 831, 2: 1661, 3: 8308}; exact ignores the QoS bound
+            ("dc123_qos", {"1": 831, "2": 1662, "3": 8307}),
+        ],
+    )
+    def test_exact_is_the_oracle_plan(self, capsys, scenario, plan):
+        path = str(SCENARIOS / f"{scenario}.yaml")
+        code, report = run_json(capsys, ["optimize", path, "--method", "exact"])
+        assert code == EXIT_OK
+        oracle = allocator.brute_force_optimal(model.load_scenario(path))
+        assert report["results"]["plan"] == plan == {
+            str(cid): count for cid, count in oracle.raos.items()
+        }
+
+    @pytest.mark.parametrize("method", ["exact", "proportional"])
+    def test_exact_reserves_nothing(self, capsys, method):
+        code, report = run_json(capsys, ["optimize", QOS123, "--method", method])
+        assert code == EXIT_OK
+        assert report["results"]["reserved"] == {}
+        assert report["results"]["residual_after_reservation"] is None
+
+    def test_oversize_exact_refused_before_simulating(self, capsys, tmp_path, monkeypatch):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("simulated before the exact plan was built")
+
+        monkeypatch.setattr(simulator, "run_many", not_reached)
+        total = allocator.MAX_CLASS_RAOS // 3 + 1
+        path = write_cell(tmp_path, "full_dedication", total, [50.0, 100.0, 500.0])
+        code = main(["compare", path, "--strategies", "full_sharing,exact", "--iterations", "2"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr() == (
+            "",
+            f"error: exact search refused: 3 classes on {total} RAOs make {3 * total} "
+            f"class-RAOs, over the limit of {allocator.MAX_CLASS_RAOS}\n",
+        )
 
 
 class TestDiagnostics:

@@ -9,11 +9,13 @@ import dataclasses
 import importlib
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import rachopt
+from rachopt import allocator, cli
 from rachopt.allocator import (
     brute_force_optimal,
     largest_remainder,
@@ -129,3 +131,23 @@ def test_readme_quotes_the_constants(module, name):
     )
     value = getattr(importlib.import_module(f"rachopt.{module}"), name)
     assert {int(digits.replace(" ", "")) * units[unit] for digits, unit in quoted} == {value}
+
+
+def _readme_commands():
+    """Every ``rachopt`` command in the README's bash blocks, continuation
+    lines joined at a trailing backslash."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```bash\n(.*?)```", text, flags=re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [" ".join(shlex.split(line, comments=True))
+            for line in lines if line.strip().startswith("rachopt ")]
+
+
+@pytest.mark.parametrize("command", _readme_commands())
+def test_readme_commands_parse(command):
+    # parsed, never run: each names a shipped scenario and the table's methods
+    argv = shlex.split(command)[1:]
+    args = cli._build_parser().parse_args(argv)
+    assert (Path(__file__).resolve().parents[1] / args.scenario).is_file()
+    for name in getattr(args, "strategies", "").split(","):
+        assert not name or name in allocator.METHODS
