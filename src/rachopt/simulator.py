@@ -104,20 +104,23 @@ MAX_TALLY_BYTES = 2**30
 # set up, so at horizon 1 a stream per iteration cost more than the draws.
 BLOCK_SECONDS = 4096
 
-# Requests sorted together in one collision chunk; at least one iteration.
-# A call reuses its chunk arrays (see _Scratch), so larger chunks cost fewer
-# numpy calls per request without faulting fresh pages in for every chunk.
-# A pass shared by layouts (see _pass) holds each request's pick, which is
-# its sort key, and the gaps between them, then the candidate pairs of _pairs:
-# tracemalloc puts a 17-split sweep on dc1_dc2 at 200 s at 1.31 times the
-# peak of one run with chunks of CHUNK_KEYS, and 0.73 times with half as many,
-# which its chunks hold.
+# Requests sorted together in one collision chunk, in every pass, lone or
+# shared by layouts (see _pass); at least one iteration. A call reuses its
+# chunk arrays (see _Scratch), so larger chunks cost fewer numpy calls per
+# request without faulting fresh pages in for every chunk. A shared pass holds
+# each request's pick, which is its sort key, then the candidate pairs of
+# _pairs: tracemalloc puts a 17-split sweep on dc1_dc2 at 200 s at 1.13 times
+# the peak of one run, where a gap per request would make it 1.31.
 CHUNK_KEYS = 2**16
 
 # Longest piece of a chunk that _collisions' temporaries cover: the index
 # array of np.compress and the cells and repeats of the collided requests;
 # and the raw draws of _sorted_picks.
 PIECE_KEYS = 2**16
+
+# Longest piece of a class's sorted picks whose gaps _pairs holds at once:
+# 32 KB per chunk, reused from piece to piece, instead of 8 bytes per request.
+GAP_KEYS = 2**12
 
 # Collided requests of one chunk, of every class, that the delay meter
 # handles together. tracemalloc puts a slice's arrays at about 110 bytes per
@@ -127,13 +130,13 @@ RETRY_KEYS = 2**14
 
 # Fewest layouts dedicated in class order (see _pairs) that share a pass in
 # one call. A shared pass costs more per chunk (a 64-bit sort of the picks
-# and the candidate pairs) and less per layout (its floors on the candidates),
-# in half-size chunks. In process, median of 9 calls after 4 warm-ups, median
-# of three alternations: on dc1_dc2 at horizon 200, 20 iterations, two splits
-# took 14.2 ms in lone passes and 11.5 ms in a shared one, three 20.7 ms and
-# 11.3 ms, four 30.5 ms and 11.4 ms; dc123_qos's two dedicated plans, 3 000
-# iterations, 47.6 ms and 37.4 ms. One split forced into a pass of the shared
-# kind took 10.5 ms against 7.5 ms alone.
+# and the candidate pairs) and less per layout (its floors on the candidates).
+# Measured when a shared pass took half-size chunks, in process, median of 9
+# calls after 4 warm-ups, median of three alternations: on dc1_dc2 at horizon
+# 200, 20 iterations, two splits took 14.2 ms in lone passes and 11.5 ms in a
+# shared one, three 20.7 ms and 11.3 ms, four 30.5 ms and 11.4 ms; dc123_qos's
+# two dedicated plans, 3 000 iterations, 47.6 ms and 37.4 ms. One split forced
+# into a pass of the shared kind took 10.5 ms against 7.5 ms alone.
 SHARED_PASS_LAYOUTS = 2
 
 # Names the random-number layout described in the module docstring; a seed
@@ -382,9 +385,9 @@ def run_many(
     # a shared pass measures no delays. On one iteration, which a chunk holds
     # whole, it holds the picks and, per candidate pair (see _pairs), both
     # picks as doubles and each layout's products: tracemalloc puts its peak at
-    # 44 bytes per fresh request when every pair is one, below four times
-    # run()'s 13, so an iteration past a quarter of MAX_ITEMS_PER_ITERATION
-    # runs alone.
+    # 44 bytes per fresh request when every pair is one, and 11 when 6 % are,
+    # below four times run()'s 13, so an iteration past a quarter of
+    # MAX_ITEMS_PER_ITERATION runs alone.
     if (config.measure_delay or len(ordered) < SHARED_PASS_LAYOUTS
             or fresh > MAX_ITEMS_PER_ITERATION // 4):
         ordered = []
@@ -414,7 +417,6 @@ def _pass(scenario: Scenario, layouts: list[SharingTopology], config: SimConfig,
     scales = [np.array(pool, dtype=np.float64) * 2.0**-53 for pool in pools]
     measure = config.measure_delay and _delay_meter(scenario, layouts[0], config)
     per_block = max(1, BLOCK_SECONDS // horizon)
-    limit = CHUNK_KEYS if len(layouts) == 1 else CHUNK_KEYS // 2
     for first in range(0, iters, per_block):
         n = min(per_block, iters - first)
         rngs = [_block_stream(config.seed, first // per_block, cls.id) for cls in classes]
@@ -426,7 +428,7 @@ def _pass(scenario: Scenario, layouts: list[SharingTopology], config: SimConfig,
         block = slice(first, first + n)
         for tally in tallies:
             tally.attempts[:, block] = [c.reshape(n, horizon).sum(axis=1) for c in counts]
-        for lo, hi in _chunks(tallies[0].attempts[:, block].sum(axis=0), limit):
+        for lo, hi in _chunks(tallies[0].attempts[:, block].sum(axis=0), CHUNK_KEYS):
             chunk = slice(first + lo, first + hi)
             chunk_counts = [c[lo * horizon : hi * horizon] for c in counts]
             if len(layouts) > 1:
@@ -586,10 +588,15 @@ def _pairs(picks: np.ndarray, counts: Sequence[np.ndarray], horizon: int,
     seconds, size = counts[0].size, picks.size
     iterations = seconds // horizon
     close = scratch.take("hit", bool, max(0, size - 1))
-    gaps = np.subtract(picks[1:], picks[:-1])  # wraps across runs, which are dropped
+    gaps = np.empty(min(GAP_KEYS, size), np.uint64)  # of one piece at a time
     lo = 0
     for hi, pool in zip(ends[seconds - 1 :: seconds], smallest):  # each class's picks
-        np.less_equal(gaps[lo:hi], (2**53 - 1) // pool, out=close[lo:hi])
+        for start in range(lo, hi, GAP_KEYS):
+            part = close[start : min(start + GAP_KEYS, hi)]  # none past the last pick
+            # a gap wraps across runs, which are dropped
+            np.subtract(picks[start + 1 : start + 1 + part.size],
+                        picks[start : start + part.size], out=gaps[: part.size])
+            np.less_equal(gaps[: part.size], (2**53 - 1) // pool, out=part)
         lo = hi
     del gaps  # freed before the pairs are gathered
     close[ends[(ends > 0) & (ends < size)] - 1] = False  # pairs across runs
@@ -630,7 +637,9 @@ def _pair_collisions(pairs: tuple[np.ndarray, ...], scales: np.ndarray,
     np.logical_and(equal[:-1], follows, out=starts[1:])
     np.greater(equal, starts, out=starts)
     sums = np.zeros((2, scales.size * iterations), dtype=np.int64)
-    sums[:, cells] = np.add.reduceat(masks.view(np.uint8), firsts, axis=1, dtype=np.int64)
+    # a cell sums at most the chunk's pairs, so int32 sums, twice as fast, hold them
+    dtype = np.int32 if low.size < 2**31 else np.int64
+    sums[:, cells] = np.add.reduceat(masks.view(np.uint8), firsts, axis=1, dtype=dtype)
     equal, chains = sums.reshape(2, scales.size, iterations)
     return equal + chains, chains.sum(axis=0)
 

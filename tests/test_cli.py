@@ -296,6 +296,26 @@ class TestSimulate:
         assert float(cell["density_hz"]) == sim["total_density_hz"]
         assert cell["delay_s"] == ""
 
+    @pytest.mark.parametrize("path", [DC12, QOS123], ids=["dc1_dc2", "dc123_qos"])
+    def test_cell_row_pools_the_class_rows(self, capsys, tmp_path, path):
+        # both rates of the cell row are per request over all classes: the
+        # analytic one is the class rows' weighted by density, the empirical
+        # one the collided over the attempts
+        out = tmp_path / "stats.csv"
+        argv = ["simulate", path, "--iterations", "20", "--seed", "9", "--csv", str(out)]
+        code, report = run_json(capsys, argv)
+        assert code == EXIT_OK
+        with out.open() as fh:
+            *classes, cell = csv.DictReader(fh)
+        gammas = [float(row["gamma"]) for row in classes]
+        rates = [float(row["p_analytic"]) for row in classes]
+        assert cell["class_id"] == "cell" and float(cell["gamma"]) == pytest.approx(sum(gammas))
+        pooled = sum(g * p for g, p in zip(gammas, rates)) / sum(gammas)
+        assert float(cell["p_analytic"]) == pytest.approx(pooled, rel=1e-12)
+        sim = report["results"]["simulated"]["per_class"].values()
+        collided, attempts = (sum(s[k] for s in sim) for k in ("collided", "attempts"))
+        assert float(cell["p_empirical"]) == collided / attempts
+
     def test_auto_seed_recorded_and_reproducible(self, capsys):
         code, first = run_json(capsys, ["simulate", DC12, "--iterations", "20"])
         assert code == EXIT_OK

@@ -117,6 +117,9 @@ def test_every_allocator_returns_a_plain_plan(allocate):
     ("allocator", "MAX_CLASS_RAOS"),
     ("simulator", "SHARED_PASS_LAYOUTS"),
     ("simulator", "RETRY_KEYS"),
+    ("simulator", "CHUNK_KEYS"),
+    ("simulator", "PIECE_KEYS"),
+    ("simulator", "GAP_KEYS"),
     ("simulator", "MAX_ITEMS_PER_ITERATION"),
     ("simulator", "MAX_TALLY_BYTES"),
     ("cli", "MAX_SWEEP_POINTS"),

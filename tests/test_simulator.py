@@ -664,9 +664,10 @@ class TestMemory:
 
     def test_sweep_peak_stays_near_one_run(self):
         # a sweep's pass holds every split's tally and a shared chunk's
-        # integer picks, with no slot keys, in chunks half as long as a
-        # run's: on dc1_dc2 at 200 s its peak over 17 splits measured 0.73
-        # times that of one run. A first sweep makes the one-time allocations.
+        # integer picks, with no slot keys and no gap per request, in chunks
+        # as long as a run's: on dc1_dc2 at 200 s its peak over 17 splits
+        # measured 1.13 times that of one run. A first sweep makes the
+        # one-time allocations.
         scenario = make_scenario((1, 2))
         config = SimConfig(iterations=20, seed=5, horizon=200)
         plans = _splits(scenario, 0, range(600, 10201, 600))
@@ -1178,10 +1179,11 @@ class TestSweep:
                                       config)
 
     # light classes at 350 s, about 3 500 requests per iteration, 11 iterations
-    # per block: a shared pass's half chunk of 14 000 keys holds one iteration or
-    # two, and chunks of a whole block span several sort runs of 1 024 seconds
-    @pytest.mark.parametrize("chunk_keys", [1, 14_000, simulator.CHUNK_KEYS, 2**62],
-                             ids=["per-iteration", "uneven", "default", "per-block"])
+    # per block: chunks of 7 000 keys hold one iteration or two, chunks of 14 000
+    # three or four, and chunks of a whole block span two sort runs of 2 048 seconds
+    @pytest.mark.parametrize("chunk_keys", [1, 7_000, 14_000, simulator.CHUNK_KEYS, 2**62],
+                             ids=["per-iteration", "one-or-two", "uneven", "default",
+                                  "per-block"])
     def test_chunkings_equal_runs(self, monkeypatch, chunk_keys):
         monkeypatch.setattr(simulator, "CHUNK_KEYS", chunk_keys)
         # with delays every split runs alone; without, the four share a pass
@@ -1192,11 +1194,44 @@ class TestSweep:
                 config
             )
 
+    def test_shared_and_lone_passes_chunk_alike(self, monkeypatch):
+        # one chunk rule for every pass: on dc1_dc2 at 200 s, about 30 000
+        # requests per iteration, the sweep's shared pass and a lone run of one
+        # of its splits cut each 20-iteration block into the same ranges, two
+        # iterations each
+        config = SimConfig(iterations=41, seed=52, horizon=200)
+        chunks = {"shared": [], "lone": []}
+
+        def spy(name, function, counts_at):
+            # the iterations of each chunk, from its counts per second
+            def call(*args):
+                chunks[name].append(args[counts_at][0].size // config.horizon)
+                return function(*args)
+            monkeypatch.setattr(simulator, function.__name__, call)
+
+        spy("shared", simulator._pairs, 1)
+        spy("lone", simulator._fresh_keys, 3)
+        scenario = make_scenario((1, 2))
+        plans = _splits(scenario, 0, range(600, 10201, 600))
+        run_many(scenario, plans, config)
+        run(scenario, plans[5], config)
+        ranges = {name: np.cumsum([0] + sizes).tolist() for name, sizes in chunks.items()}
+        assert ranges["shared"] == ranges["lone"]
+        assert ranges["lone"] == [*range(0, 41, 2), 41]
+
     def test_pieces_split_shared_chunks(self, monkeypatch):
         monkeypatch.setattr(simulator, "PIECE_KEYS", 97)
         scenario = _light_cell(Strategy.FULL_DEDICATION)
         config = SimConfig(iterations=17, seed=46, horizon=350)
         self.assert_points_equal_runs(scenario, 1, [5, 20, 35], config)
+
+    @pytest.mark.parametrize("gap_keys", [1, 7])
+    def test_gap_pieces_split_shared_chunks(self, monkeypatch, gap_keys):
+        # pieces of gaps that end inside a class's picks, and on its last one
+        monkeypatch.setattr(simulator, "GAP_KEYS", gap_keys)
+        scenario = _light_cell(Strategy.FULL_DEDICATION)
+        config = SimConfig(iterations=17, seed=53, horizon=350)
+        self.assert_points_equal_runs(scenario, 0, [5, 20, 35], config)
 
     def test_empty_cells_equal_runs(self, monkeypatch):
         # 3 and 1 requests per second at horizon 1: one chunk holds all 40
