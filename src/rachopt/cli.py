@@ -415,7 +415,7 @@ def cmd_simulate(args: argparse.Namespace, scenario: Scenario) -> tuple:
     if args.csv:
         _check_csv_writable(args.csv)
     stats = simulator.run(scenario, allocation, config)
-    analytic, _ = _predicted(scenario, layout, ("collision_rate",), config.arrival_mode)
+    analytic, cell = _predicted(scenario, layout, ("collision_rate",), config.arrival_mode)
     parameters = _sim_parameters(
         config,
         arrival_mode=config.arrival_mode.value,
@@ -456,17 +456,12 @@ def cmd_simulate(args: argparse.Namespace, scenario: Scenario) -> tuple:
         )
     pooled_attempts = sum(s.attempts for s in stats.per_class.values())
     pooled_collided = sum(s.collided for s in stats.per_class.values())
-    # the cell row pools both rates per request: the collided over the
-    # attempts, and the class rates weighted by density
-    pooled_analytic = sum(
-        cls.ra_density * analytic[str(cls.id)]["collision_rate"] for cls in scenario.classes
-    ) / scenario.total_density
     rows.append(
         (
             "cell",
             scenario.total_raos,
             scenario.total_density,
-            pooled_analytic,
+            cell["total_collision_density_hz"] / scenario.total_density,
             pooled_collided / pooled_attempts if pooled_attempts else 0.0,
             stats.total_density,
             stats.total_density_stderr,

@@ -637,9 +637,11 @@ def _pair_collisions(pairs: tuple[np.ndarray, ...], scales: np.ndarray,
     np.logical_and(equal[:-1], follows, out=starts[1:])
     np.greater(equal, starts, out=starts)
     sums = np.zeros((2, scales.size * iterations), dtype=np.int64)
-    # a cell sums at most the chunk's pairs, so int32 sums, twice as fast, hold them
-    dtype = np.int32 if low.size < 2**31 else np.int64
-    sums[:, cells] = np.add.reduceat(masks.view(np.uint8), firsts, axis=1, dtype=dtype)
+    # int32 sums, twice as fast as int64, hold any cell's: a cell sums at most
+    # the chunk's pairs, fewer than its requests, and a chunk holds CHUNK_KEYS
+    # requests or one iteration, of a shared pass's at most about
+    # MAX_ITEMS_PER_ITERATION // 4 (see run_many), far below 2**31
+    sums[:, cells] = np.add.reduceat(masks.view(np.uint8), firsts, axis=1, dtype=np.int32)
     equal, chains = sums.reshape(2, scales.size, iterations)
     return equal + chains, chains.sum(axis=0)
 
