@@ -123,10 +123,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sim_options(p)
     p.add_argument("--class-index", type=int, choices=(0, 1), default=0,
                    help="position of the swept class in validated order")
-    p.add_argument("--range", dest="sweep_range", metavar="LO:HI",
-                   help="inclusive swept-RAO bounds, e.g. 600:10200")
+    swept = p.add_mutually_exclusive_group()
+    swept.add_argument("--range", dest="sweep_range", metavar="LO:HI",
+                       help="inclusive swept-RAO bounds, e.g. 600:10200")
     p.add_argument("--step", type=int, default=600)
-    p.add_argument("--values", help="explicit comma-separated swept-RAO values")
+    swept.add_argument("--values", help="explicit comma-separated swept-RAO values")
     p.add_argument("--csv", metavar="PATH", help="write one row per sweep point")
     p.set_defaults(handler=cmd_sweep)
 
@@ -432,8 +433,6 @@ def cmd_simulate(args: argparse.Namespace, scenario: Scenario) -> tuple:
             },
             "total_density_hz": stats.total_density,
             "total_density_stderr": stats.total_density_stderr,
-            "event_density_hz": stats.event_density,
-            "event_density_stderr": stats.event_density_stderr,
             "iterations": stats.iterations,
             "horizon_s": stats.horizon,
             "seed": stats.seed,
@@ -478,6 +477,7 @@ def cmd_sweep(args: argparse.Namespace, scenario: Scenario) -> tuple:
             values = [int(v) for v in args.values.split(",") if v.strip()]
         except ValueError:
             raise ScenarioError([f"--values: could not parse {args.values!r}"]) from None
+        _reject_repeated("--values:", values)
     else:
         if not args.sweep_range:
             raise ScenarioError(["sweep needs --range LO:HI or --values"])

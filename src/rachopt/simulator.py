@@ -94,8 +94,8 @@ from .model import (AllocationPlan, ArrivalMode, DeviceClass, Scenario, SharingT
 MAX_ITEMS_PER_ITERATION = 50_000_000
 
 # Largest tally that run_many() accepts, in bytes, checked before it is allocated:
-# iterations times _Tally.bytes_per_iteration (88 with two classes, so about
-# 12 M iterations). _summarize adds a few arrays of one class's iterations.
+# iterations times _Tally.bytes_per_iteration (80 with two classes, so about
+# 13 M iterations). _summarize adds a few arrays of one class's iterations.
 # A pass of several layouts holds as many tallies as fit in this together.
 MAX_TALLY_BYTES = 2**30
 
@@ -114,8 +114,8 @@ BLOCK_SECONDS = 4096
 CHUNK_KEYS = 2**16
 
 # Longest piece of a chunk that _collisions' temporaries cover: the index
-# array of np.compress and the cells and repeats of the collided requests;
-# and the raw draws of _sorted_picks.
+# array of np.compress and the cells of the collided requests; and the raw
+# draws of _sorted_picks.
 PIECE_KEYS = 2**16
 
 # Longest piece of a class's sorted picks whose gaps _pairs holds at once:
@@ -131,12 +131,14 @@ RETRY_KEYS = 2**14
 # Fewest layouts dedicated in class order (see _pairs) that share a pass in
 # one call. A shared pass costs more per chunk (a 64-bit sort of the picks
 # and the candidate pairs) and less per layout (its floors on the candidates).
-# Measured when a shared pass took half-size chunks, in process, median of 9
-# calls after 4 warm-ups, median of three alternations: on dc1_dc2 at horizon
-# 200, 20 iterations, two splits took 14.2 ms in lone passes and 11.5 ms in a
-# shared one, three 20.7 ms and 11.3 ms, four 30.5 ms and 11.4 ms; dc123_qos's
-# two dedicated plans, 3 000 iterations, 47.6 ms and 37.4 ms. One split forced
-# into a pass of the shared kind took 10.5 ms against 7.5 ms alone.
+# In process, median of 9 calls after 4 warm-ups and of three alternations,
+# the range over three such runs: on dc1_dc2 at horizon 200, 20 iterations,
+# two splits took 11.5-17.2 ms in lone passes and 9.2-9.6 ms in a shared one,
+# three 17.4-18.1 ms and 9.2-12.2 ms, four 24.0-24.2 ms and 9.6-11.0 ms;
+# dc123_qos's two dedicated plans, 3 000 iterations, 40.8-45.1 ms and
+# 32.8-36.1 ms. One split forced into a pass of the shared kind took
+# 8.5-13.1 ms against 6.1-6.4 ms alone, and a lone pass peaks at about 13
+# bytes per request against up to 44 for the shared kind.
 SHARED_PASS_LAYOUTS = 2
 
 # Names the random-number layout described in the module docstring; a seed
@@ -206,15 +208,12 @@ class SimStats:
     """Cell-wide simulation outcome.
 
     ``total_density`` sums the per-class collision densities (colliding
-    requests per second); ``event_density`` counts slots holding two or more
-    requests instead, for comparison with event-based accounting.
+    requests per second).
     """
 
     per_class: dict[int, ClassStats]
     total_density: float
     total_density_stderr: float
-    event_density: float
-    event_density_stderr: float
     iterations: int
     horizon: int
     seed: int
@@ -312,12 +311,10 @@ def _draw_counts(
 
 @dataclass(frozen=True)
 class _Tally:
-    """Per-iteration counts of one run: a row per class, and one row of
-    events (slots holding two or more requests)."""
+    """Per-iteration counts of one run, a row per class."""
 
     attempts: np.ndarray
     collided: np.ndarray
-    events: np.ndarray
     delay_sums: np.ndarray
     delay_counts: np.ndarray
     censored: np.ndarray
@@ -325,8 +322,8 @@ class _Tally:
     @staticmethod
     def bytes_per_iteration(n_classes: int) -> int:
         """What ``zeros`` allocates per iteration: five 8-byte rows per
-        class, and the events."""
-        return 8 * (5 * n_classes + 1)
+        class."""
+        return 40 * n_classes
 
     @classmethod
     def zeros(cls, n_classes: int, iterations: int) -> _Tally:
@@ -334,7 +331,6 @@ class _Tally:
         return cls(
             attempts=np.zeros(shape, dtype=np.int64),
             collided=np.zeros(shape, dtype=np.int64),
-            events=np.zeros(iterations, dtype=np.int64),
             delay_sums=np.zeros(shape),
             delay_counts=np.zeros(shape, dtype=np.int64),
             censored=np.zeros(shape, dtype=np.int64),
@@ -435,15 +431,14 @@ def _pass(scenario: Scenario, layouts: list[SharingTopology], config: SimConfig,
                 picks = _sorted_picks(rngs, chunk_counts, scratch)
                 pairs = _pairs(picks, chunk_counts, horizon, smallest, scratch)
                 for tally, scale in zip(tallies, scales):
-                    tally.collided[:, chunk], tally.events[chunk] = _pair_collisions(
-                        pairs, scale, hi - lo)
+                    tally.collided[:, chunk] = _pair_collisions(pairs, scale, hi - lo)
                 del picks, pairs  # freed before the next chunk's draws
             else:
                 tally = tallies[0]
                 tagged = _fresh_keys(layouts[0], classes, rngs, chunk_counts, total_slots, scratch)
                 tagged.sort()
-                collided, events, hits = _collisions(tagged, len(classes), span, hi - lo, scratch)
-                tally.collided[:, chunk], tally.events[chunk] = collided, events
+                tally.collided[:, chunk], hits = _collisions(
+                    tagged, len(classes), span, hi - lo, scratch)
                 if measure:
                     measure(hits, tagged, chunk, tally)
                 del tagged, hits  # views that would pin old buffers while take grows them
@@ -480,13 +475,10 @@ def _summarize(classes: Sequence[DeviceClass], config: SimConfig, tally: _Tally)
 
     total_density = sum(stats.collision_density for stats in per_class.values())
     _, total_stderr = _mean_stderr(tally.collided.sum(axis=0) / horizon)
-    event_density, event_stderr = _mean_stderr(tally.events / horizon)
     return SimStats(
         per_class=per_class,
         total_density=total_density,
         total_density_stderr=total_stderr,
-        event_density=event_density,
-        event_density_stderr=event_stderr,
         iterations=config.iterations,
         horizon=horizon,
         seed=config.seed,
@@ -614,36 +606,36 @@ def _pairs(picks: np.ndarray, counts: Sequence[np.ndarray], horizon: int,
 
 
 def _pair_collisions(pairs: tuple[np.ndarray, ...], scales: np.ndarray,
-                     iterations: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per (class, iteration) the collided requests, and per iteration the
-    slots holding two or more, of one layout dedicated in class order, whose
-    classes' pools times ``2**-53`` are ``scales``, from a chunk's candidate
-    pairs (see ``_pairs``). A pair collides when its picks' floors are
-    equal; a slot of m requests holds m - 1 such pairs, of which one, its
-    chain start, does not follow another of them, so its collided requests
-    are its colliding pairs plus its chain start. Both masks are summed per
-    non-empty cell, as bytes."""
+                     iterations: int) -> np.ndarray:
+    """Per (class, iteration) the collided requests of one layout dedicated
+    in class order, whose classes' pools times ``2**-53`` are ``scales``,
+    from a chunk's candidate pairs (see ``_pairs``). A pair collides when
+    its picks' floors are equal; a slot of m requests holds m - 1 such
+    pairs, of which one, its chain start, does not follow another of them,
+    so its collided requests are its colliding pairs plus its chain start.
+    Each pair's byte, its equal mask plus its chain start, is summed per
+    non-empty cell."""
     low, high, follows, by_class, cells, firsts = pairs
     scale = np.repeat(scales, by_class)
     top = high * scale  # fl(a * S 2**-53) == fl(u * S): both scalings are exact
-    masks = np.empty((2, low.size), dtype=bool)
-    equal, starts = masks
+    counts = np.empty(low.size, dtype=np.uint8)
+    equal = counts.view(bool)
     # fl(low * S) <= fl(high * S), so their floors are equal when the
     # upper one's is at most the lower product
     np.less_equal(np.floor(top, out=top), np.multiply(low, scale, out=scale), out=equal)
     del top, scale  # freed before the sums' temporaries
     # a chain start is an equal pair that does not follow an equal one
+    starts = np.empty_like(equal)
     starts[:1] = False
     np.logical_and(equal[:-1], follows, out=starts[1:])
-    np.greater(equal, starts, out=starts)
-    sums = np.zeros((2, scales.size * iterations), dtype=np.int64)
-    # int32 sums, twice as fast as int64, hold any cell's: a cell sums at most
-    # the chunk's pairs, fewer than its requests, and a chunk holds CHUNK_KEYS
+    counts += np.greater(equal, starts, out=starts)
+    collided = np.zeros(scales.size * iterations, dtype=np.int64)
+    # int32 sums, twice as fast as int64, hold any cell's: a cell sums its
+    # collided requests, at most the chunk's, and a chunk holds CHUNK_KEYS
     # requests or one iteration, of a shared pass's at most about
     # MAX_ITEMS_PER_ITERATION // 4 (see run_many), far below 2**31
-    sums[:, cells] = np.add.reduceat(masks.view(np.uint8), firsts, axis=1, dtype=np.int32)
-    equal, chains = sums.reshape(2, scales.size, iterations)
-    return equal + chains, chains.sum(axis=0)
+    collided[cells] = np.add.reduceat(counts, firsts, dtype=np.int32)
+    return collided.reshape(scales.size, iterations)
 
 
 class _Scratch:
@@ -682,15 +674,15 @@ def _chunks(sizes: np.ndarray, limit: int) -> Iterator[tuple[int, int]]:
 
 def _collisions(
     tagged: np.ndarray, n_classes: int, span: int, iterations: int, scratch: _Scratch
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Given a chunk's tagged slot keys, ascending, count per (class,
-    iteration) the requests whose key another request of any class shares,
-    and per iteration the slots holding two or more requests; return both
-    and the tagged values of the collided requests, ascending. Sorting puts
-    equal keys next to each other, so the work grows with the number of
-    requests, not with the number of slots they pick from. The arrays as
-    long as the chunk are the scratch's, and the collided values are a view
-    of one of them; every other temporary holds at most ``PIECE_KEYS`` items."""
+    iteration) the requests whose key another request of any class shares;
+    return the counts and the tagged values of those collided requests,
+    ascending. Sorting puts equal keys next to each other, so the work grows
+    with the number of requests, not with the number of slots they pick
+    from. The arrays as long as the chunk are the scratch's, and the
+    collided values are a view of one of them; every other temporary holds
+    at most ``PIECE_KEYS`` items."""
     tag_bits, size = (n_classes - 1).bit_length(), tagged.size
     spare = scratch.take("spare", tagged.dtype, size)
     keys = np.right_shift(tagged, tag_bits, out=spare)
@@ -698,30 +690,18 @@ def _collisions(
     np.equal(keys[1:], keys[:-1], out=hit[1:])  # each key equal to the one before
     hit[:1] = False
     hit[:-1] |= hit[1:]  # ... or to the one after
+    collided = np.zeros(iterations * n_classes, dtype=np.int64)
     # the collided values replace the keys in place; np.compress copies twice
     # as fast as boolean indexing, but through an index array
     end = 0
     for lo in range(0, size, PIECE_KEYS):
         mask = hit[lo : lo + PIECE_KEYS]
-        count = np.count_nonzero(mask)
-        np.compress(mask, tagged[lo : lo + PIECE_KEYS], out=spare[end : end + count])
-        end += count
-    hits = spare[:end]
-    collided = np.zeros(iterations * n_classes, dtype=np.int64)
-    # up to each iteration's end, the collided keys equal to the one before:
-    # a slot shared by m requests holds m - 1 of them, so an iteration's
-    # events are its collided requests less these repeats
-    repeats = np.zeros(iterations + 1, dtype=np.int64)
-    ends = np.arange(iterations + 1, dtype=hits.dtype) * span
-    for lo in range(0, end, PIECE_KEYS):
-        part = hits[lo : lo + PIECE_KEYS]
+        part = spare[end : end + np.count_nonzero(mask)]
+        np.compress(mask, tagged[lo : lo + PIECE_KEYS], out=part)
+        end += part.size
         cells = part // (span << tag_bits) * n_classes + (part & ((1 << tag_bits) - 1))
         collided += np.bincount(cells, minlength=collided.size)
-        shared = hits[max(lo - 1, 0) : lo + part.size] >> tag_bits
-        repeats += np.searchsorted(shared[1:][shared[1:] == shared[:-1]], ends)
-    collided = collided.reshape(iterations, -1)
-    events = collided.sum(axis=1) - (repeats[1:] - repeats[:-1])
-    return collided.T, events, hits
+    return collided.reshape(iterations, -1).T, spare[:end]
 
 
 def _delay_meter(scenario: Scenario, layout: SharingTopology, config: SimConfig):

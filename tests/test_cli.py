@@ -768,6 +768,19 @@ class TestSweep:
         assert exc.value.code == EXIT_VALIDATION
         assert "--class-index" in capsys.readouterr().err
 
+    def test_range_and_values_together_are_a_usage_error(self, capsys):
+        # --values used to win silently, and the report did not name the range
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", DC12, "--values", "600", "--range", "1200:2400", "--iterations", "2"])
+        assert exc.value.code == EXIT_VALIDATION
+        assert "argument --range: not allowed with argument --values" in capsys.readouterr().err
+
+    def test_repeated_value_rejected(self, capsys):
+        # a repeat used to be simulated again, as one more identical point and CSV row
+        argv = ["sweep", DC12, "--values", "600,1200,600", "--iterations", "2", "--seed", "1"]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", "error: --values: 600 given more than once\n")
+
     def test_sharing_file_sweeps_like_dedication_file(self, capsys, tmp_path):
         data = yaml.safe_load(Path(DC12).read_text())
         data["strategy"] = "full_sharing"

@@ -147,9 +147,7 @@ CASES = {
 
 # recorded with the seeds above under RECORDED_LAYOUT; compared exactly
 RECORDED_LAYOUT = "pcg64-block4096-splitmix64-v3"
-GOLDEN = {'bernoulli': {'event_density': 1.0,
-                        'event_density_stderr': 0.1777046633277277,
-                        'horizon': 1,
+GOLDEN = {'bernoulli': {'horizon': 1,
                         'iterations': 20,
                         'per_class': {1: {'attempts': 1037,
                                           'censored': 0,
@@ -172,9 +170,7 @@ GOLDEN = {'bernoulli': {'event_density': 1.0,
                         'seed': 15,
                         'total_density': 2.0,
                         'total_density_stderr': 0.3554093266554554},
-          'bernoulli_partial': {'event_density': 1.25,
-                                'event_density_stderr': 0.20358626776148883,
-                                'horizon': 1,
+          'bernoulli_partial': {'horizon': 1,
                                 'iterations': 20,
                                 'per_class': {1: {'attempts': 1001,
                                                   'censored': 0,
@@ -197,9 +193,7 @@ GOLDEN = {'bernoulli': {'event_density': 1.0,
                                 'seed': 16,
                                 'total_density': 2.5,
                                 'total_density_stderr': 0.40717253552297766},
-          'full_dedication': {'event_density': 0.8,
-                              'event_density_stderr': 0.19999999999999998,
-                              'horizon': 1,
+          'full_dedication': {'horizon': 1,
                               'iterations': 20,
                               'per_class': {1: {'attempts': 954,
                                                 'censored': 0,
@@ -222,9 +216,7 @@ GOLDEN = {'bernoulli': {'event_density': 1.0,
                               'seed': 12,
                               'total_density': 1.6,
                               'total_density_stderr': 0.39999999999999997},
-          'full_dedication_long_horizon': {'event_density': 1.0333333333333332,
-                                           'event_density_stderr': 0.05456901847914965,
-                                           'horizon': 200,
+          'full_dedication_long_horizon': {'horizon': 200,
                                            'iterations': 3,
                                            'per_class': {1: {'attempts': 30383,
                                                              'censored': 0,
@@ -247,9 +239,7 @@ GOLDEN = {'bernoulli': {'event_density': 1.0,
                                            'seed': 17,
                                            'total_density': 2.0683333333333334,
                                            'total_density_stderr': 0.11076752432208846},
-          'full_sharing': {'event_density': 48.125,
-                           'event_density_stderr': 1.0765900113931852,
-                           'horizon': 2,
+          'full_sharing': {'horizon': 2,
                            'iterations': 20,
                            'per_class': {1: {'attempts': 2067,
                                              'censored': 0,
@@ -272,9 +262,7 @@ GOLDEN = {'bernoulli': {'event_density': 1.0,
                            'seed': 11,
                            'total_density': 98.075,
                            'total_density_stderr': 2.2379134431312058},
-          'measure_delay': {'event_density': 24.6,
-                            'event_density_stderr': 2.10923893594085,
-                            'horizon': 1,
+          'measure_delay': {'horizon': 1,
                             'iterations': 10,
                             'per_class': {1: {'attempts': 458,
                                               'censored': 4,
@@ -297,9 +285,7 @@ GOLDEN = {'bernoulli': {'event_density': 1.0,
                             'seed': 14,
                             'total_density': 54.0,
                             'total_density_stderr': 4.939635614091387},
-          'measure_delay_long_horizon': {'event_density': 28.0,
-                                         'event_density_stderr': 1.1165422816296156,
-                                         'horizon': 5,
+          'measure_delay_long_horizon': {'horizon': 5,
                                          'iterations': 4,
                                          'per_class': {1: {'attempts': 1004,
                                                            'censored': 1,
@@ -322,9 +308,7 @@ GOLDEN = {'bernoulli': {'event_density': 1.0,
                                          'seed': 19,
                                          'total_density': 60.85,
                                          'total_density_stderr': 2.7183021661814317},
-          'measure_delay_partial': {'event_density': 29.6,
-                                    'event_density_stderr': 1.713994684290992,
-                                    'horizon': 1,
+          'measure_delay_partial': {'horizon': 1,
                                     'iterations': 10,
                                     'per_class': {1: {'attempts': 506,
                                                       'censored': 2,
@@ -347,9 +331,7 @@ GOLDEN = {'bernoulli': {'event_density': 1.0,
                                     'seed': 20,
                                     'total_density': 66.0,
                                     'total_density_stderr': 3.9972212570456707},
-          'multi_block': {'event_density': 0.3177333333333333,
-                          'event_density_stderr': 0.004145144415122617,
-                          'horizon': 1500,
+          'multi_block': {'horizon': 1500,
                           'iterations': 5,
                           'per_class': {1: {'attempts': 3754,
                                             'censored': 0,
@@ -372,9 +354,7 @@ GOLDEN = {'bernoulli': {'event_density': 1.0,
                           'seed': 21,
                           'total_density': 0.6717333333333333,
                           'total_density_stderr': 0.010105224171464755},
-          'partial_overlapping': {'event_density': 23.85,
-                                  'event_density_stderr': 1.3846432183437232,
-                                  'horizon': 1,
+          'partial_overlapping': {'horizon': 1,
                                   'iterations': 20,
                                   'per_class': {1: {'attempts': 934,
                                                     'censored': 0,
@@ -406,9 +386,7 @@ GOLDEN = {'bernoulli': {'event_density': 1.0,
                                   'seed': 13,
                                   'total_density': 48.15,
                                   'total_density_stderr': 2.7532516660926776},
-          'partial_sparse_seconds': {'event_density': 0.3375,
-                                     'event_density_stderr': 0.018352262954621033,
-                                     'horizon': 40,
+          'partial_sparse_seconds': {'horizon': 40,
                                      'iterations': 10,
                                      'per_class': {1: {'attempts': 190,
                                                        'censored': 0,

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import rachopt
-from rachopt import allocator, cli
+from rachopt import allocator, cli, simulator
 from rachopt.allocator import (
     brute_force_optimal,
     largest_remainder,
@@ -134,6 +134,16 @@ def test_readme_quotes_the_constants(module, name):
     )
     value = getattr(importlib.import_module(f"rachopt.{module}"), name)
     assert {int(digits.replace(" ", "")) * units[unit] for digits, unit in quoted} == {value}
+
+
+def test_readme_quotes_the_tally_limits():
+    # the iterations that MAX_TALLY_BYTES holds with two and three classes
+    text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    per_iteration = simulator._Tally.bytes_per_iteration
+    two, three = (simulator.MAX_TALLY_BYTES // per_iteration(c) / 1e6 for c in (2, 3))
+    assert [per_iteration(c) for c in (1, 2, 3)] == [40, 80, 120]
+    assert (f"at `40 C` bytes per iteration for C classes: {two:.1f} M iterations "
+            f"with two classes, {three:.1f} M with three") in text
 
 
 def _readme_commands():

@@ -70,22 +70,18 @@ class TestDegenerateLoads:
         stats = run(scenario, AllocationPlan({1: 1}), BERNOULLI)
         assert stats.per_class[1].collision_rate == 1.0
         assert stats.per_class[1].collision_density == 2.0
-        assert stats.event_density == 1.0
 
     def test_colliding_requests_come_in_groups(self):
         scenario = make_scenario((1, 2))
         stats = run(scenario, AllocationPlan({1: 100, 2: 200}), SimConfig(iterations=20, seed=3))
         assert stats.per_class[1].collided <= stats.per_class[1].attempts
-        assert stats.total_density >= 2.0 * stats.event_density - 1e-12
 
 
 def dense_collisions(keys_by_class):
-    """Reference for the sorted kernel: per-class collided flags and the
-    keys of the slots holding two or more requests, read from one dense
-    occupancy count over every slot up to the largest key."""
+    """Reference for the sorted kernel: per-class collided flags, read from
+    one dense occupancy count over every slot up to the largest key."""
     occupancy = np.bincount(np.concatenate(keys_by_class))
-    flags = [occupancy[keys] >= 2 for keys in keys_by_class]
-    return flags, np.flatnonzero(occupancy >= 2)
+    return [occupancy[keys] >= 2 for keys in keys_by_class]
 
 
 class_keys = st.lists(st.integers(0, 60), max_size=40).map(
@@ -98,14 +94,12 @@ SPAN = 16  # slot keys per iteration: keys up to 60 fall into four iterations
 def assert_kernel_output(keys_by_class, flags_by_class, span, iterations, output):
     """Check ``_collisions``' output against each class's collided flags,
     given in the order of its int64 keys."""
-    collided, events, hits = output
+    collided, hits = output
     tag_bits = (len(keys_by_class) - 1).bit_length()
     assert collided.tolist() == [
         np.bincount(keys[flags] // span, minlength=iterations).tolist()
         for keys, flags in zip(keys_by_class, flags_by_class)
     ]
-    shared = np.unique(np.concatenate([k[f] for k, f in zip(keys_by_class, flags_by_class)]))
-    assert events.tolist() == np.bincount(shared // span, minlength=iterations).tolist()
     for pos, (keys, flags) in enumerate(zip(keys_by_class, flags_by_class)):
         mine = hits[(hits & ((1 << tag_bits) - 1)) == pos] >> tag_bits
         assert mine.tolist() == sorted(keys[flags].tolist())
@@ -120,7 +114,7 @@ class TestCollisionKernel:
     @example([np.array([3, 3, 3], dtype=np.int64), np.array([3], dtype=np.int64)])  # one slot
     def test_matches_dense_occupancy(self, keys_by_class):
         tag_bits = (len(keys_by_class) - 1).bit_length()
-        dense_flags, _ = dense_collisions(keys_by_class)
+        dense_flags = dense_collisions(keys_by_class)
         for dtype in (np.uint32, np.int64):
             tagged = np.concatenate([(k << tag_bits) | p for p, k in enumerate(keys_by_class)])
             # the kernel takes the keys ascending, whatever the order of the requests
@@ -241,10 +235,9 @@ class TestPairKernel:
         counts = [np.array([2]) for _ in pools]
         pairs = simulator._pairs(np.array(picks, dtype=np.uint64), counts, 1, pools, _Scratch())
         scales = np.array(pools, dtype=np.float64) * 2.0**-53
-        collided, events = simulator._pair_collisions(pairs, scales, 1)
+        collided = simulator._pair_collisions(pairs, scales, 1)
         assert pairs[0].size == len(pools)
         assert collided.ravel().tolist() == [2] * len(pools)
-        assert events.tolist() == [len(pools)]
 
     def test_integer_picks_continue_the_stream(self):
         # _sorted_picks draws random_raw() >> 11, the integers that random()
@@ -284,8 +277,7 @@ def reference_run(scenario, allocation, config):
             c = block_counts[offset * horizon : (offset + 1) * horizon]
             picks = (rng.random(int(c.sum())) * slots[cls.id].size).astype(np.int64)
             keys_by_class.append(np.repeat(np.arange(horizon), c) * total + slots[cls.id][picks])
-        flags_by_class, event_keys = dense_collisions(keys_by_class)
-        tally.events[it] = event_keys.size
+        flags_by_class = dense_collisions(keys_by_class)
         for pos, (keys, flags) in enumerate(zip(keys_by_class, flags_by_class)):
             tally.attempts[pos, it] = keys.size
             tally.collided[pos, it] = np.count_nonzero(flags)
@@ -499,7 +491,7 @@ class TestReferenceEngine:
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_pieces_split_chunks(self, monkeypatch, case):
         # pieces of 97 requests split the copy of the collided keys, and
-        # their cells and repeats, at odd places
+        # their cells, at odd places
         scenario, allocation, config = REFERENCE_CASES[case]()
         monkeypatch.setattr(simulator, "PIECE_KEYS", 97)
         assert run(scenario, allocation, config) == reference_stats(case)
@@ -542,9 +534,6 @@ class TestReferenceEngine:
             assert [getattr(on.per_class[cid], f) for f in fresh] == [
                 getattr(off.per_class[cid], f) for f in fresh
             ]
-        assert (on.event_density, on.event_density_stderr) == (
-            off.event_density, off.event_density_stderr
-        )
         assert on.per_class[1].mean_delay is not None and off.per_class[1].mean_delay is None
 
 
